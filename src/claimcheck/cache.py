@@ -2,8 +2,9 @@
 
 Keys are sha256 hashes of canonically serialized inputs, so a cache hit
 means the exact same work was already done under the same seed and
-parameters. Writes go through a temp file and rename, so a crashed run
-never leaves a truncated entry behind.
+parameters. Every cache write goes through `atomic_write`: a uniquely named
+temp file and a rename, so a crashed run never leaves a truncated entry
+behind and two writers of one key never share a temp file.
 """
 
 from __future__ import annotations
@@ -14,13 +15,28 @@ import os
 import tempfile
 from pathlib import Path
 
-__all__ = ["stable_hash", "JsonCache"]
+__all__ = ["stable_hash", "atomic_write", "JsonCache"]
 
 
 def stable_hash(obj) -> str:
     """sha256 hex digest of an object's canonical JSON form."""
     blob = json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def atomic_write(path, write) -> None:
+    """Create or replace `path` with what `write(binary_file)` writes."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 class JsonCache:
@@ -41,16 +57,8 @@ class JsonCache:
             return json.load(fh)
 
     def put(self, key: str, value) -> None:
-        path = self._path(key)
-        fd, tmp = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(value, fh, ensure_ascii=False)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        blob = json.dumps(value, ensure_ascii=False).encode("utf-8")
+        atomic_write(self._path(key), lambda fh: fh.write(blob))
 
     def __contains__(self, key: str) -> bool:
         return self._path(key).exists()

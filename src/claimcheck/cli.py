@@ -12,14 +12,10 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .augment import (
-    GenerationParams,
-    NONE,
-    STRATEGIES,
-    augment_training,
-)
+from .augment import NONE, STRATEGIES
 from .corpus import (
     SCHEMA_PRESETS,
     Corpus,
@@ -37,15 +33,11 @@ from .runner import (
     SUITES,
     ZERO_SHOT,
     config_from_mapping,
+    prepare_cell,
     run_suite,
     run_topic,
 )
-from .splits import (
-    few_shot_split,
-    make_holdouts,
-    split_to_json,
-    zero_shot_split,
-)
+from .splits import split_to_json
 
 __all__ = ["main", "build_parser"]
 
@@ -220,14 +212,9 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    config = _experiment_config(args)
-    corpus = _load_corpus(args.corpus)
-    holdouts = make_holdouts(corpus, config.holdout_k, config.seed)
-    if config.setting == ZERO_SHOT:
-        split = zero_shot_split(corpus, holdouts, args.target)
-    else:
-        split = few_shot_split(corpus, holdouts, args.target, config.shots)
-    text = split_to_json(split, holdouts.pool(args.target))
+    config = replace(_experiment_config(args), strategy=NONE)
+    cell = prepare_cell(config, _load_corpus(args.corpus), args.target)
+    text = split_to_json(cell.split, cell.holdouts.pool(args.target))
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
         Path(args.out).write_text(text + "\n", encoding="utf-8")
@@ -237,35 +224,17 @@ def _cmd_split(args) -> int:
     return 0
 
 
-def _train_common(args):
+def _cmd_train(args) -> int:
     config = _experiment_config(args)
-    corpus = _load_corpus(args.corpus)
     providers = _providers_from(args)
-    holdouts = make_holdouts(corpus, config.holdout_k, config.seed)
-    if config.setting == ZERO_SHOT:
-        split = zero_shot_split(corpus, holdouts, args.target)
-    else:
-        split = few_shot_split(corpus, holdouts, args.target, config.shots)
-    train_records = [corpus.record(i) for i in sorted(split.train)]
-    if config.strategy != NONE:
-        pool = [corpus.record(i)
-                for i in holdouts.pool(args.target)[: config.shots]]
-        train_records, _ = augment_training(
-            train_records, pool, config.strategy, providers, config.seed,
-            params=config.generation_params, ratio=config.ratio,
-            pivot=config.pivot,
-        )
+    cell = prepare_cell(config, _load_corpus(args.corpus), args.target,
+                        providers)
     scorer = train_scorer(
-        train_records,
+        cell.train_records,
         ScorerConfig(backend=config.backend_id,
                      hyperparams=config.hyperparams, seed=config.seed),
         providers,
     )
-    return config, corpus, holdouts, split, scorer
-
-
-def _cmd_train(args) -> int:
-    config, _, _, split, scorer = _train_common(args)
     if not isinstance(scorer, BaselineScorer):
         raise ConfigError(
             "only the baseline backend produces a saveable model; "
@@ -273,16 +242,15 @@ def _cmd_train(args) -> int:
         )
     out = args.out or "model.npz"
     scorer.save(out)
-    print(f"trained on {len(split.train)} records -> {out}")
+    print(f"trained on {len(cell.train_records)} records -> {out}")
     return 0
 
 
 def _cmd_rank(args) -> int:
-    config = _experiment_config(args)
+    config = replace(_experiment_config(args), strategy=NONE)
     corpus = _load_corpus(args.corpus)
     scorer = BaselineScorer.load(args.model)
-    holdouts = make_holdouts(corpus, config.holdout_k, config.seed)
-    split = zero_shot_split(corpus, holdouts, args.target)
+    split = prepare_cell(config, corpus, args.target).split
     records = [corpus.record(i) for i in sorted(split.test)]
     ranking = rank_records(scorer, records)
     labels = {r.tweet_id: r.label for r in records}
@@ -322,16 +290,8 @@ def _cmd_augment(args) -> int:
     config = _experiment_config(args, setting=FEW_SHOT)
     if config.strategy == NONE:
         raise ConfigError("augment requires --strategy BT, CWE, or TxtGen")
-    corpus = _load_corpus(args.corpus)
-    providers = _providers_from(args)
-    holdouts = make_holdouts(corpus, config.holdout_k, config.seed)
-    pool = [corpus.record(i) for i in holdouts.pool(args.target)[: config.shots]]
-    split = few_shot_split(corpus, holdouts, args.target, config.shots)
-    train_records = [corpus.record(i) for i in sorted(split.train)]
-    _, result = augment_training(
-        train_records, pool, config.strategy, providers, config.seed,
-        params=config.generation_params, ratio=config.ratio, pivot=config.pivot,
-    )
+    result = prepare_cell(config, _load_corpus(args.corpus), args.target,
+                          _providers_from(args)).augmentation
     out = args.out or "synthetic.jsonl"
     with open(out, "w", encoding="utf-8") as fh:
         for sample in result.samples:

@@ -34,9 +34,17 @@ __all__ = [
 ]
 
 
+def _combine_aps(ap_cw: float, ap_ncw: float, cw_only: bool) -> float:
+    """The MAP rule: mean of the class APs, or the CW AP alone."""
+    return ap_cw if cw_only else (ap_cw + ap_ncw) / 2.0
+
+
 @dataclass(frozen=True)
 class EvalReport:
-    """All evaluation numbers for one experiment cell (one target topic)."""
+    """All evaluation numbers for one experiment cell (one target topic).
+
+    With `cw_only` the MAP is the CW AP alone; AP_ncw is still reported.
+    """
 
     target_topic_id: str
     ap_cw: float
@@ -46,15 +54,15 @@ class EvalReport:
     recall: float
     f1: float
     n_test: int
+    cw_only: bool = False
 
     def __post_init__(self):
-        if abs(self.map - (self.ap_cw + self.ap_ncw) / 2.0) > 1e-9:
-            raise EvalError(
-                f"map must be the mean of the class APs, got {self.map!r}"
-            )
+        if abs(self.map - _combine_aps(self.ap_cw, self.ap_ncw, self.cw_only)) > 1e-9:
+            rule = "the CW AP" if self.cw_only else "the mean of the class APs"
+            raise EvalError(f"map must be {rule}, got {self.map!r}")
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "target_topic_id": self.target_topic_id,
             "ap_cw": self.ap_cw,
             "ap_ncw": self.ap_ncw,
@@ -64,13 +72,16 @@ class EvalReport:
             "f1": self.f1,
             "n_test": self.n_test,
         }
+        if self.cw_only:
+            out["cw_only"] = True
+        return out
 
     @classmethod
     def from_dict(cls, d: dict) -> "EvalReport":
         return cls(**{k: d[k] for k in (
             "target_topic_id", "ap_cw", "ap_ncw", "map",
             "precision", "recall", "f1", "n_test",
-        )})
+        )}, cw_only=d.get("cw_only", False))
 
 
 def _ranking_for(scores: dict, positive: str) -> list:
@@ -126,8 +137,7 @@ def mean_average_precision(scores: dict, labels: dict, n: int | None = None,
         raise EvalError("cannot evaluate an empty test set")
     ap_cw = average_precision(_ranking_for(scores, CW), labels, CW, n=n)
     ap_ncw = average_precision(_ranking_for(scores, NCW), labels, NCW, n=n)
-    map_ = ap_cw if cw_only else (ap_cw + ap_ncw) / 2.0
-    return ap_cw, ap_ncw, map_
+    return ap_cw, ap_ncw, _combine_aps(ap_cw, ap_ncw, cw_only)
 
 
 def precision_recall_f1(predictions: dict, labels: dict, positive: str = CW):
@@ -146,15 +156,11 @@ def precision_recall_f1(predictions: dict, labels: dict, positive: str = CW):
 def evaluate_scores(target_topic_id: str, scores: dict, labels: dict,
                     threshold: float = 0.5, cw_only: bool = False) -> EvalReport:
     """Build the full EvalReport for one scored test set."""
-    ap_cw, ap_ncw, _ = mean_average_precision(scores, labels)
-    map_ = ap_cw if cw_only else (ap_cw + ap_ncw) / 2.0
+    ap_cw, ap_ncw, map_ = mean_average_precision(scores, labels, cw_only=cw_only)
     predictions = {i: (CW if s >= threshold else NCW) for i, s in scores.items()}
     p, r, f1 = precision_recall_f1(predictions, labels, positive=CW)
-    # EvalReport pins map == mean of class APs; the cw_only view reuses ap_cw
-    # on both sides so the invariant still holds.
-    if cw_only:
-        return EvalReport(target_topic_id, ap_cw, ap_cw, map_, p, r, f1, len(labels))
-    return EvalReport(target_topic_id, ap_cw, ap_ncw, map_, p, r, f1, len(labels))
+    return EvalReport(target_topic_id, ap_cw, ap_ncw, map_, p, r, f1,
+                      len(labels), cw_only)
 
 
 def delta_percent(base_map: float, new_map: float) -> int:

@@ -10,14 +10,13 @@ speaking the fixed JSON contract documented in providers.py.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
-from .cache import stable_hash
+from .cache import atomic_write, stable_hash
 from .corpus import CW, NCW
 from .errors import ModelError, ProviderError
 
@@ -289,10 +288,7 @@ def train_scorer(records, config: ScorerConfig, providers=None,
             return BaselineScorer.load(path)
     scorer = BaselineScorer(config).fit(texts, labels)
     if path is not None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(f".{os.getpid()}.tmp.npz")
-        scorer.save(tmp)
-        os.replace(tmp, path)
+        atomic_write(path, scorer.save)
     return scorer
 
 

@@ -45,11 +45,8 @@ __all__ = [
     "KeywordAxisEmbedder",
     "HashEmbedder",
     "MockEncoderProvider",
-    "HttpTranslator",
-    "HttpFiller",
-    "HttpGenerator",
-    "HttpEmbedder",
-    "HttpEncoderProvider",
+    "HTTP_ROLES",
+    "HttpProvider",
     "make_providers",
 ]
 
@@ -244,70 +241,52 @@ def _post_json(url: str, payload: dict, retries: int = 3, timeout: float = 30.0)
     )
 
 
-class HttpTranslator:
-    def __init__(self, base_url: str, retries: int = 3):
+# role -> (endpoint, request builder, response key); the encoder's reply is
+# its result as a whole.
+HTTP_ROLES = {
+    "translator": ("translate",
+                   lambda text, src, tgt: {"text": text, "src": src, "tgt": tgt},
+                   "text"),
+    "filler": ("fill",
+               lambda masked_text: {"text": masked_text, "mask_token": MASK_TOKEN},
+               "text"),
+    "generator": ("generate",
+                  lambda prompt, params: {"prompt": prompt, **params.to_dict()},
+                  "text"),
+    "embedder": ("embed", lambda text: {"text": text}, "vector"),
+    "encoder": ("encode", lambda payload: payload, None),
+}
+
+
+class HttpProvider:
+    """One provider role served as JSON over HTTP (see HTTP_ROLES)."""
+
+    def __init__(self, base_url: str, role: str, retries: int = 3):
+        if role not in HTTP_ROLES:
+            raise ProviderError(f"unknown provider role {role!r}")
         self.base_url = base_url.rstrip("/")
+        self.role = role
         self.retries = retries
 
-    def __call__(self, text: str, src: str, tgt: str) -> str:
-        out = _post_json(f"{self.base_url}/translate",
-                         {"text": text, "src": src, "tgt": tgt}, self.retries)
-        return out["text"]
-
-
-class HttpFiller:
-    def __init__(self, base_url: str, retries: int = 3):
-        self.base_url = base_url.rstrip("/")
-        self.retries = retries
-
-    def __call__(self, masked_text: str) -> str:
-        out = _post_json(f"{self.base_url}/fill",
-                         {"text": masked_text, "mask_token": MASK_TOKEN}, self.retries)
-        return out["text"]
-
-
-class HttpGenerator:
-    def __init__(self, base_url: str, retries: int = 3):
-        self.base_url = base_url.rstrip("/")
-        self.retries = retries
-
-    def __call__(self, prompt: str, params) -> str:
-        payload = {
-            "prompt": prompt,
-            "num_beams": params.num_beams,
-            "max_length": params.max_length,
-            "top_p": params.top_p,
-            "repetition_penalty": params.repetition_penalty,
-            "no_repeat_ngram_size": params.no_repeat_ngram_size,
-        }
-        return _post_json(f"{self.base_url}/generate", payload, self.retries)["text"]
-
-
-class HttpEmbedder:
-    def __init__(self, base_url: str, retries: int = 3):
-        self.base_url = base_url.rstrip("/")
-        self.retries = retries
-
-    def __call__(self, text: str) -> list:
-        return _post_json(f"{self.base_url}/embed", {"text": text}, self.retries)["vector"]
-
-
-class HttpEncoderProvider:
-    def __init__(self, base_url: str, retries: int = 3):
-        self.base_url = base_url.rstrip("/")
-        self.retries = retries
-
-    def __call__(self, payload: dict) -> dict:
-        return _post_json(f"{self.base_url}/encode", payload, self.retries)
+    def __call__(self, *args):
+        endpoint, build, key = HTTP_ROLES[self.role]
+        url = f"{self.base_url}/{endpoint}"
+        reply = _post_json(url, build(*args), self.retries)
+        if key is None:
+            return reply
+        if not isinstance(reply, dict) or key not in reply:
+            raise ProviderError(f"{self.role} reply from {url} lacks {key!r}")
+        return reply[key]
 
 
 def make_providers(spec) -> ProviderBundle:
     """Build a ProviderBundle from a spec string or config mapping.
 
-    ``"mock"`` yields the deterministic in-package mocks; ``"http:<base>"``
-    points every role at one service; ``"none"`` yields an empty bundle. A
-    mapping may configure roles individually with ``{"kind": "mock"|"http",
-    "url": ...}`` entries under the role names.
+    ``"mock"`` yields the deterministic in-package mocks; an
+    ``http://``/``https://`` URL or ``"http:<url>"`` points every role at
+    one service; ``"none"`` yields an empty bundle. A mapping may configure
+    roles individually with ``{"kind": "mock"|"http", "url": ...}`` entries
+    under the role names.
     """
     if spec is None or spec == "none":
         return ProviderBundle(kind="none")
@@ -320,36 +299,22 @@ def make_providers(spec) -> ProviderBundle:
             encoder=MockEncoderProvider(),
             kind="mock",
         )
-    if isinstance(spec, str) and spec.startswith("http:"):
-        base = spec.split(":", 1)[1] or spec  # allow http:http://host form
-        if base.startswith("//"):
-            base = "http:" + base
-        return ProviderBundle(
-            translator=HttpTranslator(base),
-            filler=HttpFiller(base),
-            generator=HttpGenerator(base),
-            embedder=HttpEmbedder(base),
-            encoder=HttpEncoderProvider(base),
-            kind=spec,
-        )
+    if isinstance(spec, str) and spec.startswith(("http:", "https://")):
+        base = (spec if spec.startswith(("http://", "https://"))
+                else spec[len("http:"):])
+        return ProviderBundle(kind=spec, **{
+            role: HttpProvider(base, role) for role in HTTP_ROLES})
     if isinstance(spec, dict):
         mock = make_providers("mock")
         bundle = ProviderBundle(kind="custom")
-        for role in ("translator", "filler", "generator", "embedder", "encoder"):
+        for role in HTTP_ROLES:
             conf = spec.get(role)
             if conf is None:
                 continue
             if conf.get("kind") == "mock":
                 setattr(bundle, role, getattr(mock, role))
             elif conf.get("kind") == "http":
-                cls = {
-                    "translator": HttpTranslator,
-                    "filler": HttpFiller,
-                    "generator": HttpGenerator,
-                    "embedder": HttpEmbedder,
-                    "encoder": HttpEncoderProvider,
-                }[role]
-                setattr(bundle, role, cls(conf["url"]))
+                setattr(bundle, role, HttpProvider(conf["url"], role))
             else:
                 raise ProviderError(f"unknown provider kind for {role}: {conf!r}")
         return bundle

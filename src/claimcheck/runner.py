@@ -20,7 +20,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .augment import NONE, STRATEGIES, GenerationParams, augment_training
+from .augment import (NONE, STRATEGIES, AugmentationResult, GenerationParams,
+                      augment_training)
 from .cache import stable_hash
 from .corpus import Corpus
 from .errors import ClaimCheckError, ConfigError
@@ -32,7 +33,8 @@ from .evaluation import (
     render_report_table,
 )
 from .model import ScorerConfig, train_scorer
-from .splits import HoldoutTable, few_shot_split, make_holdouts, zero_shot_split
+from .splits import (HoldoutTable, TopicSplit, few_shot_split, make_holdouts,
+                     zero_shot_split)
 
 try:
     from importlib.metadata import PackageNotFoundError, version
@@ -49,7 +51,8 @@ SUITES = ("table2", "table3", "table4", "fig4")
 __all__ = [
     "ZERO_SHOT", "FEW_SHOT", "SETTINGS", "SHOT_CHOICES", "SUITES",
     "ExperimentConfig", "RunRecord", "config_from_mapping",
-    "corpus_fingerprint", "run_topic", "run_suite",
+    "corpus_fingerprint", "PreparedCell", "prepare_cell", "run_topic",
+    "run_suite",
 ]
 
 
@@ -171,14 +174,24 @@ def _stage(name: str, fn, *args, **kwargs):
         raise type(exc)(f"stage {name} failed for this run: {exc}") from exc
 
 
-def run_topic(config: ExperimentConfig, corpus: Corpus, target: str,
-              providers=None, holdouts: HoldoutTable = None,
-              cache_dir=None, details: dict = None) -> EvalReport:
-    """Run one leave-one-topic-out experiment and evaluate on the holdout
-    complement of the target topic.
+@dataclass(frozen=True)
+class PreparedCell:
+    """One cell's training data, before any model sees it."""
 
-    When a `details` dict is supplied it is filled with split sizes,
-    augmentation skip information, and the trained-on record count.
+    holdouts: HoldoutTable
+    split: TopicSplit
+    train_records: list
+    augmentation: AugmentationResult = None
+
+
+def prepare_cell(config: ExperimentConfig, corpus: Corpus, target: str,
+                 providers=None, holdouts: HoldoutTable = None,
+                 cache_dir=None) -> PreparedCell:
+    """Split, check and optionally augment the training data of one
+    leave-one-topic-out cell.
+
+    Holdouts are drawn from the config when none are given. Augmentation
+    results are cached under `cache_dir`/augment when a cache is given.
     """
     if holdouts is None:
         holdouts = _stage("split", make_holdouts, corpus, config.holdout_k,
@@ -202,7 +215,6 @@ def run_topic(config: ExperimentConfig, corpus: Corpus, target: str,
             f"expected {config.shots}"
         )
 
-    cache_dir = Path(cache_dir) if cache_dir is not None else None
     aug_result = None
     if config.strategy != NONE:
         pool_ids = holdouts.pool(target)[: config.shots]
@@ -212,18 +224,32 @@ def run_topic(config: ExperimentConfig, corpus: Corpus, target: str,
             config.strategy, providers, config.seed,
             params=config.generation_params, ratio=config.ratio,
             pivot=config.pivot,
-            cache_dir=cache_dir / "augment" if cache_dir else None,
+            cache_dir=(Path(cache_dir) / "augment"
+                       if cache_dir is not None else None),
             max_workers=config.max_workers or None,
         )
+    return PreparedCell(holdouts, split, train_records, aug_result)
 
+
+def run_topic(config: ExperimentConfig, corpus: Corpus, target: str,
+              providers=None, holdouts: HoldoutTable = None,
+              cache_dir=None, details: dict = None) -> EvalReport:
+    """Run one leave-one-topic-out experiment and evaluate on the holdout
+    complement of the target topic.
+
+    When a `details` dict is supplied it is filled with split sizes,
+    augmentation skip information, and the trained-on record count.
+    """
+    cell = prepare_cell(config, corpus, target, providers, holdouts, cache_dir)
     scorer_config = ScorerConfig(backend=config.backend_id,
                                  hyperparams=config.hyperparams,
                                  seed=config.seed)
-    scorer = _stage("train", train_scorer, train_records, scorer_config,
+    scorer = _stage("train", train_scorer, cell.train_records, scorer_config,
                     providers,
-                    cache_dir=cache_dir / "models" if cache_dir else None)
+                    cache_dir=(Path(cache_dir) / "models"
+                               if cache_dir is not None else None))
 
-    test_records = [corpus.record(i) for i in sorted(split.test)]
+    test_records = [corpus.record(i) for i in sorted(cell.split.test)]
     score_values = _stage("score", scorer.score_many,
                           [r.text for r in test_records])
     scores = {r.tweet_id: s for r, s in zip(test_records, score_values)}
@@ -232,11 +258,12 @@ def run_topic(config: ExperimentConfig, corpus: Corpus, target: str,
                     threshold=config.threshold, cw_only=config.cw_only_map)
 
     if details is not None:
-        details["train_size"] = len(train_records)
+        aug = cell.augmentation
+        details["train_size"] = len(cell.train_records)
         details["test_size"] = len(test_records)
-        details["aug_samples"] = len(aug_result.samples) if aug_result else 0
-        details["aug_skips"] = list(aug_result.skips) if aug_result else []
-        details["aug_identical"] = aug_result.identical_count if aug_result else 0
+        details["aug_samples"] = len(aug.samples) if aug else 0
+        details["aug_skips"] = list(aug.skips) if aug else []
+        details["aug_identical"] = aug.identical_count if aug else 0
     return report
 
 
@@ -313,21 +340,22 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
                                holdouts=holdouts, cache_dir=cache_dir,
                                details=details)
             error = None
-        except ClaimCheckError as exc:
-            report, error = None, str(exc)
+        except Exception as exc:  # one cell's fault must not end the suite
+            report, error = None, f"{type(exc).__name__}: {exc}"
         return cell_config, topic, report, error, details, \
             time.perf_counter() - started
 
+    suite_started = time.perf_counter()
     workers = base_config.max_workers
     if workers and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(run_job, jobs))
     else:
         outcomes = [run_job(j) for j in jobs]
+    suite_elapsed = time.perf_counter() - suite_started
 
     cells, failures, skip_counts, wall_clock = [], [], {}, {}
     reports = {}  # (setting, strategy, shots) -> topic -> EvalReport
-    total_started = sum(o[5] for o in outcomes)
     for cell_config, topic, report, error, details, elapsed in outcomes:
         key = _cell_key(cell_config.setting, cell_config.strategy,
                         cell_config.shots)
@@ -359,7 +387,7 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
             if details.get("aug_skips"):
                 skip_counts[f"{key}/{topic}"] = len(details["aug_skips"])
         cells.append(row)
-    wall_clock["total"] = round(total_started, 6)
+    wall_clock["total"] = round(suite_elapsed, 6)
 
     cells.sort(key=lambda r: (r["setting"], r["strategy"], r["shots"],
                               r["topic_id"]))

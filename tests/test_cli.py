@@ -6,7 +6,8 @@ import pytest
 
 from claimcheck.cli import build_parser, main, _experiment_config
 from claimcheck.corpus import Corpus
-from claimcheck.runner import FEW_SHOT, ZERO_SHOT
+from claimcheck.providers import make_providers
+from claimcheck.runner import FEW_SHOT, ZERO_SHOT, ExperimentConfig, prepare_cell
 
 from synth import tiny_corpus
 
@@ -115,6 +116,22 @@ def test_train_rank_round_trip(corpus_jsonl, tmp_path, capsys):
     lines = ranked.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "rank,tweet_id,score,label"
     assert len(lines) == 1 + 90  # 120 records minus the 30-tweet pool
+
+
+def test_augmented_train_uses_the_cell_training_data(corpus_jsonl, tmp_path,
+                                                     capsys):
+    model = tmp_path / "model.npz"
+    rc = main(["train", "--corpus", str(corpus_jsonl), "--target", "S-A",
+               "--strategy", "CWE", "--shots", "50", "--holdout-k", "50",
+               "--providers", "mock", "--out", str(model)])
+    assert rc == 0
+    config = ExperimentConfig(setting=FEW_SHOT, strategy="CWE", shots=50,
+                              holdout_k=50)
+    cell = prepare_cell(config, Corpus.from_jsonl(corpus_jsonl), "S-A",
+                        make_providers("mock"))
+    assert len(cell.train_records) == len(cell.split.train) + 50
+    assert f"trained on {len(cell.train_records)} records" in \
+        capsys.readouterr().out
 
 
 def test_eval_reports_map(corpus_jsonl, tmp_path, capsys):

@@ -153,6 +153,31 @@ def test_evaluate_scores_builds_consistent_report():
     assert report.recall == pytest.approx(0.5)
 
 
+def test_cw_only_map_keeps_the_true_ncw_ap():
+    scores = {"a": 0.9, "b": 0.8, "c": 0.6, "d": 0.4, "e": 0.1}
+    labels = {"a": CW, "b": CW, "c": NCW, "d": CW, "e": NCW}
+    default = evaluate_scores("t", scores, labels)
+    cw_only = evaluate_scores("t", scores, labels, cw_only=True)
+    assert default.ap_ncw != default.ap_cw
+    assert (cw_only.ap_cw, cw_only.ap_ncw) == (default.ap_cw, default.ap_ncw)
+    assert cw_only.map == cw_only.ap_cw
+    assert mean_average_precision(scores, labels, cw_only=True) == (
+        default.ap_cw, default.ap_ncw, default.ap_cw)
+    assert EvalReport.from_dict(cw_only.to_dict()) == cw_only
+    assert "cw_only" not in default.to_dict()
+
+
+def test_eval_report_checks_map_against_its_mode():
+    fields = dict(target_topic_id="t", ap_cw=1.0, ap_ncw=0.5,
+                  precision=0.0, recall=0.0, f1=0.0, n_test=1)
+    EvalReport(map=1.0, cw_only=True, **fields)
+    EvalReport(map=0.75, **fields)
+    with pytest.raises(EvalError):
+        EvalReport(map=0.75, cw_only=True, **fields)
+    with pytest.raises(EvalError):
+        EvalReport(map=1.0, **fields)
+
+
 def test_eval_report_rejects_inconsistent_map():
     with pytest.raises(EvalError):
         EvalReport(target_topic_id="t", ap_cw=1.0, ap_ncw=0.0, map=0.9,

@@ -1,6 +1,8 @@
 """Scorer backends, ranking, and decision-rule tests."""
 
 import random
+import threading
+import time
 
 import pytest
 
@@ -161,6 +163,40 @@ def test_model_cache_distinguishes_configs(tmp_path):
     train_scorer(records, ScorerConfig(backend="baseline", seed=1),
                  cache_dir=tmp_path)
     assert len(list(tmp_path.glob("*.npz"))) == 2
+
+
+def test_concurrent_cells_can_cache_the_same_model(tmp_path, monkeypatch):
+    """Two cells with identical training data write one cache key at once."""
+    save = BaselineScorer.save
+    both_saving = threading.Barrier(2)
+
+    def slow_save(self, path):
+        both_saving.wait(timeout=10)
+        save(self, path)
+        time.sleep(0.2)  # hold the written temp file open to the other writer
+
+    monkeypatch.setattr(BaselineScorer, "save", slow_save)
+    records = planted_records()
+    cfg = ScorerConfig(backend="baseline", hyperparams={"iterations": 20})
+    errors = []
+
+    def train():
+        try:
+            train_scorer(records, cfg, cache_dir=tmp_path)
+        except Exception as exc:  # surfaced below; a thread would swallow it
+            errors.append(exc)
+
+    threads = [threading.Thread(target=train) for _ in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert errors == []
+    assert [p.suffix for p in tmp_path.iterdir()] == [".npz"]
+    loaded = BaselineScorer.load(next(tmp_path.iterdir()))
+    fresh = BaselineScorer(cfg).fit([r.text for r in records],
+                                    [r.label for r in records])
+    assert loaded.score_many(["X w1", "w2"]) == fresh.score_many(["X w1", "w2"])
 
 
 # ---------------------------------------------------------------------------

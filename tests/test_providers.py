@@ -1,0 +1,145 @@
+"""HTTP provider tests against a local stub service on 127.0.0.1.
+
+The stub replies 200 to every request, so no retry (and no retry sleep)
+is ever exercised here.
+"""
+
+import json
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+import pytest
+
+from claimcheck import providers as providers_mod
+from claimcheck.augment import GenerationParams
+from claimcheck.errors import ProviderError
+from claimcheck.providers import HTTP_ROLES, HttpProvider, make_providers
+
+# role -> (arguments of one call, expected path, expected JSON body, reply)
+CALLS = {
+    "translator": (("نص", "ar", "en"), "/translate",
+                   {"text": "نص", "src": "ar", "tgt": "en"}, {"text": "text"}),
+    "filler": (("a [MASK] b",), "/fill",
+               {"text": "a [MASK] b", "mask_token": "[MASK]"}, {"text": "a x b"}),
+    "generator": (("prompt", GenerationParams(num_beams=2)), "/generate",
+                  {"prompt": "prompt", "num_beams": 2, "max_length": 200,
+                   "top_p": 0.75, "repetition_penalty": 3,
+                   "no_repeat_ngram_size": 3},
+                  {"text": "generated"}),
+    "embedder": (("text",), "/embed", {"text": "text"}, {"vector": [0.5, 0.5]}),
+    "encoder": (({"mode": "score", "texts": ["t"], "handle": "h"},), "/encode",
+                {"mode": "score", "texts": ["t"], "handle": "h"},
+                {"scores": [0.25]}),
+}
+EXPECTED = {
+    "translator": "text", "filler": "a x b", "generator": "generated",
+    "embedder": [0.5, 0.5], "encoder": {"scores": [0.25]},
+}
+
+
+class StubService:
+    """Records (path, JSON body) of every POST and answers from `replies`."""
+
+    def __init__(self):
+        self.requests = []
+        self.replies = {path: reply for _, path, _, reply in CALLS.values()}
+        stub = self
+
+        class Handler(BaseHTTPRequestHandler):
+            def do_POST(self):
+                body = self.rfile.read(int(self.headers["Content-Length"]))
+                stub.requests.append((self.path, json.loads(body)))
+                blob = json.dumps(stub.replies.get(self.path, {})).encode("utf-8")
+                self.send_response(200)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(blob)))
+                self.end_headers()
+                self.wfile.write(blob)
+
+            def log_message(self, *args):
+                pass
+
+        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.url = f"http://127.0.0.1:{self.server.server_address[1]}"
+        self.thread = threading.Thread(target=self.server.serve_forever,
+                                       args=(0.05,), daemon=True)
+        self.thread.start()
+
+    def close(self):
+        self.server.shutdown()
+        self.server.server_close()
+        self.thread.join()
+
+
+@pytest.fixture()
+def stub():
+    service = StubService()
+    yield service
+    service.close()
+
+
+def call_every_role(bundle):
+    return {role: getattr(bundle, role)(*CALLS[role][0]) for role in HTTP_ROLES}
+
+
+def expected_requests():
+    return [(path, body) for _, path, body, _ in CALLS.values()]
+
+
+def test_every_role_has_a_pinned_call():
+    assert set(CALLS) == set(HTTP_ROLES)
+
+
+@pytest.mark.parametrize("form", ["url", "http-prefixed", "trailing-slash"])
+def test_http_spec_forms_pin_endpoints_and_bodies(stub, form):
+    spec = {"url": stub.url, "http-prefixed": f"http:{stub.url}",
+            "trailing-slash": stub.url + "/"}[form]
+    bundle = make_providers(spec)
+    assert bundle.kind == spec
+    assert call_every_role(bundle) == EXPECTED
+    assert stub.requests == expected_requests()
+
+
+def test_role_mapping_spec_mixes_http_and_mock(stub):
+    spec = {role: {"kind": "http", "url": stub.url} for role in HTTP_ROLES}
+    spec["embedder"] = {"kind": "mock"}
+    bundle = make_providers(spec)
+    assert bundle.kind == "custom"
+    assert isinstance(bundle.translator, HttpProvider)
+    assert not isinstance(bundle.embedder, HttpProvider)
+    results = {role: getattr(bundle, role)(*CALLS[role][0])
+               for role in HTTP_ROLES if role != "embedder"}
+    assert results == {r: v for r, v in EXPECTED.items() if r != "embedder"}
+    assert stub.requests == [r for r in expected_requests() if r[0] != "/embed"]
+
+
+def test_https_url_is_the_base_of_every_role(monkeypatch):
+    posted = []
+
+    def fake_post(url, payload, retries=3, timeout=30.0):
+        posted.append(url)
+        return {"text": "t", "vector": [1.0]}
+
+    monkeypatch.setattr(providers_mod, "_post_json", fake_post)
+    bundle = make_providers("https://models.example:8443/api/")
+    assert bundle.kind == "https://models.example:8443/api/"
+    call_every_role(bundle)
+    assert posted == [f"https://models.example:8443/api{path}"
+                      for path, _ in expected_requests()]
+
+
+@pytest.mark.parametrize("role", [r for r in HTTP_ROLES if r != "encoder"])
+def test_reply_without_the_role_key_is_a_provider_error(stub, role):
+    path = CALLS[role][1]
+    stub.replies[path] = {"unexpected": True}
+    with pytest.raises(ProviderError, match="lacks"):
+        HttpProvider(stub.url, role)(*CALLS[role][0])
+
+
+def test_unknown_role_and_spec_are_rejected():
+    with pytest.raises(ProviderError):
+        HttpProvider("http://127.0.0.1:1", "summarizer")
+    with pytest.raises(ProviderError):
+        make_providers("ftp://host")
+    with pytest.raises(ProviderError):
+        make_providers({"translator": {"kind": "grpc"}})

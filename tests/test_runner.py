@@ -1,12 +1,18 @@
 """Experiment runner and suite orchestration tests."""
 
 import json
+import time
 
 import pytest
 
 from claimcheck.augment import BT, CWE, NONE, GenerationParams
 from claimcheck.errors import AugmentError, ConfigError
-from claimcheck.providers import MarkerFiller, ProviderBundle, identity_translator
+from claimcheck.providers import (
+    MarkerFiller,
+    MockEncoderProvider,
+    ProviderBundle,
+    identity_translator,
+)
 from claimcheck.runner import (
     FEW_SHOT,
     SHOT_CHOICES,
@@ -15,6 +21,7 @@ from claimcheck.runner import (
     RunRecord,
     config_from_mapping,
     corpus_fingerprint,
+    prepare_cell,
     run_suite,
     run_topic,
 )
@@ -97,7 +104,45 @@ def test_config_round_trips_through_mapping():
 
 
 # ---------------------------------------------------------------------------
-# run_topic
+# prepare_cell and run_topic
+
+
+def test_prepare_cell_zero_shot_draws_holdouts_and_excludes_target():
+    corpus = tiny_corpus(1, per_topic=120)
+    config = ExperimentConfig(holdout_k=50, seed=4)
+    cell = prepare_cell(config, corpus, "S-A")
+    assert cell.holdouts == make_holdouts(corpus, 50, 4)
+    assert cell.augmentation is None
+    assert [r.tweet_id for r in cell.train_records] == sorted(cell.split.train)
+    assert not any(r.topic_id == "S-A" for r in cell.train_records)
+    assert cell.split.test.isdisjoint(cell.holdouts.pool("S-A"))
+
+
+def test_prepare_cell_augments_the_pool_prefix():
+    corpus = tiny_corpus(1, per_topic=120)
+    holdouts = make_holdouts(corpus, 50, 0)
+    cell = prepare_cell(few_shot_config(strategy=CWE), corpus, "S-A",
+                        providers=mock_bundle(), holdouts=holdouts)
+    assert cell.holdouts is holdouts
+    aug = cell.augmentation
+    assert aug.strategy == CWE and aug.pool_size == 50
+    origins = {s.origin_tweet_id for s in aug.samples}
+    assert origins <= set(holdouts.pool("S-A")[:50])
+    assert len(cell.train_records) == len(cell.split.train) + len(aug.samples)
+
+
+def test_prepare_cell_caches_augmentation_under_the_cache_dir(tmp_path):
+    corpus = tiny_corpus(1, per_topic=120)
+    config = few_shot_config(strategy=CWE)
+    first = prepare_cell(config, corpus, "S-A", providers=mock_bundle(),
+                         cache_dir=tmp_path)
+    assert len(list((tmp_path / "augment").glob("*.json"))) == 1
+    filler = MarkerFiller()
+    again = prepare_cell(config, corpus, "S-A",
+                         providers=ProviderBundle(filler=filler),
+                         cache_dir=tmp_path)
+    assert filler.calls == 0
+    assert again.augmentation == first.augmentation
 
 
 def test_few_shot_training_set_grows_by_shots():
@@ -207,6 +252,53 @@ def test_suite_marks_failures_and_continues(suite_corpus, tmp_path):
     report = (tmp_path / "report.md").read_text(encoding="utf-8")
     assert "Failed cells" in report
     assert "No complete columns" in report
+
+
+class FlakyScoreEncoder(MockEncoderProvider):
+    """Trains fine, then answers scoring with non-numeric scores."""
+
+    def __call__(self, payload):
+        reply = super().__call__(payload)
+        if payload["mode"] == "score":
+            reply = {"scores": ["x"] * len(payload["texts"])}
+        return reply
+
+
+def test_suite_keeps_non_claimcheck_faults_inside_their_cells(suite_corpus,
+                                                            tmp_path):
+    record = run_suite("table2", suite_corpus,
+                       ExperimentConfig(holdout_k=50, backend_id="encoder"),
+                       providers=ProviderBundle(encoder=FlakyScoreEncoder()),
+                       out_dir=tmp_path)
+    assert len(record.cells) == 3
+    assert all(c["status"] == "failed" for c in record.cells)
+    assert all(c["error"].startswith("ValueError: ") for c in record.cells)
+    assert len(record.failures) == 3
+    for name in ("report.md", "cells.csv", "run.json"):
+        assert (tmp_path / name).exists()
+    assert "ValueError" in (tmp_path / "cells.csv").read_text(encoding="utf-8")
+
+
+class SlowEncoder(MockEncoderProvider):
+    def __call__(self, payload):
+        time.sleep(0.1)
+        return super().__call__(payload)
+
+
+def test_wall_clock_total_is_wall_time_with_parallel_cells(suite_corpus,
+                                                           tmp_path):
+    record = run_suite("table3", suite_corpus,
+                       few_shot_config(backend_id="encoder", max_workers=2),
+                       providers=ProviderBundle(translator=identity_translator,
+                                                filler=MarkerFiller(),
+                                                generator=lambda p, g: "text",
+                                                encoder=SlowEncoder()),
+                       out_dir=tmp_path)
+    assert record.failures == []
+    cell_times = [v for k, v in record.wall_clock.items() if k != "total"]
+    assert len(cell_times) == 12
+    # two workers overlap cells that mostly wait on the encoder
+    assert record.wall_clock["total"] < 0.75 * sum(cell_times)
 
 
 def test_suite_cells_csv_is_deterministic(suite_corpus, tmp_path):
