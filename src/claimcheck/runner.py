@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -32,7 +33,7 @@ from .evaluation import (
     render_improvement_table,
     render_report_table,
 )
-from .model import ScorerConfig, train_scorer
+from .model import CorpusFeatures, ScorerConfig, train_scorer
 from .splits import (HoldoutTable, TopicSplit, few_shot_split, make_holdouts,
                      zero_shot_split)
 
@@ -233,12 +234,14 @@ def prepare_cell(config: ExperimentConfig, corpus: Corpus, target: str,
 
 def run_topic(config: ExperimentConfig, corpus: Corpus, target: str,
               providers=None, holdouts: HoldoutTable = None,
-              cache_dir=None, details: dict = None) -> EvalReport:
+              cache_dir=None, details: dict = None,
+              features=None) -> EvalReport:
     """Run one leave-one-topic-out experiment and evaluate on the holdout
     complement of the target topic.
 
     When a `details` dict is supplied it is filled with split sizes,
     augmentation skip information, and the trained-on record count.
+    `features` is handed to `train_scorer` (see there).
     """
     cell = prepare_cell(config, corpus, target, providers, holdouts, cache_dir)
     scorer_config = ScorerConfig(backend=config.backend_id,
@@ -247,7 +250,8 @@ def run_topic(config: ExperimentConfig, corpus: Corpus, target: str,
     scorer = _stage("train", train_scorer, cell.train_records, scorer_config,
                     providers,
                     cache_dir=(Path(cache_dir) / "models"
-                               if cache_dir is not None else None))
+                               if cache_dir is not None else None),
+                    features=features)
 
     test_records = [corpus.record(i) for i in sorted(cell.split.test)]
     score_values = _stage("score", scorer.score_many,
@@ -305,6 +309,20 @@ def _csv_row(row: dict) -> list:
     return out
 
 
+def _once(build):
+    """A thread-safe zero-argument callable returning `build()`, which it
+    runs on its first call only."""
+    lock = threading.Lock()
+    built = []
+
+    def get():
+        with lock:
+            if not built:
+                built.append(build())
+            return built[0]
+    return get
+
+
 def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
               providers=None, out_dir=None) -> RunRecord:
     """Run one reporting suite over every topic and write its artifacts.
@@ -321,6 +339,8 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
     cache_dir = out_dir / "cache"
 
     holdouts = make_holdouts(corpus, base_config.holdout_k, base_config.seed)
+    # counted on the first model-cache miss, so an all-hit rerun never pays
+    features = _once(lambda: CorpusFeatures(corpus.records))
     topics = corpus.topic_ids()
     combos = _suite_cells(suite, base_config)
 
@@ -338,7 +358,7 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
         try:
             report = run_topic(cell_config, corpus, topic, providers=providers,
                                holdouts=holdouts, cache_dir=cache_dir,
-                               details=details)
+                               details=details, features=features)
             error = None
         except Exception as exc:  # one cell's fault must not end the suite
             report, error = None, f"{type(exc).__name__}: {exc}"

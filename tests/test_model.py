@@ -4,18 +4,22 @@ import random
 import threading
 import time
 
+import numpy as np
 import pytest
 
+from claimcheck import model
 from claimcheck.corpus import CW, NCW, TweetRecord
 from claimcheck.errors import ModelError, ProviderError
 from claimcheck.model import (
     BASELINE_DEFAULTS,
     ENCODER_DEFAULTS,
     BaselineScorer,
+    CorpusFeatures,
     EncoderScorer,
     ScoredRanking,
     ScorerConfig,
     classify,
+    model_cache_key,
     rank_records,
     train_scorer,
 )
@@ -197,6 +201,142 @@ def test_concurrent_cells_can_cache_the_same_model(tmp_path, monkeypatch):
     fresh = BaselineScorer(cfg).fit([r.text for r in records],
                                     [r.label for r in records])
     assert loaded.score_many(["X w1", "w2"]) == fresh.score_many(["X w1", "w2"])
+
+
+def test_second_train_scorer_call_is_a_cache_hit(tmp_path, monkeypatch):
+    records = planted_records()
+    cfg = ScorerConfig(backend="baseline", hyperparams={"iterations": 20})
+    first = train_scorer(records, cfg, cache_dir=tmp_path)
+
+    def no_fit(self, *args):
+        raise AssertionError("a cached model was retrained")
+
+    monkeypatch.setattr(BaselineScorer, "fit_matrix", no_fit)
+    second = train_scorer(records, cfg, cache_dir=tmp_path,
+                          features=lambda: CorpusFeatures(records))
+    assert second.vocab == first.vocab
+    assert np.array_equal(second.weights, first.weights)
+
+
+def test_model_cache_key_frames_each_text_and_label():
+    cfg = ScorerConfig(backend="baseline")
+    assert (model_cache_key(cfg, ["ab"], ["c"])
+            != model_cache_key(cfg, ["a"], ["bc"]))
+    assert (model_cache_key(cfg, ["a b", "c"], [CW, NCW])
+            != model_cache_key(cfg, ["a", "b c"], [CW, NCW]))
+
+
+def test_model_cache_key_carries_the_trainer_version(monkeypatch):
+    cfg = ScorerConfig(backend="baseline")
+    before = model_cache_key(cfg, ["a b"], [CW])
+    monkeypatch.setattr(model, "TRAINER_VERSION", model.TRAINER_VERSION + 1)
+    assert model_cache_key(cfg, ["a b"], [CW]) != before
+
+
+# ---------------------------------------------------------------------------
+# corpus matrix
+
+
+def _corpus_records():
+    """Corpus records with repeated tokens, shared and unshared vocabulary."""
+    rng = random.Random(11)
+    vocab = [f"w{j}" for j in range(40)]
+    records = []
+    for i in range(80):
+        tokens = rng.choices(vocab, k=rng.randint(3, 12))
+        label = CW if i % 4 == 0 else NCW
+        if label == CW:
+            tokens.append("cue")
+        records.append(_rec(i, " ".join(tokens), label))
+    # a corpus token that no training row below uses, but a synthetic one does
+    records[0] = _rec(0, records[0].text + " heldout-only", records[0].label)
+    return records
+
+
+def _synthetic(i, text, label):
+    return TweetRecord(tweet_id=f"t{i:03d}::bt", topic_id="T-A", text=text,
+                       label=label, source="CT20")
+
+
+def _matrix_path_cases():
+    corpus = _corpus_records()
+    train = corpus[5:70]
+    synthetic = [_synthetic(3, "aaa cue w1 w1 zz-new", CW),
+                 _synthetic(9, "w2 brand-new w2", NCW),
+                 _synthetic(12, "~tilde w39 0zero heldout-only", NCW)]
+    edited = [TweetRecord(tweet_id=r.tweet_id, topic_id=r.topic_id,
+                          text=r.text + " edited-token", label=r.label,
+                          source=r.source) for r in train[:2]]
+    interleaved = list(train)
+    for k, rec in enumerate(synthetic):
+        interleaved.insert(7 * k + 3, rec)
+    return corpus, {
+        "corpus": train,
+        "corpus+synthetic": train + synthetic,
+        "edited-text": edited + train[2:],
+        "interleaved": interleaved,
+    }
+
+
+def _reference_counts(texts, vocab):
+    """Per-text dictionary counting: the dense matrix count_matrix must give."""
+    dense = np.zeros((len(texts), len(vocab)))
+    for i, text in enumerate(texts):
+        for tok in text.split():
+            if tok in vocab:
+                dense[i, vocab[tok]] += 1
+    return dense
+
+
+def test_count_matrix_matches_per_text_counting():
+    texts = [r.text for r in _corpus_records()] + ["", "solo", "b a b a ~ 0"]
+    vocab, x = model.count_matrix(texts)
+    assert list(vocab) == sorted({t for text in texts for t in text.split()})
+    assert list(vocab.values()) == list(range(len(vocab)))
+    assert x.has_sorted_indices
+    assert np.array_equal(x.toarray(), _reference_counts(texts, vocab))
+    probes = ["b b unseen a", "", "nothing known"]
+    _, known = model.count_matrix(probes, vocab)
+    assert known.shape == (3, len(vocab))
+    assert np.array_equal(known.toarray(), _reference_counts(probes, vocab))
+
+
+@pytest.mark.parametrize("case", ["corpus", "corpus+synthetic", "edited-text",
+                                  "interleaved"])
+def test_corpus_matrix_fit_equals_text_fit(case):
+    corpus, cases = _matrix_path_cases()
+    records = cases[case]
+    texts = [r.text for r in records]
+    labels = [r.label for r in records]
+    cfg = ScorerConfig(backend="baseline", hyperparams={"iterations": 50})
+    from_text = BaselineScorer(cfg).fit(texts, labels)
+    vocab, x = CorpusFeatures(corpus).training_matrix(records)
+    _, text_x = model.count_matrix(texts)
+    assert x.indices.dtype == np.int32
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(x, part), getattr(text_x, part))
+    from_matrix = BaselineScorer(cfg).fit_matrix(vocab, x, labels)
+    assert from_matrix.vocab == from_text.vocab
+    assert list(from_matrix.vocab) == sorted(from_text.vocab)
+    assert np.array_equal(from_matrix.weights, from_text.weights)
+    assert from_matrix.bias == from_text.bias
+    probes = [r.text for r in corpus] + ["zz-new cue", "never seen", ""]
+    assert from_matrix.score_many(probes) == from_text.score_many(probes)
+
+
+def test_train_scorer_fits_through_corpus_features():
+    records = planted_records()
+    cfg = ScorerConfig(backend="baseline", hyperparams={"iterations": 30})
+    calls = []
+
+    def features():
+        calls.append(1)
+        return CorpusFeatures(records)
+
+    via_matrix = train_scorer(records[:40], cfg, features=features)
+    via_text = train_scorer(records[:40], cfg)
+    assert calls == [1]
+    assert np.array_equal(via_matrix.weights, via_text.weights)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,13 @@
 """Experiment runner and suite orchestration tests."""
 
 import json
+import sys
+import threading
 import time
 
 import pytest
 
+from claimcheck import runner
 from claimcheck.augment import BT, CWE, NONE, GenerationParams
 from claimcheck.errors import AugmentError, ConfigError
 from claimcheck.providers import (
@@ -26,6 +29,7 @@ from claimcheck.runner import (
     run_topic,
 )
 from claimcheck.corpus import Corpus
+from claimcheck.model import CorpusFeatures
 from claimcheck.splits import make_holdouts
 
 from synth import tiny_corpus
@@ -317,6 +321,78 @@ def test_suite_rerun_in_place_is_stable(suite_corpus, tmp_path):
     run_suite("table4", suite_corpus, few_shot_config(seed=2),
               providers=mock_bundle(), out_dir=tmp_path)
     assert (tmp_path / "cells.csv").read_bytes() == first
+
+
+def _counting_features(monkeypatch):
+    """Patch the runner's corpus matrix with one that counts its builds."""
+    builds = []
+    lock = threading.Lock()
+
+    class Counted(CorpusFeatures):
+        def __init__(self, records):
+            with lock:
+                builds.append(threading.get_ident())
+            time.sleep(0.05)  # widen the window for a second builder
+            super().__init__(records)
+
+    monkeypatch.setattr(runner, "CorpusFeatures", Counted)
+    return builds
+
+
+def test_once_builds_a_single_value_under_contention():
+    builds = []
+
+    def build():
+        builds.append(1)
+        time.sleep(0.01)  # let other threads reach the check meanwhile
+        return object()
+
+    get = runner._once(build)
+    start = threading.Barrier(8)
+    seen = []
+
+    def worker():
+        start.wait(timeout=10)
+        for _ in range(200):
+            seen.append(get())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert builds == [1]
+    assert len(seen) == 1600 and len({id(v) for v in seen}) == 1
+
+
+def test_corpus_matrix_is_built_once_lazily_and_workers_agree(
+        suite_corpus, tmp_path, monkeypatch):
+    builds = _counting_features(monkeypatch)
+    serial, parallel = tmp_path / "w1", tmp_path / "w2"
+    run_suite("table2", suite_corpus, ExperimentConfig(holdout_k=50),
+              out_dir=serial)
+    assert len(builds) == 1
+    builds.clear()
+    record = run_suite("table2", suite_corpus,
+                       ExperimentConfig(holdout_k=50, max_workers=2),
+                       out_dir=parallel)
+    assert record.failures == []
+    assert len(builds) == 1
+    for name in ("cells.csv", "report.md"):
+        assert (parallel / name).read_bytes() == (serial / name).read_bytes()
+
+    builds.clear()
+    run_suite("table2", suite_corpus,
+              ExperimentConfig(holdout_k=50, max_workers=2), out_dir=parallel)
+    assert builds == []  # every model is a cache hit
+    assert (parallel / "cells.csv").read_bytes() == \
+        (serial / "cells.csv").read_bytes()
 
 
 def test_improvement_rendering_names_the_base(suite_corpus, tmp_path):
