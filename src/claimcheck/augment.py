@@ -11,12 +11,14 @@ call order.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from pathlib import Path
 
-from .cache import JsonCache, stable_hash
+from .cache import cached, stable_hash
 from .corpus import TweetRecord
 from .errors import AugmentError
 from .preprocess import PLACEHOLDERS
@@ -60,13 +62,7 @@ class GenerationParams:
     no_repeat_ngram_size: int = 3
 
     def to_dict(self) -> dict:
-        return {
-            "num_beams": self.num_beams,
-            "max_length": self.max_length,
-            "top_p": self.top_p,
-            "repetition_penalty": self.repetition_penalty,
-            "no_repeat_ngram_size": self.no_repeat_ngram_size,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -87,24 +83,47 @@ class AugmentationResult:
             )
 
 
-def _run_per_sample(records, worker, max_workers=None):
-    """Apply worker to each record, assembling results in input order."""
-    records = list(records)
+class _Skip(Exception):
+    """Raised by a strategy's finishing step; its message is the skip reason."""
+
+
+def _augment(strategy, role, samples, call, finish=None, max_workers=None):
+    """One synthetic sample or one skip per seed record, in input order.
+
+    `call(record)` asks the `role` provider for text: an exception it
+    raises or an empty text skips the record. `finish(record, text)`
+    returns the sample text, or raises `_Skip` to skip the record.
+    """
+    samples = list(samples)
+
+    def attempt(record):  # the sample, or the reason for a skip
+        try:
+            text = call(record)
+        except Exception as exc:
+            return f"{role} failed: {exc}"
+        if not text or not text.strip():
+            return f"{role} returned empty text"
+        if finish is not None:
+            try:
+                text = finish(record, text)
+            except _Skip as skip:
+                return str(skip)
+        return AugmentedSample(record.tweet_id, text, record.label, strategy)
+
     if max_workers and max_workers > 1:
         with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(worker, records))
+            outcomes = list(pool.map(attempt, samples))
     else:
-        outcomes = [worker(r) for r in records]
-    samples, skips, identical = [], [], 0
-    for record, outcome in zip(records, outcomes):
-        kind, value = outcome
-        if kind == "ok":
-            samples.append(value)
-            if value.text == record.text:
-                identical += 1
+        outcomes = [attempt(r) for r in samples]
+    out, skips, identical = [], [], 0
+    for record, outcome in zip(samples, outcomes):
+        if isinstance(outcome, str):
+            skips.append((record.tweet_id, outcome))
         else:
-            skips.append((record.tweet_id, value))
-    return samples, skips, identical
+            out.append(outcome)
+            identical += outcome.text == record.text
+    return AugmentationResult(strategy, len(samples), tuple(out), tuple(skips),
+                              identical)
 
 
 def back_translate(samples, translator, pivot: str = "en",
@@ -112,20 +131,10 @@ def back_translate(samples, translator, pivot: str = "en",
     """Round-trip each sample through a pivot language."""
     if translator is None:
         raise AugmentError("back translation requires a translator provider")
-    samples = list(samples)
-
-    def worker(record):
-        try:
-            pivoted = translator(record.text, "ar", pivot)
-            rebuilt = translator(pivoted, pivot, "ar")
-        except Exception as exc:
-            return ("skip", f"translator failed: {exc}")
-        if not rebuilt or not rebuilt.strip():
-            return ("skip", "translator returned empty text")
-        return ("ok", AugmentedSample(record.tweet_id, rebuilt, record.label, BT))
-
-    out, skips, identical = _run_per_sample(samples, worker, max_workers)
-    return AugmentationResult(BT, len(samples), tuple(out), tuple(skips), identical)
+    return _augment(
+        BT, "translator", samples,
+        lambda r: translator(translator(r.text, "ar", pivot), pivot, "ar"),
+        max_workers=max_workers)
 
 
 def substitution_count(n_tokens: int, ratio: float) -> int:
@@ -147,34 +156,26 @@ def contextual_substitute(samples, filler, ratio: float = 0.3, seed: int = 0,
         raise AugmentError("contextual substitution requires a filler provider")
     if not 0.0 < ratio <= 1.0:
         raise AugmentError(f"ratio {ratio} outside (0, 1]")
-    samples = list(samples)
 
-    def worker(record):
+    def fill(record):
         tokens = record.text.split()
         eligible = [i for i, t in enumerate(tokens) if t not in PLACEHOLDERS]
         count = min(substitution_count(len(tokens), ratio), len(eligible))
         if count == 0:
-            return ("ok", AugmentedSample(record.tweet_id, record.text,
-                                          record.label, CWE))
+            return record.text
         rng = random.Random(f"{seed}|cwe|{record.tweet_id}")
         positions = set(rng.sample(eligible, count))
-        masked = " ".join(
+        return filler(" ".join(
             MASK_TOKEN if i in positions else t for i, t in enumerate(tokens)
-        )
-        try:
-            filled = filler(masked)
-        except Exception as exc:
-            return ("skip", f"filler failed: {exc}")
-        if not filled or not filled.strip():
-            return ("skip", "filler returned empty text")
-        if len(filled.split()) != len(tokens):
-            return ("skip",
-                    f"filler changed word count ({len(tokens)} -> "
-                    f"{len(filled.split())})")
-        return ("ok", AugmentedSample(record.tweet_id, filled, record.label, CWE))
+        ))
 
-    out, skips, identical = _run_per_sample(samples, worker, max_workers)
-    return AugmentationResult(CWE, len(samples), tuple(out), tuple(skips), identical)
+    def check_count(record, filled):
+        n, m = len(record.text.split()), len(filled.split())
+        if m != n:
+            raise _Skip(f"filler changed word count ({n} -> {m})")
+        return filled
+
+    return _augment(CWE, "filler", samples, fill, check_count, max_workers)
 
 
 def generate_samples(samples, generator, params: GenerationParams = None,
@@ -188,23 +189,15 @@ def generate_samples(samples, generator, params: GenerationParams = None,
         raise AugmentError("text generation requires a generator provider")
     if params is None:
         params = GenerationParams()
-    samples = list(samples)
 
-    def worker(record):
-        try:
-            text = generator(record.text, params)
-        except Exception as exc:
-            return ("skip", f"generator failed: {exc}")
-        if not text or not text.strip():
-            return ("skip", "generator returned empty text")
+    def truncate(record, text):
         tokens = text.split()
         if len(tokens) > params.max_length:
-            text = " ".join(tokens[:params.max_length])
-        return ("ok", AugmentedSample(record.tweet_id, text, record.label, TXTGEN))
+            return " ".join(tokens[:params.max_length])
+        return text
 
-    out, skips, identical = _run_per_sample(samples, worker, max_workers)
-    return AugmentationResult(TXTGEN, len(samples), tuple(out), tuple(skips),
-                              identical)
+    return _augment(TXTGEN, "generator", samples,
+                    lambda r: generator(r.text, params), truncate, max_workers)
 
 
 def synthetic_record(sample: AugmentedSample, origin: TweetRecord) -> TweetRecord:
@@ -223,28 +216,15 @@ def synthetic_record(sample: AugmentedSample, origin: TweetRecord) -> TweetRecor
     )
 
 
-def _result_to_cache(result: AugmentationResult) -> dict:
-    return {
-        "strategy": result.strategy,
-        "pool_size": result.pool_size,
-        "samples": [
-            {"origin_tweet_id": s.origin_tweet_id, "text": s.text,
-             "label": s.label, "strategy": s.strategy}
-            for s in result.samples
-        ],
-        "skips": [list(s) for s in result.skips],
-        "identical_count": result.identical_count,
-    }
+def _save_result(result: AugmentationResult, fh) -> None:
+    fh.write(json.dumps(asdict(result), ensure_ascii=False).encode("utf-8"))
 
 
-def _result_from_cache(blob: dict) -> AugmentationResult:
-    return AugmentationResult(
-        strategy=blob["strategy"],
-        pool_size=blob["pool_size"],
-        samples=tuple(AugmentedSample(**s) for s in blob["samples"]),
-        skips=tuple(tuple(s) for s in blob["skips"]),
-        identical_count=blob["identical_count"],
-    )
+def _load_result(path) -> AugmentationResult:
+    blob = json.loads(Path(path).read_text(encoding="utf-8"))
+    blob["samples"] = tuple(AugmentedSample(**s) for s in blob["samples"])
+    blob["skips"] = tuple(tuple(s) for s in blob["skips"])
+    return AugmentationResult(**blob)
 
 
 def augment_training(train_records, pool_records, strategy: str, providers,
@@ -274,9 +254,22 @@ def augment_training(train_records, pool_records, strategy: str, providers,
 
     if params is None:
         params = GenerationParams()
-    key = None
-    cache = JsonCache(cache_dir) if cache_dir is not None else None
-    if cache is not None:
+
+    def run():
+        if strategy == BT:
+            return back_translate(pool_records,
+                                  getattr(providers, "translator", None),
+                                  pivot, max_workers)
+        if strategy == CWE:
+            return contextual_substitute(pool_records,
+                                         getattr(providers, "filler", None),
+                                         ratio, seed, max_workers)
+        return generate_samples(pool_records,
+                                getattr(providers, "generator", None),
+                                params, max_workers)
+
+    path = None
+    if cache_dir is not None:
         key = stable_hash({
             "strategy": strategy,
             "params": params.to_dict(),
@@ -285,26 +278,8 @@ def augment_training(train_records, pool_records, strategy: str, providers,
             "pool": [(r.tweet_id, r.text, r.label) for r in pool_records],
             "seed": seed,
         })
-        blob = cache.get(key)
-        if blob is not None:
-            result = _result_from_cache(blob)
-            return _join(train_records, pool_records, result), result
-
-    if strategy == BT:
-        result = back_translate(pool_records,
-                                getattr(providers, "translator", None),
-                                pivot, max_workers)
-    elif strategy == CWE:
-        result = contextual_substitute(pool_records,
-                                       getattr(providers, "filler", None),
-                                       ratio, seed, max_workers)
-    else:
-        result = generate_samples(pool_records,
-                                  getattr(providers, "generator", None),
-                                  params, max_workers)
-
-    if cache is not None:
-        cache.put(key, _result_to_cache(result))
+        path = Path(cache_dir) / f"{key}.json"
+    result = cached(path, run, _save_result, _load_result)
     return _join(train_records, pool_records, result), result
 
 

@@ -1,4 +1,4 @@
-"""Content-addressed JSON cache for expensive provider calls.
+"""Content-addressed cache for expensive provider calls and model fits.
 
 Keys are sha256 hashes of canonically serialized inputs, so a cache hit
 means the exact same work was already done under the same seed and
@@ -15,7 +15,7 @@ import os
 import tempfile
 from pathlib import Path
 
-__all__ = ["stable_hash", "atomic_write", "JsonCache"]
+__all__ = ["stable_hash", "atomic_write", "cached"]
 
 
 def stable_hash(obj) -> str:
@@ -39,26 +39,14 @@ def atomic_write(path, write) -> None:
         raise
 
 
-class JsonCache:
-    """Directory of ``<key>.json`` entries with atomic writes."""
-
-    def __init__(self, root):
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, key: str) -> Path:
-        return self.root / f"{key}.json"
-
-    def get(self, key: str):
-        path = self._path(key)
-        if not path.exists():
-            return None
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-
-    def put(self, key: str, value) -> None:
-        blob = json.dumps(value, ensure_ascii=False).encode("utf-8")
-        atomic_write(self._path(key), lambda fh: fh.write(blob))
-
-    def __contains__(self, key: str) -> bool:
-        return self._path(key).exists()
+def cached(path, make, write, read):
+    """Get-or-compute: `read(path)` when the entry at `path` exists, else
+    `make()`, stored first with `write(value, binary_file)` through
+    `atomic_write`. With `path` None the value is computed and not stored."""
+    if path is None:
+        return make()
+    if os.path.exists(path):
+        return read(path)
+    value = make()
+    atomic_write(path, lambda fh: write(value, fh))
+    return value

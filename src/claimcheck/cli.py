@@ -42,6 +42,19 @@ from .splits import split_to_json
 __all__ = ["main", "build_parser"]
 
 
+def _config_file(path) -> dict:
+    """The settings object of a JSON config file, read when flags are parsed."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            loaded = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(
+                f"config file {path} is not valid JSON: {exc}") from None
+    if not isinstance(loaded, dict):
+        raise ConfigError("config file must hold a JSON object")
+    return loaded
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="master random seed")
     p.add_argument("--backend", default=None, choices=("baseline", "encoder"),
@@ -50,7 +63,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help=f"few-shot pool prefix size, one of {SHOT_CHOICES}")
     p.add_argument("--strategy", default=None,
                    choices=(NONE,) + STRATEGIES, help="augmentation strategy")
-    p.add_argument("--config", default=None, metavar="FILE",
+    p.add_argument("--config", type=_config_file, default=None, metavar="FILE",
                    help="JSON file of experiment settings; flags override it")
     p.add_argument("--out", default=None, metavar="DIR", help="output location")
     p.add_argument("--providers", default=None,
@@ -121,15 +134,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _experiment_config(args, setting=None, strategy=None, shots=None):
     """Merge config file values with explicit flags into an ExperimentConfig."""
-    data = {}
-    if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        if not isinstance(loaded, dict):
-            raise ConfigError("config file must hold a JSON object")
-        loaded.pop("corpus", None)
-        loaded.pop("providers", None)
-        data.update(loaded)
+    data = {key: value for key, value in (args.config or {}).items()
+            if key not in ("corpus", "providers")}
     overrides = {
         "seed": getattr(args, "seed", None),
         "backend_id": getattr(args, "backend", None),
@@ -157,17 +163,10 @@ def _experiment_config(args, setting=None, strategy=None, shots=None):
 
 
 def _providers_from(args):
-    spec = getattr(args, "providers", None)
-    if spec is None and getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            loaded = json.load(fh)
-        if isinstance(loaded, dict):
-            spec = loaded.get("providers")
+    spec = args.providers
+    if spec is None:
+        spec = (args.config or {}).get("providers")
     return make_providers(spec)
-
-
-def _load_corpus(path) -> Corpus:
-    return Corpus.from_jsonl(path)
 
 
 def _cmd_load(args) -> int:
@@ -213,7 +212,7 @@ def _cmd_normalize(args) -> int:
 
 def _cmd_split(args) -> int:
     config = replace(_experiment_config(args), strategy=NONE)
-    cell = prepare_cell(config, _load_corpus(args.corpus), args.target)
+    cell = prepare_cell(config, Corpus.from_jsonl(args.corpus), args.target)
     text = split_to_json(cell.split, cell.holdouts.pool(args.target))
     if args.out:
         Path(args.out).parent.mkdir(parents=True, exist_ok=True)
@@ -227,7 +226,7 @@ def _cmd_split(args) -> int:
 def _cmd_train(args) -> int:
     config = _experiment_config(args)
     providers = _providers_from(args)
-    cell = prepare_cell(config, _load_corpus(args.corpus), args.target,
+    cell = prepare_cell(config, Corpus.from_jsonl(args.corpus), args.target,
                         providers)
     scorer = train_scorer(
         cell.train_records,
@@ -248,7 +247,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_rank(args) -> int:
     config = replace(_experiment_config(args), strategy=NONE)
-    corpus = _load_corpus(args.corpus)
+    corpus = Corpus.from_jsonl(args.corpus)
     scorer = BaselineScorer.load(args.model)
     split = prepare_cell(config, corpus, args.target).split
     records = [corpus.record(i) for i in sorted(split.test)]
@@ -271,7 +270,7 @@ def _cmd_rank(args) -> int:
 
 def _cmd_eval(args) -> int:
     config = _experiment_config(args)
-    corpus = _load_corpus(args.corpus)
+    corpus = Corpus.from_jsonl(args.corpus)
     providers = _providers_from(args)
     report = run_topic(config, corpus, args.target, providers=providers)
     text = reports_to_json({args.target: report})
@@ -290,7 +289,7 @@ def _cmd_augment(args) -> int:
     config = _experiment_config(args, setting=FEW_SHOT)
     if config.strategy == NONE:
         raise ConfigError("augment requires --strategy BT, CWE, or TxtGen")
-    result = prepare_cell(config, _load_corpus(args.corpus), args.target,
+    result = prepare_cell(config, Corpus.from_jsonl(args.corpus), args.target,
                           _providers_from(args)).augmentation
     out = args.out or "synthetic.jsonl"
     with open(out, "w", encoding="utf-8") as fh:
@@ -313,7 +312,7 @@ def _cmd_similarity(args) -> int:
     from .topicsim import difficulty_ranking, matrix_to_csv, matrix_to_json, \
         similarity_matrix
 
-    corpus = _load_corpus(args.corpus)
+    corpus = Corpus.from_jsonl(args.corpus)
     providers = _providers_from(args)
     if providers.embedder is None:
         raise ConfigError("similarity requires an embedder provider")
@@ -338,7 +337,7 @@ def _cmd_suite(args) -> int:
         setting, strategy, shots = ZERO_SHOT, NONE, 0
     config = _experiment_config(args, setting=setting, strategy=strategy,
                                 shots=shots)
-    corpus = _load_corpus(args.corpus)
+    corpus = Corpus.from_jsonl(args.corpus)
     providers = _providers_from(args)
     record = run_suite(args.suite, corpus, config, providers=providers,
                        out_dir=args.out)
@@ -368,13 +367,10 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)  # reads --config
         return _COMMANDS[args.command](args)
-    except ClaimCheckError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ClaimCheckError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from .cache import atomic_write, stable_hash
+from .cache import cached, stable_hash
 from .corpus import CW, NCW
 from .errors import ModelError, ProviderError
 
@@ -412,19 +412,16 @@ def train_scorer(records, config: ScorerConfig, providers=None,
         encoder = getattr(providers, "encoder", None) if providers is not None else None
         return EncoderScorer(config, encoder).fit(texts, labels)
 
+    def fit():
+        if features is None:
+            return BaselineScorer(config).fit(texts, labels)
+        return BaselineScorer(config).fit_matrix(
+            *features().training_matrix(records), labels)
+
     path = None
     if cache_dir is not None:
         path = Path(cache_dir) / f"{model_cache_key(config, texts, labels)}.npz"
-        if path.exists():
-            return BaselineScorer.load(path)
-    scorer = BaselineScorer(config)
-    if features is None:
-        scorer.fit(texts, labels)
-    else:
-        scorer.fit_matrix(*features().training_matrix(records), labels)
-    if path is not None:
-        atomic_write(path, scorer.save)
-    return scorer
+    return cached(path, fit, BaselineScorer.save, BaselineScorer.load)
 
 
 def rank_records(scorer, records) -> ScoredRanking:

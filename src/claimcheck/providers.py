@@ -14,8 +14,9 @@ request ``{"mode": "train", "texts": [...], "labels": ["CW"|"NCW", ...],
 ``{"mode": "score", "texts": [...], "handle": "...", "hyperparams": {...}}``
 returns ``{"scores": [...]}`` with one probability in [0, 1] per text.
 
-Mock providers are deterministic and ship with the package so experiment
-suites and tests can run without any external service.
+The mocks here are the ``"mock"`` bundle of `make_providers`: one
+deterministic provider per role, so experiment suites can run without any
+external service.
 """
 
 from __future__ import annotations
@@ -35,14 +36,8 @@ __all__ = [
     "MASK_TOKEN",
     "ProviderBundle",
     "identity_translator",
-    "ReversingTranslator",
-    "MarkerFiller",
     "HashFiller",
-    "EchoGenerator",
-    "RecordingGenerator",
     "DistinctTokenGenerator",
-    "ConstantEmbedder",
-    "KeywordAxisEmbedder",
     "HashEmbedder",
     "MockEncoderProvider",
     "HTTP_ROLES",
@@ -70,25 +65,6 @@ def identity_translator(text: str, src: str, tgt: str) -> str:
     return text
 
 
-class ReversingTranslator:
-    """Reverses token order on every call; composing twice restores input."""
-
-    def __call__(self, text: str, src: str, tgt: str) -> str:
-        return " ".join(reversed(text.split()))
-
-
-class MarkerFiller:
-    """Fills every mask slot with a fixed marker token."""
-
-    def __init__(self, marker: str = "XSUB"):
-        self.marker = marker
-        self.calls = 0
-
-    def __call__(self, masked_text: str) -> str:
-        self.calls += 1
-        return masked_text.replace(MASK_TOKEN, self.marker)
-
-
 class HashFiller:
     """Fills each mask slot with a token derived from its context hash."""
 
@@ -104,25 +80,6 @@ class HashFiller:
         return " ".join(out)
 
 
-class EchoGenerator:
-    """Returns its prompt unchanged."""
-
-    def __call__(self, prompt: str, params) -> str:
-        return prompt
-
-
-class RecordingGenerator:
-    """Returns canned text and records every (prompt, params) it receives."""
-
-    def __init__(self, canned: str = "generated text"):
-        self.canned = canned
-        self.calls = []
-
-    def __call__(self, prompt: str, params) -> str:
-        self.calls.append((prompt, params))
-        return self.canned
-
-
 class DistinctTokenGenerator:
     """Emits a run of distinct tokens, so no n-gram ever repeats.
 
@@ -134,30 +91,6 @@ class DistinctTokenGenerator:
         n = min(max(len(prompt.split()), 1), params.max_length)
         seed = hashlib.sha256(prompt.encode("utf-8")).hexdigest()[:8]
         return " ".join(f"g{seed}n{i}" for i in range(n))
-
-
-class ConstantEmbedder:
-    def __init__(self, vector):
-        self.vector = list(vector)
-
-    def __call__(self, text: str) -> list:
-        return list(self.vector)
-
-
-class KeywordAxisEmbedder:
-    """Maps texts onto axes by keyword; texts with disjoint keywords embed
-    orthogonally."""
-
-    def __init__(self, keyword_axes: dict, dim: int):
-        self.keyword_axes = dict(keyword_axes)
-        self.dim = dim
-
-    def __call__(self, text: str) -> list:
-        vec = [0.0] * self.dim
-        for tok in text.split():
-            if tok in self.keyword_axes:
-                vec[self.keyword_axes[tok]] += 1.0
-        return vec
 
 
 class HashEmbedder:
@@ -226,10 +159,15 @@ class MockEncoderProvider:
 # HTTP transports
 
 def _post_json(url: str, payload: dict, retries: int = 3, timeout: float = 30.0) -> dict:
+    """POST `payload`, retrying timeouts, 5xx and malformed replies; a 4xx
+    is the request's own fault and is never retried."""
     last = None
     for attempt in range(1, retries + 1):
         try:
             resp = requests.post(url, json=payload, timeout=timeout)
+            if 400 <= resp.status_code < 500:
+                raise ProviderError(
+                    f"provider at {url} rejected the request: HTTP {resp.status_code}")
             resp.raise_for_status()
             return resp.json()
         except (requests.RequestException, ValueError) as exc:
@@ -237,7 +175,7 @@ def _post_json(url: str, payload: dict, retries: int = 3, timeout: float = 30.0)
             if attempt < retries:
                 time.sleep(min(2.0 ** attempt, 10.0))
     raise ProviderError(
-        f"provider at {url} unreachable after {retries} attempts: {last}"
+        f"provider at {url} failed after {retries} attempt(s): {last}"
     )
 
 
@@ -271,7 +209,10 @@ class HttpProvider:
     def __call__(self, *args):
         endpoint, build, key = HTTP_ROLES[self.role]
         url = f"{self.base_url}/{endpoint}"
-        reply = _post_json(url, build(*args), self.retries)
+        payload = build(*args)
+        # a train request starts a fine-tune; re-sending it may start another
+        once = self.role == "encoder" and payload.get("mode") == "train"
+        reply = _post_json(url, payload, 1 if once else self.retries)
         if key is None:
             return reply
         if not isinstance(reply, dict) or key not in reply:
@@ -305,17 +246,23 @@ def make_providers(spec) -> ProviderBundle:
         return ProviderBundle(kind=spec, **{
             role: HttpProvider(base, role) for role in HTTP_ROLES})
     if isinstance(spec, dict):
+        unknown = sorted(set(spec) - set(HTTP_ROLES))
+        if unknown:
+            raise ProviderError(f"unknown provider roles {unknown}; "
+                                f"expected some of {list(HTTP_ROLES)}")
         mock = make_providers("mock")
         bundle = ProviderBundle(kind="custom")
-        for role in HTTP_ROLES:
-            conf = spec.get(role)
+        for role, conf in spec.items():
             if conf is None:
                 continue
-            if conf.get("kind") == "mock":
+            kind = conf.get("kind") if isinstance(conf, dict) else None
+            if kind == "mock":
                 setattr(bundle, role, getattr(mock, role))
-            elif conf.get("kind") == "http":
+            elif kind == "http" and isinstance(conf.get("url"), str):
                 setattr(bundle, role, HttpProvider(conf["url"], role))
             else:
-                raise ProviderError(f"unknown provider kind for {role}: {conf!r}")
+                raise ProviderError(
+                    f"provider for {role} must be {{\"kind\": \"mock\"}} or "
+                    f"{{\"kind\": \"http\", \"url\": ...}}, got {conf!r}")
         return bundle
     raise ProviderError(f"cannot build providers from {spec!r}")

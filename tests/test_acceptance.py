@@ -22,6 +22,7 @@ import pytest
 
 import reference_tables as ref
 from golden_cases import GOLDEN_CASES
+from mocks import KeywordAxisEmbedder, MarkerFiller, RecordingGenerator
 from oracles import brute_force_map
 from synth import random_fuzz_text, tiny_corpus
 
@@ -39,9 +40,6 @@ from claimcheck.evaluation import (
 from claimcheck.preprocess import normalize_tweet
 from claimcheck.providers import (
     HashEmbedder,
-    KeywordAxisEmbedder,
-    MarkerFiller,
-    RecordingGenerator,
     identity_translator,
     make_providers,
 )

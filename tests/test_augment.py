@@ -2,6 +2,8 @@
 
 import pytest
 
+from mocks import MarkerFiller, RecordingGenerator, ReversingTranslator
+
 from claimcheck.augment import (
     BT,
     CWE,
@@ -23,10 +25,7 @@ from claimcheck.errors import AugmentError
 from claimcheck.providers import (
     MASK_TOKEN,
     DistinctTokenGenerator,
-    MarkerFiller,
     ProviderBundle,
-    RecordingGenerator,
-    ReversingTranslator,
     identity_translator,
 )
 
@@ -374,6 +373,24 @@ def test_augment_cache_round_trip(tmp_path):
     assert len(calls) == 8
     assert second == first
     assert result2 == result1
+
+
+def test_augment_cache_entry_bytes(tmp_path):
+    def translator(text, src, tgt):
+        if text.startswith("down"):
+            raise RuntimeError("offline")
+        return text
+
+    train = [_rec(0, "نص عربي"), _rec(1, "down text", NCW)]
+    augment_training(train, train, BT, _bundle(translator=translator),
+                     cache_dir=tmp_path)
+    (entry,) = tmp_path.iterdir()
+    assert entry.read_bytes() == (
+        '{"strategy": "BT", "pool_size": 2, "samples": [{"origin_tweet_id": '
+        '"p000", "text": "نص عربي", "label": "CW", "strategy": "BT"}], '
+        '"skips": [["p001", "translator failed: offline"]], '
+        '"identical_count": 1}'
+    ).encode("utf-8")
 
 
 def test_augment_cache_keys_on_seed(tmp_path):

@@ -270,3 +270,27 @@ def test_providers_spec_from_config_file(corpus_jsonl, tmp_path):
                "--config", str(config), "--out", str(out)])
     assert rc == 0
     assert len(out.read_text(encoding="utf-8").splitlines()) == 50
+
+
+def test_malformed_config_file_is_a_config_error(corpus_jsonl, tmp_path, capsys):
+    config = tmp_path / "bad.json"
+    config.write_text('{"seed": 1,', encoding="utf-8")
+    rc = main(["suite", "table2", "--corpus", str(corpus_jsonl),
+               "--config", str(config), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["similarity", "--providers", "mock"],
+    ["split", "--target", "S-A"],
+])
+def test_non_object_config_is_rejected_by_every_command(corpus_jsonl, tmp_path,
+                                                        capsys, command):
+    config = tmp_path / "list.json"
+    config.write_text("[1, 2]", encoding="utf-8")
+    rc = main([command[0], "--corpus", str(corpus_jsonl), *command[1:],
+               "--config", str(config), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "JSON object" in capsys.readouterr().err

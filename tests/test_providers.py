@@ -1,7 +1,7 @@
 """HTTP provider tests against a local stub service on 127.0.0.1.
 
-The stub replies 200 to every request, so no retry (and no retry sleep)
-is ever exercised here.
+The stub replies 200 unless a test queues other status codes; retry
+tests replace the retry back-off sleep with a no-op.
 """
 
 import json
@@ -38,11 +38,13 @@ EXPECTED = {
 
 
 class StubService:
-    """Records (path, JSON body) of every POST and answers from `replies`."""
+    """Records (path, JSON body) of every POST and answers from `replies`,
+    with the next status code in `statuses` (200 once it is empty)."""
 
     def __init__(self):
         self.requests = []
         self.replies = {path: reply for _, path, _, reply in CALLS.values()}
+        self.statuses = []
         stub = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -50,7 +52,7 @@ class StubService:
                 body = self.rfile.read(int(self.headers["Content-Length"]))
                 stub.requests.append((self.path, json.loads(body)))
                 blob = json.dumps(stub.replies.get(self.path, {})).encode("utf-8")
-                self.send_response(200)
+                self.send_response(stub.statuses.pop(0) if stub.statuses else 200)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(blob)))
                 self.end_headers()
@@ -143,3 +145,53 @@ def test_unknown_role_and_spec_are_rejected():
         make_providers("ftp://host")
     with pytest.raises(ProviderError):
         make_providers({"translator": {"kind": "grpc"}})
+
+
+@pytest.mark.parametrize("spec", [
+    {"translator": "mock"},
+    {"translator": {"kind": "http"}},
+    {"translater": {"kind": "mock"}},
+])
+def test_role_mapping_rejects_malformed_entries(spec):
+    with pytest.raises(ProviderError, match=next(iter(spec))):
+        make_providers(spec)
+
+
+# ---------------------------------------------------------------------------
+# retry policy
+
+
+@pytest.fixture()
+def no_sleep(monkeypatch):
+    monkeypatch.setattr(providers_mod.time, "sleep", lambda seconds: None)
+
+
+@pytest.mark.parametrize("status", [400, 404, 422])
+def test_client_error_is_not_retried(stub, no_sleep, status):
+    stub.statuses = [status, 200]
+    with pytest.raises(ProviderError, match=f"HTTP {status}"):
+        HttpProvider(stub.url, "translator")(*CALLS["translator"][0])
+    assert len(stub.requests) == 1
+
+
+@pytest.mark.parametrize("role", ["translator", "encoder"])
+def test_server_error_is_retried_until_success(stub, no_sleep, role):
+    stub.statuses = [503]
+    assert HttpProvider(stub.url, role)(*CALLS[role][0]) == EXPECTED[role]
+    path = CALLS[role][1]
+    assert [p for p, _ in stub.requests] == [path, path]
+
+
+def test_server_errors_give_up_after_three_attempts(stub, no_sleep):
+    stub.statuses = [503, 502, 500, 200]
+    with pytest.raises(ProviderError, match="3 attempt"):
+        HttpProvider(stub.url, "filler")(*CALLS["filler"][0])
+    assert len(stub.requests) == 3
+
+
+def test_encoder_train_request_is_sent_once(stub, no_sleep):
+    stub.statuses = [503, 200]
+    train = {"mode": "train", "texts": ["t"], "labels": ["CW"], "hyperparams": {}}
+    with pytest.raises(ProviderError):
+        HttpProvider(stub.url, "encoder")(train)
+    assert stub.requests == [("/encode", train)]

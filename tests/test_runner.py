@@ -11,7 +11,6 @@ from claimcheck import runner
 from claimcheck.augment import BT, CWE, NONE, GenerationParams
 from claimcheck.errors import AugmentError, ConfigError
 from claimcheck.providers import (
-    MarkerFiller,
     MockEncoderProvider,
     ProviderBundle,
     identity_translator,
@@ -32,6 +31,7 @@ from claimcheck.corpus import Corpus
 from claimcheck.model import CorpusFeatures
 from claimcheck.splits import make_holdouts
 
+from mocks import MarkerFiller
 from synth import tiny_corpus
 
 

@@ -7,9 +7,11 @@ import random
 import numpy as np
 import pytest
 
+from mocks import ConstantEmbedder, KeywordAxisEmbedder
+
 from claimcheck.corpus import CW, Corpus, NCW, TweetRecord
 from claimcheck.errors import SimilarityError
-from claimcheck.providers import ConstantEmbedder, HashEmbedder, KeywordAxisEmbedder
+from claimcheck.providers import HashEmbedder
 from claimcheck.topicsim import (
     SimilarityMatrix,
     difficulty_ranking,
