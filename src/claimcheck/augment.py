@@ -22,13 +22,14 @@ from .cache import cached, stable_hash
 from .corpus import TweetRecord
 from .errors import AugmentError
 from .preprocess import PLACEHOLDERS
-from .providers import MASK_TOKEN
+from .providers import MASK_TOKEN, HttpProvider
 
 BT = "BT"
 CWE = "CWE"
 TXTGEN = "TxtGen"
 NONE = "none"
 STRATEGIES = (BT, CWE, TXTGEN)
+_ROLES = {BT: "translator", CWE: "filler", TXTGEN: "generator"}
 SYNTHETIC_SOURCE = "synthetic"
 
 __all__ = [
@@ -216,6 +217,14 @@ def synthetic_record(sample: AugmentedSample, origin: TweetRecord) -> TweetRecor
     )
 
 
+def _provider_identity(provider) -> str:
+    """An HTTP provider's base URL, else the callable's module.qualname."""
+    if isinstance(provider, HttpProvider):
+        return provider.base_url
+    named = provider if hasattr(provider, "__qualname__") else type(provider)
+    return f"{named.__module__}.{named.__qualname__}"
+
+
 def _save_result(result: AugmentationResult, fh) -> None:
     fh.write(json.dumps(asdict(result), ensure_ascii=False).encode("utf-8"))
 
@@ -236,8 +245,8 @@ def augment_training(train_records, pool_records, strategy: str, providers,
     Returns (records, AugmentationResult or None). Strategy ``none`` is the
     identity. Only pool samples ever seed augmentation, and the pool must
     already be part of the training set. When a cache directory is given,
-    results are reused across runs keyed by strategy, parameters, pool
-    content, and seed.
+    results are reused across runs keyed by strategy, the identity of the
+    provider it calls, parameters, pool content, and seed.
     """
     train_records = list(train_records)
     pool_records = list(pool_records)
@@ -254,24 +263,21 @@ def augment_training(train_records, pool_records, strategy: str, providers,
 
     if params is None:
         params = GenerationParams()
+    provider = getattr(providers, _ROLES[strategy], None)
 
     def run():
         if strategy == BT:
-            return back_translate(pool_records,
-                                  getattr(providers, "translator", None),
-                                  pivot, max_workers)
+            return back_translate(pool_records, provider, pivot, max_workers)
         if strategy == CWE:
-            return contextual_substitute(pool_records,
-                                         getattr(providers, "filler", None),
-                                         ratio, seed, max_workers)
-        return generate_samples(pool_records,
-                                getattr(providers, "generator", None),
-                                params, max_workers)
+            return contextual_substitute(pool_records, provider, ratio, seed,
+                                         max_workers)
+        return generate_samples(pool_records, provider, params, max_workers)
 
     path = None
     if cache_dir is not None:
         key = stable_hash({
             "strategy": strategy,
+            "provider": _provider_identity(provider),
             "params": params.to_dict(),
             "ratio": ratio,
             "pivot": pivot,

@@ -13,6 +13,7 @@ from claimcheck.augment import (
     AugmentationResult,
     AugmentedSample,
     GenerationParams,
+    _provider_identity,
     augment_training,
     back_translate,
     contextual_substitute,
@@ -25,6 +26,8 @@ from claimcheck.errors import AugmentError
 from claimcheck.providers import (
     MASK_TOKEN,
     DistinctTokenGenerator,
+    HashFiller,
+    HttpProvider,
     ProviderBundle,
     identity_translator,
 )
@@ -402,3 +405,26 @@ def test_augment_cache_keys_on_seed(tmp_path):
     first_calls = filler.calls
     augment_training(train, pool, CWE, bundle, seed=1, cache_dir=tmp_path)
     assert filler.calls > first_calls
+
+
+def test_augment_cache_keys_on_the_provider(tmp_path):
+    def word_adding_filler(masked_text):
+        return masked_text.replace(MASK_TOKEN, "x") + " extra"
+
+    train = _pool(6)
+    pool = train[:4]
+    _, hashed = augment_training(train, pool, CWE, _bundle(filler=HashFiller()),
+                                 seed=3, cache_dir=tmp_path)
+    _, added = augment_training(train, pool, CWE,
+                                _bundle(filler=word_adding_filler),
+                                seed=3, cache_dir=tmp_path)
+    assert len(list(tmp_path.iterdir())) == 2
+    assert len(hashed.samples) == 4
+    assert added.samples == () and len(added.skips) == 4
+
+
+def test_provider_identity_is_the_url_or_the_qualified_name():
+    assert _provider_identity(HttpProvider("http://h:1/", "filler")) == "http://h:1"
+    assert _provider_identity(HashFiller()) == "claimcheck.providers.HashFiller"
+    assert (_provider_identity(identity_translator)
+            == "claimcheck.providers.identity_translator")

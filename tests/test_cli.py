@@ -118,6 +118,19 @@ def test_train_rank_round_trip(corpus_jsonl, tmp_path, capsys):
     assert len(lines) == 1 + 90  # 120 records minus the 30-tweet pool
 
 
+def test_train_writes_exactly_the_out_path(corpus_jsonl, tmp_path, capsys):
+    model = tmp_path / "model.bin"
+    rc = main(["train", "--corpus", str(corpus_jsonl), "--target", "S-B",
+               "--holdout-k", "30", "--out", str(model)])
+    assert rc == 0
+    assert [p.name for p in tmp_path.glob("model.bin*")] == ["model.bin"]
+    assert capsys.readouterr().out.rstrip().endswith(f"-> {model}")
+
+    rc = main(["rank", "--corpus", str(corpus_jsonl), "--target", "S-B",
+               "--model", str(model), "--holdout-k", "30"])
+    assert rc == 0
+
+
 def test_augmented_train_uses_the_cell_training_data(corpus_jsonl, tmp_path,
                                                      capsys):
     model = tmp_path / "model.npz"

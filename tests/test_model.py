@@ -233,6 +233,47 @@ def test_model_cache_key_carries_the_trainer_version(monkeypatch):
     assert model_cache_key(cfg, ["a b"], [CW]) != before
 
 
+def test_model_cache_key_is_equal_for_equal_data_in_other_lists():
+    cfg = ScorerConfig(backend="baseline")
+    texts, labels = ["نص عربي", "b c"], [CW, NCW]
+    assert (model_cache_key(cfg, texts, labels)
+            == model_cache_key(ScorerConfig(backend="baseline"),
+                               list(texts), list(labels)))
+
+
+def test_model_cache_key_changes_when_one_label_flips():
+    cfg = ScorerConfig(backend="baseline")
+    texts = ["a b", "c d", "e"]
+    assert (model_cache_key(cfg, texts, [CW, NCW, NCW])
+            != model_cache_key(cfg, texts, [CW, CW, NCW]))
+
+
+def test_model_with_an_empty_vocabulary_round_trips(tmp_path):
+    scorer = BaselineScorer(ScorerConfig(backend="baseline")).fit(
+        ["", " "], [CW, NCW])
+    assert scorer.vocab == {}
+    path = tmp_path / "empty.npz"
+    scorer.save(path)
+    loaded = BaselineScorer.load(path)
+    assert loaded.vocab == {}
+    assert loaded.weights.shape == (0,)
+    assert loaded.bias == scorer.bias
+    assert loaded.score_many(["a"]) == scorer.score_many(["a"])
+
+
+def test_non_ascii_vocabulary_round_trips_bit_for_bit(tmp_path):
+    texts = ["كلمة عربية ✅", "émoji 😀 طويلة", "كلمة ü", "ü 😀"]
+    scorer = BaselineScorer(ScorerConfig(backend="baseline")).fit(
+        texts, [CW, NCW, CW, NCW])
+    path = tmp_path / "model.npz"
+    scorer.save(path)
+    loaded = BaselineScorer.load(path)
+    assert list(loaded.vocab) == list(scorer.vocab)
+    assert loaded.vocab == scorer.vocab
+    assert loaded.weights.tobytes() == scorer.weights.tobytes()
+    assert loaded.bias == scorer.bias
+
+
 # ---------------------------------------------------------------------------
 # corpus matrix
 

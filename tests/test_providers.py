@@ -1,7 +1,8 @@
 """HTTP provider tests against a local stub service on 127.0.0.1.
 
 The stub replies 200 unless a test queues other status codes; retry
-tests replace the retry back-off sleep with a no-op.
+tests replace the retry back-off sleep with a no-op. A reply given as bytes
+is sent as it is, so a test can send a body that is not JSON.
 """
 
 import json
@@ -13,6 +14,7 @@ import pytest
 from claimcheck import providers as providers_mod
 from claimcheck.augment import GenerationParams
 from claimcheck.errors import ProviderError
+from claimcheck.model import EncoderScorer, ScorerConfig
 from claimcheck.providers import HTTP_ROLES, HttpProvider, make_providers
 
 # role -> (arguments of one call, expected path, expected JSON body, reply)
@@ -51,7 +53,9 @@ class StubService:
             def do_POST(self):
                 body = self.rfile.read(int(self.headers["Content-Length"]))
                 stub.requests.append((self.path, json.loads(body)))
-                blob = json.dumps(stub.replies.get(self.path, {})).encode("utf-8")
+                blob = stub.replies.get(self.path, {})
+                if not isinstance(blob, bytes):
+                    blob = json.dumps(blob).encode("utf-8")
                 self.send_response(stub.statuses.pop(0) if stub.statuses else 200)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(blob)))
@@ -195,3 +199,22 @@ def test_encoder_train_request_is_sent_once(stub, no_sleep):
     with pytest.raises(ProviderError):
         HttpProvider(stub.url, "encoder")(train)
     assert stub.requests == [("/encode", train)]
+
+
+def test_malformed_json_on_a_200_fails_after_three_attempts(stub, no_sleep):
+    stub.replies["/fill"] = b'{"text": "a x'
+    with pytest.raises(ProviderError, match="3 attempt"):
+        HttpProvider(stub.url, "filler")(*CALLS["filler"][0])
+    assert len(stub.requests) == 3
+
+
+@pytest.mark.parametrize("score", [float("nan"), 1.5])
+def test_encoder_score_outside_the_unit_interval_is_rejected(stub, no_sleep,
+                                                            score):
+    scorer = EncoderScorer(ScorerConfig(backend="encoder"),
+                           HttpProvider(stub.url, "encoder"))
+    stub.replies["/encode"] = {"handle": "h"}
+    scorer.fit(["a", "b"], ["CW", "NCW"])
+    stub.replies["/encode"] = {"scores": [0.5, score]}
+    with pytest.raises(ProviderError, match="outside"):
+        scorer.score_many(["a", "b"])
