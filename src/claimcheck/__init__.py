@@ -28,12 +28,14 @@ from .errors import (
 from .evaluation import (
     EvalReport,
     average_precision,
+    classify,
     delta_percent,
     evaluate_scores,
     improvement_table,
     mean_average_precision,
+    rank_scores,
 )
-from .model import ScorerConfig, classify, rank_records, train_scorer
+from .model import ScorerConfig, train_scorer
 from .preprocess import normalize_tweet
 from .runner import ExperimentConfig, run_suite, run_topic
 from .splits import few_shot_split, make_holdouts, zero_shot_split
@@ -48,7 +50,8 @@ __all__ = [
     "ConfigError",
     "EvalReport", "average_precision", "mean_average_precision",
     "evaluate_scores", "delta_percent", "improvement_table",
-    "ScorerConfig", "train_scorer", "rank_records", "classify",
+    "rank_scores", "classify",
+    "ScorerConfig", "train_scorer",
     "normalize_tweet",
     "ExperimentConfig", "run_topic", "run_suite",
     "make_holdouts", "zero_shot_split", "few_shot_split",

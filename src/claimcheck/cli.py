@@ -23,8 +23,8 @@ from .corpus import (
     corpus_stats,
 )
 from .errors import ClaimCheckError, ConfigError
-from .evaluation import reports_to_json
-from .model import BaselineScorer, ScorerConfig, rank_records, train_scorer
+from .evaluation import rank_scores, reports_to_json
+from .model import BaselineScorer, train_scorer
 from .preprocess import normalize_corpus_file
 from .providers import make_providers
 from .runner import (
@@ -65,9 +65,11 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    choices=(NONE,) + STRATEGIES, help="augmentation strategy")
     p.add_argument("--config", type=_config_file, default=None, metavar="FILE",
                    help="JSON file of experiment settings; flags override it")
-    p.add_argument("--out", default=None, metavar="DIR", help="output location")
+    p.add_argument("--out", default=None, metavar="PATH",
+                   help="output file, or directory for similarity and suite")
     p.add_argument("--providers", default=None,
-                   help='provider set: "mock", "none", or "http:<base-url>"')
+                   help='provider set: "mock", "none", or a base URL, '
+                        'given as "http(s)://..." or "http:<base-url>"')
     p.add_argument("--holdout-k", type=int, default=None,
                    help="per-topic holdout pool size")
     p.add_argument("--workers", type=int, default=None,
@@ -169,6 +171,13 @@ def _providers_from(args):
     return make_providers(spec)
 
 
+def _out_file(path) -> Path:
+    """`path` as a Path, its parent directory created."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _cmd_load(args) -> int:
     inputs = []
     for item in args.input:
@@ -215,8 +224,7 @@ def _cmd_split(args) -> int:
     cell = prepare_cell(config, Corpus.from_jsonl(args.corpus), args.target)
     text = split_to_json(cell.split, cell.holdouts.pool(args.target))
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        _out_file(args.out).write_text(text + "\n", encoding="utf-8")
         print(f"wrote {args.out}")
     else:
         print(text)
@@ -225,22 +233,16 @@ def _cmd_split(args) -> int:
 
 def _cmd_train(args) -> int:
     config = _experiment_config(args)
-    providers = _providers_from(args)
-    cell = prepare_cell(config, Corpus.from_jsonl(args.corpus), args.target,
-                        providers)
-    scorer = train_scorer(
-        cell.train_records,
-        ScorerConfig(backend=config.backend_id,
-                     hyperparams=config.hyperparams, seed=config.seed),
-        providers,
-    )
-    if not isinstance(scorer, BaselineScorer):
+    if config.backend_id != "baseline":
         raise ConfigError(
             "only the baseline backend produces a saveable model; "
             "encoder models live with their provider"
         )
+    cell = prepare_cell(config, Corpus.from_jsonl(args.corpus), args.target,
+                        _providers_from(args))
     out = args.out or "model.npz"
-    scorer.save(out)
+    train_scorer(cell.train_records, config.scorer_config()).save(
+        _out_file(out))
     print(f"trained on {len(cell.train_records)} records -> {out}")
     return 0
 
@@ -249,14 +251,15 @@ def _cmd_rank(args) -> int:
     config = replace(_experiment_config(args), strategy=NONE)
     corpus = Corpus.from_jsonl(args.corpus)
     scorer = BaselineScorer.load(args.model)
-    split = prepare_cell(config, corpus, args.target).split
-    records = [corpus.record(i) for i in sorted(split.test)]
-    ranking = rank_records(scorer, records)
+    records = prepare_cell(config, corpus, args.target).test_records
+    scores = dict(zip([r.tweet_id for r in records],
+                      scorer.score_many([r.text for r in records])))
     labels = {r.tweet_id: r.label for r in records}
-    rows = [(pos + 1, tid, ranking.scores[tid], labels[tid])
-            for pos, tid in enumerate(ranking.order)]
+    rows = [(pos + 1, tid, scores[tid], labels[tid])
+            for pos, tid in enumerate(rank_scores(scores))]
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        with open(_out_file(args.out), "w", encoding="utf-8",
+                  newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["rank", "tweet_id", "score", "label"])
             for rank, tid, score, label in rows:
@@ -275,8 +278,7 @@ def _cmd_eval(args) -> int:
     report = run_topic(config, corpus, args.target, providers=providers)
     text = reports_to_json({args.target: report})
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        _out_file(args.out).write_text(text + "\n", encoding="utf-8")
         print(f"wrote {args.out}")
     print(f"{args.target}: MAP {report.map:.4f} "
           f"(AP_cw {report.ap_cw:.4f}, AP_ncw {report.ap_ncw:.4f}, "

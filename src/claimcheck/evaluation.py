@@ -1,11 +1,12 @@
-"""Ranking metrics and result-table arithmetic.
+"""Ranking, decision rule, metrics and result-table arithmetic.
 
 The task is scored as a ranking problem: each test set gets one average
 precision per class (AP over the ranking ordered for that class), the mean of
-the two is the MAP, and thresholded predictions additionally yield
-precision/recall/F1 for the positive class. Improvement tables compare MAP
-columns of two experiment variants topic by topic, with integer percentage
-deltas.
+the two is the MAP, and predictions thresholded by `classify` additionally
+yield precision/recall/F1 for the positive class. `rank_scores` is the one
+rank order, for metrics and the `rank` command alike. Improvement tables
+compare MAP columns of two experiment variants topic by topic, with integer
+percentage deltas.
 """
 
 from __future__ import annotations
@@ -23,10 +24,13 @@ __all__ = [
     "EvalReport",
     "ImprovementCell",
     "ImprovementTable",
+    "rank_scores",
+    "classify",
     "average_precision",
     "mean_average_precision",
     "precision_recall_f1",
     "evaluate_scores",
+    "column_means",
     "improvement_table",
     "delta_percent",
     "render_report_table",
@@ -84,12 +88,27 @@ class EvalReport:
         )}, cw_only=d.get("cw_only", False))
 
 
-def _ranking_for(scores: dict, positive: str) -> list:
-    """Order ids by descending P(positive); ties broken by ascending id."""
-    if positive == CW:
-        return sorted(scores, key=lambda i: (-scores[i], i))
+def _unit(value: float, name: str = "score") -> float:
+    """`value` itself, once it lies in [0, 1] as a P(CW) or a threshold
+    must; NaN does not."""
+    if not 0.0 <= value <= 1.0:
+        raise EvalError(f"{name} {value} outside [0, 1]")
+    return value
+
+
+def rank_scores(scores: dict, positive: str = CW) -> list:
+    """Ids of `scores` (id -> P(CW)) best first for `positive`: descending
+    P(positive), ties broken by ascending id."""
+    if not scores:
+        raise EvalError("cannot rank an empty score table")
     # descending P(NCW) == ascending P(CW)
-    return sorted(scores, key=lambda i: (scores[i], i))
+    sign = -1.0 if positive == CW else 1.0
+    return sorted(scores, key=lambda i: (sign * _unit(scores[i]), i))
+
+
+def classify(score: float, threshold: float = 0.5) -> str:
+    """Threshold a P(CW) into CW/NCW; the boundary counts as CW."""
+    return CW if _unit(score) >= _unit(threshold, "threshold") else NCW
 
 
 def average_precision(ranked_ids, labels: dict, positive: str, n: int | None = None) -> float:
@@ -122,9 +141,9 @@ def mean_average_precision(scores: dict, labels: dict, n: int | None = None,
                            cw_only: bool = False):
     """Per-class APs and their mean for one scored test set.
 
-    `scores` maps id -> P(CW). The CW ranking is descending by score, the NCW
-    ranking ascending; both break ties by ascending id. With `cw_only` the MAP
-    collapses to the positive-class AP (the common shared-task convention).
+    `scores` maps id -> P(CW); each class's AP is taken over its
+    `rank_scores` ranking. With `cw_only` the MAP collapses to the
+    positive-class AP (the common shared-task convention).
 
     Returns (ap_cw, ap_ncw, map).
     """
@@ -133,10 +152,8 @@ def mean_average_precision(scores: dict, labels: dict, n: int | None = None,
             f"scores and labels cover different ids "
             f"({len(scores)} scored vs {len(labels)} labelled)"
         )
-    if not scores:
-        raise EvalError("cannot evaluate an empty test set")
-    ap_cw = average_precision(_ranking_for(scores, CW), labels, CW, n=n)
-    ap_ncw = average_precision(_ranking_for(scores, NCW), labels, NCW, n=n)
+    ap_cw = average_precision(rank_scores(scores, CW), labels, CW, n=n)
+    ap_ncw = average_precision(rank_scores(scores, NCW), labels, NCW, n=n)
     return ap_cw, ap_ncw, _combine_aps(ap_cw, ap_ncw, cw_only)
 
 
@@ -157,10 +174,17 @@ def evaluate_scores(target_topic_id: str, scores: dict, labels: dict,
                     threshold: float = 0.5, cw_only: bool = False) -> EvalReport:
     """Build the full EvalReport for one scored test set."""
     ap_cw, ap_ncw, map_ = mean_average_precision(scores, labels, cw_only=cw_only)
-    predictions = {i: (CW if s >= threshold else NCW) for i, s in scores.items()}
+    predictions = {i: classify(s, threshold) for i, s in scores.items()}
     p, r, f1 = precision_recall_f1(predictions, labels, positive=CW)
     return EvalReport(target_topic_id, ap_cw, ap_ncw, map_, p, r, f1,
                       len(labels), cw_only)
+
+
+def column_means(reports: dict) -> dict:
+    """Full-precision means of MAP, precision, recall and F1 over a column
+    of EvalReports, summed in the column's order."""
+    return {metric: sum(getattr(r, metric) for r in reports.values())
+            / len(reports) for metric in ("map", "precision", "recall", "f1")}
 
 
 def delta_percent(base_map: float, new_map: float) -> int:
@@ -242,16 +266,9 @@ def render_report_table(reports: dict, title: str = "") -> str:
         lines.append(
             f"| {topic} | {r.precision:.2f} | {r.recall:.2f} | {r.f1:.2f} | {r.map:.4f} |"
         )
-    n = len(reports)
-    if n:
-        lines.append(
-            "| Average | {:.2f} | {:.2f} | {:.2f} | {:.4f} |".format(
-                sum(r.precision for r in reports.values()) / n,
-                sum(r.recall for r in reports.values()) / n,
-                sum(r.f1 for r in reports.values()) / n,
-                sum(r.map for r in reports.values()) / n,
-            )
-        )
+    if reports:
+        lines.append("| Average | {precision:.2f} | {recall:.2f} | {f1:.2f} "
+                     "| {map:.4f} |".format(**column_means(reports)))
     return "\n".join(lines) + "\n"
 
 

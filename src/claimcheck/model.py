@@ -1,10 +1,12 @@
 """Check-worthiness scorers: a self-contained baseline and an encoder client.
 
-Both backends expose the same surface: fit on labeled tweets, then map any
-text to P(CW) in [0, 1]. The baseline is a bag-of-words logistic regression
-trained by full-batch gradient descent, fully deterministic given its
-inputs. The encoder backend delegates training and scoring to a provider
-speaking the fixed JSON contract documented in providers.py.
+Both backends map any text to P(CW) in [0, 1] through `score_many`, and
+`train_scorer` is the one way to fit either. The baseline is a bag-of-words
+logistic regression trained by full-batch gradient descent, fully
+deterministic given its inputs; it is fit from token counts sliced out of
+`CorpusFeatures`, never from texts. The encoder backend delegates training
+and scoring to a provider speaking the fixed JSON contract documented in
+providers.py. Ranking and thresholding scores belong to evaluation.py.
 """
 
 from __future__ import annotations
@@ -43,11 +45,8 @@ __all__ = [
     "CorpusFeatures",
     "BaselineScorer",
     "EncoderScorer",
-    "ScoredRanking",
     "model_cache_key",
     "train_scorer",
-    "rank_records",
-    "classify",
 ]
 
 
@@ -67,9 +66,7 @@ class ScorerConfig:
 
     def resolved_hyperparams(self) -> dict:
         base = ENCODER_DEFAULTS if self.backend == "encoder" else BASELINE_DEFAULTS
-        merged = dict(base)
-        merged.update(self.hyperparams)
-        return merged
+        return {**base, **self.hyperparams}
 
 
 def _tokenize(text: str) -> list:
@@ -193,6 +190,19 @@ class CorpusFeatures:
         return vocab, x
 
 
+def _check_training(n: int, labels) -> None:
+    """Reject training data a scorer cannot learn from: `n` examples need
+    as many labels, each CW or NCW, and both classes."""
+    if n != len(labels):
+        raise ModelError("texts and labels must have the same length")
+    classes = set(labels)
+    if not classes <= {CW, NCW}:
+        unknown = ", ".join(sorted(map(repr, classes - {CW, NCW})))
+        raise ModelError(f"unknown labels: {unknown}")
+    if len(classes) < 2:
+        raise ModelError("training data contains a single class")
+
+
 class BaselineScorer:
     """Bag-of-words logistic regression.
 
@@ -209,16 +219,10 @@ class BaselineScorer:
         self.weights = None
         self.bias = 0.0
 
-    def fit(self, texts, labels) -> "BaselineScorer":
-        return self.fit_matrix(*count_matrix(texts), labels)
-
     def fit_matrix(self, vocab: dict, x, labels) -> "BaselineScorer":
         """Fit on counts `x` whose columns are `vocab`'s sorted tokens, as
         `count_matrix` or `CorpusFeatures.training_matrix` return them."""
-        if x.shape[0] != len(labels):
-            raise ModelError("texts and labels must have the same length")
-        if len(set(labels)) < 2:
-            raise ModelError("training data contains a single class")
+        _check_training(x.shape[0], labels)
         params = self.config.resolved_hyperparams()
         lr = float(params["learning_rate"])
         iters = int(params["iterations"])
@@ -317,13 +321,7 @@ class EncoderScorer:
         return params
 
     def fit(self, texts, labels) -> "EncoderScorer":
-        if len(texts) != len(labels):
-            raise ModelError("texts and labels must have the same length")
-        if len(set(labels)) < 2:
-            raise ModelError("training data contains a single class")
-        for lab in labels:
-            if lab not in (CW, NCW):
-                raise ModelError(f"unknown label {lab!r}")
+        _check_training(len(texts), labels)
         response = self.encoder({
             "mode": "train",
             "texts": list(texts),
@@ -363,29 +361,6 @@ class EncoderScorer:
         return out
 
 
-@dataclass(frozen=True)
-class ScoredRanking:
-    """Records ordered by descending P(CW), ids ascending within ties."""
-
-    order: tuple
-    scores: dict
-    target_topic_id: str = ""
-
-    def __post_init__(self):
-        if set(self.order) != set(self.scores):
-            raise ModelError("ranking order and score table disagree")
-        for tid, s in self.scores.items():
-            if not 0.0 <= s <= 1.0:
-                raise ModelError(f"score {s} for {tid} outside [0, 1]")
-
-    @property
-    def entries(self) -> tuple:
-        return tuple((i, self.scores[i]) for i in self.order)
-
-    def top(self, n: int) -> tuple:
-        return self.order[:n]
-
-
 def model_cache_key(config: ScorerConfig, texts, labels) -> str:
     """Cache key of a baseline model: trainer version, backend, resolved
     hyperparameters and seed, then the texts and then the labels, each as
@@ -412,10 +387,10 @@ def train_scorer(records, config: ScorerConfig, providers=None,
 
     Baseline models are cached under `cache_dir` by `model_cache_key`;
     encoder models live with their provider and are never cached here.
-    `features`, a zero-argument callable returning the `CorpusFeatures` of
-    the corpus the records come from, is called only when a baseline model
-    has to be trained; the counts then come from its matrix instead of the
-    texts.
+    A baseline model that has to be trained takes its counts from the
+    `CorpusFeatures` that `features`, a zero-argument callable, returns for
+    the corpus the records come from; without `features` they are counted
+    over the records themselves.
     """
     records = list(records)
     if not records:
@@ -423,40 +398,16 @@ def train_scorer(records, config: ScorerConfig, providers=None,
     texts = [r.text for r in records]
     labels = [r.label for r in records]
     if config.backend != "baseline":
-        encoder = getattr(providers, "encoder", None) if providers is not None else None
-        return EncoderScorer(config, encoder).fit(texts, labels)
+        return EncoderScorer(config, getattr(providers, "encoder", None)).fit(
+            texts, labels)
 
     def fit():
-        if features is None:
-            return BaselineScorer(config).fit(texts, labels)
+        counts = features() if features is not None else CorpusFeatures(records)
         return BaselineScorer(config).fit_matrix(
-            *features().training_matrix(records), labels)
+            *counts.training_matrix(records), labels)
 
     path = None
     if cache_dir is not None:
         path = Path(cache_dir) / f"{model_cache_key(config, texts, labels)}.npz"
     return cached(path, fit, BaselineScorer.save, BaselineScorer.load)
 
-
-def rank_records(scorer, records) -> ScoredRanking:
-    records = list(records)
-    ids = [r.tweet_id for r in records]
-    if not ids:
-        raise ModelError("cannot rank an empty record set")
-    if len(set(ids)) != len(ids):
-        raise ModelError("duplicate tweet ids in ranking input")
-    topics = {r.topic_id for r in records}
-    scores = scorer.score_many([r.text for r in records])
-    table = dict(zip(ids, scores))
-    order = tuple(sorted(table, key=lambda i: (-table[i], i)))
-    return ScoredRanking(order=order, scores=table,
-                         target_topic_id=topics.pop() if len(topics) == 1 else "")
-
-
-def classify(score: float, threshold: float = 0.5) -> str:
-    """Threshold a probability into CW/NCW; the boundary counts as CW."""
-    if not 0.0 <= score <= 1.0:
-        raise ModelError(f"score {score} outside [0, 1]")
-    if not 0.0 <= threshold <= 1.0:
-        raise ModelError(f"threshold {threshold} outside [0, 1]")
-    return CW if score >= threshold else NCW

@@ -28,6 +28,7 @@ from .corpus import Corpus
 from .errors import ClaimCheckError, ConfigError
 from .evaluation import (
     EvalReport,
+    column_means,
     evaluate_scores,
     improvement_table,
     render_improvement_table,
@@ -95,6 +96,14 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"shots ({self.shots}) exceed the holdout size ({self.holdout_k})"
                 )
+        if not (isinstance(self.threshold, (int, float))
+                and 0.0 <= self.threshold <= 1.0):
+            raise ConfigError(
+                f"threshold must be a number in [0, 1], got {self.threshold!r}")
+
+    def scorer_config(self) -> ScorerConfig:
+        return ScorerConfig(backend=self.backend_id,
+                            hyperparams=self.hyperparams, seed=self.seed)
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -177,11 +186,13 @@ def _stage(name: str, fn, *args, **kwargs):
 
 @dataclass(frozen=True)
 class PreparedCell:
-    """One cell's training data, before any model sees it."""
+    """One cell's training data, before any model sees it, and its test
+    records in id order."""
 
     holdouts: HoldoutTable
     split: TopicSplit
     train_records: list
+    test_records: list
     augmentation: AugmentationResult = None
 
 
@@ -229,7 +240,9 @@ def prepare_cell(config: ExperimentConfig, corpus: Corpus, target: str,
                        if cache_dir is not None else None),
             max_workers=config.max_workers or None,
         )
-    return PreparedCell(holdouts, split, train_records, aug_result)
+    test_records = [corpus.record(i) for i in sorted(split.test)]
+    return PreparedCell(holdouts, split, train_records, test_records,
+                        aug_result)
 
 
 def run_topic(config: ExperimentConfig, corpus: Corpus, target: str,
@@ -244,27 +257,23 @@ def run_topic(config: ExperimentConfig, corpus: Corpus, target: str,
     `features` is handed to `train_scorer` (see there).
     """
     cell = prepare_cell(config, corpus, target, providers, holdouts, cache_dir)
-    scorer_config = ScorerConfig(backend=config.backend_id,
-                                 hyperparams=config.hyperparams,
-                                 seed=config.seed)
-    scorer = _stage("train", train_scorer, cell.train_records, scorer_config,
-                    providers,
+    scorer = _stage("train", train_scorer, cell.train_records,
+                    config.scorer_config(), providers,
                     cache_dir=(Path(cache_dir) / "models"
                                if cache_dir is not None else None),
                     features=features)
 
-    test_records = [corpus.record(i) for i in sorted(cell.split.test)]
-    score_values = _stage("score", scorer.score_many,
-                          [r.text for r in test_records])
-    scores = {r.tweet_id: s for r, s in zip(test_records, score_values)}
-    labels = {r.tweet_id: r.label for r in test_records}
+    test = cell.test_records
+    score_values = _stage("score", scorer.score_many, [r.text for r in test])
+    scores = {r.tweet_id: s for r, s in zip(test, score_values)}
+    labels = {r.tweet_id: r.label for r in test}
     report = _stage("evaluate", evaluate_scores, target, scores, labels,
                     threshold=config.threshold, cw_only=config.cw_only_map)
 
     if details is not None:
         aug = cell.augmentation
         details["train_size"] = len(cell.train_records)
-        details["test_size"] = len(test_records)
+        details["test_size"] = len(test)
         details["aug_samples"] = len(aug.samples) if aug else 0
         details["aug_skips"] = list(aug.skips) if aug else []
         details["aug_identical"] = aug.identical_count if aug else 0
@@ -415,13 +424,7 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
     aggregates = {}
     for (setting, strategy, shots), column in reports.items():
         key = _cell_key(setting, strategy, shots)
-        aggregates[key] = {
-            "topics": len(column),
-            "map": sum(r.map for r in column.values()) / len(column),
-            "precision": sum(r.precision for r in column.values()) / len(column),
-            "recall": sum(r.recall for r in column.values()) / len(column),
-            "f1": sum(r.f1 for r in column.values()) / len(column),
-        }
+        aggregates[key] = {"topics": len(column), **column_means(column)}
 
     notes = []
     if suite == "fig4":
@@ -442,14 +445,6 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
     return record
 
 
-def _complete_columns(reports, combos, topics):
-    """Columns restricted to topics every combo completed."""
-    common = set(topics)
-    for combo in combos:
-        common &= set(reports.get(combo, {}))
-    return sorted(common)
-
-
 def _render_report(record: RunRecord, reports, combos, suite: str) -> str:
     lines = [f"# Suite {suite}", ""]
     lines.append(f"- tool version: {record.tool_version}")
@@ -464,8 +459,9 @@ def _render_report(record: RunRecord, reports, combos, suite: str) -> str:
         return {t: reports[combo][t] for t in topics}
 
     body = ""
-    all_topics = sorted({c["topic_id"] for c in record.cells})
-    topics_ok = _complete_columns(reports, combos, all_topics)
+    # the topics every combo completed
+    topics_ok = sorted({c["topic_id"] for c in record.cells}.intersection(
+        *(reports.get(combo, {}) for combo in combos)))
     if suite == "table2":
         combo = combos[0]
         col = reports.get(combo, {})

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from claimcheck import cli
 from claimcheck.cli import build_parser, main, _experiment_config
 from claimcheck.corpus import Corpus
 from claimcheck.providers import make_providers
@@ -116,6 +117,37 @@ def test_train_rank_round_trip(corpus_jsonl, tmp_path, capsys):
     lines = ranked.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "rank,tweet_id,score,label"
     assert len(lines) == 1 + 90  # 120 records minus the 30-tweet pool
+
+
+def test_train_and_rank_create_the_out_directory(corpus_jsonl, tmp_path,
+                                                capsys):
+    model = tmp_path / "models" / "model.npz"
+    ranked = tmp_path / "runs" / "ranked.csv"
+    assert main(["train", "--corpus", str(corpus_jsonl), "--target", "S-B",
+                 "--holdout-k", "30", "--out", str(model)]) == 0
+    assert main(["rank", "--corpus", str(corpus_jsonl), "--target", "S-B",
+                 "--model", str(model), "--holdout-k", "30",
+                 "--out", str(ranked)]) == 0
+    rows = [line.split(",") for line in
+            ranked.read_text(encoding="utf-8").splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == list(range(1, len(rows) + 1))
+    # descending P(CW), ties by ascending id
+    keys = [(-float(r[2]), r[1]) for r in rows]
+    assert keys == sorted(keys)
+
+
+def test_train_refuses_the_encoder_backend_before_any_provider_call(
+        corpus_jsonl, tmp_path, capsys, monkeypatch):
+    bundle = make_providers("mock")
+    monkeypatch.setattr(cli, "make_providers", lambda spec: bundle)
+    model = tmp_path / "model.npz"
+    rc = main(["train", "--corpus", str(corpus_jsonl), "--target", "S-B",
+               "--holdout-k", "30", "--backend", "encoder",
+               "--providers", "mock", "--out", str(model)])
+    assert rc == 2
+    assert "baseline" in capsys.readouterr().err
+    assert bundle.encoder.requests == []
+    assert not model.exists()
 
 
 def test_train_writes_exactly_the_out_path(corpus_jsonl, tmp_path, capsys):

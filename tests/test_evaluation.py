@@ -153,6 +153,18 @@ def test_evaluate_scores_builds_consistent_report():
     assert report.recall == pytest.approx(0.5)
 
 
+def test_evaluate_scores_labels_through_classify():
+    scores = {"a": 0.25, "b": 0.2, "c": 0.9}
+    labels = {"a": CW, "b": NCW, "c": NCW}
+    # a sits on the threshold, which counts as CW
+    report = evaluate_scores("t", scores, labels, threshold=0.25)
+    assert (report.precision, report.recall) == (0.5, 1.0)
+    with pytest.raises(EvalError, match="threshold"):
+        evaluate_scores("t", scores, labels, threshold=1.5)
+    with pytest.raises(EvalError, match="outside"):
+        evaluate_scores("t", {**scores, "b": float("nan")}, labels)
+
+
 def test_cw_only_map_keeps_the_true_ncw_ap():
     scores = {"a": 0.9, "b": 0.8, "c": 0.6, "d": 0.4, "e": 0.1}
     labels = {"a": CW, "b": CW, "c": NCW, "d": CW, "e": NCW}

@@ -1,26 +1,27 @@
-"""Scorer backends, ranking, and decision-rule tests."""
+"""Scorer backends, and the ranking and decision rule applied to their
+scores."""
 
 import random
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from claimcheck import model
 from claimcheck.corpus import CW, NCW, TweetRecord
-from claimcheck.errors import ModelError, ProviderError
+from claimcheck.errors import EvalError, ModelError, ProviderError
+from claimcheck.evaluation import classify, rank_scores
 from claimcheck.model import (
     BASELINE_DEFAULTS,
     ENCODER_DEFAULTS,
     BaselineScorer,
     CorpusFeatures,
     EncoderScorer,
-    ScoredRanking,
     ScorerConfig,
-    classify,
+    count_matrix,
     model_cache_key,
-    rank_records,
     train_scorer,
 )
 from claimcheck.providers import MockEncoderProvider, ProviderBundle
@@ -29,6 +30,11 @@ from claimcheck.providers import MockEncoderProvider, ProviderBundle
 def _rec(i, text, label, topic="T-A"):
     return TweetRecord(tweet_id=f"t{i:03d}", topic_id=topic, text=text,
                        label=label, source="CT20")
+
+
+def fit_texts(config, texts, labels):
+    """A baseline fit on the counts of `texts`, without a corpus."""
+    return BaselineScorer(config).fit_matrix(*count_matrix(texts), labels)
 
 
 def planted_records(n=60, seed=5):
@@ -83,8 +89,8 @@ def test_baseline_training_is_deterministic():
     texts = [r.text for r in records]
     labels = [r.label for r in records]
     cfg = ScorerConfig(backend="baseline")
-    a = BaselineScorer(cfg).fit(texts, labels)
-    b = BaselineScorer(cfg).fit(texts, labels)
+    a = fit_texts(cfg, texts, labels)
+    b = fit_texts(cfg, texts, labels)
     probes = ["X w1 w2", "w3 w4 w5", "unseen tokens only"]
     assert a.score_many(probes) == b.score_many(probes)
 
@@ -117,12 +123,24 @@ def test_baseline_order_independent_within_tolerance():
 def test_baseline_rejects_single_class():
     texts = ["a b", "c d", "e f"]
     with pytest.raises(ModelError):
-        BaselineScorer(ScorerConfig(backend="baseline")).fit(texts, [CW] * 3)
+        fit_texts(ScorerConfig(backend="baseline"), texts, [CW] * 3)
 
 
 def test_baseline_rejects_length_mismatch():
     with pytest.raises(ModelError):
-        BaselineScorer(ScorerConfig(backend="baseline")).fit(["a", "b"], [CW])
+        fit_texts(ScorerConfig(backend="baseline"), ["a", "b"], [CW])
+
+
+def test_baseline_rejects_unknown_labels():
+    # TweetRecord itself refuses the label, so a stand-in carries it
+    records = [SimpleNamespace(tweet_id=r.tweet_id, text=r.text, label=r.label)
+               for r in planted_records(n=12)]
+    records[3].label = "maybe"
+    cfg = ScorerConfig(backend="baseline")
+    with pytest.raises(ModelError, match="maybe"):
+        train_scorer(records, cfg)
+    with pytest.raises(ModelError, match="maybe"):
+        fit_texts(cfg, [r.text for r in records], [r.label for r in records])
 
 
 def test_train_scorer_rejects_empty_input():
@@ -198,8 +216,8 @@ def test_concurrent_cells_can_cache_the_same_model(tmp_path, monkeypatch):
     assert errors == []
     assert [p.suffix for p in tmp_path.iterdir()] == [".npz"]
     loaded = BaselineScorer.load(next(tmp_path.iterdir()))
-    fresh = BaselineScorer(cfg).fit([r.text for r in records],
-                                    [r.label for r in records])
+    fresh = fit_texts(cfg, [r.text for r in records],
+                      [r.label for r in records])
     assert loaded.score_many(["X w1", "w2"]) == fresh.score_many(["X w1", "w2"])
 
 
@@ -249,8 +267,7 @@ def test_model_cache_key_changes_when_one_label_flips():
 
 
 def test_model_with_an_empty_vocabulary_round_trips(tmp_path):
-    scorer = BaselineScorer(ScorerConfig(backend="baseline")).fit(
-        ["", " "], [CW, NCW])
+    scorer = fit_texts(ScorerConfig(backend="baseline"), ["", " "], [CW, NCW])
     assert scorer.vocab == {}
     path = tmp_path / "empty.npz"
     scorer.save(path)
@@ -263,8 +280,8 @@ def test_model_with_an_empty_vocabulary_round_trips(tmp_path):
 
 def test_non_ascii_vocabulary_round_trips_bit_for_bit(tmp_path):
     texts = ["كلمة عربية ✅", "émoji 😀 طويلة", "كلمة ü", "ü 😀"]
-    scorer = BaselineScorer(ScorerConfig(backend="baseline")).fit(
-        texts, [CW, NCW, CW, NCW])
+    scorer = fit_texts(ScorerConfig(backend="baseline"), texts,
+                       [CW, NCW, CW, NCW])
     path = tmp_path / "model.npz"
     scorer.save(path)
     loaded = BaselineScorer.load(path)
@@ -350,7 +367,7 @@ def test_corpus_matrix_fit_equals_text_fit(case):
     texts = [r.text for r in records]
     labels = [r.label for r in records]
     cfg = ScorerConfig(backend="baseline", hyperparams={"iterations": 50})
-    from_text = BaselineScorer(cfg).fit(texts, labels)
+    from_text = fit_texts(cfg, texts, labels)
     vocab, x = CorpusFeatures(corpus).training_matrix(records)
     _, text_x = model.count_matrix(texts)
     assert x.indices.dtype == np.int32
@@ -375,85 +392,55 @@ def test_train_scorer_fits_through_corpus_features():
         return CorpusFeatures(records)
 
     via_matrix = train_scorer(records[:40], cfg, features=features)
-    via_text = train_scorer(records[:40], cfg)
+    own_records = train_scorer(records[:40], cfg)
+    via_text = fit_texts(cfg, [r.text for r in records[:40]],
+                         [r.label for r in records[:40]])
     assert calls == [1]
     assert np.array_equal(via_matrix.weights, via_text.weights)
+    assert np.array_equal(own_records.weights, via_text.weights)
+    assert own_records.bias == via_text.bias
 
 
 # ---------------------------------------------------------------------------
-# ranking
+# ranking (claimcheck.evaluation.rank_scores)
 
 
 def test_rank_orders_by_descending_score():
-    class Fixed:
-        def score_many(self, texts):
-            table = {"high": 0.9, "low": 0.1, "mid": 0.5}
-            return [table[t] for t in texts]
-
-    records = [_rec(0, "high", CW), _rec(1, "low", NCW), _rec(2, "mid", NCW)]
-    ranking = rank_records(Fixed(), records)
-    assert ranking.order == ("t000", "t002", "t001")
-    assert ranking.entries == (("t000", 0.9), ("t002", 0.5), ("t001", 0.1))
+    scores = {"t000": 0.9, "t001": 0.1, "t002": 0.5}
+    assert rank_scores(scores) == ["t000", "t002", "t001"]
+    assert rank_scores(scores, NCW) == ["t001", "t002", "t000"]
 
 
 def test_rank_breaks_ties_by_ascending_id():
-    class Flat:
-        def score_many(self, texts):
-            return [0.5] * len(texts)
-
-    records = [_rec(i, f"text {i}", NCW) for i in (3, 1, 2)]
-    ranking = rank_records(Flat(), records)
-    assert ranking.order == ("t001", "t002", "t003")
+    scores = {tid: 0.5 for tid in ("t003", "t001", "t002")}
+    assert rank_scores(scores) == ["t001", "t002", "t003"]
+    assert rank_scores(scores, NCW) == ["t001", "t002", "t003"]
 
 
 def test_rank_is_a_bijection_over_inputs():
     records = planted_records(n=40)
     scorer = train_scorer(records, ScorerConfig(backend="baseline"))
-    ranking = rank_records(scorer, records)
-    assert sorted(ranking.order) == sorted(r.tweet_id for r in records)
-    assert len(set(ranking.order)) == len(records)
-
-
-def test_rank_sets_topic_for_homogeneous_input():
-    class Flat:
-        def score_many(self, texts):
-            return [0.5] * len(texts)
-
-    same = [_rec(i, f"text {i}", NCW, topic="T-B") for i in range(3)]
-    assert rank_records(Flat(), same).target_topic_id == "T-B"
-    mixed = same[:2] + [_rec(9, "text 9", NCW, topic="T-C")]
-    assert rank_records(Flat(), mixed).target_topic_id == ""
-
-
-def test_rank_rejects_duplicate_ids():
-    records = [_rec(1, "a", CW), _rec(1, "b", NCW)]
-    scorer = train_scorer(planted_records(), ScorerConfig(backend="baseline"))
-    with pytest.raises(ModelError):
-        rank_records(scorer, records)
+    scores = dict(zip([r.tweet_id for r in records],
+                      scorer.score_many([r.text for r in records])))
+    order = rank_scores(scores)
+    assert sorted(order) == sorted(r.tweet_id for r in records)
+    assert len(set(order)) == len(records)
 
 
 def test_rank_rejects_empty_input():
-    scorer = train_scorer(planted_records(), ScorerConfig(backend="baseline"))
-    with pytest.raises(ModelError):
-        rank_records(scorer, [])
+    with pytest.raises(EvalError):
+        rank_scores({})
 
 
 def test_ranking_rejects_inconsistent_tables():
-    with pytest.raises(ModelError):
-        ScoredRanking(order=("a", "b"), scores={"a": 0.5})
-    with pytest.raises(ModelError):
-        ScoredRanking(order=("a",), scores={"a": 1.5})
-
-
-def test_ranking_top_prefix():
-    ranking = ScoredRanking(order=("a", "b", "c"),
-                            scores={"a": 0.9, "b": 0.5, "c": 0.1})
-    assert ranking.top(2) == ("a", "b")
-    assert ranking.top(10) == ("a", "b", "c")
+    """A score table holding anything but a P(CW) has no ranking."""
+    for bad in (1.5, -0.1, float("nan")):
+        with pytest.raises(EvalError, match="outside"):
+            rank_scores({"a": 0.5, "b": bad})
 
 
 # ---------------------------------------------------------------------------
-# decision rule
+# decision rule (claimcheck.evaluation.classify)
 
 
 def test_classify_threshold_is_inclusive():
@@ -468,11 +455,13 @@ def test_classify_honours_custom_threshold():
 
 
 def test_classify_rejects_out_of_range_values():
-    with pytest.raises(ModelError):
+    with pytest.raises(EvalError):
         classify(1.2)
-    with pytest.raises(ModelError):
+    with pytest.raises(EvalError):
         classify(-0.1)
-    with pytest.raises(ModelError):
+    with pytest.raises(EvalError):
+        classify(float("nan"))
+    with pytest.raises(EvalError):
         classify(0.5, threshold=1.5)
 
 

@@ -1,7 +1,8 @@
 """HTTP provider tests against a local stub service on 127.0.0.1.
 
-The stub replies 200 unless a test queues other status codes; retry
-tests replace the retry back-off sleep with a no-op. A reply given as bytes
+The stub replies 200 unless a test queues other status codes; timeout
+tests make `requests.post` raise before the request leaves, and retry tests
+replace the retry back-off sleep with a no-op. A reply given as bytes
 is sent as it is, so a test can send a body that is not JSON.
 """
 
@@ -10,6 +11,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+import requests
 
 from claimcheck import providers as providers_mod
 from claimcheck.augment import GenerationParams
@@ -218,3 +220,61 @@ def test_encoder_score_outside_the_unit_interval_is_rejected(stub, no_sleep,
     stub.replies["/encode"] = {"scores": [0.5, score]}
     with pytest.raises(ProviderError, match="outside"):
         scorer.score_many(["a", "b"])
+
+
+# ---------------------------------------------------------------------------
+# timeouts
+
+
+class TimingOut:
+    """Stands in for `requests.post`: the first `n` calls time out before
+    anything is sent, later ones reach the stub. `attempts` holds the URL
+    of every call."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.attempts = []
+        self.post = requests.post
+
+    def __call__(self, url, **kwargs):
+        self.attempts.append(url)
+        if len(self.attempts) <= self.n:
+            raise requests.Timeout(f"read timed out ({kwargs['timeout']} s)")
+        return self.post(url, **kwargs)
+
+
+@pytest.fixture()
+def timeouts(monkeypatch):
+    """`timeouts(n)` makes the next `n` POSTs time out."""
+    def inject(n):
+        fake = TimingOut(n)
+        monkeypatch.setattr(providers_mod.requests, "post", fake)
+        return fake.attempts
+    return inject
+
+
+def test_timeout_then_success_is_retried(stub, no_sleep, timeouts):
+    attempts = timeouts(1)
+    result = HttpProvider(stub.url, "translator")(*CALLS["translator"][0])
+    assert result == EXPECTED["translator"]
+    assert attempts == [f"{stub.url}/translate"] * 2
+    assert stub.requests == [("/translate", CALLS["translator"][2])]
+
+
+def test_three_timeouts_give_a_provider_error_naming_the_url(stub, no_sleep,
+                                                            timeouts):
+    attempts = timeouts(3)
+    with pytest.raises(ProviderError, match="3 attempt") as err:
+        HttpProvider(stub.url, "filler")(*CALLS["filler"][0])
+    assert f"{stub.url}/fill" in str(err.value)
+    assert "timed out" in str(err.value)
+    assert len(attempts) == 3
+    assert stub.requests == []
+
+
+def test_encoder_train_that_times_out_is_sent_once(stub, no_sleep, timeouts):
+    attempts = timeouts(1)
+    train = {"mode": "train", "texts": ["t"], "labels": ["CW"], "hyperparams": {}}
+    with pytest.raises(ProviderError, match="timed out"):
+        HttpProvider(stub.url, "encoder")(train)
+    assert attempts == [f"{stub.url}/encode"]

@@ -1,15 +1,21 @@
 """Experiment runner and suite orchestration tests."""
 
+import csv
 import json
+import random
 import sys
+import tempfile
 import threading
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from claimcheck import runner
 from claimcheck.augment import BT, CWE, NONE, GenerationParams
-from claimcheck.errors import AugmentError, ConfigError
+from claimcheck.errors import AugmentError, ConfigError, ProviderError
 from claimcheck.providers import (
     MockEncoderProvider,
     ProviderBundle,
@@ -28,7 +34,7 @@ from claimcheck.runner import (
     run_topic,
 )
 from claimcheck.corpus import Corpus
-from claimcheck.model import CorpusFeatures
+from claimcheck.model import CorpusFeatures, ScorerConfig
 from claimcheck.splits import make_holdouts
 
 from mocks import MarkerFiller
@@ -100,6 +106,24 @@ def test_config_from_mapping_rejects_bad_generation_params():
         config_from_mapping({"generation_params": {"beam_width": 2}})
     with pytest.raises(ConfigError):
         config_from_mapping({"generation_params": 5})
+
+
+@pytest.mark.parametrize("threshold", [1.5, -3, float("nan"), "0.5"])
+def test_config_rejects_a_threshold_outside_the_unit_interval(threshold):
+    with pytest.raises(ConfigError, match="threshold"):
+        config_from_mapping({"threshold": threshold})
+
+
+def test_config_accepts_the_unit_interval_ends_as_threshold():
+    assert config_from_mapping({"threshold": 0}).threshold == 0
+    assert config_from_mapping({"threshold": 1.0}).threshold == 1.0
+
+
+def test_config_builds_the_scorer_config():
+    cfg = ExperimentConfig(backend_id="encoder", seed=4,
+                           hyperparams={"epochs": 1})
+    assert cfg.scorer_config() == ScorerConfig(
+        backend="encoder", hyperparams={"epochs": 1}, seed=4)
 
 
 def test_config_round_trips_through_mapping():
@@ -303,6 +327,74 @@ def test_wall_clock_total_is_wall_time_with_parallel_cells(suite_corpus,
     assert len(cell_times) == 12
     # two workers overlap cells that mostly wait on the encoder
     assert record.wall_clock["total"] < 0.75 * sum(cell_times)
+
+
+class PatternedEncoder(MockEncoderProvider):
+    """Fails the calls a seeded pattern picks, each in one of four ways:
+    a provider error, a fault outside the package's errors, a reply with
+    no handle or scores, and NaN scores. Each fault ends the one cell that
+    made the call, so `faults` is the number of cells that must fail."""
+
+    FAULTS = (
+        lambda payload: ProviderError("injected"),
+        lambda payload: RuntimeError("injected"),
+        lambda payload: {},
+        lambda payload: {"scores": [float("nan")] * len(payload["texts"])},
+    )
+
+    def __init__(self, seed: int, rate: float):
+        super().__init__()
+        self.rng = random.Random(seed)
+        self.rate = rate
+        self.faults = 0
+        self.lock = threading.Lock()
+
+    def __call__(self, payload):
+        with self.lock:
+            fault = (self.rng.choice(self.FAULTS)
+                     if self.rng.random() < self.rate else None)
+            self.faults += fault is not None
+        if fault is None:
+            return super().__call__(payload)
+        outcome = fault(payload)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       rate=st.sampled_from([0.0, 0.1, 0.3, 0.6, 1.0]),
+       suite=st.sampled_from(["table2", "table3"]),
+       workers=st.sampled_from([1, 2]))
+def test_suite_always_finishes_and_marks_every_failed_cell(suite_corpus, seed,
+                                                          rate, suite,
+                                                          workers):
+    encoder = PatternedEncoder(seed, rate)
+    providers = ProviderBundle(translator=identity_translator,
+                               filler=MarkerFiller(),
+                               generator=lambda prompt, params: "text",
+                               encoder=encoder)
+    config = few_shot_config(backend_id="encoder", max_workers=workers)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        record = run_suite(suite, suite_corpus, config, providers=providers,
+                           out_dir=out)
+        with open(out / "cells.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        report = (out / "report.md").read_text(encoding="utf-8")
+        run = json.loads((out / "run.json").read_text(encoding="utf-8"))
+
+    failed = {"{setting}/{strategy}/{shots}/{topic_id}".format(**row)
+              for row in rows if row["status"] == "failed"}
+    assert len(rows) == len(record.cells) == (3 if suite == "table2" else 12)
+    assert {row["status"] for row in rows} <= {"ok", "failed"}
+    assert len(failed) == encoder.faults
+    assert {f["cell"] for f in record.failures} == failed
+    assert run["failures"] == record.failures
+    listed = report.partition("## Failed cells")[2]
+    assert {line.split("`")[1] for line in listed.splitlines()
+            if line.startswith("- `")} == failed
 
 
 def test_suite_cells_csv_is_deterministic(suite_corpus, tmp_path):
