@@ -12,7 +12,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .augment import NONE, STRATEGIES
@@ -296,12 +296,7 @@ def _cmd_augment(args) -> int:
     out = args.out or "synthetic.jsonl"
     with open(out, "w", encoding="utf-8") as fh:
         for sample in result.samples:
-            fh.write(json.dumps({
-                "origin_tweet_id": sample.origin_tweet_id,
-                "text": sample.text,
-                "label": sample.label,
-                "strategy": sample.strategy,
-            }, ensure_ascii=False) + "\n")
+            fh.write(json.dumps(asdict(sample), ensure_ascii=False) + "\n")
     print(f"{config.strategy}: {len(result.samples)} synthetic, "
           f"{len(result.skips)} skipped, "
           f"{result.identical_count} identical to seed -> {out}")

@@ -75,15 +75,6 @@ class TweetRecord:
         if not self.text.strip():
             raise CorpusError(f"tweet {self.tweet_id} has empty text")
 
-    def to_dict(self) -> dict:
-        return {
-            "tweet_id": self.tweet_id,
-            "topic_id": self.topic_id,
-            "text": self.text,
-            "label": self.label,
-            "source": self.source,
-        }
-
     @classmethod
     def from_dict(cls, d: dict) -> "TweetRecord":
         return cls(
@@ -216,23 +207,15 @@ def load_tsv(path, schema: TsvSchema) -> list:
     return records
 
 
-def merge_covid_topics(records, merge_table: dict | None = None) -> list:
+def merge_covid_topics(records) -> list:
     """Relabel topic ids onto their canonical ids; never drops a record.
 
-    The default table folds the known source topics onto their canonical
-    ids and maps every other observed id to itself; an explicit table must
-    cover every topic id present.
+    `DEFAULT_MERGE_TABLE` folds the known source topics onto their
+    canonical ids; every other topic id maps to itself.
     """
-    if merge_table is None:
-        table = {rec.topic_id: rec.topic_id for rec in records}
-        table.update(DEFAULT_MERGE_TABLE)
-    else:
-        table = merge_table
     merged = []
     for rec in records:
-        if rec.topic_id not in table:
-            raise CorpusError(f"topic id not covered by the merge table: {rec.topic_id!r}")
-        target = table[rec.topic_id]
+        target = DEFAULT_MERGE_TABLE.get(rec.topic_id, rec.topic_id)
         if target == rec.topic_id:
             merged.append(rec)
         else:
@@ -307,9 +290,6 @@ class Corpus:
             raise CorpusError(f"unknown tweet id: {tweet_id!r}")
         return self._by_id[tweet_id]
 
-    def labels(self) -> dict:
-        return {r.tweet_id: r.label for r in self._records}
-
     def validate_canonical(self):
         """Require every topic id to be one of the 14 canonical ids."""
         unknown = sorted(set(self._by_topic) - set(CANONICAL_TOPIC_IDS))
@@ -318,9 +298,11 @@ class Corpus:
         return self
 
     def to_jsonl(self, path):
+        # vars(), not asdict(): one line per record in field order, without
+        # asdict's deep copy of every value
         with open(path, "w", encoding="utf-8") as fh:
             for rec in self._records:
-                fh.write(json.dumps(rec.to_dict(), ensure_ascii=False) + "\n")
+                fh.write(json.dumps(vars(rec), ensure_ascii=False) + "\n")
 
     @classmethod
     def from_jsonl(cls, path) -> "Corpus":
@@ -347,8 +329,7 @@ class BuildReport:
     topics_after_merge: int
 
 
-def build_corpus(inputs, merge_table: dict | None = None,
-                 require_canonical: bool = True) -> tuple:
+def build_corpus(inputs, require_canonical: bool = True) -> tuple:
     """Full ingestion pipeline: load, dedupe across datasets, merge topics.
 
     `inputs` is a sequence of (path, TsvSchema) pairs. Returns
@@ -361,7 +342,7 @@ def build_corpus(inputs, merge_table: dict | None = None,
         files.append(str(path))
     records, dropped = dedupe_records(records)
     topics_before = len({r.topic_id for r in records})
-    records = merge_covid_topics(records, merge_table)
+    records = merge_covid_topics(records)
     topics_after = len({r.topic_id for r in records})
     corpus = Corpus(records)
     if require_canonical:
@@ -372,8 +353,6 @@ def build_corpus(inputs, merge_table: dict | None = None,
 
 def corpus_stats(corpus: Corpus) -> CorpusStats:
     """Exact per-topic and overall class counts."""
-    if len(corpus) == 0:
-        raise CorpusError("cannot compute statistics of an empty corpus")
     per_topic = {}
     total_cw = 0
     for topic_id in corpus.topic_ids():

@@ -11,8 +11,6 @@ percentage deltas.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -79,13 +77,6 @@ class EvalReport:
         if self.cw_only:
             out["cw_only"] = True
         return out
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EvalReport":
-        return cls(**{k: d[k] for k in (
-            "target_topic_id", "ap_cw", "ap_ncw", "map",
-            "precision", "recall", "f1", "n_test",
-        )}, cw_only=d.get("cw_only", False))
 
 
 def _unit(value: float, name: str = "score") -> float:
@@ -180,11 +171,16 @@ def evaluate_scores(target_topic_id: str, scores: dict, labels: dict,
                       len(labels), cw_only)
 
 
+def _mean(values) -> float:
+    """The column-average rule: the full-precision mean, summed in order."""
+    return sum(values) / len(values)
+
+
 def column_means(reports: dict) -> dict:
     """Full-precision means of MAP, precision, recall and F1 over a column
     of EvalReports, summed in the column's order."""
-    return {metric: sum(getattr(r, metric) for r in reports.values())
-            / len(reports) for metric in ("map", "precision", "recall", "f1")}
+    return {metric: _mean([getattr(r, metric) for r in reports.values()])
+            for metric in ("map", "precision", "recall", "f1")}
 
 
 def delta_percent(base_map: float, new_map: float) -> int:
@@ -233,6 +229,7 @@ def improvement_table(base: dict, variants: dict) -> ImprovementTable:
     """
     topics = sorted(base)
     base_maps = {t: _as_map(v) for t, v in base.items()}
+    base_avg = _mean(base_maps.values())
     cells = {}
     average = {}
     for name, column in variants.items():
@@ -243,8 +240,7 @@ def improvement_table(base: dict, variants: dict) -> ImprovementTable:
             t: ImprovementCell(base_maps[t], col[t], delta_percent(base_maps[t], col[t]))
             for t in topics
         }
-        base_avg = sum(base_maps.values()) / len(base_maps)
-        new_avg = sum(col.values()) / len(col)
+        new_avg = _mean(col.values())
         average[name] = ImprovementCell(base_avg, new_avg, delta_percent(base_avg, new_avg))
     return ImprovementTable(topics, list(variants), base_maps, cells, average)
 
@@ -292,27 +288,12 @@ def render_improvement_table(table: ImprovementTable, base_name: str = "base",
             c = table.cell(name, topic)
             row += f" {c.new_map:.4f} | {format_delta(c.delta_pct)} |"
         lines.append(row)
-    base_avg = sum(table.base.values()) / len(table.base)
-    row = f"| Average | {base_avg:.4f} |"
+    row = f"| Average | {_mean(table.base.values()):.4f} |"
     for name in table.variant_names:
         c = table.average[name]
         row += f" {c.new_map:.4f} | {format_delta(c.delta_pct)} |"
     lines.append(row)
     return "\n".join(lines) + "\n"
-
-
-def improvement_csv(table: ImprovementTable, base_name: str = "base") -> str:
-    """CSV export of every cell of an improvement table."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["topic", "variant", "base_map", "new_map", "delta_pct"])
-    for name in table.variant_names:
-        for topic in table.topics:
-            c = table.cell(name, topic)
-            writer.writerow([topic, name, f"{c.base_map:.10f}", f"{c.new_map:.10f}", c.delta_pct])
-        c = table.average[name]
-        writer.writerow(["AVERAGE", name, f"{c.base_map:.10f}", f"{c.new_map:.10f}", c.delta_pct])
-    return buf.getvalue()
 
 
 def reports_to_json(reports: dict) -> str:

@@ -63,6 +63,14 @@ class ScorerConfig:
             raise ModelError(
                 f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
             )
+        if not isinstance(self.hyperparams, dict):
+            raise ModelError(
+                f"hyperparams must be a mapping, got {self.hyperparams!r}")
+        # encoder hyperparameters go to the provider unchecked
+        unknown = sorted(set(self.hyperparams) - set(BASELINE_DEFAULTS))
+        if self.backend == "baseline" and unknown:
+            raise ModelError(f"unknown baseline hyperparameters {unknown}; "
+                             f"expected some of {sorted(BASELINE_DEFAULTS)}")
 
     def resolved_hyperparams(self) -> dict:
         base = ENCODER_DEFAULTS if self.backend == "encoder" else BASELINE_DEFAULTS
@@ -252,9 +260,6 @@ class BaselineScorer:
         self.bias = b
         return self
 
-    def score(self, text: str) -> float:
-        return self.score_many([text])[0]
-
     def score_many(self, texts) -> list:
         if self.weights is None:
             raise ModelError("scorer is not trained")
@@ -333,9 +338,6 @@ class EncoderScorer:
             raise ProviderError(f"encoder train response missing handle: {response!r}")
         self.handle = handle
         return self
-
-    def score(self, text: str) -> float:
-        return self.score_many([text])[0]
 
     def score_many(self, texts) -> list:
         if self.handle is None:

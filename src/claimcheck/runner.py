@@ -18,14 +18,14 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .augment import (NONE, STRATEGIES, AugmentationResult, GenerationParams,
                       augment_training)
 from .cache import stable_hash
 from .corpus import Corpus
-from .errors import ClaimCheckError, ConfigError
+from .errors import ClaimCheckError, ConfigError, ModelError
 from .evaluation import (
     EvalReport,
     column_means,
@@ -100,17 +100,21 @@ class ExperimentConfig:
                 and 0.0 <= self.threshold <= 1.0):
             raise ConfigError(
                 f"threshold must be a number in [0, 1], got {self.threshold!r}")
+        if not (isinstance(self.ratio, (int, float))
+                and 0.0 < self.ratio <= 1.0):
+            raise ConfigError(
+                f"ratio must be a number in (0, 1], got {self.ratio!r}")
+        try:  # ScorerConfig owns the backend and hyperparameter checks
+            self.scorer_config()
+        except ModelError as exc:
+            raise ConfigError(str(exc)) from None
 
     def scorer_config(self) -> ScorerConfig:
         return ScorerConfig(backend=self.backend_id,
                             hyperparams=self.hyperparams, seed=self.seed)
 
     def to_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["generation_params"] = self.generation_params.to_dict()
-        out["output_dir"] = str(self.output_dir)
-        out["hyperparams"] = dict(self.hyperparams)
-        return out
+        return {**asdict(self), "output_dir": str(self.output_dir)}
 
 
 def config_from_mapping(data: dict) -> ExperimentConfig:
@@ -133,18 +137,19 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
 
 @dataclass
 class RunRecord:
-    """Everything a finished suite run leaves behind, minus the artifacts."""
+    """Everything a finished suite run leaves behind, minus the artifacts;
+    the fields are declared in run.json's key order."""
 
     suite: str
+    tool_version: str = field(default=TOOL_VERSION, kw_only=True)
     config: dict
     corpus_hash: str
+    notes: list = field(default_factory=list, kw_only=True)
     cells: list
     aggregates: dict
     skip_counts: dict
     failures: list
     wall_clock: dict
-    tool_version: str = TOOL_VERSION
-    notes: list = field(default_factory=list)
 
     def __post_init__(self):
         for cell in self.cells:
@@ -154,19 +159,7 @@ class RunRecord:
                 )
 
     def to_json(self) -> str:
-        payload = {
-            "suite": self.suite,
-            "tool_version": self.tool_version,
-            "config": self.config,
-            "corpus_hash": self.corpus_hash,
-            "notes": self.notes,
-            "cells": self.cells,
-            "aggregates": self.aggregates,
-            "skip_counts": self.skip_counts,
-            "failures": self.failures,
-            "wall_clock": self.wall_clock,
-        }
-        return json.dumps(payload, indent=2, ensure_ascii=False, sort_keys=False)
+        return json.dumps(asdict(self), indent=2, ensure_ascii=False)
 
 
 def corpus_fingerprint(corpus: Corpus) -> str:
@@ -492,12 +485,9 @@ def _render_report(record: RunRecord, reports, combos, suite: str) -> str:
                     f"| {t} |" + "".join(
                         f" {reports[c][t].map:.4f} |" for c in combos)
                 )
-            rows.append(
-                "| Average |" + "".join(
-                    " {:.4f} |".format(
-                        sum(reports[c][t].map for t in topics_ok) / len(topics_ok))
-                    for c in combos)
-            )
+            rows.append("| Average |" + "".join(
+                " {:.4f} |".format(column_means(column(c, topics_ok))["map"])
+                for c in combos))
             body = "### MAP by number of shots\n\n" + "\n".join(rows) + "\n"
 
     lines.append(body if body else "_No complete columns; see failures._\n")

@@ -216,6 +216,8 @@ def test_augment_writes_synthetic_samples(corpus_jsonl, tmp_path, capsys):
     samples = [json.loads(l) for l in
                out.read_text(encoding="utf-8").splitlines()]
     assert len(samples) == 50
+    assert all(list(s) == ["origin_tweet_id", "text", "label", "strategy"]
+               for s in samples)
     assert all(s["strategy"] == "CWE" for s in samples)
     assert all(s["origin_tweet_id"].startswith("S-A") for s in samples)
 

@@ -143,12 +143,6 @@ def test_merge_reduces_seventeen_topics_to_fourteen():
     assert len(merged) == 17
 
 
-def test_merge_explicit_table_must_cover_all_topics():
-    records = [_rec("1", topic_id="T-A")]
-    with pytest.raises(CorpusError, match="T-A"):
-        merge_covid_topics(records, merge_table={"T-B": "T-B"})
-
-
 # ---- dedup
 
 
@@ -190,6 +184,14 @@ def test_corpus_round_trip(tmp_path, small_corpus):
     small_corpus.to_jsonl(path)
     reloaded = Corpus.from_jsonl(path)
     assert reloaded.records == small_corpus.records
+
+
+def test_to_jsonl_writes_each_record_unescaped_in_field_order(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    Corpus([_rec("7", text="هل هذا صحيح؟ #كورونا")]).to_jsonl(path)
+    assert path.read_text(encoding="utf-8") == (
+        '{"tweet_id": "7", "topic_id": "CT20-AR-01", '
+        '"text": "هل هذا صحيح؟ #كورونا", "label": "CW", "source": "CT20"}\n')
 
 
 def test_validate_canonical(protocol_corpus_14, small_corpus):

@@ -16,7 +16,6 @@ from claimcheck.evaluation import (
     delta_percent,
     evaluate_scores,
     format_delta,
-    improvement_csv,
     improvement_table,
     mean_average_precision,
     precision_recall_f1,
@@ -175,7 +174,7 @@ def test_cw_only_map_keeps_the_true_ncw_ap():
     assert cw_only.map == cw_only.ap_cw
     assert mean_average_precision(scores, labels, cw_only=True) == (
         default.ap_cw, default.ap_ncw, default.ap_cw)
-    assert EvalReport.from_dict(cw_only.to_dict()) == cw_only
+    assert cw_only.to_dict()["cw_only"] is True
     assert "cw_only" not in default.to_dict()
 
 
@@ -260,14 +259,9 @@ def test_delta_rendering_styles():
     assert format_delta(-11) == "(-11%)"
 
 
-def test_render_and_csv_round_trip():
+def test_render_improvement_table_deltas():
     base = {"t1": 0.2468, "t2": 0.5637}
     variants = {"CWE": {"t1": 0.4868, "t2": 0.8448}}
     table = improvement_table(base, variants)
     text = render_improvement_table(table, base_name="zero-shot")
     assert "(+24%)" in text and "(+28%)" in text
-    csv_text = improvement_csv(table, base_name="zero-shot")
-    lines = csv_text.strip().split("\n")
-    assert lines[0] == "topic,variant,base_map,new_map,delta_pct"
-    assert len(lines) == 4  # two topics + average, plus the header
-    assert lines[-1].startswith("AVERAGE,CWE,")

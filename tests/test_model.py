@@ -98,14 +98,14 @@ def test_baseline_training_is_deterministic():
 def test_baseline_learns_planted_token():
     records = planted_records()
     scorer = train_scorer(records, ScorerConfig(backend="baseline"))
-    assert scorer.score("X X X") > scorer.score("w1 w2 w3")
+    high, low = scorer.score_many(["X X X", "w1 w2 w3"])
+    assert high > low
 
 
 def test_baseline_scores_stay_probabilities():
     records = planted_records()
     scorer = train_scorer(records, ScorerConfig(backend="baseline"))
-    for text in ["X X X X X X X X", "w1", "", "zz yy"]:
-        s = scorer.score(text)
+    for s in scorer.score_many(["X X X X X X X X", "w1", "", "zz yy"]):
         assert 0.0 <= s <= 1.0
 
 
@@ -116,8 +116,9 @@ def test_baseline_order_independent_within_tolerance():
     cfg = ScorerConfig(backend="baseline")
     a = train_scorer(records, cfg)
     b = train_scorer(shuffled, cfg)
-    for probe in ["X w1 w2", "w3 w4 w5 w6", "X"]:
-        assert a.score(probe) == pytest.approx(b.score(probe), abs=1e-6)
+    probes = ["X w1 w2", "w3 w4 w5 w6", "X"]
+    assert a.score_many(probes) == pytest.approx(b.score_many(probes),
+                                                 abs=1e-6)
 
 
 def test_baseline_rejects_single_class():
@@ -151,7 +152,7 @@ def test_train_scorer_rejects_empty_input():
 def test_untrained_scorer_refuses_to_score():
     scorer = BaselineScorer(ScorerConfig(backend="baseline"))
     with pytest.raises(ModelError):
-        scorer.score("anything")
+        scorer.score_many(["anything"])
 
 
 def test_baseline_save_load_round_trip(tmp_path):

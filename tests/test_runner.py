@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from claimcheck import runner
 from claimcheck.augment import BT, CWE, NONE, GenerationParams
-from claimcheck.errors import AugmentError, ConfigError, ProviderError
+from claimcheck.errors import (AugmentError, ConfigError, ModelError,
+                               ProviderError)
 from claimcheck.providers import (
     MockEncoderProvider,
     ProviderBundle,
@@ -117,6 +118,33 @@ def test_config_rejects_a_threshold_outside_the_unit_interval(threshold):
 def test_config_accepts_the_unit_interval_ends_as_threshold():
     assert config_from_mapping({"threshold": 0}).threshold == 0
     assert config_from_mapping({"threshold": 1.0}).threshold == 1.0
+
+
+@pytest.mark.parametrize("ratio", [0, 1.5])
+def test_config_rejects_a_ratio_outside_zero_to_one(ratio):
+    with pytest.raises(ConfigError, match="ratio"):
+        config_from_mapping({"ratio": ratio})
+
+
+def test_config_rejects_an_unknown_backend():
+    with pytest.raises(ConfigError, match="svm"):
+        config_from_mapping({"backend_id": "svm"})
+
+
+def test_config_rejects_a_misspelled_baseline_hyperparameter():
+    with pytest.raises(ModelError, match="iteration"):
+        ScorerConfig(hyperparams={"iteration": 1})
+    with pytest.raises(ConfigError, match="iteration"):
+        config_from_mapping({"hyperparams": {"iteration": 1}})
+    # encoder hyperparameters go to the provider unchecked
+    config_from_mapping({"backend_id": "encoder",
+                         "hyperparams": {"iteration": 1}})
+
+
+@pytest.mark.parametrize("backend", ["baseline", "encoder"])
+def test_config_rejects_hyperparams_that_are_not_a_mapping(backend):
+    with pytest.raises(ConfigError, match="mapping"):
+        config_from_mapping({"backend_id": backend, "hyperparams": None})
 
 
 def test_config_builds_the_scorer_config():
@@ -255,6 +283,9 @@ def test_suite_writes_artifacts(suite_corpus, tmp_path):
     assert (tmp_path / "cells.csv").exists()
     assert (tmp_path / "report.md").exists()
     payload = json.loads((tmp_path / "run.json").read_text(encoding="utf-8"))
+    assert list(payload) == [
+        "suite", "tool_version", "config", "corpus_hash", "notes", "cells",
+        "aggregates", "skip_counts", "failures", "wall_clock"]
     assert payload["suite"] == "table2"
     assert payload["corpus_hash"] == corpus_fingerprint(suite_corpus)
     assert "total" in payload["wall_clock"]
