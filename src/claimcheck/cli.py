@@ -241,9 +241,10 @@ def _cmd_train(args) -> int:
     cell = prepare_cell(config, Corpus.from_jsonl(args.corpus), args.target,
                         _providers_from(args))
     out = args.out or "model.npz"
-    train_scorer(cell.train_records, config.scorer_config()).save(
-        _out_file(out))
-    print(f"trained on {len(cell.train_records)} records -> {out}")
+    scorer = train_scorer(cell.train_records, config.scorer_config())
+    scorer.save(_out_file(out))
+    print(f"trained on {len(cell.train_records)} records in {scorer.n_iter} "
+          f"solver iterations (gradient norm {scorer.grad_norm:.2g}) -> {out}")
     return 0
 
 

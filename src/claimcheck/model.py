@@ -2,17 +2,20 @@
 
 Both backends map any text to P(CW) in [0, 1] through `score_many`, and
 `train_scorer` is the one way to fit either. The baseline is a bag-of-words
-logistic regression trained by full-batch gradient descent, fully
-deterministic given its inputs; it is fit from token counts sliced out of
-`CorpusFeatures`, never from texts. The encoder backend delegates training
-and scoring to a provider speaking the fixed JSON contract documented in
-providers.py. Ranking and thresholding scores belong to evaluation.py.
+logistic regression fit to convergence by a trust-region Newton method,
+fully deterministic given its inputs; it is fit from token counts sliced
+out of `CorpusFeatures`, never from texts. The encoder backend delegates
+training and scoring to a provider speaking the fixed JSON contract
+documented in providers.py. Ranking and thresholding scores belong to
+evaluation.py.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import numbers
 import zipfile
 from array import array
 from bisect import bisect_left
@@ -30,16 +33,20 @@ from .errors import ModelError, ProviderError
 BACKENDS = ("baseline", "encoder")
 
 ENCODER_DEFAULTS = {"epochs": 3, "batch_size": 32, "max_seq_len": 128}
-BASELINE_DEFAULTS = {"learning_rate": 1.0, "iterations": 300, "l2": 1e-4}
+# `iterations` caps the solver's outer iterations; `l2` weighs ||w||^2 / 2
+BASELINE_DEFAULTS = {"iterations": 300, "l2": 1e-4}
 # Part of every baseline model-cache key; bump it whenever the numbers
 # `BaselineScorer.fit_matrix` produces change, so older entries are retrained.
-TRAINER_VERSION = 1
+TRAINER_VERSION = 2
+# The baseline solver stops once the gradient's 2-norm falls below this.
+GRADIENT_TOLERANCE = 1e-5
 
 __all__ = [
     "BACKENDS",
     "ENCODER_DEFAULTS",
     "BASELINE_DEFAULTS",
     "TRAINER_VERSION",
+    "GRADIENT_TOLERANCE",
     "ScorerConfig",
     "count_matrix",
     "CorpusFeatures",
@@ -66,11 +73,22 @@ class ScorerConfig:
         if not isinstance(self.hyperparams, dict):
             raise ModelError(
                 f"hyperparams must be a mapping, got {self.hyperparams!r}")
-        # encoder hyperparameters go to the provider unchecked
+        if self.backend != "baseline":
+            return  # encoder hyperparameters go to the provider unchecked
         unknown = sorted(set(self.hyperparams) - set(BASELINE_DEFAULTS))
-        if self.backend == "baseline" and unknown:
+        if unknown:
             raise ModelError(f"unknown baseline hyperparameters {unknown}; "
                              f"expected some of {sorted(BASELINE_DEFAULTS)}")
+        params = self.resolved_hyperparams()
+        iters, l2 = params["iterations"], params["l2"]
+        if (isinstance(iters, bool) or not isinstance(iters, numbers.Integral)
+                or iters < 1):
+            raise ModelError(
+                f"baseline iterations must be an integer >= 1, got {iters!r}")
+        if (isinstance(l2, bool) or not isinstance(l2, numbers.Real)
+                or not math.isfinite(l2) or l2 < 0):
+            raise ModelError(
+                f"baseline l2 must be a finite number >= 0, got {l2!r}")
 
     def resolved_hyperparams(self) -> dict:
         base = ENCODER_DEFAULTS if self.backend == "encoder" else BASELINE_DEFAULTS
@@ -211,14 +229,109 @@ def _check_training(n: int, labels) -> None:
         raise ModelError("training data contains a single class")
 
 
+def _to_boundary(s, d, radius: float) -> float:
+    """The t > 0 with ||s + t·d|| = radius, for s strictly inside."""
+    a, b, c = float(d @ d), 2.0 * float(s @ d), float(s @ s) - radius * radius
+    aux = b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b)
+    return max(-aux / (2.0 * a), -2.0 * c / aux)
+
+
+def _steihaug(hessp, g, gnorm: float, radius: float):
+    """Minimize the model g·s + s·H·s/2 over ||s|| <= radius by conjugate
+    gradients (Steihaug), stopping at the boundary, on curvature
+    d·H·d <= 0, or once the model's gradient is below
+    min(0.5, sqrt(||g||))·||g||. Returns the step s, the model's gradient
+    g + H·s there, and whether s lies on the boundary."""
+    tol = min(0.5, math.sqrt(gnorm)) * gnorm
+    s = np.zeros_like(g)
+    r = g
+    d = -r
+    rr = float(r @ r)
+    while True:
+        hd = hessp(d)
+        dhd = float(d @ hd)
+        if dhd > 0:
+            alpha = rr / dhd
+            step = s + alpha * d
+            if float(step @ step) < radius * radius:
+                s, r = step, r + alpha * hd
+                rr_next = float(r @ r)
+                if math.sqrt(rr_next) < tol:
+                    return s, r, False
+                d = (rr_next / rr) * d - r
+                rr = rr_next
+                continue
+        t = _to_boundary(s, d, radius)
+        return s + t * d, r + t * hd, True
+
+
+def _fit_logistic(x, y, l2: float, max_iter: int):
+    """Minimize mean(log(1 + e^z) - y·z) + l2/2·||w||^2, z = x·w + b, over
+    theta = (w, b), the bias unregularized, by trust-region Newton with
+    Steihaug conjugate gradients (Lin, Weng & Keerthi, JMLR 2008; the
+    trust-region rules of Nocedal & Wright, Alg. 7.2). Starts at zero and
+    stops once ||gradient|| < GRADIENT_TOLERANCE or after `max_iter` outer
+    iterations. Returns (theta, outer iterations, final gradient norm)."""
+    n = x.shape[0]
+    # the CSC view of x; its matvec is faster than one with x.T.tocsr()
+    xt = x.T
+
+    def loss(theta):
+        w = theta[:-1]
+        z = x @ w + theta[-1]
+        soft = np.logaddexp(0.0, z)
+        return float(np.mean(soft - y * z)) + 0.5 * l2 * float(w @ w), z, soft
+
+    def gradient(theta, z, soft):
+        """The gradient, and p(1 - p)/n per row, which weighs the Hessian."""
+        err = (np.exp(z - soft) - y) / n  # exp(z - soft) is p, overflow-free
+        g = np.empty_like(theta)
+        g[:-1] = xt @ err + l2 * theta[:-1]
+        g[-1] = err.sum()
+        return g, np.exp(z - 2.0 * soft) / n
+
+    def hessp(v):
+        t = curvature * (x @ v[:-1] + v[-1])
+        hv = np.empty_like(v)
+        hv[:-1] = xt @ t + l2 * v[:-1]
+        hv[-1] = t.sum()
+        return hv
+
+    theta = np.zeros(x.shape[1] + 1)
+    f, z, soft = loss(theta)
+    g, curvature = gradient(theta, z, soft)
+    gnorm = float(np.sqrt(g @ g))
+    radius = 1.0
+    done = 0
+    while gnorm >= GRADIENT_TOLERANCE and done < max_iter:
+        step, model_grad, on_boundary = _steihaug(hessp, g, gnorm, radius)
+        predicted = -0.5 * float(step @ (g + model_grad))
+        if predicted <= 0:  # rounding has swamped the model's decrease
+            break
+        trial = theta + step
+        f_trial, z, soft = loss(trial)
+        rho = (f - f_trial) / predicted
+        if rho < 0.25:
+            radius *= 0.25
+        elif rho > 0.75 and on_boundary:
+            radius *= 2.0
+        if rho > 0.15:
+            theta, f = trial, f_trial
+            g, curvature = gradient(theta, z, soft)
+            gnorm = float(np.sqrt(g @ g))
+        done += 1
+    return theta, done, gnorm
+
+
 class BaselineScorer:
     """Bag-of-words logistic regression.
 
-    The vocabulary is the sorted set of training tokens and weights start
-    at zero, so training is deterministic and insensitive to record order
-    (up to float summation noise). The gradient step is scaled by a
-    Lipschitz bound derived from the data, which keeps full-batch descent
-    stable without tuning.
+    The vocabulary is the sorted set of training tokens, and the weights
+    are the minimizer of the regularized logistic loss, found from zero by
+    a trust-region Newton solve, so training is deterministic and
+    insensitive to record order (up to float summation noise). `n_iter`
+    and `grad_norm` report the last fit's outer iterations and final
+    gradient norm; a loaded model has neither.
     """
 
     def __init__(self, config: ScorerConfig):
@@ -226,38 +339,20 @@ class BaselineScorer:
         self.vocab = {}
         self.weights = None
         self.bias = 0.0
+        self.n_iter = None
+        self.grad_norm = None
 
     def fit_matrix(self, vocab: dict, x, labels) -> "BaselineScorer":
         """Fit on counts `x` whose columns are `vocab`'s sorted tokens, as
         `count_matrix` or `CorpusFeatures.training_matrix` return them."""
         _check_training(x.shape[0], labels)
         params = self.config.resolved_hyperparams()
-        lr = float(params["learning_rate"])
-        iters = int(params["iterations"])
-        l2 = float(params["l2"])
-
-        self.vocab = vocab
         y = np.array([1.0 if lab == CW else 0.0 for lab in labels])
-        n = x.shape[0]
-
-        w = np.zeros(x.shape[1])
-        b = 0.0
-        # 0.25 * max ||x_i||^2 bounds the logistic loss curvature per row.
-        row_sq = np.asarray(x.multiply(x).sum(axis=1)).ravel()
-        lipschitz = max(0.25 * float(row_sq.max(initial=0.0)) + l2, 1e-12)
-        step = lr / lipschitz
-        # the CSC view of x; its matvec is faster than one with x.T.tocsr()
-        xt = x.T
-        for _ in range(iters):
-            z = x @ w + b
-            p = 1.0 / (1.0 + np.exp(-z))
-            err = p - y
-            grad_w = (xt @ err) / n + l2 * w
-            grad_b = float(err.mean())
-            w -= step * grad_w
-            b -= step * grad_b
-        self.weights = w
-        self.bias = b
+        theta, self.n_iter, self.grad_norm = _fit_logistic(
+            x, y, float(params["l2"]), params["iterations"])
+        self.vocab = vocab
+        self.weights = theta[:-1]
+        self.bias = float(theta[-1])
         return self
 
     def score_many(self, texts) -> list:
@@ -363,12 +458,15 @@ class EncoderScorer:
         return out
 
 
+_KEY_CHUNK = 1024
+
+
 def model_cache_key(config: ScorerConfig, texts, labels) -> str:
     """Cache key of a baseline model: trainer version, backend, resolved
     hyperparameters and seed, then the texts and then the labels, each as
     one int64 array of the item count and every item's length, followed by
-    the items joined and encoded once. Count, lengths and concatenation
-    give back the sequence, so no two training sets share a key."""
+    the items' concatenation. Count, lengths and concatenation give back
+    the sequence, so no two training sets share a key."""
     digest = hashlib.sha256(stable_hash({
         "trainer": TRAINER_VERSION,
         "backend": config.backend,
@@ -378,8 +476,12 @@ def model_cache_key(config: ScorerConfig, texts, labels) -> str:
     for items in (texts, labels):
         digest.update(np.fromiter(chain((len(items),), map(len, items)),
                                   dtype=np.int64, count=len(items) + 1))
-        # UTF-16 encodes Arabic text about five times faster than UTF-8
-        digest.update("".join(items).encode("utf-16-le"))
+        # UTF-16 encodes Arabic text about five times faster than UTF-8.
+        # It has no BOM, so hashing the concatenation a chunk at a time
+        # gives the digest of one join without building the whole string.
+        for start in range(0, len(items), _KEY_CHUNK):
+            digest.update(
+                "".join(items[start:start + _KEY_CHUNK]).encode("utf-16-le"))
     return digest.hexdigest()
 
 

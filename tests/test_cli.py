@@ -1,12 +1,14 @@
 """End-to-end command-line tests, driven in process through main()."""
 
 import json
+import re
 
 import pytest
 
 from claimcheck import cli
 from claimcheck.cli import build_parser, main, _experiment_config
 from claimcheck.corpus import Corpus
+from claimcheck.model import BASELINE_DEFAULTS, GRADIENT_TOLERANCE
 from claimcheck.providers import make_providers
 from claimcheck.runner import FEW_SHOT, ZERO_SHOT, ExperimentConfig, prepare_cell
 
@@ -161,6 +163,22 @@ def test_train_writes_exactly_the_out_path(corpus_jsonl, tmp_path, capsys):
     rc = main(["rank", "--corpus", str(corpus_jsonl), "--target", "S-B",
                "--model", str(model), "--holdout-k", "30"])
     assert rc == 0
+
+
+def test_train_reports_the_solver_iterations_and_gradient_norm(
+        corpus_jsonl, tmp_path, capsys):
+    model = tmp_path / "model.npz"
+    rc = main(["train", "--corpus", str(corpus_jsonl), "--target", "S-B",
+               "--holdout-k", "30", "--out", str(model)])
+    assert rc == 0
+    found = re.fullmatch(
+        r"trained on \d+ records in (\d+) solver iterations "
+        r"\(gradient norm (\S+)\) -> (.+)",
+        capsys.readouterr().out.rstrip())
+    assert found, "unexpected train summary"
+    assert 1 <= int(found[1]) < BASELINE_DEFAULTS["iterations"]
+    assert float(found[2]) < GRADIENT_TOLERANCE
+    assert found[3] == str(model)
 
 
 def test_augmented_train_uses_the_cell_training_data(corpus_jsonl, tmp_path,

@@ -1,21 +1,29 @@
 """Scorer backends, and the ranking and decision rule applied to their
 scores."""
 
+import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
 import threading
 import time
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from claimcheck import model
+from claimcheck.cache import stable_hash
 from claimcheck.corpus import CW, NCW, TweetRecord
 from claimcheck.errors import EvalError, ModelError, ProviderError
 from claimcheck.evaluation import classify, rank_scores
 from claimcheck.model import (
     BASELINE_DEFAULTS,
     ENCODER_DEFAULTS,
+    GRADIENT_TOLERANCE,
     BaselineScorer,
     CorpusFeatures,
     EncoderScorer,
@@ -75,9 +83,7 @@ def test_config_resolves_encoder_defaults():
 def test_config_overrides_merge_with_defaults():
     cfg = ScorerConfig(backend="baseline", hyperparams={"iterations": 10})
     resolved = cfg.resolved_hyperparams()
-    assert resolved["iterations"] == 10
-    assert resolved["learning_rate"] == BASELINE_DEFAULTS["learning_rate"]
-    assert resolved["l2"] == BASELINE_DEFAULTS["l2"]
+    assert resolved == {**BASELINE_DEFAULTS, "iterations": 10}
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +125,91 @@ def test_baseline_order_independent_within_tolerance():
     probes = ["X w1 w2", "w3 w4 w5 w6", "X"]
     assert a.score_many(probes) == pytest.approx(b.score_many(probes),
                                                  abs=1e-6)
+
+
+def _dense_problem(records):
+    vocab, x = count_matrix([r.text for r in records])
+    y = np.array([1.0 if r.label == CW else 0.0 for r in records])
+    return vocab, x.toarray(), y
+
+
+def _dense_loss_and_gradient(x, y, l2, w, b):
+    """The regularized mean logistic loss and its gradient, written
+    directly from their definitions over a dense matrix."""
+    z = x @ w + b
+    p = 1.0 / (1.0 + np.exp(-z))
+    loss = np.mean(np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0) - y * z)
+    loss += 0.5 * l2 * (w @ w)
+    return loss, np.append(x.T @ (p - y) / len(y) + l2 * w, np.mean(p - y))
+
+
+def test_baseline_fit_reaches_the_regularized_optimum():
+    records = planted_records(n=80)
+    vocab, x, y = _dense_problem(records)
+    l2 = BASELINE_DEFAULTS["l2"]
+    scorer = fit_texts(ScorerConfig(), [r.text for r in records],
+                       [r.label for r in records])
+    loss, grad = _dense_loss_and_gradient(x, y, l2, scorer.weights,
+                                          scorer.bias)
+    assert np.linalg.norm(grad) < GRADIENT_TOLERANCE
+    assert scorer.grad_norm == pytest.approx(np.linalg.norm(grad), rel=1e-6)
+    assert 1 <= scorer.n_iter < BASELINE_DEFAULTS["iterations"]
+
+    optimize = pytest.importorskip("scipy.optimize")
+    reference = optimize.minimize(
+        lambda theta: _dense_loss_and_gradient(x, y, l2, theta[:-1],
+                                               theta[-1]),
+        np.zeros(len(vocab) + 1), jac=True, method="L-BFGS-B",
+        options={"gtol": 1e-12, "ftol": 1e-15, "maxiter": 10_000})
+    assert loss == pytest.approx(reference.fun, abs=1e-8)
+
+
+def test_baseline_iterations_cap_the_solver():
+    records = planted_records()
+    texts = [r.text for r in records]
+    labels = [r.label for r in records]
+    capped = fit_texts(ScorerConfig(hyperparams={"iterations": 1}), texts,
+                       labels)
+    converged = fit_texts(ScorerConfig(), texts, labels)
+    assert capped.n_iter == 1
+    assert converged.n_iter > 1
+    assert capped.grad_norm > GRADIENT_TOLERANCE > converged.grad_norm
+    assert not np.allclose(capped.weights, converged.weights)
+
+
+def test_unregularized_fit_on_separable_data_stays_finite():
+    records = planted_records()
+    texts = [r.text for r in records]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        scorer = fit_texts(ScorerConfig(hyperparams={"l2": 0}), texts,
+                           [r.label for r in records])
+        scores = scorer.score_many(texts + ["X X X X X X X X", "w1 w2 w3"])
+    assert np.all(np.isfinite(scorer.weights)) and np.isfinite(scorer.bias)
+    assert all(0.0 <= s <= 1.0 for s in scores)
+    assert scorer.grad_norm < GRADIENT_TOLERANCE
+
+
+def test_importing_and_training_loads_no_scipy_solver_module():
+    """scipy.optimize or scipy.sparse.linalg would add memory and start-up
+    time to every run, so neither may load, eagerly or lazily."""
+    probe = (
+        "import json, sys\n"
+        "import claimcheck.runner, claimcheck.providers\n"
+        "from claimcheck.model import ScorerConfig, BaselineScorer, "
+        "count_matrix\n"
+        "BaselineScorer(ScorerConfig()).fit_matrix("
+        "*count_matrix(['a b', 'c d', 'a c']), ['CW', 'NCW', 'CW'])\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith("
+        "('scipy.optimize', 'scipy.sparse.linalg')))))\n"
+    )
+    src = os.path.join(os.path.dirname(model.__file__), os.pardir)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=True).stdout
+    assert json.loads(out) == []
 
 
 def test_baseline_rejects_single_class():
@@ -265,6 +356,24 @@ def test_model_cache_key_changes_when_one_label_flips():
     texts = ["a b", "c d", "e"]
     assert (model_cache_key(cfg, texts, [CW, NCW, NCW])
             != model_cache_key(cfg, texts, [CW, CW, NCW]))
+
+
+def test_model_cache_key_equals_the_single_join_digest():
+    """Hashing the texts a chunk at a time changes no key."""
+    cfg = ScorerConfig(backend="baseline", seed=3)
+    texts = [f"نص {i} " * (i % 7) + "✅" * (i % 3) for i in range(2500)]
+    labels = [CW if i % 4 == 0 else NCW for i in range(2500)]
+    digest = hashlib.sha256(stable_hash({
+        "trainer": model.TRAINER_VERSION,
+        "backend": "baseline",
+        "hyperparams": cfg.resolved_hyperparams(),
+        "seed": 3,
+    }).encode("ascii"))
+    for items in (texts, labels):
+        digest.update(np.array([len(items)] + [len(t) for t in items],
+                               dtype=np.int64))
+        digest.update("".join(items).encode("utf-16-le"))
+    assert model_cache_key(cfg, texts, labels) == digest.hexdigest()
 
 
 def test_model_with_an_empty_vocabulary_round_trips(tmp_path):

@@ -141,6 +141,28 @@ def test_config_rejects_a_misspelled_baseline_hyperparameter():
                          "hyperparams": {"iteration": 1}})
 
 
+@pytest.mark.parametrize("hyperparams", [
+    {"iterations": 0}, {"iterations": -3}, {"iterations": 2.5},
+    {"iterations": "10"}, {"iterations": True}, {"l2": "big"},
+    {"l2": -1e-4}, {"l2": float("nan")}, {"l2": float("inf")},
+    {"l2": None}, {"l2": False},
+])
+def test_config_rejects_a_bad_baseline_hyperparameter_value(hyperparams):
+    name = next(iter(hyperparams))
+    with pytest.raises(ModelError, match=name):
+        ScorerConfig(hyperparams=hyperparams)
+    with pytest.raises(ConfigError, match=name):
+        config_from_mapping({"hyperparams": hyperparams})
+    # encoder hyperparameters go to the provider unchecked
+    config_from_mapping({"backend_id": "encoder", "hyperparams": hyperparams})
+
+
+def test_config_accepts_integral_iterations_and_zero_l2():
+    for hyperparams in ({"iterations": 1}, {"l2": 0}, {"l2": 0.0},
+                        {"iterations": 7, "l2": 2}):
+        config_from_mapping({"hyperparams": hyperparams})
+
+
 @pytest.mark.parametrize("backend", ["baseline", "encoder"])
 def test_config_rejects_hyperparams_that_are_not_a_mapping(backend):
     with pytest.raises(ConfigError, match="mapping"):
