@@ -244,7 +244,8 @@ def _cmd_train(args) -> int:
     scorer = train_scorer(cell.train_records, config.scorer_config())
     scorer.save(_out_file(out))
     print(f"trained on {len(cell.train_records)} records in {scorer.n_iter} "
-          f"solver iterations (gradient norm {scorer.grad_norm:.2g}) -> {out}")
+          f"solver iterations and {scorer.cg_steps} CG steps "
+          f"(gradient norm {scorer.grad_norm:.2g}) -> {out}")
     return 0
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -58,6 +59,14 @@ __all__ = [
 ]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one experiment cell depends on, besides the corpus."""
@@ -80,6 +89,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.setting not in SETTINGS:
             raise ConfigError(f"unknown setting {self.setting!r}")
+        if not (_is_int(self.holdout_k) and self.holdout_k >= 1):
+            raise ConfigError(
+                f"holdout_k must be an integer >= 1, got {self.holdout_k!r}")
+        if not (_is_int(self.max_workers) and self.max_workers >= 0):
+            raise ConfigError(f"max_workers (--workers) must be an integer "
+                              f">= 0, got {self.max_workers!r}")
+        if not isinstance(self.cw_only_map, bool):
+            raise ConfigError(
+                f"cw_only_map must be true or false, got {self.cw_only_map!r}")
         if self.strategy not in (NONE,) + STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.setting == ZERO_SHOT:
@@ -96,12 +114,10 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"shots ({self.shots}) exceed the holdout size ({self.holdout_k})"
                 )
-        if not (isinstance(self.threshold, (int, float))
-                and 0.0 <= self.threshold <= 1.0):
+        if not (_is_number(self.threshold) and 0.0 <= self.threshold <= 1.0):
             raise ConfigError(
                 f"threshold must be a number in [0, 1], got {self.threshold!r}")
-        if not (isinstance(self.ratio, (int, float))
-                and 0.0 < self.ratio <= 1.0):
+        if not (_is_number(self.ratio) and 0.0 < self.ratio <= 1.0):
             raise ConfigError(
                 f"ratio must be a number in (0, 1], got {self.ratio!r}")
         try:  # ScorerConfig owns the backend and hyperparameter checks

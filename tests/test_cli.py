@@ -172,13 +172,14 @@ def test_train_reports_the_solver_iterations_and_gradient_norm(
                "--holdout-k", "30", "--out", str(model)])
     assert rc == 0
     found = re.fullmatch(
-        r"trained on \d+ records in (\d+) solver iterations "
-        r"\(gradient norm (\S+)\) -> (.+)",
+        r"trained on \d+ records in (\d+) solver iterations and (\d+) CG "
+        r"steps \(gradient norm (\S+)\) -> (.+)",
         capsys.readouterr().out.rstrip())
     assert found, "unexpected train summary"
     assert 1 <= int(found[1]) < BASELINE_DEFAULTS["iterations"]
-    assert float(found[2]) < GRADIENT_TOLERANCE
-    assert found[3] == str(model)
+    assert int(found[2]) >= int(found[1])  # one CG step or more an iteration
+    assert float(found[3]) < GRADIENT_TOLERANCE
+    assert found[4] == str(model)
 
 
 def test_augmented_train_uses_the_cell_training_data(corpus_jsonl, tmp_path,
@@ -342,6 +343,23 @@ def test_malformed_config_file_is_a_config_error(corpus_jsonl, tmp_path, capsys)
     config.write_text('{"seed": 1,', encoding="utf-8")
     rc = main(["suite", "table2", "--corpus", str(corpus_jsonl),
                "--config", str(config), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--config", '{"max_workers": "2"}'], ["--config", '{"holdout_k": "5"}'],
+    ["--workers", "-1"],
+])
+def test_suite_with_a_bad_count_fails_before_any_cell(corpus_jsonl, tmp_path,
+                                                     capsys, flags):
+    if flags[0] == "--config":
+        config = tmp_path / "config.json"
+        config.write_text(flags[1], encoding="utf-8")
+        flags = ["--config", str(config)]
+    rc = main(["suite", "table2", "--corpus", str(corpus_jsonl), *flags,
+               "--out", str(tmp_path / "run")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()

@@ -164,6 +164,60 @@ def test_baseline_fit_reaches_the_regularized_optimum():
     assert loss == pytest.approx(reference.fun, abs=1e-8)
 
 
+def test_baseline_fit_converges_on_badly_scaled_columns():
+    """Count columns differing in scale by orders of magnitude, as a
+    preconditioner is there to handle: one token repeated 30 times in a
+    few texts, and one token in every text."""
+    records = planted_records(n=80)
+    texts = [("R " * 30 if i % 13 == 0 else "") + r.text + " E"
+             for i, r in enumerate(records)]
+    labels = [r.label for r in records]
+    assert len({lab for i, lab in enumerate(labels) if i % 13 == 0}) == 2
+    vocab, x = count_matrix(texts)
+    x, y = x.toarray(), np.array([1.0 if lab == CW else 0.0 for lab in labels])
+    l2 = BASELINE_DEFAULTS["l2"]
+    scorer = fit_texts(ScorerConfig(), texts, labels)
+    loss, grad = _dense_loss_and_gradient(x, y, l2, scorer.weights,
+                                          scorer.bias)
+    assert np.linalg.norm(grad) < GRADIENT_TOLERANCE
+    assert scorer.n_iter <= scorer.cg_steps
+
+    optimize = pytest.importorskip("scipy.optimize")
+    reference = optimize.minimize(
+        lambda theta: _dense_loss_and_gradient(x, y, l2, theta[:-1],
+                                               theta[-1]),
+        np.zeros(len(vocab) + 1), jac=True, method="L-BFGS-B",
+        options={"gtol": 1e-12, "ftol": 1e-15, "maxiter": 10_000})
+    assert loss == pytest.approx(reference.fun, abs=1e-8)
+
+
+def test_preconditioner_mixes_l2_and_the_hessian_diagonal():
+    _, x = count_matrix(["a b", "b c c", "a", "c c c c"])
+    curvature = np.array([0.1, 0.2, 0.05, 0.3])
+    l2, mix = 0.5, model.PRECONDITIONER_MIX
+    xb = np.hstack([x.toarray(), np.ones((4, 1))])  # the bias column
+    hessian = xb.T @ (curvature[:, None] * xb) + np.diag([l2] * 3 + [0.0])
+    m = model._preconditioner(x.multiply(x).T, curvature, l2)
+    assert m == pytest.approx((1 - mix) * l2 + mix * np.diag(hessian),
+                              rel=1e-12)
+
+
+def test_preconditioner_stays_positive_without_curvature_or_l2():
+    _, x = count_matrix(["a b", "b c c", "a"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        m = model._preconditioner(x.multiply(x).T, np.zeros(3), 0.0)
+        assert np.all(np.isfinite(1.0 / m))
+    assert m.shape == (x.shape[1] + 1,)
+    assert np.all(np.isfinite(m)) and np.all(m > 0)
+
+
+def test_trainer_version_retrains_unpreconditioned_models():
+    # version 2 models came from the unpreconditioned solver; their cache
+    # keys differ, so they are retrained once
+    assert model.TRAINER_VERSION == 3
+
+
 def test_baseline_iterations_cap_the_solver():
     records = planted_records()
     texts = [r.text for r in records]

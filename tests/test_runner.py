@@ -126,6 +126,24 @@ def test_config_rejects_a_ratio_outside_zero_to_one(ratio):
         config_from_mapping({"ratio": ratio})
 
 
+@pytest.mark.parametrize("mapping", [
+    {"max_workers": "2"}, {"max_workers": -1}, {"max_workers": 1.5},
+    {"max_workers": True}, {"max_workers": None}, {"holdout_k": "5"},
+    {"holdout_k": 0}, {"holdout_k": 5.0}, {"holdout_k": True},
+    {"cw_only_map": "no"}, {"cw_only_map": 1}, {"cw_only_map": None},
+    {"threshold": True}, {"ratio": True},
+])
+def test_config_rejects_a_value_of_the_wrong_type(mapping):
+    with pytest.raises(ConfigError, match=next(iter(mapping))):
+        config_from_mapping(mapping)
+
+
+def test_config_accepts_real_bools_and_integer_counts():
+    cfg = config_from_mapping({"cw_only_map": True, "max_workers": 0,
+                               "holdout_k": 1})
+    assert (cfg.cw_only_map, cfg.max_workers, cfg.holdout_k) == (True, 0, 1)
+
+
 def test_config_rejects_an_unknown_backend():
     with pytest.raises(ConfigError, match="svm"):
         config_from_mapping({"backend_id": "svm"})
