@@ -18,6 +18,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .cache import cached, stable_hash
 from .corpus import TweetRecord
 from .errors import AugmentError
@@ -236,30 +238,29 @@ def _load_result(path) -> AugmentationResult:
     return AugmentationResult(**blob)
 
 
-def augment_training(train_records, pool_records, strategy: str, providers,
-                     seed: int = 0, params: GenerationParams = None,
-                     ratio: float = 0.3, pivot: str = "en", cache_dir=None,
-                     max_workers=None):
-    """Extend a training set with synthetic variants of its few-shot pool.
+def augment_training(train, pool, strategy: str, providers, seed: int = 0,
+                     params: GenerationParams = None, ratio: float = 0.3,
+                     pivot: str = "en", cache_dir=None, max_workers=None):
+    """Extend training rows with synthetic variants of their few-shot pool.
 
-    Returns (records, AugmentationResult or None). Strategy ``none`` is the
-    identity. Only pool samples ever seed augmentation, and the pool must
-    already be part of the training set. When a cache directory is given,
-    results are reused across runs keyed by strategy, the identity of the
-    provider it calls, parameters, pool content, and seed.
+    `train` and `pool` are `claimcheck.model.Rows` of one `CorpusFeatures`.
+    Returns (train extended by the synthetic records, AugmentationResult),
+    or (train, None) for strategy ``none``. Only pool samples ever seed
+    augmentation, and every pool row must already be a training row. When
+    a cache directory is given, results are reused across runs keyed by
+    strategy, the identity of the provider it calls, parameters, pool
+    content, and seed.
     """
-    train_records = list(train_records)
-    pool_records = list(pool_records)
     if strategy == NONE:
-        return train_records, None
+        return train, None
     if strategy not in STRATEGIES:
         raise AugmentError(f"unknown strategy {strategy!r}")
-    train_ids = {r.tweet_id for r in train_records}
-    missing = [r.tweet_id for r in pool_records if r.tweet_id not in train_ids]
-    if missing:
+    outside = pool.rows[~np.isin(pool.rows, train.rows)]
+    if pool.features is not train.features or pool.extra or outside.size:
+        named = [pool.features.records[i].tweet_id for i in outside[:5]]
         raise AugmentError(
-            f"augmentation seeds outside the training set: {missing[:5]}"
-        )
+            f"augmentation seeds outside the training set: {named}")
+    pool_records = list(pool)
 
     if params is None:
         params = GenerationParams()
@@ -286,10 +287,6 @@ def augment_training(train_records, pool_records, strategy: str, providers,
         })
         path = Path(cache_dir) / f"{key}.json"
     result = cached(path, run, _save_result, _load_result)
-    return _join(train_records, pool_records, result), result
-
-
-def _join(train_records, pool_records, result: AugmentationResult):
     by_id = {r.tweet_id: r for r in pool_records}
-    extra = [synthetic_record(s, by_id[s.origin_tweet_id]) for s in result.samples]
-    return train_records + extra
+    return train.extend(synthetic_record(s, by_id[s.origin_tweet_id])
+                        for s in result.samples), result

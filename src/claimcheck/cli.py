@@ -241,9 +241,9 @@ def _cmd_train(args) -> int:
     cell = prepare_cell(config, Corpus.from_jsonl(args.corpus), args.target,
                         _providers_from(args))
     out = args.out or "model.npz"
-    scorer = train_scorer(cell.train_records, config.scorer_config())
+    scorer = train_scorer(cell.train, config.scorer_config())
     scorer.save(_out_file(out))
-    print(f"trained on {len(cell.train_records)} records in {scorer.n_iter} "
+    print(f"trained on {len(cell.train)} records in {scorer.n_iter} "
           f"solver iterations and {scorer.cg_steps} CG steps "
           f"(gradient norm {scorer.grad_norm:.2g}) -> {out}")
     return 0
@@ -253,10 +253,10 @@ def _cmd_rank(args) -> int:
     config = replace(_experiment_config(args), strategy=NONE)
     corpus = Corpus.from_jsonl(args.corpus)
     scorer = BaselineScorer.load(args.model)
-    records = prepare_cell(config, corpus, args.target).test_records
-    scores = dict(zip([r.tweet_id for r in records],
-                      scorer.score_many([r.text for r in records])))
-    labels = {r.tweet_id: r.label for r in records}
+    cell = prepare_cell(config, corpus, args.target)
+    test_ids = cell.split.test_ids()
+    scores = dict(zip(test_ids, scorer.score_many(cell.test)))
+    labels = dict(zip(test_ids, cell.test.labels()))
     rows = [(pos + 1, tid, scores[tid], labels[tid])
             for pos, tid in enumerate(rank_scores(scores))]
     if args.out:

@@ -9,8 +9,11 @@ immutable once built and serializes to JSON lines.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 from .errors import CorpusError
 
@@ -249,19 +252,22 @@ def dedupe_records(records) -> tuple:
 
 
 class Corpus:
-    """Immutable collection of labelled tweets grouped by topic."""
+    """Immutable collection of labelled tweets grouped by topic.
+
+    A record's position is its index in `records`, and splits name records
+    by position. `tweet_ids`, `id_order` and `topic_codes` index them; each
+    is built on first use, so loading a corpus never pays for them.
+    """
 
     def __init__(self, records):
         records = list(records)
         if not records:
             raise CorpusError("corpus has no records")
-        seen = set()
-        for rec in records:
-            if rec.tweet_id in seen:
-                raise CorpusError(f"duplicate tweet id in corpus: {rec.tweet_id}")
-            seen.add(rec.tweet_id)
         self._records = tuple(records)
-        self._by_id = {r.tweet_id: r for r in records}
+        self._position = {}  # tweet id -> position
+        for i, rec in enumerate(records):
+            if self._position.setdefault(rec.tweet_id, i) != i:
+                raise CorpusError(f"duplicate tweet id in corpus: {rec.tweet_id}")
         by_topic = {}
         for rec in records:
             by_topic.setdefault(rec.topic_id, []).append(rec)
@@ -286,9 +292,36 @@ class Corpus:
         return self._by_topic[topic_id]
 
     def record(self, tweet_id: str) -> TweetRecord:
-        if tweet_id not in self._by_id:
+        if tweet_id not in self._position:
             raise CorpusError(f"unknown tweet id: {tweet_id!r}")
-        return self._by_id[tweet_id]
+        return self._records[self._position[tweet_id]]
+
+    def positions(self, tweet_ids) -> np.ndarray:
+        """The positions of `tweet_ids`, in their order."""
+        try:
+            return np.array([self._position[i] for i in tweet_ids],
+                            dtype=np.int64)
+        except KeyError as exc:
+            raise CorpusError(f"unknown tweet id: {exc.args[0]!r}") from None
+
+    @cached_property
+    def tweet_ids(self) -> np.ndarray:
+        """Every record's tweet id, by position (an object array)."""
+        return np.array([r.tweet_id for r in self._records], dtype=object)
+
+    @cached_property
+    def id_order(self) -> np.ndarray:
+        """Every position, ordered by ascending tweet id."""
+        ids = self.tweet_ids.tolist()
+        return np.array(sorted(range(len(ids)), key=ids.__getitem__),
+                        dtype=np.int64)
+
+    @cached_property
+    def topic_codes(self) -> np.ndarray:
+        """Every record's topic as its index in `topic_ids()`, by position."""
+        code = {t: k for k, t in enumerate(self.topic_ids())}
+        return np.array([code[r.topic_id] for r in self._records],
+                        dtype=np.int64)
 
     def validate_canonical(self):
         """Require every topic id to be one of the 14 canonical ids."""

@@ -4,7 +4,10 @@ Both backends map any text to P(CW) in [0, 1] through `score_many`, and
 `train_scorer` is the one way to fit either. The baseline is a bag-of-words
 logistic regression fit to convergence by a trust-region Newton method,
 fully deterministic given its inputs; it is fit from token counts sliced
-out of `CorpusFeatures`, never from texts. The encoder backend delegates
+out of `CorpusFeatures`, never from texts. A cell's records travel as
+`Rows`: positions in one `CorpusFeatures` plus any synthetic records. Its
+counts, labels and model-cache key are gathered by position, and its test
+rows are scored straight from the corpus matrix. The encoder backend delegates
 training and scoring to a provider speaking the fixed JSON contract
 documented in providers.py. Ranking and thresholding scores belong to
 evaluation.py.
@@ -18,8 +21,7 @@ import math
 import numbers
 import zipfile
 from array import array
-from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain
 from pathlib import Path
 
@@ -53,7 +55,9 @@ __all__ = [
     "GRADIENT_TOLERANCE",
     "ScorerConfig",
     "count_matrix",
+    "record_digests",
     "CorpusFeatures",
+    "Rows",
     "BaselineScorer",
     "EncoderScorer",
     "model_cache_key",
@@ -103,37 +107,44 @@ def _tokenize(text: str) -> list:
     return text.split()
 
 
-def count_matrix(texts, vocab=None):
-    """Token counts of `texts` as a CSR matrix, one row per text.
+def _token_array(tokens: list) -> np.ndarray:
+    """The sorted `tokens` as an array numpy orders the way Python orders
+    str: fixed-width unicode, unless a token holds a NUL, which fixed-width
+    unicode cannot tell from its padding; then Python objects."""
+    return np.array(tokens,
+                    dtype=object if "\x00" in "".join(tokens) else str)
 
-    Without `vocab` the columns are the sorted set of the texts' tokens;
-    with a `vocab` (token -> column) they are its columns and tokens
-    outside it are dropped. Returns (vocab, x): float64 counts, int32
-    column indices, sorted within each row.
-    """
-    grow = vocab is None
-    ids = {} if grow else vocab
+
+def _locate(tokens: np.ndarray, queries: np.ndarray):
+    """Where each of the `queries` goes in the sorted `tokens`: its
+    left insertion point, and whether it is there."""
+    if tokens.dtype.kind != queries.dtype.kind:  # compare as Python does
+        tokens, queries = tokens.astype(object), queries.astype(object)
+    at = np.searchsorted(tokens, queries)
+    found = np.zeros(at.size, dtype=bool)
+    inside = at < tokens.size
+    found[inside] = tokens[at[inside]] == queries[inside]
+    return at, found
+
+
+def count_matrix(texts):
+    """Token counts of `texts` as a CSR matrix, one row per text, whose
+    columns are the sorted set of the texts' tokens. Returns (tokens, x):
+    the tokens as a sorted array, float64 counts and int32 column indices,
+    sorted within each row."""
+    ids = {}  # token -> first-seen id, ranked below
     codes, lengths = array("q"), array("q")
     for text in texts:
         toks = _tokenize(text)
-        if grow:  # new tokens get first-seen ids, ranked below
-            codes.extend([ids.setdefault(t, len(ids)) for t in toks])
-        else:
-            codes.extend([ids.get(t, -1) for t in toks])
+        codes.extend([ids.setdefault(t, len(ids)) for t in toks])
         lengths.append(len(toks))
     n = len(lengths)
-    cols = np.frombuffer(codes, dtype=np.int64)
+    tokens = sorted(ids)
+    rank = np.empty(len(tokens), dtype=np.int64)
+    rank[[ids[t] for t in tokens]] = np.arange(len(tokens))
+    cols = rank[np.frombuffer(codes, dtype=np.int64)]
     rows = np.repeat(np.arange(n), np.frombuffer(lengths, dtype=np.int64))
-    if grow:
-        tokens = sorted(ids)
-        rank = np.empty(len(tokens), dtype=np.int64)
-        rank[[ids[t] for t in tokens]] = np.arange(len(tokens))
-        cols = rank[cols]
-        vocab = dict(zip(tokens, range(len(tokens))))
-    else:
-        known = cols >= 0
-        cols, rows = cols[known], rows[known]
-    width = len(vocab)
+    width = len(tokens)
     stride = max(width, 1)
     # one sorted key per (row, column) entry: sorts rows, then columns
     cells, counts = np.unique(rows * stride + cols, return_counts=True)
@@ -143,7 +154,18 @@ def count_matrix(texts, vocab=None):
         (counts.astype(np.float64), (cells % stride).astype(np.int32), indptr),
         shape=(n, width),
     )
-    return vocab, x
+    return _token_array(tokens), x
+
+
+def record_digests(texts, labels) -> np.ndarray:
+    """One sha256 digest per (text, label) pair, as an (n, 32) uint8
+    array. The label comes first, after its length, so no two pairs hash
+    the same input."""
+    blob = b"".join(
+        hashlib.sha256(f"{len(label)}:{label}{text}".encode(
+            "utf-16-le", "surrogatepass")).digest()
+        for text, label in zip(texts, labels))
+    return np.frombuffer(blob, dtype=np.uint8).reshape(-1, 32)
 
 
 def _with_columns(x, remap, width: int) -> sparse.csr_matrix:
@@ -152,72 +174,92 @@ def _with_columns(x, remap, width: int) -> sparse.csr_matrix:
 
 
 class CorpusFeatures:
-    """Token counts of a whole corpus, counted once and sliced per fit.
-
-    Rows are keyed by (tweet_id, text) and columns follow the corpus's
-    sorted vocabulary. `training_matrix` returns exactly what
-    `count_matrix` returns for the records' texts, counting only the texts
-    the corpus does not hold.
-    """
+    """Token counts, labels and (text, label) digests of a corpus's
+    records, computed once and gathered by position: row i is
+    `records[i]`, and the columns are the corpus's sorted tokens."""
 
     def __init__(self, records):
-        records = list(records)
-        self.vocab, self.matrix = count_matrix([r.text for r in records])
-        self.tokens = list(self.vocab)
-        self.rows = {(r.tweet_id, r.text): i for i, r in enumerate(records)}
+        self.records = tuple(records)
+        texts = [r.text for r in self.records]
+        labels = [r.label for r in self.records]
+        self.tokens, self.matrix = count_matrix(texts)
+        self.labels = np.array(labels, dtype=object)
+        self.digests = record_digests(texts, labels)
 
-    def training_matrix(self, records):
-        """(vocab, x) of `records`, rows in their order.
+    def select(self, rows=None, extra=()) -> "Rows":
+        """`Rows` of these records at `rows` (default: all, in order),
+        followed by the `extra` records."""
+        if rows is None:
+            rows = np.arange(len(self.records))
+        return Rows(self, np.asarray(rows, dtype=np.int64), tuple(extra))
 
-        Corpus rows are sliced and their columns remapped monotonically
-        onto the sorted union of the tokens they use and the tokens of the
-        other records (synthetic ones, or texts differing from the corpus
-        copy), so each row keeps its sorted column order.
+    def training_matrix(self, rows, extra=()):
+        """(tokens, x) of the records at `rows` followed by the `extra`
+        records, exactly as `count_matrix` returns them for those texts,
+        counting only the `extra` texts.
+
+        The rows' columns are remapped monotonically onto the sorted union
+        of the tokens they use and the tokens of `extra`, so each row keeps
+        its sorted column order.
         """
-        records = list(records)
-        found = np.array([self.rows.get((r.tweet_id, r.text), -1)
-                          for r in records], dtype=np.int64)
-        held = found >= 0
-        sub = self.matrix[found[held]]
-        extra = np.flatnonzero(~held)
-        extra_vocab, extra_x = count_matrix([records[i].text for i in extra])
-
-        used = np.bincount(sub.indices, minlength=len(self.tokens)) > 0
-        new = []  # extra tokens the corpus lacks, in sorted order
-        for tok in extra_vocab:
-            j = self.vocab.get(tok)
-            if j is None:
-                new.append(tok)
-            else:
-                used[j] = True
+        sub = self.matrix[rows]
+        extra_tokens, extra_x = count_matrix([r.text for r in extra])
+        used = np.bincount(sub.indices, minlength=self.tokens.size) > 0
+        at, found = _locate(self.tokens, extra_tokens)
+        used[at[found]] = True
         cols = np.flatnonzero(used)
+        new = ~found  # extra tokens the corpus lacks
         # a new token sorts just before the first corpus token above it; the
         # stable sort keeps new tokens with one insertion point in order
-        keys = np.concatenate([
-            2 * cols + 1,
-            2 * np.array([bisect_left(self.tokens, tok) for tok in new],
-                         dtype=np.int64),
-        ])
-        order = np.argsort(keys, kind="stable")
-        candidates = [self.tokens[j] for j in cols.tolist()] + new
-        tokens = [candidates[k] for k in order.tolist()]
-        vocab = dict(zip(tokens, range(len(tokens))))
-        rank = np.empty(len(order), dtype=np.int32)
-        rank[order] = np.arange(len(order))
-        remap = np.zeros(len(self.tokens), dtype=np.int32)
+        order = np.argsort(np.concatenate([2 * cols + 1, 2 * at[new]]),
+                           kind="stable")
+        tokens = np.concatenate([self.tokens[cols], extra_tokens[new]])[order]
+        rank = np.empty(order.size, dtype=np.int32)
+        rank[order] = np.arange(order.size, dtype=np.int32)
+        remap = np.zeros(self.tokens.size, dtype=np.int32)
         remap[cols] = rank[:cols.size]
-        x = _with_columns(sub, remap, len(vocab))
-        if extra.size:
-            extra_remap = np.array([vocab[t] for t in extra_vocab],
-                                   dtype=np.int32)
-            stacked = sparse.vstack(
-                [x, _with_columns(extra_x, extra_remap, len(vocab))],
+        x = _with_columns(sub, remap, tokens.size)
+        if extra:
+            extra_remap = np.empty(extra_tokens.size, dtype=np.int32)
+            extra_remap[found] = remap[at[found]]
+            extra_remap[new] = rank[cols.size:]
+            x = sparse.vstack(
+                [x, _with_columns(extra_x, extra_remap, tokens.size)],
                 format="csr")
-            placed = np.empty(len(records), dtype=np.int64)
-            placed[held] = np.arange(sub.shape[0])
-            placed[extra] = np.arange(sub.shape[0], len(records))
-            x = stacked[placed]
-        return vocab, x
+        return tokens, x
+
+
+@dataclass(frozen=True, eq=False)
+class Rows:
+    """The records of a `CorpusFeatures` at `rows`, followed by `extra`
+    records it does not hold (synthetic ones). A cell's training and test
+    data travel as `Rows`, so the corpus's records are neither copied nor
+    counted again."""
+
+    features: CorpusFeatures
+    rows: np.ndarray
+    extra: tuple = ()
+
+    def __len__(self) -> int:
+        return len(self.rows) + len(self.extra)
+
+    def __iter__(self):
+        records = self.features.records
+        return chain(map(records.__getitem__, self.rows.tolist()), self.extra)
+
+    def extend(self, records) -> "Rows":
+        return replace(self, extra=self.extra + tuple(records))
+
+    def labels(self) -> list:
+        return (self.features.labels[self.rows].tolist()
+                + [r.label for r in self.extra])
+
+    def digests(self) -> np.ndarray:
+        """The (text, label) digests of every record, in order."""
+        return np.concatenate([
+            self.features.digests[self.rows],
+            record_digests([r.text for r in self.extra],
+                           [r.label for r in self.extra])])
 
 
 def _check_training(n: int, labels) -> None:
@@ -373,16 +415,16 @@ class BaselineScorer:
 
     def __init__(self, config: ScorerConfig):
         self.config = config
-        self.vocab = {}
+        self.vocab = _token_array([])
         self.weights = None
         self.bias = 0.0
         self.n_iter = None
         self.cg_steps = None
         self.grad_norm = None
 
-    def fit_matrix(self, vocab: dict, x, labels) -> "BaselineScorer":
-        """Fit on counts `x` whose columns are `vocab`'s sorted tokens, as
-        `count_matrix` or `CorpusFeatures.training_matrix` return them."""
+    def fit_matrix(self, vocab: np.ndarray, x, labels) -> "BaselineScorer":
+        """Fit on counts `x` whose columns are the sorted tokens `vocab`,
+        as `count_matrix` or `CorpusFeatures.training_matrix` return them."""
         _check_training(x.shape[0], labels)
         params = self.config.resolved_hyperparams()
         y = np.array([1.0 if lab == CW else 0.0 for lab in labels])
@@ -394,11 +436,24 @@ class BaselineScorer:
         return self
 
     def score_many(self, texts) -> list:
+        """P(CW) of each text: of strings, counted here, or of `Rows`,
+        whose counts are sliced out of their corpus matrix. Either way the
+        weights are placed on the columns of the counts' sorted tokens that
+        the texts use, and tokens the model lacks weigh +0.0, which changes
+        no row sum."""
         if self.weights is None:
             raise ModelError("scorer is not trained")
-        _, x = count_matrix(texts, self.vocab)
-        z = x @ self.weights + self.bias
-        return [float(v) for v in 1.0 / (1.0 + np.exp(-z))]
+        if isinstance(texts, Rows):
+            tokens = texts.features.tokens
+            x = texts.features.matrix[texts.rows]
+        else:
+            tokens, x = count_matrix(texts)
+        cols = np.flatnonzero(np.bincount(x.indices, minlength=tokens.size))
+        at, found = _locate(self.vocab, tokens[cols])
+        w = np.zeros(tokens.size)
+        w[cols[found]] = self.weights[at[found]]
+        z = x @ w + self.bias
+        return (1.0 / (1.0 + np.exp(-z))).tolist()
 
     def save(self, path) -> None:
         """Write the model to exactly `path` (a path or a binary file): an
@@ -407,10 +462,9 @@ class BaselineScorer:
         yields a token holding a newline."""
         if self.weights is None:
             raise ModelError("scorer is not trained")
-        tokens = sorted(self.vocab, key=self.vocab.get)
+        blob = "\n".join(self.vocab.tolist()).encode("utf-8")
         members = {
-            "vocab": np.frombuffer("\n".join(tokens).encode("utf-8"),
-                                   dtype=np.uint8),
+            "vocab": np.frombuffer(blob, dtype=np.uint8),
             "weights": self.weights,
             "bias": np.array([self.bias]),
             "config": np.array([json.dumps({
@@ -432,8 +486,7 @@ class BaselineScorer:
             blob = data["vocab"].tobytes().decode("utf-8")
             scorer.weights = data["weights"]
             scorer.bias = float(data["bias"][0])
-        tokens = blob.split("\n") if blob else []
-        scorer.vocab = dict(zip(tokens, range(len(tokens))))
+        scorer.vocab = _token_array(blob.split("\n") if blob else [])
         return scorer
 
 
@@ -475,9 +528,11 @@ class EncoderScorer:
     def score_many(self, texts) -> list:
         if self.handle is None:
             raise ModelError("scorer is not trained")
+        texts = ([r.text for r in texts] if isinstance(texts, Rows)
+                 else list(texts))
         response = self.encoder({
             "mode": "score",
-            "texts": list(texts),
+            "texts": texts,
             "handle": self.handle,
             "hyperparams": self._hyperparams(),
         })
@@ -496,60 +551,47 @@ class EncoderScorer:
         return out
 
 
-_KEY_CHUNK = 1024
-
-
-def model_cache_key(config: ScorerConfig, texts, labels) -> str:
-    """Cache key of a baseline model: trainer version, backend, resolved
-    hyperparameters and seed, then the texts and then the labels, each as
-    one int64 array of the item count and every item's length, followed by
-    the items' concatenation. Count, lengths and concatenation give back
-    the sequence, so no two training sets share a key."""
+def model_cache_key(config: ScorerConfig, digests) -> str:
+    """Cache key of a baseline model: sha256 over the trainer version,
+    backend, resolved hyperparameters and seed, then the training records'
+    (text, label) digests in order (`record_digests`). Equal texts and
+    labels in equal order give an equal key, whatever corpus they came
+    from."""
     digest = hashlib.sha256(stable_hash({
         "trainer": TRAINER_VERSION,
         "backend": config.backend,
         "hyperparams": config.resolved_hyperparams(),
         "seed": config.seed,
     }).encode("ascii"))
-    for items in (texts, labels):
-        digest.update(np.fromiter(chain((len(items),), map(len, items)),
-                                  dtype=np.int64, count=len(items) + 1))
-        # UTF-16 encodes Arabic text about five times faster than UTF-8.
-        # It has no BOM, so hashing the concatenation a chunk at a time
-        # gives the digest of one join without building the whole string.
-        for start in range(0, len(items), _KEY_CHUNK):
-            digest.update(
-                "".join(items[start:start + _KEY_CHUNK]).encode("utf-16-le"))
+    digest.update(np.ascontiguousarray(digests, dtype=np.uint8))
     return digest.hexdigest()
 
 
-def train_scorer(records, config: ScorerConfig, providers=None,
-                 cache_dir=None, features=None):
-    """Fit the configured backend on TweetRecords.
+def train_scorer(train, config: ScorerConfig, providers=None, cache_dir=None):
+    """Fit the configured backend on `train`: `Rows`, or TweetRecords.
 
     Baseline models are cached under `cache_dir` by `model_cache_key`;
     encoder models live with their provider and are never cached here.
     A baseline model that has to be trained takes its counts from the
-    `CorpusFeatures` that `features`, a zero-argument callable, returns for
-    the corpus the records come from; without `features` they are counted
-    over the records themselves.
+    `CorpusFeatures` the rows belong to; plain records are counted into
+    one of their own first.
     """
-    records = list(records)
-    if not records:
+    if not isinstance(train, Rows):
+        train = list(train)
+    if not len(train):
         raise ModelError("cannot train on an empty record set")
-    texts = [r.text for r in records]
-    labels = [r.label for r in records]
     if config.backend != "baseline":
+        records = list(train)
         return EncoderScorer(config, getattr(providers, "encoder", None)).fit(
-            texts, labels)
+            [r.text for r in records], [r.label for r in records])
+    if not isinstance(train, Rows):
+        train = CorpusFeatures(train).select()
 
     def fit():
-        counts = features() if features is not None else CorpusFeatures(records)
-        return BaselineScorer(config).fit_matrix(
-            *counts.training_matrix(records), labels)
+        counts = train.features.training_matrix(train.rows, train.extra)
+        return BaselineScorer(config).fit_matrix(*counts, train.labels())
 
     path = None
     if cache_dir is not None:
-        path = Path(cache_dir) / f"{model_cache_key(config, texts, labels)}.npz"
+        path = Path(cache_dir) / f"{model_cache_key(config, train.digests())}.npz"
     return cached(path, fit, BaselineScorer.save, BaselineScorer.load)
-

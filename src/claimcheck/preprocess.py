@@ -129,13 +129,20 @@ def _strip_tags(text: str) -> str:
 
 
 def _eliminate(segment: str) -> str:
-    segment = _unescape_entities(segment)
-    segment = _strip_tags(segment)
-    segment = _LINEBREAK_RE.sub(" ", segment)
-    segment = _STRIP_RE.sub("", segment)
-    segment = "".join(c for c in segment if unicodedata.category(c) != "Cc")
-    segment = _CHAR_RUN_RE.sub(r"\1\1", segment)
-    return segment
+    while True:
+        segment = _unescape_entities(segment)
+        tagless = _strip_tags(segment)
+        spaced = _LINEBREAK_RE.sub(" ", tagless)
+        kept = _STRIP_RE.sub("", spaced)
+        kept = "".join(c for c in kept if unicodedata.category(c) != "Cc")
+        collapsed = _CHAR_RUN_RE.sub(r"\1\1", kept)
+        # removing a tag, a character or part of a run can expose a tag or
+        # an entity ("<\x1fb>", "&am<b>p;", "&llll;"); go again while one
+        # may remain. Each further round is shorter, so this ends.
+        removed = tagless != segment or kept != spaced or collapsed != kept
+        if not removed or ("<" not in collapsed and "&" not in collapsed):
+            return collapsed
+        segment = collapsed
 
 
 def _correct_whitespace(segment: str) -> str:

@@ -6,8 +6,16 @@ laid out: per-topic rows, an average row, and integer percentage-point
 deltas against the relevant base column. Failed cells are marked and the
 suite keeps going; the caller decides what exit code that deserves.
 
+A suite pass counts the corpus's tokens once, into a `CorpusFeatures`.
+Every cell is a set of its row positions: the split names train and test
+positions, augmentation appends synthetic records, the model-cache key and
+the training matrix are gathered by position, and test rows are scored
+straight from the corpus matrix.
+
 The raw per-cell CSV is byte-identical across reruns with the same corpus,
-config, seed, and providers. Timing lives only in run.json.
+config, seed, and providers. Timing lives only in run.json: the cell's
+wall time, and in `stage_s` the seconds of each stage (split, augment,
+train, score, evaluate).
 """
 
 from __future__ import annotations
@@ -16,11 +24,13 @@ import csv
 import io
 import json
 import numbers
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+
+import numpy as np
 
 from .augment import (NONE, STRATEGIES, AugmentationResult, GenerationParams,
                       augment_training)
@@ -35,7 +45,7 @@ from .evaluation import (
     render_improvement_table,
     render_report_table,
 )
-from .model import CorpusFeatures, ScorerConfig, train_scorer
+from .model import CorpusFeatures, Rows, ScorerConfig, train_scorer
 from .splits import (HoldoutTable, TopicSplit, few_shot_split, make_holdouts,
                      zero_shot_split)
 
@@ -186,103 +196,121 @@ def corpus_fingerprint(corpus: Corpus) -> str:
     return stable_hash(rows)
 
 
-def _stage(name: str, fn, *args, **kwargs):
+@contextmanager
+def _stage(name: str, seconds: dict):
+    """Time one stage of a cell into `seconds[name]`; a ClaimCheckError
+    raised inside names the stage."""
+    started = time.perf_counter()
     try:
-        return fn(*args, **kwargs)
+        yield
     except ClaimCheckError as exc:
         raise type(exc)(f"stage {name} failed for this run: {exc}") from exc
+    finally:
+        seconds[name] = seconds.get(name, 0.0) + time.perf_counter() - started
 
 
 @dataclass(frozen=True)
 class PreparedCell:
-    """One cell's training data, before any model sees it, and its test
-    records in id order."""
+    """One cell's data before any model sees it: the training rows (the
+    split's train positions, then any synthetic records) and the test rows
+    (its test positions), both in tweet-id order."""
 
     holdouts: HoldoutTable
     split: TopicSplit
-    train_records: list
-    test_records: list
+    train: Rows
+    test: Rows
     augmentation: AugmentationResult = None
 
 
 def prepare_cell(config: ExperimentConfig, corpus: Corpus, target: str,
                  providers=None, holdouts: HoldoutTable = None,
-                 cache_dir=None) -> PreparedCell:
+                 cache_dir=None, features: CorpusFeatures = None,
+                 stage_s: dict = None) -> PreparedCell:
     """Split, check and optionally augment the training data of one
-    leave-one-topic-out cell.
+    leave-one-topic-out cell, as `Rows` of `features`, the corpus's
+    `CorpusFeatures` (counted here when not given).
 
     Holdouts are drawn from the config when none are given. Augmentation
     results are cached under `cache_dir`/augment when a cache is given.
+    Each stage's seconds are added to `stage_s` when it is given.
     """
-    if holdouts is None:
-        holdouts = _stage("split", make_holdouts, corpus, config.holdout_k,
-                          config.seed)
-    if config.setting == ZERO_SHOT:
-        split = _stage("split", zero_shot_split, corpus, holdouts, target)
-    else:
-        split = _stage("split", few_shot_split, corpus, holdouts, target,
-                       config.shots)
-
-    train_records = [corpus.record(i) for i in sorted(split.train)]
-    target_in_train = [r for r in train_records if r.topic_id == target]
-    if config.setting == ZERO_SHOT and target_in_train:
-        raise ConfigError(
-            f"zero-shot train set contains {len(target_in_train)} records "
-            f"of target {target}"
-        )
-    if config.setting == FEW_SHOT and len(target_in_train) != config.shots:
-        raise ConfigError(
-            f"few-shot train set has {len(target_in_train)} target records, "
-            f"expected {config.shots}"
-        )
+    stage_s = {} if stage_s is None else stage_s
+    if features is None:
+        features = CorpusFeatures(corpus.records)
+    elif features.records is not corpus.records:
+        raise ConfigError("corpus features were counted over another corpus")
+    with _stage("split", stage_s):
+        if holdouts is None:
+            holdouts = make_holdouts(corpus, config.holdout_k, config.seed)
+        if config.setting == ZERO_SHOT:
+            split = zero_shot_split(corpus, holdouts, target)
+        else:
+            split = few_shot_split(corpus, holdouts, target, config.shots)
+        target_in_train = np.count_nonzero(
+            corpus.topic_codes[split.train]
+            == corpus.topic_ids().index(target))
+        if config.setting == ZERO_SHOT and target_in_train:
+            raise ConfigError(
+                f"zero-shot train set contains {target_in_train} records "
+                f"of target {target}"
+            )
+        if config.setting == FEW_SHOT and target_in_train != config.shots:
+            raise ConfigError(
+                f"few-shot train set has {target_in_train} target records, "
+                f"expected {config.shots}"
+            )
+        train = features.select(split.train)
+        test = features.select(split.test)
 
     aug_result = None
     if config.strategy != NONE:
-        pool_ids = holdouts.pool(target)[: config.shots]
-        pool_records = [corpus.record(i) for i in pool_ids]
-        train_records, aug_result = _stage(
-            "augment", augment_training, train_records, pool_records,
-            config.strategy, providers, config.seed,
-            params=config.generation_params, ratio=config.ratio,
-            pivot=config.pivot,
-            cache_dir=(Path(cache_dir) / "augment"
-                       if cache_dir is not None else None),
-            max_workers=config.max_workers or None,
-        )
-    test_records = [corpus.record(i) for i in sorted(split.test)]
-    return PreparedCell(holdouts, split, train_records, test_records,
-                        aug_result)
+        with _stage("augment", stage_s):
+            pool = features.select(
+                corpus.positions(holdouts.pool(target)[: config.shots]))
+            train, aug_result = augment_training(
+                train, pool, config.strategy, providers, config.seed,
+                params=config.generation_params, ratio=config.ratio,
+                pivot=config.pivot,
+                cache_dir=(Path(cache_dir) / "augment"
+                           if cache_dir is not None else None),
+                max_workers=config.max_workers or None,
+            )
+    return PreparedCell(holdouts, split, train, test, aug_result)
 
 
 def run_topic(config: ExperimentConfig, corpus: Corpus, target: str,
               providers=None, holdouts: HoldoutTable = None,
               cache_dir=None, details: dict = None,
-              features=None) -> EvalReport:
+              features: CorpusFeatures = None) -> EvalReport:
     """Run one leave-one-topic-out experiment and evaluate on the holdout
     complement of the target topic.
 
     When a `details` dict is supplied it is filled with split sizes,
-    augmentation skip information, and the trained-on record count.
-    `features` is handed to `train_scorer` (see there).
+    augmentation skip information, the trained-on record count, and
+    `stage_s`, the seconds each stage took (also when a stage fails).
+    `features` is the corpus's `CorpusFeatures` (see `prepare_cell`).
     """
-    cell = prepare_cell(config, corpus, target, providers, holdouts, cache_dir)
-    scorer = _stage("train", train_scorer, cell.train_records,
-                    config.scorer_config(), providers,
-                    cache_dir=(Path(cache_dir) / "models"
-                               if cache_dir is not None else None),
-                    features=features)
-
-    test = cell.test_records
-    score_values = _stage("score", scorer.score_many, [r.text for r in test])
-    scores = {r.tweet_id: s for r, s in zip(test, score_values)}
-    labels = {r.tweet_id: r.label for r in test}
-    report = _stage("evaluate", evaluate_scores, target, scores, labels,
-                    threshold=config.threshold, cw_only=config.cw_only_map)
+    stage_s = details.setdefault("stage_s", {}) if details is not None else {}
+    cell = prepare_cell(config, corpus, target, providers, holdouts,
+                        cache_dir, features, stage_s)
+    with _stage("train", stage_s):
+        scorer = train_scorer(cell.train, config.scorer_config(), providers,
+                              cache_dir=(Path(cache_dir) / "models"
+                                         if cache_dir is not None else None))
+    with _stage("score", stage_s):
+        score_values = scorer.score_many(cell.test)
+    with _stage("evaluate", stage_s):
+        test_ids = cell.split.test_ids()
+        scores = dict(zip(test_ids, score_values))
+        labels = dict(zip(test_ids, cell.test.labels()))
+        report = evaluate_scores(target, scores, labels,
+                                 threshold=config.threshold,
+                                 cw_only=config.cw_only_map)
 
     if details is not None:
         aug = cell.augmentation
-        details["train_size"] = len(cell.train_records)
-        details["test_size"] = len(test)
+        details["train_size"] = len(cell.train)
+        details["test_size"] = len(cell.test)
         details["aug_samples"] = len(aug.samples) if aug else 0
         details["aug_skips"] = list(aug.skips) if aug else []
         details["aug_identical"] = aug.identical_count if aug else 0
@@ -327,20 +355,6 @@ def _csv_row(row: dict) -> list:
     return out
 
 
-def _once(build):
-    """A thread-safe zero-argument callable returning `build()`, which it
-    runs on its first call only."""
-    lock = threading.Lock()
-    built = []
-
-    def get():
-        with lock:
-            if not built:
-                built.append(build())
-            return built[0]
-    return get
-
-
 def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
               providers=None, out_dir=None) -> RunRecord:
     """Run one reporting suite over every topic and write its artifacts.
@@ -357,8 +371,9 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
     cache_dir = out_dir / "cache"
 
     holdouts = make_holdouts(corpus, base_config.holdout_k, base_config.seed)
-    # counted on the first model-cache miss, so an all-hit rerun never pays
-    features = _once(lambda: CorpusFeatures(corpus.records))
+    # once per pass: every cell scores from it, and a missed model trains
+    # from it
+    features = CorpusFeatures(corpus.records)
     topics = corpus.topic_ids()
     combos = _suite_cells(suite, base_config)
 
@@ -424,6 +439,8 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
             )[topic] = report
             if details.get("aug_skips"):
                 skip_counts[f"{key}/{topic}"] = len(details["aug_skips"])
+        row["stage_s"] = {name: round(seconds, 6) for name, seconds
+                          in details.get("stage_s", {}).items()}
         cells.append(row)
     wall_clock["total"] = round(suite_elapsed, 6)
 

@@ -5,6 +5,11 @@ test set is everything outside that pool. Zero-shot training data is all
 other topics; few-shot training data additionally takes a prefix of the
 holdout pool, so shot sweeps are nested and every setting shares the exact
 same test set.
+
+Holdout pools are tuples of tweet ids. A split's train and test sets are
+int arrays of corpus positions in tweet-id order, which is also the row
+order of the cell's training and test data; ids reappear only where a split
+is written out (`split_to_json`, `TopicSplit.test_hash`).
 """
 
 from __future__ import annotations
@@ -13,7 +18,9 @@ import hashlib
 import json
 import random
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .corpus import CW, Corpus
 from .errors import SplitError
@@ -36,24 +43,36 @@ class HoldoutTable:
         return self.per_topic[topic_id]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TopicSplit:
+    """One cell's train and test positions in `corpus`, each an int array
+    in tweet-id order."""
+
     target_topic_id: str
-    train: frozenset
-    test: frozenset
+    train: np.ndarray
+    test: np.ndarray
     few_shot_used: int
     seed: int
+    corpus: Corpus = field(repr=False)
 
     def __post_init__(self):
-        overlap = self.train & self.test
+        in_train = np.zeros(len(self.corpus), dtype=bool)
+        in_train[self.train] = True
+        overlap = np.count_nonzero(in_train[self.test])
         if overlap:
             raise SplitError(
                 f"train/test leakage for {self.target_topic_id}: "
-                f"{len(overlap)} shared ids"
+                f"{overlap} shared ids"
             )
 
+    def train_ids(self) -> list:
+        return self.corpus.tweet_ids[self.train].tolist()
+
+    def test_ids(self) -> list:
+        return self.corpus.tweet_ids[self.test].tolist()
+
     def test_hash(self) -> str:
-        digest = hashlib.sha256("\n".join(sorted(self.test)).encode("utf-8"))
+        digest = hashlib.sha256("\n".join(self.test_ids()).encode("utf-8"))
         return digest.hexdigest()
 
 
@@ -102,37 +121,12 @@ def make_holdouts(corpus: Corpus, k: int = 200, seed: int = 0) -> HoldoutTable:
     return HoldoutTable(seed=seed, k=k, per_topic=per_topic)
 
 
-def _test_ids(corpus: Corpus, holdouts: HoldoutTable, target: str) -> frozenset:
-    pool = set(holdouts.pool(target))
-    return frozenset(
-        r.tweet_id for r in corpus.records_for(target) if r.tweet_id not in pool
-    )
-
-
-def zero_shot_split(corpus: Corpus, holdouts: HoldoutTable, target: str) -> TopicSplit:
-    """Train on every other topic; the target contributes test data only."""
-    if target not in corpus.topic_ids():
-        raise SplitError(f"unknown target topic: {target!r}")
-    train = frozenset(
-        r.tweet_id for r in corpus.records if r.topic_id != target
-    )
-    return TopicSplit(
-        target_topic_id=target,
-        train=train,
-        test=_test_ids(corpus, holdouts, target),
-        few_shot_used=0,
-        seed=holdouts.seed,
-    )
-
-
-def few_shot_split(corpus: Corpus, holdouts: HoldoutTable, target: str,
-                   shots: int) -> TopicSplit:
-    """Zero-shot training data plus the first `shots` ids of the target pool.
-
-    The test set is identical (as a set) to the zero-shot test set for the
-    same corpus and seed.
-    """
-    if target not in corpus.topic_ids():
+def _split(corpus: Corpus, holdouts: HoldoutTable, target: str,
+           shots: int) -> TopicSplit:
+    """Every other topic plus the first `shots` pool records of the target
+    to train on; the target outside its pool to test on."""
+    topics = corpus.topic_ids()
+    if target not in topics:
         raise SplitError(f"unknown target topic: {target!r}")
     if shots < 0:
         raise SplitError(f"shots must be >= 0, got {shots}")
@@ -142,14 +136,30 @@ def few_shot_split(corpus: Corpus, holdouts: HoldoutTable, target: str,
             f"requested {shots} shots but the {target} holdout pool "
             f"has only {len(pool)} records"
         )
-    base = zero_shot_split(corpus, holdouts, target)
-    return TopicSplit(
-        target_topic_id=target,
-        train=base.train | frozenset(pool[:shots]),
-        test=base.test,
-        few_shot_used=shots,
-        seed=holdouts.seed,
-    )
+    pool = corpus.positions(pool)
+    test = corpus.topic_codes == topics.index(target)
+    train = ~test
+    train[pool[:shots]] = True
+    test[pool] = False
+    order = corpus.id_order
+    return TopicSplit(target_topic_id=target, train=order[train[order]],
+                      test=order[test[order]], few_shot_used=shots,
+                      seed=holdouts.seed, corpus=corpus)
+
+
+def zero_shot_split(corpus: Corpus, holdouts: HoldoutTable, target: str) -> TopicSplit:
+    """Train on every other topic; the target contributes test data only."""
+    return _split(corpus, holdouts, target, 0)
+
+
+def few_shot_split(corpus: Corpus, holdouts: HoldoutTable, target: str,
+                   shots: int) -> TopicSplit:
+    """Zero-shot training data plus the first `shots` ids of the target pool.
+
+    The test set is identical to the zero-shot test set for the same corpus
+    and seed.
+    """
+    return _split(corpus, holdouts, target, shots)
 
 
 def split_to_json(split: TopicSplit, shots_pool: tuple = ()) -> str:
@@ -158,8 +168,8 @@ def split_to_json(split: TopicSplit, shots_pool: tuple = ()) -> str:
         "target": split.target_topic_id,
         "seed": split.seed,
         "shots": split.few_shot_used,
-        "train_ids": sorted(split.train),
-        "test_ids": sorted(split.test),
+        "train_ids": split.train_ids(),
+        "test_ids": split.test_ids(),
         "test_hash": split.test_hash(),
         "stratified_holdout": True,
         "shot_ids": list(shots_pool[:split.few_shot_used]),

@@ -134,7 +134,7 @@ def test_3_split_protocol_invariants(capsys, protocol_corpus_14):
         for target in topics:
             zero = zero_shot_split(corpus, holdouts, target)
             assert not set(zero.train) & set(zero.test)
-            assert all(corpus.record(i).topic_id != target for i in zero.train)
+            assert all(corpus.records[i].topic_id != target for i in zero.train)
             previous = set()
             for shots in SHOT_CHOICES:
                 few = few_shot_split(corpus, holdouts, target, shots)
@@ -142,7 +142,7 @@ def test_3_split_protocol_invariants(capsys, protocol_corpus_14):
                 assert few.test_hash() == zero.test_hash()
                 added = set(few.train) - set(zero.train)
                 assert len(added) == shots
-                assert all(corpus.record(i).topic_id == target for i in added)
+                assert all(corpus.records[i].topic_id == target for i in added)
                 assert previous < added
                 previous = added
 

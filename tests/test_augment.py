@@ -23,6 +23,7 @@ from claimcheck.augment import (
 )
 from claimcheck.corpus import CW, NCW, TweetRecord
 from claimcheck.errors import AugmentError
+from claimcheck.model import CorpusFeatures
 from claimcheck.providers import (
     MASK_TOKEN,
     DistinctTokenGenerator,
@@ -308,6 +309,13 @@ def test_synthetic_record_rejects_label_drift():
 # augment_training
 
 
+def _select(records, pool_size):
+    """Training rows over all of `records`, and pool rows over the first
+    `pool_size` of them."""
+    features = CorpusFeatures(records)
+    return features.select(), features.select(range(pool_size))
+
+
 def _bundle(**kwargs):
     defaults = dict(translator=identity_translator, filler=MarkerFiller(),
                     generator=RecordingGenerator(), kind="mock")
@@ -316,46 +324,50 @@ def _bundle(**kwargs):
 
 
 def test_augment_none_is_identity():
-    train = _pool(6)
-    out, result = augment_training(train, train[:3], NONE, None)
-    assert out == train
+    train, pool = _select(_pool(6), 3)
+    out, result = augment_training(train, pool, NONE, None)
+    assert out is train
+    assert list(out) == _pool(6)
     assert result is None
 
 
 def test_augment_rejects_unknown_strategy():
-    train = _pool(4)
+    train, pool = _select(_pool(4), 2)
     with pytest.raises(AugmentError):
-        augment_training(train, train[:2], "mixup", _bundle())
+        augment_training(train, pool, "mixup", _bundle())
 
 
 def test_augment_rejects_seeds_outside_training_set():
-    train = _pool(4)
-    stranger = _rec(99, "outside text")
+    features = CorpusFeatures(_pool(4) + [_rec(99, "outside text")])
+    train = features.select(range(4))
+    with pytest.raises(AugmentError, match="p099"):
+        augment_training(train, features.select([2, 4]), BT, _bundle())
+    # the same records in another corpus are not training rows either
+    _, elsewhere = _select(_pool(4), 2)
     with pytest.raises(AugmentError):
-        augment_training(train, [stranger], BT, _bundle())
+        augment_training(train, elsewhere, BT, _bundle())
 
 
 @pytest.mark.parametrize("strategy", [BT, CWE, TXTGEN])
 def test_augment_preserves_labels_and_cardinality(strategy):
-    train = _pool(10)
-    pool = train[:6]
+    train, pool = _select(_pool(10), 6)
     out, result = augment_training(train, pool, strategy, _bundle())
     assert len(result.samples) + len(result.skips) == len(pool)
     assert len(out) == len(train) + len(result.samples)
     by_id = {r.tweet_id: r for r in train}
-    for rec in out[len(train):]:
+    assert list(out)[:len(train)] == list(train)
+    for rec in list(out)[len(train):]:
         origin_id = rec.tweet_id.split("::")[0]
         assert rec.label == by_id[origin_id].label
         assert rec.source == SYNTHETIC_SOURCE
 
 
 def test_augment_is_deterministic_across_worker_counts():
-    train = _pool(12)
-    pool = train[:8]
+    train, pool = _select(_pool(12), 8)
     serial, _ = augment_training(train, pool, CWE, _bundle(), seed=3)
     threaded, _ = augment_training(train, pool, CWE, _bundle(), seed=3,
                                    max_workers=4)
-    assert serial == threaded
+    assert list(serial) == list(threaded)
 
 
 def test_augment_cache_round_trip(tmp_path):
@@ -365,8 +377,7 @@ def test_augment_cache_round_trip(tmp_path):
         calls.append(text)
         return text
 
-    train = _pool(6)
-    pool = train[:4]
+    train, pool = _select(_pool(6), 4)
     bundle = _bundle(translator=counting_translator)
     first, result1 = augment_training(train, pool, BT, bundle,
                                       cache_dir=tmp_path)
@@ -374,7 +385,7 @@ def test_augment_cache_round_trip(tmp_path):
     second, result2 = augment_training(train, pool, BT, bundle,
                                        cache_dir=tmp_path)
     assert len(calls) == 8
-    assert second == first
+    assert list(second) == list(first)
     assert result2 == result1
 
 
@@ -384,8 +395,8 @@ def test_augment_cache_entry_bytes(tmp_path):
             raise RuntimeError("offline")
         return text
 
-    train = [_rec(0, "نص عربي"), _rec(1, "down text", NCW)]
-    augment_training(train, train, BT, _bundle(translator=translator),
+    train, pool = _select([_rec(0, "نص عربي"), _rec(1, "down text", NCW)], 2)
+    augment_training(train, pool, BT, _bundle(translator=translator),
                      cache_dir=tmp_path)
     (entry,) = tmp_path.iterdir()
     assert entry.read_bytes() == (
@@ -398,8 +409,7 @@ def test_augment_cache_entry_bytes(tmp_path):
 
 def test_augment_cache_keys_on_seed(tmp_path):
     filler = MarkerFiller()
-    train = _pool(6)
-    pool = train[:4]
+    train, pool = _select(_pool(6), 4)
     bundle = _bundle(filler=filler)
     augment_training(train, pool, CWE, bundle, seed=0, cache_dir=tmp_path)
     first_calls = filler.calls
@@ -411,8 +421,7 @@ def test_augment_cache_keys_on_the_provider(tmp_path):
     def word_adding_filler(masked_text):
         return masked_text.replace(MASK_TOKEN, "x") + " extra"
 
-    train = _pool(6)
-    pool = train[:4]
+    train, pool = _select(_pool(6), 4)
     _, hashed = augment_training(train, pool, CWE, _bundle(filler=HashFiller()),
                                  seed=3, cache_dir=tmp_path)
     _, added = augment_training(train, pool, CWE,

@@ -193,8 +193,8 @@ def test_augmented_train_uses_the_cell_training_data(corpus_jsonl, tmp_path,
                               holdout_k=50)
     cell = prepare_cell(config, Corpus.from_jsonl(corpus_jsonl), "S-A",
                         make_providers("mock"))
-    assert len(cell.train_records) == len(cell.split.train) + 50
-    assert f"trained on {len(cell.train_records)} records" in \
+    assert len(cell.train) == len(cell.split.train) + 50
+    assert f"trained on {len(cell.train)} records" in \
         capsys.readouterr().out
 
 

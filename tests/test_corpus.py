@@ -179,6 +179,21 @@ def test_corpus_lookup_and_topics():
         corpus.records_for("missing")
 
 
+def test_corpus_position_index_is_built_on_first_use(tmp_path):
+    corpus = Corpus([_rec("30", topic_id="B"), _rec("4", topic_id="A"),
+                     _rec("100", topic_id="B")])
+    path = tmp_path / "corpus.jsonl"
+    corpus.to_jsonl(path)
+    reloaded = Corpus.from_jsonl(path)
+    lazy = {"tweet_ids", "id_order", "topic_codes"}
+    assert not lazy & set(vars(corpus)) and not lazy & set(vars(reloaded))
+    assert reloaded.id_order.tolist() == [2, 0, 1]  # "100" < "30" < "4"
+    assert reloaded.topic_codes.tolist() == [1, 0, 1]
+    assert reloaded.positions(["4", "100"]).tolist() == [1, 2]
+    with pytest.raises(CorpusError, match="missing"):
+        reloaded.positions(["4", "missing"])
+
+
 def test_corpus_round_trip(tmp_path, small_corpus):
     path = tmp_path / "corpus.jsonl"
     small_corpus.to_jsonl(path)

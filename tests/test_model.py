@@ -14,6 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from claimcheck import model
 from claimcheck.cache import stable_hash
@@ -30,6 +31,7 @@ from claimcheck.model import (
     ScorerConfig,
     count_matrix,
     model_cache_key,
+    record_digests,
     train_scorer,
 )
 from claimcheck.providers import MockEncoderProvider, ProviderBundle
@@ -376,44 +378,70 @@ def test_second_train_scorer_call_is_a_cache_hit(tmp_path, monkeypatch):
         raise AssertionError("a cached model was retrained")
 
     monkeypatch.setattr(BaselineScorer, "fit_matrix", no_fit)
-    second = train_scorer(records, cfg, cache_dir=tmp_path,
-                          features=lambda: CorpusFeatures(records))
-    assert second.vocab == first.vocab
+    second = train_scorer(CorpusFeatures(records).select(), cfg,
+                          cache_dir=tmp_path)
+    assert np.array_equal(second.vocab, first.vocab)
     assert np.array_equal(second.weights, first.weights)
+
+
+def _key(config, texts, labels):
+    return model_cache_key(config, record_digests(texts, labels))
 
 
 def test_model_cache_key_frames_each_text_and_label():
     cfg = ScorerConfig(backend="baseline")
-    assert (model_cache_key(cfg, ["ab"], ["c"])
-            != model_cache_key(cfg, ["a"], ["bc"]))
-    assert (model_cache_key(cfg, ["a b", "c"], [CW, NCW])
-            != model_cache_key(cfg, ["a", "b c"], [CW, NCW]))
+    assert _key(cfg, ["ab"], ["c"]) != _key(cfg, ["a"], ["bc"])
+    assert (_key(cfg, ["a b", "c"], [CW, NCW])
+            != _key(cfg, ["a", "b c"], [CW, NCW]))
+    assert _key(cfg, ["1:a"], ["b"]) != _key(cfg, ["a"], ["1:b"])
 
 
 def test_model_cache_key_carries_the_trainer_version(monkeypatch):
     cfg = ScorerConfig(backend="baseline")
-    before = model_cache_key(cfg, ["a b"], [CW])
+    before = _key(cfg, ["a b"], [CW])
     monkeypatch.setattr(model, "TRAINER_VERSION", model.TRAINER_VERSION + 1)
-    assert model_cache_key(cfg, ["a b"], [CW]) != before
+    assert _key(cfg, ["a b"], [CW]) != before
 
 
 def test_model_cache_key_is_equal_for_equal_data_in_other_lists():
     cfg = ScorerConfig(backend="baseline")
     texts, labels = ["نص عربي", "b c"], [CW, NCW]
-    assert (model_cache_key(cfg, texts, labels)
-            == model_cache_key(ScorerConfig(backend="baseline"),
-                               list(texts), list(labels)))
+    assert (_key(cfg, texts, labels)
+            == _key(ScorerConfig(backend="baseline"), list(texts),
+                    list(labels)))
+
+
+def test_model_cache_key_is_equal_for_equal_rows_of_two_corpora():
+    """Content addressed: the same texts and labels in the same order give
+    the same key, whichever corpus and positions they are gathered from."""
+    cfg = ScorerConfig(backend="baseline")
+    records = planted_records(n=30)
+    synthetic = [_rec(900, "X w1 brand-new", CW)]
+    one = CorpusFeatures(records)
+    other = CorpusFeatures([_rec(500, "unrelated", NCW)]
+                           + list(reversed(records)))
+    rows = [4, 9, 2, 17]
+    mirrored = [len(records) - i for i in rows]
+    assert ([r.tweet_id for r in one.select(rows)]
+            == [r.tweet_id for r in other.select(mirrored)])
+    assert (model_cache_key(cfg, one.select(rows, synthetic).digests())
+            == model_cache_key(cfg, other.select(mirrored, synthetic).digests()))
+    texts = [records[i].text for i in rows] + ["X w1 brand-new"]
+    labels = [records[i].label for i in rows] + [CW]
+    assert (model_cache_key(cfg, one.select(rows, synthetic).digests())
+            == _key(cfg, texts, labels))
+    assert (model_cache_key(cfg, one.select(rows[::-1], synthetic).digests())
+            != _key(cfg, texts, labels))
 
 
 def test_model_cache_key_changes_when_one_label_flips():
     cfg = ScorerConfig(backend="baseline")
     texts = ["a b", "c d", "e"]
-    assert (model_cache_key(cfg, texts, [CW, NCW, NCW])
-            != model_cache_key(cfg, texts, [CW, CW, NCW]))
+    assert (_key(cfg, texts, [CW, NCW, NCW])
+            != _key(cfg, texts, [CW, CW, NCW]))
 
 
-def test_model_cache_key_equals_the_single_join_digest():
-    """Hashing the texts a chunk at a time changes no key."""
+def test_model_cache_key_hashes_the_header_then_each_record_digest():
     cfg = ScorerConfig(backend="baseline", seed=3)
     texts = [f"نص {i} " * (i % 7) + "✅" * (i % 3) for i in range(2500)]
     labels = [CW if i % 4 == 0 else NCW for i in range(2500)]
@@ -423,20 +451,19 @@ def test_model_cache_key_equals_the_single_join_digest():
         "hyperparams": cfg.resolved_hyperparams(),
         "seed": 3,
     }).encode("ascii"))
-    for items in (texts, labels):
-        digest.update(np.array([len(items)] + [len(t) for t in items],
-                               dtype=np.int64))
-        digest.update("".join(items).encode("utf-16-le"))
-    assert model_cache_key(cfg, texts, labels) == digest.hexdigest()
+    for text, label in zip(texts, labels):
+        digest.update(hashlib.sha256(
+            f"{len(label)}:{label}{text}".encode("utf-16-le")).digest())
+    assert _key(cfg, texts, labels) == digest.hexdigest()
 
 
 def test_model_with_an_empty_vocabulary_round_trips(tmp_path):
     scorer = fit_texts(ScorerConfig(backend="baseline"), ["", " "], [CW, NCW])
-    assert scorer.vocab == {}
+    assert len(scorer.vocab) == 0
     path = tmp_path / "empty.npz"
     scorer.save(path)
     loaded = BaselineScorer.load(path)
-    assert loaded.vocab == {}
+    assert len(loaded.vocab) == 0
     assert loaded.weights.shape == (0,)
     assert loaded.bias == scorer.bias
     assert loaded.score_many(["a"]) == scorer.score_many(["a"])
@@ -450,7 +477,7 @@ def test_non_ascii_vocabulary_round_trips_bit_for_bit(tmp_path):
     scorer.save(path)
     loaded = BaselineScorer.load(path)
     assert list(loaded.vocab) == list(scorer.vocab)
-    assert loaded.vocab == scorer.vocab
+    assert loaded.vocab.dtype == scorer.vocab.dtype
     assert loaded.weights.tobytes() == scorer.weights.tobytes()
     assert loaded.bias == scorer.bias
 
@@ -481,22 +508,22 @@ def _synthetic(i, text, label):
 
 
 def _matrix_path_cases():
+    """Training data as (corpus rows, extra records) over `_corpus_records`."""
     corpus = _corpus_records()
-    train = corpus[5:70]
+    train = list(range(5, 70))
     synthetic = [_synthetic(3, "aaa cue w1 w1 zz-new", CW),
                  _synthetic(9, "w2 brand-new w2", NCW),
                  _synthetic(12, "~tilde w39 0zero heldout-only", NCW)]
+    # a record whose text differs from the corpus copy is not a corpus row
     edited = [TweetRecord(tweet_id=r.tweet_id, topic_id=r.topic_id,
                           text=r.text + " edited-token", label=r.label,
-                          source=r.source) for r in train[:2]]
-    interleaved = list(train)
-    for k, rec in enumerate(synthetic):
-        interleaved.insert(7 * k + 3, rec)
+                          source=r.source) for r in corpus[5:7]]
+    shuffled = random.Random(4).sample(train, len(train))
     return corpus, {
-        "corpus": train,
-        "corpus+synthetic": train + synthetic,
-        "edited-text": edited + train[2:],
-        "interleaved": interleaved,
+        "corpus": (train, ()),
+        "corpus+synthetic": (train, synthetic),
+        "edited-text": (train[2:], edited),
+        "interleaved": (shuffled, synthetic),
     }
 
 
@@ -512,57 +539,87 @@ def _reference_counts(texts, vocab):
 
 def test_count_matrix_matches_per_text_counting():
     texts = [r.text for r in _corpus_records()] + ["", "solo", "b a b a ~ 0"]
-    vocab, x = model.count_matrix(texts)
-    assert list(vocab) == sorted({t for text in texts for t in text.split()})
-    assert list(vocab.values()) == list(range(len(vocab)))
+    tokens, x = model.count_matrix(texts)
+    assert list(tokens) == sorted({t for text in texts for t in text.split()})
+    vocab = {t: j for j, t in enumerate(tokens.tolist())}
     assert x.has_sorted_indices
     assert np.array_equal(x.toarray(), _reference_counts(texts, vocab))
-    probes = ["b b unseen a", "", "nothing known"]
-    _, known = model.count_matrix(probes, vocab)
-    assert known.shape == (3, len(vocab))
-    assert np.array_equal(known.toarray(), _reference_counts(probes, vocab))
 
 
 @pytest.mark.parametrize("case", ["corpus", "corpus+synthetic", "edited-text",
                                   "interleaved"])
 def test_corpus_matrix_fit_equals_text_fit(case):
     corpus, cases = _matrix_path_cases()
-    records = cases[case]
+    rows, extra = cases[case]
+    records = [corpus[i] for i in rows] + list(extra)
     texts = [r.text for r in records]
     labels = [r.label for r in records]
     cfg = ScorerConfig(backend="baseline", hyperparams={"iterations": 50})
     from_text = fit_texts(cfg, texts, labels)
-    vocab, x = CorpusFeatures(corpus).training_matrix(records)
+    features = CorpusFeatures(corpus)
+    vocab, x = features.training_matrix(rows, extra)
     _, text_x = model.count_matrix(texts)
     assert x.indices.dtype == np.int32
     for part in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(x, part), getattr(text_x, part))
     from_matrix = BaselineScorer(cfg).fit_matrix(vocab, x, labels)
-    assert from_matrix.vocab == from_text.vocab
+    assert list(from_matrix.vocab) == list(from_text.vocab)
     assert list(from_matrix.vocab) == sorted(from_text.vocab)
     assert np.array_equal(from_matrix.weights, from_text.weights)
     assert from_matrix.bias == from_text.bias
     probes = [r.text for r in corpus] + ["zz-new cue", "never seen", ""]
     assert from_matrix.score_many(probes) == from_text.score_many(probes)
+    trained = train_scorer(features.select(rows, extra), cfg)
+    assert list(trained.vocab) == list(from_text.vocab)
+    assert np.array_equal(trained.weights, from_text.weights)
 
 
 def test_train_scorer_fits_through_corpus_features():
     records = planted_records()
     cfg = ScorerConfig(backend="baseline", hyperparams={"iterations": 30})
-    calls = []
-
-    def features():
-        calls.append(1)
-        return CorpusFeatures(records)
-
-    via_matrix = train_scorer(records[:40], cfg, features=features)
+    via_matrix = train_scorer(CorpusFeatures(records).select(range(40)), cfg)
     own_records = train_scorer(records[:40], cfg)
     via_text = fit_texts(cfg, [r.text for r in records[:40]],
                          [r.label for r in records[:40]])
-    assert calls == [1]
     assert np.array_equal(via_matrix.weights, via_text.weights)
     assert np.array_equal(own_records.weights, via_text.weights)
     assert own_records.bias == via_text.bias
+
+
+def _reference_scores(scorer, texts):
+    """Scoring as it was before scores came from the corpus matrix: each
+    text counted over the model's own columns, tokens the model lacks
+    dropped, and the counts multiplied by the weights as a CSR matrix."""
+    vocab = {t: j for j, t in enumerate(scorer.vocab.tolist())}
+    x = sparse.csr_matrix(_reference_counts(texts, vocab))
+    z = x @ scorer.weights + scorer.bias
+    return (1.0 / (1.0 + np.exp(-z))).tolist()
+
+
+@pytest.mark.parametrize("nul_in", ["nowhere", "corpus", "synthetic"])
+def test_matrix_scores_equal_text_count_scores_bit_for_bit(nul_in):
+    """Scores sliced out of the corpus matrix equal scores of the counted
+    texts, with synthetic-only model tokens and with tokens fixed-width
+    unicode cannot order: it reads "a" and "a\x00" as one token."""
+    nul = "a\x00" if nul_in != "nowhere" else "a_"
+    corpus = _corpus_records()
+    if nul_in == "corpus":
+        corpus += [_rec(80, f"a {nul} a{nul}b cue", CW),
+                   _rec(81, f"{nul} w3 a", NCW), _rec(82, "a w7 a", NCW)]
+    features = CorpusFeatures(corpus)
+    synthetic = [_synthetic(3, "aaa cue w1 zz-new", CW),
+                 _synthetic(9, f"w2 brand-new {nul} a", NCW)]
+    train = features.select(range(10, len(corpus)), synthetic)
+    scorer = train_scorer(train, ScorerConfig(
+        backend="baseline", hyperparams={"iterations": 50}))
+    tokens = scorer.vocab.tolist()
+    assert "zz-new" in tokens and nul in tokens and "a" in tokens
+    assert (scorer.vocab.dtype == object) == (nul_in != "nowhere")
+    test_rows = list(range(0, len(corpus), 2)) + [len(corpus) - 1]
+    texts = [corpus[i].text for i in test_rows]
+    scores = scorer.score_many(features.select(test_rows))
+    assert scores == _reference_scores(scorer, texts)
+    assert scorer.score_many(texts) == scores
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,26 @@ def test_idempotence_on_arbitrary_unicode(text):
     assert _RUN_RE.search(once) is None
 
 
+@pytest.mark.parametrize("raw, expected", [
+    ("<\x1fA>", ""),
+    ("<😀a>", ""),
+    ("x <b\x1f>y</\x1fb> z", "x y z"),
+    ("&#\x1f0", "\ufffd"),
+    ("a &\x1flt;b> c", "a c"),
+    ("&\x1famp;lt;", "<"),
+    ("&am<b>p;", "&"),
+    ("&llll;", "≪"),
+    ("x &gggg; y", "x ≫ y"),
+])
+def test_markup_exposed_by_a_removal_goes_in_one_pass(raw, expected):
+    """Removing a control character, a stripped symbol, a tag or part of a
+    character run can complete an HTML tag or entity; it is eliminated in
+    the same pass, so a second pass changes nothing."""
+    once = normalize_tweet(raw).text
+    assert once == expected
+    assert normalize_tweet(once).text == once
+
+
 def test_replacement_count_totals():
     result = normalize_tweet("@a @b http://x.co/1 y@z.io")
     assert result.replacements == 4

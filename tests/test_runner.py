@@ -7,6 +7,7 @@ import sys
 import tempfile
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -34,11 +35,12 @@ from claimcheck.runner import (
     run_suite,
     run_topic,
 )
-from claimcheck.corpus import Corpus
-from claimcheck.model import CorpusFeatures, ScorerConfig
+from claimcheck.corpus import CW, NCW, Corpus, TweetRecord
+from claimcheck.model import CorpusFeatures, ScorerConfig, train_scorer
 from claimcheck.splits import make_holdouts
 
 from mocks import MarkerFiller
+from reference_cells import reference_cell
 from synth import tiny_corpus
 
 
@@ -209,9 +211,12 @@ def test_prepare_cell_zero_shot_draws_holdouts_and_excludes_target():
     cell = prepare_cell(config, corpus, "S-A")
     assert cell.holdouts == make_holdouts(corpus, 50, 4)
     assert cell.augmentation is None
-    assert [r.tweet_id for r in cell.train_records] == sorted(cell.split.train)
-    assert not any(r.topic_id == "S-A" for r in cell.train_records)
-    assert cell.split.test.isdisjoint(cell.holdouts.pool("S-A"))
+    assert [r.tweet_id for r in cell.train] == cell.split.train_ids()
+    assert cell.split.train_ids() == sorted(
+        r.tweet_id for r in corpus.records if r.topic_id != "S-A")
+    assert not any(r.topic_id == "S-A" for r in cell.train)
+    assert [r.tweet_id for r in cell.test] == cell.split.test_ids()
+    assert set(cell.split.test_ids()).isdisjoint(cell.holdouts.pool("S-A"))
 
 
 def test_prepare_cell_augments_the_pool_prefix():
@@ -224,7 +229,17 @@ def test_prepare_cell_augments_the_pool_prefix():
     assert aug.strategy == CWE and aug.pool_size == 50
     origins = {s.origin_tweet_id for s in aug.samples}
     assert origins <= set(holdouts.pool("S-A")[:50])
-    assert len(cell.train_records) == len(cell.split.train) + len(aug.samples)
+    assert len(cell.train) == len(cell.split.train) + len(aug.samples)
+    assert [r.tweet_id for r in cell.train.extra] == [
+        f"{s.origin_tweet_id}::cwe" for s in aug.samples]
+
+
+def test_prepare_cell_refuses_features_of_another_corpus():
+    corpus = tiny_corpus(1, per_topic=60)
+    other = CorpusFeatures(tiny_corpus(1, per_topic=60).records)
+    with pytest.raises(ConfigError, match="another corpus"):
+        prepare_cell(ExperimentConfig(holdout_k=20), corpus, "S-A",
+                     features=other)
 
 
 def test_prepare_cell_caches_augmentation_under_the_cache_dir(tmp_path):
@@ -502,39 +517,32 @@ def _counting_features(monkeypatch):
     return builds
 
 
-def test_once_builds_a_single_value_under_contention():
-    builds = []
-
-    def build():
-        builds.append(1)
-        time.sleep(0.01)  # let other threads reach the check meanwhile
-        return object()
-
-    get = runner._once(build)
-    start = threading.Barrier(8)
+def test_every_cell_of_a_parallel_pass_shares_one_corpus_matrix(
+        suite_corpus, tmp_path, monkeypatch):
+    """The matrix is built before any worker starts, so contention cannot
+    build a second one: every cell trains and scores rows of the same one."""
+    builds = _counting_features(monkeypatch)
     seen = []
 
-    def worker():
-        start.wait(timeout=10)
-        for _ in range(200):
-            seen.append(get())
+    def recording(train, *args, **kwargs):
+        seen.append(train.features)
+        return train_scorer(train, *args, **kwargs)
 
+    monkeypatch.setattr(runner, "train_scorer", recording)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=30)
+        record = run_suite("table3", suite_corpus,
+                           few_shot_config(max_workers=4),
+                           providers=mock_bundle(), out_dir=tmp_path)
     finally:
         sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert builds == [1]
-    assert len(seen) == 1600 and len({id(v) for v in seen}) == 1
+    assert record.failures == []
+    assert len(builds) == 1
+    assert len(seen) == 12 and len({id(f) for f in seen}) == 1
 
 
-def test_corpus_matrix_is_built_once_lazily_and_workers_agree(
+def test_corpus_matrix_is_built_once_per_pass_and_workers_agree(
         suite_corpus, tmp_path, monkeypatch):
     builds = _counting_features(monkeypatch)
     serial, parallel = tmp_path / "w1", tmp_path / "w2"
@@ -553,9 +561,83 @@ def test_corpus_matrix_is_built_once_lazily_and_workers_agree(
     builds.clear()
     run_suite("table2", suite_corpus,
               ExperimentConfig(holdout_k=50, max_workers=2), out_dir=parallel)
-    assert builds == []  # every model is a cache hit
+    assert len(builds) == 1  # an all-hit pass still scores from the matrix
     assert (parallel / "cells.csv").read_bytes() == \
         (serial / "cells.csv").read_bytes()
+
+
+def test_a_suite_pass_never_looks_records_up_by_id(suite_corpus, tmp_path,
+                                                   monkeypatch):
+    def no_lookup(self, tweet_id):
+        raise AssertionError(f"looked up {tweet_id!r} by id")
+
+    monkeypatch.setattr(Corpus, "record", no_lookup)
+    for out in ("cold", "warm"):
+        record = run_suite("table3", suite_corpus, few_shot_config(),
+                           providers=mock_bundle(), out_dir=tmp_path)
+        assert record.failures == [], out
+        assert all(c["status"] == "ok" for c in record.cells)
+
+
+def test_stage_seconds_add_up_to_each_cell_time(suite_corpus, tmp_path):
+    run_suite("table3", suite_corpus, few_shot_config(),
+              providers=mock_bundle(), out_dir=tmp_path)
+    run = json.loads((tmp_path / "run.json").read_text(encoding="utf-8"))
+    header = (tmp_path / "cells.csv").read_text(encoding="utf-8").split("\n")[0]
+    assert "stage" not in header
+    for cell in run["cells"]:
+        key = "{setting}/{strategy}/{shots}/{topic_id}".format(**cell)
+        stages = cell["stage_s"]
+        expected = ["split", "train", "score", "evaluate"]
+        if cell["strategy"] != NONE:
+            expected.insert(1, "augment")
+        assert list(stages) == expected
+        total = run["wall_clock"][key]
+        assert abs(sum(stages.values()) - total) <= 0.05 * total, key
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       sizes=st.lists(st.integers(50, 70), min_size=2, max_size=3),
+       cell=st.sampled_from([(ZERO_SHOT, NONE), (FEW_SHOT, NONE),
+                             (FEW_SHOT, BT), (FEW_SHOT, CWE),
+                             (FEW_SHOT, "TxtGen")]),
+       holdout_k=st.integers(50, 60))
+def test_prepare_cell_matches_the_id_based_reference(seed, sizes, cell,
+                                                     holdout_k):
+    """Positions give the ids, their order and the synthetic tail that
+    looking every record up by id gives, whatever the file order."""
+    rng = random.Random(seed)
+    vocab = [f"w{j}" for j in range(25)]
+    records = [
+        TweetRecord(tweet_id=f"{rng.randrange(10 ** rng.randint(1, 6))}-{t}-{i}",
+                    topic_id=f"T{t}",
+                    text=" ".join(rng.choices(vocab, k=rng.randint(1, 8))),
+                    label=CW if rng.random() < 0.3 else NCW, source="CT20")
+        for t, size in enumerate(sizes) for i in range(size)]
+    rng.shuffle(records)
+    corpus = Corpus(records)
+    setting, strategy = cell
+    config = ExperimentConfig(setting=setting, strategy=strategy,
+                              shots=50 if setting == FEW_SHOT else 0,
+                              holdout_k=holdout_k, seed=seed % 7)
+    target = rng.choice(corpus.topic_ids())
+    providers = mock_bundle()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a pool may cover a whole topic
+        prepared = prepare_cell(config, corpus, target, providers=providers)
+    train_ids, test_ids, synthetic = reference_cell(
+        corpus, prepared.holdouts, target, config.shots,
+        None if strategy == NONE else strategy, providers, config.ratio,
+        config.seed, config.generation_params)
+    assert prepared.split.train_ids() == train_ids
+    assert prepared.split.test_ids() == test_ids
+    held = list(prepared.train)[:len(train_ids)]
+    assert held == [corpus.record(i) for i in train_ids]
+    assert list(prepared.train.extra) == synthetic
+    assert list(prepared.train) == held + synthetic
+    assert list(prepared.test) == [corpus.record(i) for i in test_ids]
+    assert prepared.test.labels() == [corpus.record(i).label for i in test_ids]
 
 
 def test_improvement_rendering_names_the_base(suite_corpus, tmp_path):

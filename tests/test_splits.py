@@ -1,8 +1,11 @@
 """Experiment protocol: holdout pools, zero-/few-shot splits, leakage
 freedom, frozen test sets, and nested shot prefixes."""
 
+import hashlib
+import random
 import warnings
 
+import numpy as np
 import pytest
 from synth import tiny_corpus
 
@@ -75,12 +78,12 @@ def test_holdout_k_must_be_positive(corpus):
 def test_zero_shot_excludes_target_entirely(corpus, holdouts):
     for target in corpus.topic_ids():
         split = zero_shot_split(corpus, holdouts, target)
-        train_topics = {corpus.record(i).topic_id for i in split.train}
+        train_topics = {corpus.records[i].topic_id for i in split.train}
         assert target not in train_topics
         assert split.few_shot_used == 0
         other = {r.tweet_id for r in corpus.records
                  if r.topic_id != target}
-        assert split.train == other
+        assert split.train_ids() == sorted(other)
 
 
 def test_zero_shot_unknown_target(corpus, holdouts):
@@ -91,7 +94,7 @@ def test_zero_shot_unknown_target(corpus, holdouts):
 def test_test_sets_partition_the_unpooled_corpus(corpus, holdouts):
     union = set()
     for target in corpus.topic_ids():
-        test = zero_shot_split(corpus, holdouts, target).test
+        test = set(zero_shot_split(corpus, holdouts, target).test_ids())
         assert not union & test
         union |= test
     pooled = {i for t in corpus.topic_ids() for i in holdouts.pool(t)}
@@ -103,7 +106,7 @@ def test_few_shot_adds_exactly_the_pool_prefix(corpus, holdouts):
     target = corpus.topic_ids()[0]
     zero = zero_shot_split(corpus, holdouts, target)
     few = few_shot_split(corpus, holdouts, target, shots=15)
-    gained = few.train - zero.train
+    gained = set(few.train_ids()) - set(zero.train_ids())
     assert gained == set(holdouts.pool(target)[:15])
     assert few.few_shot_used == 15
 
@@ -113,13 +116,13 @@ def test_few_shot_test_set_identical_to_zero_shot(corpus, holdouts):
         zero = zero_shot_split(corpus, holdouts, target)
         for shots in (1, 10, 40):
             few = few_shot_split(corpus, holdouts, target, shots)
-            assert few.test == zero.test
+            assert np.array_equal(few.test, zero.test)
             assert few.test_hash() == zero.test_hash()
 
 
 def test_few_shot_nesting(corpus, holdouts):
     target = corpus.topic_ids()[1]
-    trains = [few_shot_split(corpus, holdouts, target, s).train
+    trains = [set(few_shot_split(corpus, holdouts, target, s).train)
               for s in (5, 10, 20, 40)]
     for smaller, larger in zip(trains, trains[1:]):
         assert smaller < larger
@@ -127,8 +130,12 @@ def test_few_shot_nesting(corpus, holdouts):
 
 def test_few_shot_zero_equals_zero_shot(corpus, holdouts):
     target = corpus.topic_ids()[2]
-    assert few_shot_split(corpus, holdouts, target, 0) == \
-        zero_shot_split(corpus, holdouts, target)
+    few = few_shot_split(corpus, holdouts, target, 0)
+    zero = zero_shot_split(corpus, holdouts, target)
+    assert (few.target_topic_id, few.few_shot_used, few.seed) == \
+        (zero.target_topic_id, zero.few_shot_used, zero.seed)
+    assert np.array_equal(few.train, zero.train)
+    assert np.array_equal(few.test, zero.test)
 
 
 def test_few_shot_rejects_oversized_shots(corpus, holdouts):
@@ -144,13 +151,14 @@ def test_no_leakage_anywhere(corpus, holdouts):
         for shots in (0, 7, 40):
             split = (zero_shot_split(corpus, holdouts, target) if shots == 0
                      else few_shot_split(corpus, holdouts, target, shots))
-            assert not split.train & split.test
+            assert not set(split.train) & set(split.test)
 
 
-def test_topic_split_rejects_leaky_construction():
+def test_topic_split_rejects_leaky_construction(corpus):
     with pytest.raises(SplitError):
-        TopicSplit(target_topic_id="T", train=frozenset({"a"}),
-                   test=frozenset({"a"}), few_shot_used=0, seed=0)
+        TopicSplit(target_topic_id="T", train=np.array([0, 3]),
+                   test=np.array([3, 5]), few_shot_used=0, seed=0,
+                   corpus=corpus)
 
 
 def test_split_json_shape(corpus, holdouts):
@@ -161,6 +169,51 @@ def test_split_json_shape(corpus, holdouts):
     assert data["target"] == target
     assert data["shots"] == 10
     assert set(data["shot_ids"]) == set(holdouts.pool(target)[:10])
-    assert sorted(data["train_ids"]) == sorted(split.train)
-    assert sorted(data["test_ids"]) == sorted(split.test)
+    assert data["train_ids"] == sorted(
+        corpus.records[i].tweet_id for i in split.train)
+    assert data["test_ids"] == sorted(
+        corpus.records[i].tweet_id for i in split.test)
     assert data["test_hash"] == split.test_hash()
+
+
+# sha256 of split_to_json on tiny_corpus(seed=21, per_topic=120) with
+# make_holdouts(k=40, seed=5), as written when splits still held id sets
+GOLDEN_SPLIT_JSON = {
+    ("S-A", 0): "7c11daa3fb0b77f04b116521d63dfff46a78d924b86687ac5bd7028f9b5a212a",
+    ("S-A", 10): "e0657094d933c986bdc85eba659144b66fbdae52978d9b1fbd88da897c8f436e",
+    ("S-B", 0): "210ccf8085706434ed0f21dbd1a5573078814009d268ee4a99a1e7f75d4ef937",
+    ("S-B", 10): "38d25100f9fe56ff615fa173a1190c1e740b2d067d257aea75dec30b01efadf5",
+    ("S-C", 0): "8e0c4f3e796efbc87f45c3ce6bd860878590192dcadb1f6b39e79bb88ef94e60",
+    ("S-C", 10): "3889cb706a82743829b30d4646255d301476f75978ebcc3abba4e632f319031a",
+}
+
+
+@pytest.mark.parametrize("order", ["file", "shuffled"])
+def test_split_json_bytes_are_golden(corpus, order):
+    """Positions map back to the exact ids, order and hash of the id-set
+    splits, whatever order the corpus holds its records in."""
+    if order == "shuffled":
+        records = list(corpus.records)
+        random.Random(9).shuffle(records)
+        corpus = Corpus(records)
+    holdouts = make_holdouts(corpus, k=40, seed=5)
+    for (target, shots), digest in GOLDEN_SPLIT_JSON.items():
+        split = (few_shot_split(corpus, holdouts, target, shots) if shots
+                 else zero_shot_split(corpus, holdouts, target))
+        text = split_to_json(split, holdouts.pool(target))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def test_split_positions_are_in_tweet_id_order():
+    records = list(tiny_corpus(seed=2, per_topic=30).records)
+    records.reverse()
+    corpus = Corpus(records)
+    holdouts = make_holdouts(corpus, k=10, seed=1)
+    split = few_shot_split(corpus, holdouts, "S-B", 4)
+    for rows in (split.train, split.test):
+        ids = [corpus.records[i].tweet_id for i in rows]
+        assert ids == sorted(ids)
+    assert split.train_ids() == sorted(
+        [r.tweet_id for r in corpus.records if r.topic_id != "S-B"]
+        + list(holdouts.pool("S-B")[:4]))
+
