@@ -22,7 +22,7 @@ import numpy as np
 
 from .cache import cached, stable_hash
 from .corpus import TweetRecord
-from .errors import AugmentError
+from .errors import AugmentError, is_int, is_number
 from .preprocess import PLACEHOLDERS
 from .providers import MASK_TOKEN, HttpProvider
 
@@ -63,6 +63,21 @@ class GenerationParams:
     top_p: float = 0.75
     repetition_penalty: float = 3
     no_repeat_ngram_size: int = 3
+
+    def __post_init__(self):
+        for name, low in (("num_beams", 1), ("max_length", 1),
+                          ("no_repeat_ngram_size", 0)):
+            value = getattr(self, name)
+            if not (is_int(value) and value >= low):
+                raise AugmentError(
+                    f"{name} must be an integer >= {low}, got {value!r}")
+        if not (is_number(self.top_p) and 0 < self.top_p <= 1):
+            raise AugmentError(
+                f"top_p must be a number in (0, 1], got {self.top_p!r}")
+        if not (is_number(self.repetition_penalty)
+                and self.repetition_penalty > 0):
+            raise AugmentError(f"repetition_penalty must be a number > 0, "
+                               f"got {self.repetition_penalty!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)

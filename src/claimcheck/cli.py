@@ -73,7 +73,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--holdout-k", type=int, default=None,
                    help="per-topic holdout pool size")
     p.add_argument("--workers", type=int, default=None,
-                   help="parallel workers for suite cells / provider calls")
+                   help="suite cells to run at once, each calling providers "
+                        "one at a time; for other commands, augmentation "
+                        "provider calls to make at once")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,33 +136,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _experiment_config(args, setting=None, strategy=None, shots=None):
-    """Merge config file values with explicit flags into an ExperimentConfig."""
+def _experiment_config(args, **forced):
+    """Merge config file values with explicit flags, then the `forced`
+    fields, into an ExperimentConfig."""
     data = {key: value for key, value in (args.config or {}).items()
             if key not in ("corpus", "providers")}
     overrides = {
         "seed": getattr(args, "seed", None),
         "backend_id": getattr(args, "backend", None),
-        "shots": shots if shots is not None else getattr(args, "shots", None),
-        "strategy": strategy if strategy is not None
-                    else getattr(args, "strategy", None),
+        "shots": getattr(args, "shots", None),
+        "strategy": getattr(args, "strategy", None),
         "holdout_k": getattr(args, "holdout_k", None),
         "max_workers": getattr(args, "workers", None),
         "output_dir": getattr(args, "out", None),
+        **forced,
     }
     for key, value in overrides.items():
         if value is not None:
             data[key] = value
-    if setting is not None:
-        data["setting"] = setting
-    elif "setting" not in data:
-        shots_val = data.get("shots", 0) or 0
-        strat_val = data.get("strategy", NONE)
-        data["setting"] = (FEW_SHOT if shots_val or strat_val != NONE
-                           else ZERO_SHOT)
-    if data["setting"] == ZERO_SHOT:
-        data.setdefault("shots", 0)
-        data.setdefault("strategy", NONE)
     return config_from_mapping(data)
 
 
@@ -329,13 +322,9 @@ def _cmd_similarity(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    setting = None
-    strategy = None
-    shots = None
-    if args.suite == "table2":
-        setting, strategy, shots = ZERO_SHOT, NONE, 0
-    config = _experiment_config(args, setting=setting, strategy=strategy,
-                                shots=shots)
+    forced = ({"setting": ZERO_SHOT, "strategy": NONE, "shots": 0}
+              if args.suite == "table2" else {})
+    config = _experiment_config(args, **forced)
     corpus = Corpus.from_jsonl(args.corpus)
     providers = _providers_from(args)
     record = run_suite(args.suite, corpus, config, providers=providers,

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .cache import stable_hash
 from .errors import CorpusError
 
 __all__ = [
@@ -268,10 +269,6 @@ class Corpus:
         for i, rec in enumerate(records):
             if self._position.setdefault(rec.tweet_id, i) != i:
                 raise CorpusError(f"duplicate tweet id in corpus: {rec.tweet_id}")
-        by_topic = {}
-        for rec in records:
-            by_topic.setdefault(rec.topic_id, []).append(rec)
-        self._by_topic = {t: tuple(rs) for t, rs in by_topic.items()}
 
     def __len__(self):
         return len(self._records)
@@ -283,13 +280,18 @@ class Corpus:
     def records(self) -> tuple:
         return self._records
 
+    @cached_property
+    def _topics(self) -> list:
+        return sorted({r.topic_id for r in self._records})
+
     def topic_ids(self) -> list:
-        return sorted(self._by_topic)
+        return list(self._topics)
 
     def records_for(self, topic_id: str) -> tuple:
-        if topic_id not in self._by_topic:
+        if topic_id not in self._topics:
             raise CorpusError(f"unknown topic: {topic_id!r}")
-        return self._by_topic[topic_id]
+        at = np.flatnonzero(self.topic_codes == self._topics.index(topic_id))
+        return tuple(self._records[i] for i in at.tolist())
 
     def record(self, tweet_id: str) -> TweetRecord:
         if tweet_id not in self._position:
@@ -319,13 +321,20 @@ class Corpus:
     @cached_property
     def topic_codes(self) -> np.ndarray:
         """Every record's topic as its index in `topic_ids()`, by position."""
-        code = {t: k for k, t in enumerate(self.topic_ids())}
+        code = {t: k for k, t in enumerate(self._topics)}
         return np.array([code[r.topic_id] for r in self._records],
                         dtype=np.int64)
 
+    @cached_property
+    def fingerprint(self) -> str:
+        """A hash of every record's fields, whatever the record order."""
+        return stable_hash(sorted(
+            (r.tweet_id, r.topic_id, r.text, r.label, r.source)
+            for r in self._records))
+
     def validate_canonical(self):
         """Require every topic id to be one of the 14 canonical ids."""
-        unknown = sorted(set(self._by_topic) - set(CANONICAL_TOPIC_IDS))
+        unknown = sorted(set(self._topics) - set(CANONICAL_TOPIC_IDS))
         if unknown:
             raise CorpusError(f"non-canonical topic ids present: {unknown}")
         return self

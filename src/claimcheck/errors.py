@@ -1,4 +1,15 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the two type tests
+every config check uses: a bool is neither an integer nor a number here."""
+
+import numbers
+
+
+def is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class ClaimCheckError(Exception):

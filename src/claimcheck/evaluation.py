@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .corpus import CW, NCW
 from .errors import EvalError
@@ -64,18 +64,9 @@ class EvalReport:
             raise EvalError(f"map must be {rule}, got {self.map!r}")
 
     def to_dict(self) -> dict:
-        out = {
-            "target_topic_id": self.target_topic_id,
-            "ap_cw": self.ap_cw,
-            "ap_ncw": self.ap_ncw,
-            "map": self.map,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "n_test": self.n_test,
-        }
-        if self.cw_only:
-            out["cw_only"] = True
+        out = asdict(self)
+        if not self.cw_only:
+            del out["cw_only"]
         return out
 
 

@@ -18,10 +18,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 import zipfile
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import chain
 from pathlib import Path
 
@@ -30,7 +29,7 @@ from scipy import sparse
 
 from .cache import cached, stable_hash
 from .corpus import CW, NCW
-from .errors import ModelError, ProviderError
+from .errors import ModelError, ProviderError, is_int, is_number
 
 BACKENDS = ("baseline", "encoder")
 
@@ -89,12 +88,10 @@ class ScorerConfig:
                              f"expected some of {sorted(BASELINE_DEFAULTS)}")
         params = self.resolved_hyperparams()
         iters, l2 = params["iterations"], params["l2"]
-        if (isinstance(iters, bool) or not isinstance(iters, numbers.Integral)
-                or iters < 1):
+        if not (is_int(iters) and iters >= 1):
             raise ModelError(
                 f"baseline iterations must be an integer >= 1, got {iters!r}")
-        if (isinstance(l2, bool) or not isinstance(l2, numbers.Real)
-                or not math.isfinite(l2) or l2 < 0):
+        if not (is_number(l2) and math.isfinite(l2) and l2 >= 0):
             raise ModelError(
                 f"baseline l2 must be a finite number >= 0, got {l2!r}")
 
@@ -467,11 +464,7 @@ class BaselineScorer:
             "vocab": np.frombuffer(blob, dtype=np.uint8),
             "weights": self.weights,
             "bias": np.array([self.bias]),
-            "config": np.array([json.dumps({
-                "backend": self.config.backend,
-                "hyperparams": self.config.hyperparams,
-                "seed": self.config.seed,
-            })], dtype=str),
+            "config": np.array([json.dumps(asdict(self.config))], dtype=str),
         }
         with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED,
                              compresslevel=1) as zf:

@@ -15,7 +15,8 @@ fixed order:
 Placeholder tokens are protected from the elimination and whitespace passes,
 so they always survive verbatim. Substitution runs a second time after
 elimination because collapsing characters can expose a previously broken
-pattern. The function is idempotent and deterministic.
+pattern, and again on a part holding a ``/`` that whitespace correction
+changed. The function is idempotent and deterministic.
 """
 
 from __future__ import annotations
@@ -181,8 +182,16 @@ def normalize_tweet(text: str) -> NormalizedText:
         for part in parts:
             if part in PLACEHOLDERS:
                 result.append(part)
+                continue
+            corrected = _correct_whitespace(part)
+            # a space the correction inserts can expose a link shortener
+            # to URL_RE's \b ("0t.co/x" -> "0 t.co/x"), so substitute again
+            if corrected != part and "/" in corrected:
+                again, n = _substitute(corrected)
+                replacements += n
+                result.extend(again)
             else:
-                result.append(_correct_whitespace(part))
+                result.append(corrected)
 
     joined = "".join(result)
     joined = _MULTISPACE_RE.sub(" ", joined).strip()

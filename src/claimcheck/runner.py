@@ -23,20 +23,17 @@ from __future__ import annotations
 import csv
 import io
 import json
-import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from .augment import (NONE, STRATEGIES, AugmentationResult, GenerationParams,
                       augment_training)
-from .cache import stable_hash
 from .corpus import Corpus
-from .errors import ClaimCheckError, ConfigError, ModelError
+from .errors import (AugmentError, ClaimCheckError, ConfigError, ModelError,
+                     is_int, is_number)
 from .evaluation import (
     EvalReport,
     column_means,
@@ -63,25 +60,18 @@ SUITES = ("table2", "table3", "table4", "fig4")
 
 __all__ = [
     "ZERO_SHOT", "FEW_SHOT", "SETTINGS", "SHOT_CHOICES", "SUITES",
-    "ExperimentConfig", "RunRecord", "config_from_mapping",
-    "corpus_fingerprint", "PreparedCell", "prepare_cell", "run_topic",
-    "run_suite",
+    "ExperimentConfig", "RunRecord", "config_from_mapping", "PreparedCell",
+    "prepare_cell", "run_topic", "run_suite",
 ]
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one experiment cell depends on, besides the corpus."""
+    """Everything one experiment cell depends on, besides the corpus.
+    Without a `setting` it is few-shot when it takes shots or a strategy,
+    else zero-shot; `generation_params` may be given as a mapping."""
 
-    setting: str = ZERO_SHOT
+    setting: str = None
     strategy: str = NONE
     shots: int = 0
     backend_id: str = "baseline"
@@ -97,12 +87,17 @@ class ExperimentConfig:
     max_workers: int = 0
 
     def __post_init__(self):
+        if not is_int(self.shots):
+            raise ConfigError(f"shots must be an integer, got {self.shots!r}")
+        if self.setting is None:
+            few = self.shots or self.strategy != NONE
+            object.__setattr__(self, "setting", FEW_SHOT if few else ZERO_SHOT)
         if self.setting not in SETTINGS:
             raise ConfigError(f"unknown setting {self.setting!r}")
-        if not (_is_int(self.holdout_k) and self.holdout_k >= 1):
+        if not (is_int(self.holdout_k) and self.holdout_k >= 1):
             raise ConfigError(
                 f"holdout_k must be an integer >= 1, got {self.holdout_k!r}")
-        if not (_is_int(self.max_workers) and self.max_workers >= 0):
+        if not (is_int(self.max_workers) and self.max_workers >= 0):
             raise ConfigError(f"max_workers (--workers) must be an integer "
                               f">= 0, got {self.max_workers!r}")
         if not isinstance(self.cw_only_map, bool):
@@ -124,12 +119,19 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"shots ({self.shots}) exceed the holdout size ({self.holdout_k})"
                 )
-        if not (_is_number(self.threshold) and 0.0 <= self.threshold <= 1.0):
+        if not (is_number(self.threshold) and 0.0 <= self.threshold <= 1.0):
             raise ConfigError(
                 f"threshold must be a number in [0, 1], got {self.threshold!r}")
-        if not (_is_number(self.ratio) and 0.0 < self.ratio <= 1.0):
+        if not (is_number(self.ratio) and 0.0 < self.ratio <= 1.0):
             raise ConfigError(
                 f"ratio must be a number in (0, 1], got {self.ratio!r}")
+        gp = self.generation_params
+        if not isinstance(gp, GenerationParams):
+            try:  # GenerationParams owns the checks of its values
+                gp = GenerationParams(**({} if gp is None else gp))
+            except (TypeError, AugmentError) as exc:
+                raise ConfigError(f"bad generation_params: {exc}") from None
+            object.__setattr__(self, "generation_params", gp)
         try:  # ScorerConfig owns the backend and hyperparameter checks
             self.scorer_config()
         except ModelError as exc:
@@ -150,14 +152,6 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
     unknown = sorted(set(data) - known)
     if unknown:
         raise ConfigError(f"unknown config keys: {unknown}")
-    gp = data.pop("generation_params", None)
-    if gp is not None:
-        if not isinstance(gp, dict):
-            raise ConfigError("generation_params must be a mapping")
-        try:
-            data["generation_params"] = GenerationParams(**gp)
-        except TypeError as exc:
-            raise ConfigError(f"bad generation_params: {exc}") from None
     return ExperimentConfig(**data)
 
 
@@ -186,14 +180,6 @@ class RunRecord:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, ensure_ascii=False)
-
-
-def corpus_fingerprint(corpus: Corpus) -> str:
-    rows = sorted(
-        (r.tweet_id, r.topic_id, r.text, r.label, r.source)
-        for r in corpus.records
-    )
-    return stable_hash(rows)
 
 
 @contextmanager
@@ -246,19 +232,6 @@ def prepare_cell(config: ExperimentConfig, corpus: Corpus, target: str,
             split = zero_shot_split(corpus, holdouts, target)
         else:
             split = few_shot_split(corpus, holdouts, target, config.shots)
-        target_in_train = np.count_nonzero(
-            corpus.topic_codes[split.train]
-            == corpus.topic_ids().index(target))
-        if config.setting == ZERO_SHOT and target_in_train:
-            raise ConfigError(
-                f"zero-shot train set contains {target_in_train} records "
-                f"of target {target}"
-            )
-        if config.setting == FEW_SHOT and target_in_train != config.shots:
-            raise ConfigError(
-                f"few-shot train set has {target_in_train} target records, "
-                f"expected {config.shots}"
-            )
         train = features.select(split.train)
         test = features.select(split.test)
 
@@ -379,8 +352,10 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
 
     jobs = []
     for setting, strategy, shots in combos:
+        # the suite spends its workers on cells, each of which makes its
+        # provider calls one at a time
         cell_config = replace(base_config, setting=setting, strategy=strategy,
-                              shots=shots)
+                              shots=shots, max_workers=0)
         for topic in topics:
             jobs.append((cell_config, topic))
 
@@ -400,7 +375,7 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
 
     suite_started = time.perf_counter()
     workers = base_config.max_workers
-    if workers and workers > 1:
+    if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(run_job, jobs))
     else:
@@ -458,7 +433,7 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
     record = RunRecord(
         suite=suite,
         config=base_config.to_dict(),
-        corpus_hash=corpus_fingerprint(corpus),
+        corpus_hash=corpus.fingerprint,
         cells=cells,
         aggregates=aggregates,
         skip_counts=skip_counts,

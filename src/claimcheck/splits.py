@@ -45,8 +45,8 @@ class HoldoutTable:
 
 @dataclass(frozen=True, eq=False)
 class TopicSplit:
-    """One cell's train and test positions in `corpus`, each an int array
-    in tweet-id order."""
+    """One cell's train and test positions in `corpus`, disjoint int arrays
+    in tweet-id order; train holds `few_shot_used` target records."""
 
     target_topic_id: str
     train: np.ndarray
@@ -64,6 +64,12 @@ class TopicSplit:
                 f"train/test leakage for {self.target_topic_id}: "
                 f"{overlap} shared ids"
             )
+        topics, target = self.corpus.topic_ids(), self.target_topic_id
+        code = topics.index(target) if target in topics else -1
+        shots = np.count_nonzero(self.corpus.topic_codes[self.train] == code)
+        if shots != self.few_shot_used:
+            raise SplitError(f"train set of {target} holds {shots} of its "
+                             f"records, expected {self.few_shot_used}")
 
     def train_ids(self) -> list:
         return self.corpus.tweet_ids[self.train].tolist()
@@ -107,8 +113,6 @@ def make_holdouts(corpus: Corpus, k: int = 200, seed: int = 0) -> HoldoutTable:
     per_topic = {}
     for topic_id in corpus.topic_ids():
         records = corpus.records_for(topic_id)
-        if not records:
-            raise SplitError(f"topic {topic_id!r} has no records")
         rng = random.Random(f"{seed}|holdout|{topic_id}")
         pool = _stratified_pool(records, k, rng)
         if len(pool) >= len(records):

@@ -2,6 +2,8 @@
 round-trip serialization."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from claimcheck.corpus import (
     CANONICAL_TOPIC_IDS,
@@ -177,6 +179,24 @@ def test_corpus_lookup_and_topics():
         corpus.record("missing")
     with pytest.raises(CorpusError):
         corpus.records_for("missing")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from(["B", "A", "C-2", "C-10", "ب"]), min_size=1,
+                max_size=30))
+def test_topic_index_equals_a_per_topic_reference(topics):
+    """`topic_ids()` and `records_for()` give what a dict of per-topic
+    tuples built in corpus order gives, whatever the record order."""
+    records = [_rec(str(i), topic_id=t) for i, t in enumerate(topics)]
+    corpus = Corpus(records)
+    by_topic = {}
+    for rec in records:
+        by_topic.setdefault(rec.topic_id, []).append(rec)
+    assert corpus.topic_ids() == sorted(by_topic)
+    for topic, expected in by_topic.items():
+        assert corpus.records_for(topic) == tuple(expected)
+    corpus.topic_ids().append("Z")  # a copy: the index stays as it was
+    assert corpus.topic_ids() == sorted(by_topic)
 
 
 def test_corpus_position_index_is_built_on_first_use(tmp_path):

@@ -1,6 +1,7 @@
 """Metric correctness: AP/MAP against a brute-force oracle, the classifier
 metrics, and the integer-delta improvement tables."""
 
+import json
 import math
 import random
 
@@ -162,6 +163,22 @@ def test_evaluate_scores_labels_through_classify():
         evaluate_scores("t", scores, labels, threshold=1.5)
     with pytest.raises(EvalError, match="outside"):
         evaluate_scores("t", {**scores, "b": float("nan")}, labels)
+
+
+def test_report_dict_is_golden_with_and_without_cw_only():
+    fields = dict(target_topic_id="t", ap_cw=0.75, ap_ncw=0.25, map=0.5,
+                  precision=0.5, recall=1.0, f1=2 / 3, n_test=5)
+    default = EvalReport(**fields).to_dict()
+    assert default == fields
+    assert list(default) == ["target_topic_id", "ap_cw", "ap_ncw", "map",
+                             "precision", "recall", "f1", "n_test"]
+    cw_only = EvalReport(**{**fields, "map": 0.75}, cw_only=True).to_dict()
+    assert cw_only == {**fields, "map": 0.75, "cw_only": True}
+    assert list(cw_only) == list(default) + ["cw_only"]
+    assert json.dumps(cw_only) == (
+        '{"target_topic_id": "t", "ap_cw": 0.75, "ap_ncw": 0.25, '
+        '"map": 0.75, "precision": 0.5, "recall": 1.0, '
+        '"f1": 0.6666666666666666, "n_test": 5, "cw_only": true}')
 
 
 def test_cw_only_map_keeps_the_true_ncw_ap():

@@ -2,6 +2,7 @@
 scores."""
 
 import hashlib
+import io
 import json
 import os
 import random
@@ -10,6 +11,7 @@ import sys
 import threading
 import time
 import warnings
+import zipfile
 from types import SimpleNamespace
 
 import numpy as np
@@ -313,6 +315,20 @@ def test_baseline_save_load_round_trip(tmp_path):
     assert loaded.score_many(probes) == scorer.score_many(probes)
     assert loaded.config.hyperparams == {"iterations": 50}
     assert loaded.config.seed == 4
+
+
+def test_saved_config_member_is_the_hand_listed_json(tmp_path):
+    """The `config` member holds the JSON that listing the config's fields
+    by hand wrote, byte for byte."""
+    cfg = ScorerConfig(hyperparams={"l2": 0.5, "iterations": 50}, seed=4)
+    path = tmp_path / "model.npz"
+    train_scorer(planted_records(), cfg).save(path)
+    expected = io.BytesIO()
+    np.lib.format.write_array(expected, np.array([json.dumps({
+        "backend": "baseline", "hyperparams": {"l2": 0.5, "iterations": 50},
+        "seed": 4})], dtype=str), allow_pickle=False)
+    with zipfile.ZipFile(path) as zf:
+        assert zf.read("config.npy") == expected.getvalue()
 
 
 def test_train_scorer_caches_baseline_models(tmp_path):

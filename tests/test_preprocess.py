@@ -103,6 +103,32 @@ def test_markup_exposed_by_a_removal_goes_in_one_pass(raw, expected):
     assert normalize_tweet(once).text == once
 
 
+@pytest.mark.parametrize("raw, expected", [
+    ("0t.co/3t.co/0;", "0 [url] [url]"),
+    ("a1bit.ly/x", "a 1 [url]"),
+])
+def test_a_shortener_exposed_by_whitespace_correction_goes_in_one_pass(
+        raw, expected):
+    """The space whitespace correction inserts before a link shortener
+    gives URL_RE's word boundary; the link is replaced in the same pass."""
+    once = normalize_tweet(raw).text
+    assert once == expected
+    assert normalize_tweet(once).text == once
+
+
+_URL_FRAGMENTS = ["t.co/", "bit.ly/", "is.gd/", "buff.ly/", "http://",
+                  "www.", "0", "3", "a", "Z", "ب", "٣", " ", "/",
+                  ";", ".", "@u", "x@y.com", "<b>", "&amp;", "(", ")", "[",
+                  "[url]", "\U0001F600", "aaa"]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_URL_FRAGMENTS), max_size=8).map("".join))
+def test_idempotence_on_url_and_markup_fragments(text):
+    once = normalize_tweet(text).text
+    assert normalize_tweet(once).text == once
+
+
 def test_replacement_count_totals():
     result = normalize_tweet("@a @b http://x.co/1 y@z.io")
     assert result.replacements == 4

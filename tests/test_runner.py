@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from claimcheck import runner
-from claimcheck.augment import BT, CWE, NONE, GenerationParams
+from claimcheck.augment import BT, CWE, NONE, STRATEGIES, GenerationParams
+from claimcheck.cache import stable_hash
 from claimcheck.errors import (AugmentError, ConfigError, ModelError,
                                ProviderError)
 from claimcheck.providers import (
@@ -30,7 +31,6 @@ from claimcheck.runner import (
     ExperimentConfig,
     RunRecord,
     config_from_mapping,
-    corpus_fingerprint,
     prepare_cell,
     run_suite,
     run_topic,
@@ -89,6 +89,66 @@ def test_config_rejects_unknown_setting_and_strategy():
         ExperimentConfig(setting=FEW_SHOT, shots=50, strategy="mixup")
 
 
+def _cli_setting(shots, strategy):
+    """The setting rule the command line applied before the config owned
+    it: few-shot with shots or a strategy, else zero-shot."""
+    return FEW_SHOT if shots or strategy != NONE else ZERO_SHOT
+
+
+@pytest.mark.parametrize("shots", (0, 70) + SHOT_CHOICES)
+@pytest.mark.parametrize("strategy", (NONE,) + STRATEGIES)
+def test_config_resolves_the_setting_the_way_the_command_line_did(shots,
+                                                                  strategy):
+    try:
+        expected = ExperimentConfig(setting=_cli_setting(shots, strategy),
+                                    shots=shots, strategy=strategy)
+    except ConfigError:
+        with pytest.raises(ConfigError):
+            ExperimentConfig(shots=shots, strategy=strategy)
+        return
+    resolved = ExperimentConfig(shots=shots, strategy=strategy)
+    assert resolved == expected
+    assert resolved.to_dict()["setting"] == expected.setting
+    assert config_from_mapping({"shots": shots, "strategy": strategy}) \
+        == expected
+
+
+def test_an_explicit_setting_that_contradicts_the_shots_still_fails():
+    assert ExperimentConfig(shots=200).setting == FEW_SHOT
+    assert ExperimentConfig().setting == ZERO_SHOT
+    with pytest.raises(ConfigError, match="no shots"):
+        ExperimentConfig(setting=ZERO_SHOT, shots=200)
+    with pytest.raises(ConfigError, match="shots must be one of"):
+        ExperimentConfig(setting=FEW_SHOT, shots=0)
+
+
+@pytest.mark.parametrize("params", [
+    {"max_length": -3}, {"max_length": 0}, {"max_length": "x"},
+    {"max_length": 64.0}, {"max_length": True}, {"num_beams": 0},
+    {"num_beams": 2.5}, {"no_repeat_ngram_size": -1},
+    {"no_repeat_ngram_size": False}, {"top_p": 0}, {"top_p": 1.5},
+    {"top_p": float("nan")}, {"top_p": "0.5"}, {"top_p": True},
+    {"repetition_penalty": 0}, {"repetition_penalty": -1.0},
+    {"repetition_penalty": None},
+])
+def test_config_rejects_generation_params_that_would_skip_every_sample(
+        params):
+    name = next(iter(params))
+    with pytest.raises(AugmentError, match=name):
+        GenerationParams(**params)
+    with pytest.raises(ConfigError, match=name):
+        config_from_mapping({"generation_params": params})
+    with pytest.raises(ConfigError, match=name):
+        ExperimentConfig(generation_params=params)
+
+
+def test_generation_params_accept_their_boundary_values():
+    params = {"num_beams": 1, "max_length": 1, "no_repeat_ngram_size": 0,
+              "top_p": 1, "repetition_penalty": 0.5}
+    assert config_from_mapping({"generation_params": params}) \
+        .generation_params == GenerationParams(**params)
+
+
 def test_config_from_mapping_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="learning_rate"):
         config_from_mapping({"seed": 1, "learning_rate": 0.1})
@@ -133,7 +193,8 @@ def test_config_rejects_a_ratio_outside_zero_to_one(ratio):
     {"max_workers": True}, {"max_workers": None}, {"holdout_k": "5"},
     {"holdout_k": 0}, {"holdout_k": 5.0}, {"holdout_k": True},
     {"cw_only_map": "no"}, {"cw_only_map": 1}, {"cw_only_map": None},
-    {"threshold": True}, {"ratio": True},
+    {"threshold": True}, {"ratio": True}, {"shots": 50.0}, {"shots": 0.0},
+    {"shots": "50"}, {"shots": True}, {"shots": None},
 ])
 def test_config_rejects_a_value_of_the_wrong_type(mapping):
     with pytest.raises(ConfigError, match=next(iter(mapping))):
@@ -342,7 +403,7 @@ def test_suite_writes_artifacts(suite_corpus, tmp_path):
         "suite", "tool_version", "config", "corpus_hash", "notes", "cells",
         "aggregates", "skip_counts", "failures", "wall_clock"]
     assert payload["suite"] == "table2"
-    assert payload["corpus_hash"] == corpus_fingerprint(suite_corpus)
+    assert payload["corpus_hash"] == suite_corpus.fingerprint
     assert "total" in payload["wall_clock"]
 
 
@@ -542,6 +603,40 @@ def test_every_cell_of_a_parallel_pass_shares_one_corpus_matrix(
     assert len(seen) == 12 and len({id(f) for f in seen}) == 1
 
 
+class InFlightCounter:
+    """A provider role that notes the most calls it ever had in flight."""
+
+    def __init__(self, reply):
+        self.reply = reply
+        self.active = self.peak = 0
+        self.lock = threading.Lock()
+
+    def __call__(self, *args):
+        with self.lock:
+            self.active += 1
+            self.peak = max(self.peak, self.active)
+        try:
+            time.sleep(0.002)
+            return self.reply(*args)
+        finally:
+            with self.lock:
+                self.active -= 1
+
+
+def test_a_pooled_pass_keeps_provider_calls_within_its_workers(tmp_path):
+    """Each pooled cell makes its provider calls one at a time, so two
+    workers never have more than two calls in flight."""
+    counter = InFlightCounter(lambda text, *rest: text)
+    providers = ProviderBundle(translator=counter, filler=counter,
+                               generator=counter, kind="mock")
+    record = run_suite("table3", tiny_corpus(2, per_topic=120),
+                       few_shot_config(max_workers=2), providers=providers,
+                       out_dir=tmp_path)
+    assert record.failures == []
+    assert record.config["max_workers"] == 2
+    assert 1 <= counter.peak <= 2
+
+
 def test_corpus_matrix_is_built_once_per_pass_and_workers_agree(
         suite_corpus, tmp_path, monkeypatch):
     builds = _counting_features(monkeypatch)
@@ -682,10 +777,20 @@ def test_run_record_rejects_seed_drift():
 def test_fingerprint_ignores_record_order():
     corpus = tiny_corpus(4, per_topic=10)
     reordered = Corpus(list(reversed(list(corpus.records))))
-    assert corpus_fingerprint(corpus) == corpus_fingerprint(reordered)
+    assert corpus.fingerprint == reordered.fingerprint
+
+
+def test_fingerprint_is_computed_once_per_corpus(monkeypatch):
+    corpus = tiny_corpus(4, per_topic=10)
+    expected = stable_hash(sorted(
+        (r.tweet_id, r.topic_id, r.text, r.label, r.source)
+        for r in corpus.records))
+    assert corpus.fingerprint == expected
+    monkeypatch.setattr("claimcheck.corpus.stable_hash", None)
+    assert corpus.fingerprint == expected
 
 
 def test_fingerprint_tracks_content():
     a = tiny_corpus(4, per_topic=10)
     b = tiny_corpus(6, per_topic=10)
-    assert corpus_fingerprint(a) != corpus_fingerprint(b)
+    assert a.fingerprint != b.fingerprint

@@ -161,6 +161,19 @@ def test_topic_split_rejects_leaky_construction(corpus):
                    corpus=corpus)
 
 
+def test_topic_split_checks_its_own_target_count(corpus, holdouts):
+    """The train positions hold exactly `few_shot_used` target records,
+    whoever builds the split."""
+    target = corpus.topic_ids()[0]
+    zero = zero_shot_split(corpus, holdouts, target)
+    few = few_shot_split(corpus, holdouts, target, 10)
+    for split, claimed in ((zero, 10), (few, 0), (few, 9), (few, 11)):
+        with pytest.raises(SplitError, match="expected"):
+            TopicSplit(target_topic_id=target, train=split.train,
+                       test=split.test, few_shot_used=claimed, seed=5,
+                       corpus=corpus)
+
+
 def test_split_json_shape(corpus, holdouts):
     target = corpus.topic_ids()[0]
     split = few_shot_split(corpus, holdouts, target, 10)
