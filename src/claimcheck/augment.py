@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -105,12 +104,13 @@ class _Skip(Exception):
     """Raised by a strategy's finishing step; its message is the skip reason."""
 
 
-def _augment(strategy, role, samples, call, finish=None, max_workers=None):
+def _augment(strategy, role, samples, call, finish=None):
     """One synthetic sample or one skip per seed record, in input order.
 
-    `call(record)` asks the `role` provider for text: an exception it
-    raises or an empty text skips the record. `finish(record, text)`
-    returns the sample text, or raises `_Skip` to skip the record.
+    `call(record)` asks the `role` provider for text, one record at a
+    time: an exception it raises or an empty text skips the record.
+    `finish(record, text)` returns the sample text, or raises `_Skip` to
+    skip the record.
     """
     samples = list(samples)
 
@@ -128,13 +128,9 @@ def _augment(strategy, role, samples, call, finish=None, max_workers=None):
                 return str(skip)
         return AugmentedSample(record.tweet_id, text, record.label, strategy)
 
-    if max_workers and max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(attempt, samples))
-    else:
-        outcomes = [attempt(r) for r in samples]
     out, skips, identical = [], [], 0
-    for record, outcome in zip(samples, outcomes):
+    for record in samples:
+        outcome = attempt(record)
         if isinstance(outcome, str):
             skips.append((record.tweet_id, outcome))
         else:
@@ -144,15 +140,13 @@ def _augment(strategy, role, samples, call, finish=None, max_workers=None):
                               identical)
 
 
-def back_translate(samples, translator, pivot: str = "en",
-                   max_workers=None) -> AugmentationResult:
+def back_translate(samples, translator, pivot: str = "en") -> AugmentationResult:
     """Round-trip each sample through a pivot language."""
     if translator is None:
         raise AugmentError("back translation requires a translator provider")
     return _augment(
         BT, "translator", samples,
-        lambda r: translator(translator(r.text, "ar", pivot), pivot, "ar"),
-        max_workers=max_workers)
+        lambda r: translator(translator(r.text, "ar", pivot), pivot, "ar"))
 
 
 def substitution_count(n_tokens: int, ratio: float) -> int:
@@ -160,8 +154,8 @@ def substitution_count(n_tokens: int, ratio: float) -> int:
     return int(math.floor(ratio * n_tokens + 0.5))
 
 
-def contextual_substitute(samples, filler, ratio: float = 0.3, seed: int = 0,
-                          max_workers=None) -> AugmentationResult:
+def contextual_substitute(samples, filler, ratio: float = 0.3,
+                          seed: int = 0) -> AugmentationResult:
     """Mask a seed-chosen fraction of word positions and let the filler
     rewrite them in place.
 
@@ -193,11 +187,11 @@ def contextual_substitute(samples, filler, ratio: float = 0.3, seed: int = 0,
             raise _Skip(f"filler changed word count ({n} -> {m})")
         return filled
 
-    return _augment(CWE, "filler", samples, fill, check_count, max_workers)
+    return _augment(CWE, "filler", samples, fill, check_count)
 
 
-def generate_samples(samples, generator, params: GenerationParams = None,
-                     max_workers=None) -> AugmentationResult:
+def generate_samples(samples, generator,
+                     params: GenerationParams = None) -> AugmentationResult:
     """Generate one new text per seed, prompting with the seed's text.
 
     Generation parameters are forwarded to the provider verbatim; outputs
@@ -215,7 +209,7 @@ def generate_samples(samples, generator, params: GenerationParams = None,
         return text
 
     return _augment(TXTGEN, "generator", samples,
-                    lambda r: generator(r.text, params), truncate, max_workers)
+                    lambda r: generator(r.text, params), truncate)
 
 
 def synthetic_record(sample: AugmentedSample, origin: TweetRecord) -> TweetRecord:
@@ -255,7 +249,7 @@ def _load_result(path) -> AugmentationResult:
 
 def augment_training(train, pool, strategy: str, providers, seed: int = 0,
                      params: GenerationParams = None, ratio: float = 0.3,
-                     pivot: str = "en", cache_dir=None, max_workers=None):
+                     pivot: str = "en", cache_dir=None):
     """Extend training rows with synthetic variants of their few-shot pool.
 
     `train` and `pool` are `claimcheck.model.Rows` of one `CorpusFeatures`.
@@ -283,11 +277,10 @@ def augment_training(train, pool, strategy: str, providers, seed: int = 0,
 
     def run():
         if strategy == BT:
-            return back_translate(pool_records, provider, pivot, max_workers)
+            return back_translate(pool_records, provider, pivot)
         if strategy == CWE:
-            return contextual_substitute(pool_records, provider, ratio, seed,
-                                         max_workers)
-        return generate_samples(pool_records, provider, params, max_workers)
+            return contextual_substitute(pool_records, provider, ratio, seed)
+        return generate_samples(pool_records, provider, params)
 
     path = None
     if cache_dir is not None:

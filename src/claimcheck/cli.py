@@ -12,7 +12,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 from .augment import NONE, STRATEGIES
@@ -72,10 +72,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                         'given as "http(s)://..." or "http:<base-url>"')
     p.add_argument("--holdout-k", type=int, default=None,
                    help="per-topic holdout pool size")
-    p.add_argument("--workers", type=int, default=None,
-                   help="suite cells to run at once, each calling providers "
-                        "one at a time; for other commands, augmentation "
-                        "provider calls to make at once")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,6 +127,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("suite", help="run a reporting suite")
     p.add_argument("suite", choices=SUITES)
     p.add_argument("--corpus", required=True)
+    p.add_argument("--workers", type=int, default=None,
+                   help="cells to run at once")
     _add_common(p)
 
     return parser
@@ -193,10 +191,7 @@ def _cmd_load(args) -> int:
         "topics": {t: {"cw": c[0], "ncw": c[1]}
                    for t, c in sorted(stats.per_topic.items())},
         "overall_cw_fraction": stats.overall_cw_fraction,
-        "files": list(report.files),
-        "duplicates_dropped": report.duplicates_dropped,
-        "topics_before_merge": report.topics_before_merge,
-        "topics_after_merge": report.topics_after_merge,
+        **asdict(report),
     }, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
     print(f"loaded {stats.total_count} tweets across "
           f"{len(stats.per_topic)} topics "
@@ -213,7 +208,7 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    config = replace(_experiment_config(args), strategy=NONE)
+    config = _experiment_config(args, strategy=NONE)
     cell = prepare_cell(config, Corpus.from_jsonl(args.corpus), args.target)
     text = split_to_json(cell.split, cell.holdouts.pool(args.target))
     if args.out:
@@ -243,7 +238,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    config = replace(_experiment_config(args), strategy=NONE)
+    config = _experiment_config(args, strategy=NONE)
     corpus = Corpus.from_jsonl(args.corpus)
     scorer = BaselineScorer.load(args.model)
     cell = prepare_cell(config, corpus, args.target)
@@ -327,9 +322,8 @@ def _cmd_suite(args) -> int:
     config = _experiment_config(args, **forced)
     corpus = Corpus.from_jsonl(args.corpus)
     providers = _providers_from(args)
-    record = run_suite(args.suite, corpus, config, providers=providers,
-                       out_dir=args.out)
-    out = Path(args.out if args.out is not None else config.output_dir)
+    record = run_suite(args.suite, corpus, config, providers=providers)
+    out = Path(config.output_dir)
     ok = len(record.cells) - len(record.failures)
     print(f"suite {args.suite}: {ok}/{len(record.cells)} cells ok")
     for key in sorted(record.aggregates):

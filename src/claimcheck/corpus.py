@@ -138,9 +138,9 @@ class CorpusStats:
 class TsvSchema:
     """Column layout of one tab-separated input file.
 
-    Column indices are zero-based. `claim_col`, when set, names the
-    claim/no-claim column present in two-level files; its value is parsed only
-    to be discarded.
+    Column indices are zero-based. A column no index names, such as the
+    claim/no-claim column of two-level files, is never read: only the
+    `n_cols` check covers it.
     """
 
     name: str
@@ -150,7 +150,6 @@ class TsvSchema:
     label_col: int
     n_cols: int
     source: str
-    claim_col: int | None = None
     has_header: bool = True
 
 
@@ -160,7 +159,7 @@ SCHEMA_PRESETS = {
     "ct20": TsvSchema("ct20", topic_col=0, id_col=1, text_col=3, label_col=4,
                       n_cols=5, source="CT20"),
     "ct21": TsvSchema("ct21", topic_col=0, id_col=1, text_col=3, label_col=5,
-                      n_cols=6, source="CT21", claim_col=4),
+                      n_cols=6, source="CT21"),
     "simple": TsvSchema("simple", topic_col=0, id_col=1, text_col=2, label_col=3,
                         n_cols=4, source="CT20", has_header=False),
 }

@@ -69,7 +69,8 @@ __all__ = [
 class ExperimentConfig:
     """Everything one experiment cell depends on, besides the corpus.
     Without a `setting` it is few-shot when it takes shots or a strategy,
-    else zero-shot; `generation_params` may be given as a mapping."""
+    else zero-shot; `generation_params` may be given as a mapping.
+    `max_workers` is read by `run_suite` only."""
 
     setting: str = None
     strategy: str = NONE
@@ -246,7 +247,6 @@ def prepare_cell(config: ExperimentConfig, corpus: Corpus, target: str,
                 pivot=config.pivot,
                 cache_dir=(Path(cache_dir) / "augment"
                            if cache_dir is not None else None),
-                max_workers=config.max_workers or None,
             )
     return PreparedCell(holdouts, split, train, test, aug_result)
 
@@ -292,7 +292,7 @@ def run_topic(config: ExperimentConfig, corpus: Corpus, target: str,
 
 def _suite_cells(suite: str, base: ExperimentConfig) -> list:
     """The (setting, strategy, shots) combinations a suite runs."""
-    shots = base.shots if base.shots in SHOT_CHOICES else 200
+    shots = base.shots or 200
     if suite == "table2":
         return [(ZERO_SHOT, NONE, 0)]
     if suite == "table3":
@@ -332,13 +332,13 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
               providers=None, out_dir=None) -> RunRecord:
     """Run one reporting suite over every topic and write its artifacts.
 
-    Writes report.md, cells.csv, and run.json under `out_dir` (defaults to
-    the config's output_dir). Cells that fail are recorded with their error
-    and excluded from rendered tables; the returned record lists them so
-    callers can exit nonzero.
+    Up to the config's `max_workers` cells run at once, each calling its
+    providers one at a time. Writes report.md, cells.csv, and run.json
+    under `out_dir` (defaults to the config's output_dir). Cells that fail
+    are recorded with their error and excluded from rendered tables; the
+    returned record lists them so callers can exit nonzero.
     """
-    if suite not in SUITES:
-        raise ConfigError(f"unknown suite {suite!r}; expected one of {SUITES}")
+    combos = _suite_cells(suite, base_config)
     out_dir = Path(out_dir if out_dir is not None else base_config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cache_dir = out_dir / "cache"
@@ -348,14 +348,11 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
     # from it
     features = CorpusFeatures(corpus.records)
     topics = corpus.topic_ids()
-    combos = _suite_cells(suite, base_config)
 
     jobs = []
     for setting, strategy, shots in combos:
-        # the suite spends its workers on cells, each of which makes its
-        # provider calls one at a time
         cell_config = replace(base_config, setting=setting, strategy=strategy,
-                              shots=shots, max_workers=0)
+                              shots=shots)
         for topic in topics:
             jobs.append((cell_config, topic))
 

@@ -362,14 +362,6 @@ def test_augment_preserves_labels_and_cardinality(strategy):
         assert rec.source == SYNTHETIC_SOURCE
 
 
-def test_augment_is_deterministic_across_worker_counts():
-    train, pool = _select(_pool(12), 8)
-    serial, _ = augment_training(train, pool, CWE, _bundle(), seed=3)
-    threaded, _ = augment_training(train, pool, CWE, _bundle(), seed=3,
-                                   max_workers=4)
-    assert list(serial) == list(threaded)
-
-
 def test_augment_cache_round_trip(tmp_path):
     calls = []
 

@@ -46,6 +46,9 @@ def test_load_writes_corpus_and_stats(corpus_jsonl):
     assert stats["total"] == 360
     assert set(stats["topics"]) == {"S-A", "S-B", "S-C"}
     assert stats["duplicates_dropped"] == 0
+    assert list(stats) == [
+        "total", "topics", "overall_cw_fraction", "files",
+        "duplicates_dropped", "topics_before_merge", "topics_after_merge"]
 
 
 def test_load_rejects_malformed_input_spec(tmp_path, capsys):
@@ -102,6 +105,31 @@ def test_split_few_shot_adds_pool_prefix(corpus_jsonl, tmp_path):
     target_train = [i for i in blob["train_ids"] if i.startswith("S-A")]
     assert sorted(target_train) == sorted(blob["shot_ids"])
     assert len(target_train) == 50
+
+
+@pytest.mark.parametrize("strategy", ["CWE", "BT"])
+def test_split_ignores_the_strategy(corpus_jsonl, tmp_path, capsys, strategy):
+    """A split never augments, so a strategy without shots neither makes
+    it few-shot nor changes its bytes."""
+    plain, flagged = tmp_path / "plain.json", tmp_path / "flagged.json"
+    command = ["split", "--corpus", str(corpus_jsonl), "--target", "S-A",
+               "--holdout-k", "30", "--out"]
+    assert main(command + [str(plain)]) == 0
+    assert main(command + [str(flagged), "--strategy", strategy]) == 0
+    assert flagged.read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.parametrize("strategy", ["CWE", "BT"])
+def test_rank_ignores_the_strategy(corpus_jsonl, tmp_path, capsys, strategy):
+    model = tmp_path / "model.npz"
+    assert main(["train", "--corpus", str(corpus_jsonl), "--target", "S-B",
+                 "--holdout-k", "30", "--out", str(model)]) == 0
+    plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"
+    command = ["rank", "--corpus", str(corpus_jsonl), "--target", "S-B",
+               "--model", str(model), "--holdout-k", "30", "--out"]
+    assert main(command + [str(plain)]) == 0
+    assert main(command + [str(flagged), "--strategy", strategy]) == 0
+    assert flagged.read_bytes() == plain.read_bytes()
 
 
 def test_train_rank_round_trip(corpus_jsonl, tmp_path, capsys):
@@ -363,6 +391,24 @@ def test_suite_with_a_bad_count_fails_before_any_cell(corpus_jsonl, tmp_path,
     assert rc == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "train", "augment"])
+def test_workers_is_a_suite_flag(corpus_jsonl, capsys, command):
+    """Only a suite runs cells at once; a single cell has nothing to
+    spread over workers."""
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--corpus", str(corpus_jsonl), "--target", "S-A",
+              "--strategy", "CWE", "--shots", "50", "--holdout-k", "50",
+              "--providers", "mock", "--workers", "2"])
+    assert exited.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+
+def test_suite_takes_workers(corpus_jsonl):
+    args = build_parser().parse_args(
+        ["suite", "table3", "--corpus", str(corpus_jsonl), "--workers", "2"])
+    assert _experiment_config(args).max_workers == 2
 
 
 @pytest.mark.parametrize("command", [

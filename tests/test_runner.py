@@ -365,8 +365,10 @@ def suite_corpus():
 
 
 def test_suite_rejects_unknown_name(suite_corpus, tmp_path):
-    with pytest.raises(ConfigError):
-        run_suite("table9", suite_corpus, ExperimentConfig(), out_dir=tmp_path)
+    out = tmp_path / "run"
+    with pytest.raises(ConfigError, match="unknown suite"):
+        run_suite("table9", suite_corpus, ExperimentConfig(), out_dir=out)
+    assert not out.exists()  # rejected before any directory is made
 
 
 @pytest.mark.parametrize("suite, columns", [
@@ -635,6 +637,21 @@ def test_a_pooled_pass_keeps_provider_calls_within_its_workers(tmp_path):
     assert record.failures == []
     assert record.config["max_workers"] == 2
     assert 1 <= counter.peak <= 2
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_a_single_cell_calls_its_provider_one_at_a_time(strategy):
+    """`max_workers` spreads suite cells only: one cell's augmentation
+    never has two provider calls in flight."""
+    counter = InFlightCounter(lambda text, *rest: text)
+    providers = ProviderBundle(translator=counter, filler=counter,
+                               generator=counter, kind="mock")
+    details = {}
+    run_topic(few_shot_config(strategy=strategy, max_workers=4),
+              tiny_corpus(2, per_topic=120), "S-A", providers=providers,
+              details=details)
+    assert details["aug_samples"] + len(details["aug_skips"]) == 50
+    assert counter.peak == 1
 
 
 def test_corpus_matrix_is_built_once_per_pass_and_workers_agree(
