@@ -81,6 +81,11 @@ class TweetRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TweetRecord":
+        if not isinstance(d, dict):
+            raise CorpusError(f"expected a JSON object, got {type(d).__name__}")
+        for key in ("topic_id", "text"):
+            if not isinstance(d.get(key, ""), str):
+                raise CorpusError(f"{key} must be a string, got {d[key]!r}")
         return cls(
             tweet_id=str(d["tweet_id"]),
             topic_id=d["topic_id"],
@@ -357,7 +362,7 @@ class Corpus:
                     continue
                 try:
                     records.append(TweetRecord.from_dict(json.loads(line)))
-                except (json.JSONDecodeError, KeyError) as exc:
+                except (json.JSONDecodeError, KeyError, CorpusError) as exc:
                     raise CorpusError(f"{path.name}:{lineno}: bad record: {exc}") from exc
         return cls(records)
 

@@ -17,6 +17,14 @@ so they always survive verbatim. Substitution runs a second time after
 elimination because collapsing characters can expose a previously broken
 pattern, and again on a part holding a ``/`` that whitespace correction
 changed. The function is idempotent and deterministic.
+
+No rule walks the characters in Python: stripped symbols and control
+characters share one regex class, the six script boundaries one alternation.
+A pass runs only when the segment holds a literal each of its matches needs:
+``/`` or ``.`` (URL_RE), ``@`` (EMAIL_RE, MENTION_RE), a digit or Latin
+letter (script boundaries), one of ``()[]{}`` (bracket spacing). URL_RE's
+literal is never a letter, which IGNORECASE also matches in other forms
+(``ſ`` for ``s``).
 """
 
 from __future__ import annotations
@@ -24,8 +32,11 @@ from __future__ import annotations
 import html
 import json
 import re
-import unicodedata
 from dataclasses import dataclass
+from pathlib import Path
+
+from .cache import atomic_write
+from .errors import CorpusError
 
 __all__ = ["NormalizedText", "normalize_tweet", "normalize_corpus_file",
            "PLACEHOLDERS", "URL_RE", "EMAIL_RE", "MENTION_RE"]
@@ -44,12 +55,13 @@ MENTION_RE = re.compile(r"@\w+")
 
 _HTML_TAG_RE = re.compile(r"</?[A-Za-z][^<>]*>")
 _LINEBREAK_RE = re.compile(r"[\r\n\t\v\f]+")
-_CHAR_RUN_RE = re.compile(r"(.)\1{2,}", re.DOTALL)
-_MULTISPACE_RE = re.compile(r"\s+")
+_CHAR_RUN_RE = re.compile(r"(.)\1\1+", re.DOTALL)
 
 # Emoji / pictograph blocks, misc symbols and dingbats, arrows, variation
-# selectors and invisible format characters. Arabic punctuation is untouched.
+# selectors, invisible format and control (Cc) characters. Arabic
+# punctuation is untouched.
 _STRIP_RANGES = (
+    ("\x00", "\x1f"), ("\x7f", "\x9f"),  # control characters
     ("​", "‏"),        # zero-width and direction marks
     ("‪", "‮"),
     ("⁠", "⁤"),
@@ -71,15 +83,15 @@ _ARABIC_LETTER = (
 _DIGIT = "0-9٠-٩۰-۹"
 _LATIN = "A-Za-z"
 
-_BOUNDARY_RES = tuple(re.compile(p) for p in (
-    rf"(?<=[{_ARABIC_LETTER}])(?=[{_DIGIT}])",
-    rf"(?<=[{_DIGIT}])(?=[{_ARABIC_LETTER}])",
-    rf"(?<=[{_ARABIC_LETTER}])(?=[{_LATIN}])",
-    rf"(?<=[{_LATIN}])(?=[{_ARABIC_LETTER}])",
-    rf"(?<=[{_LATIN}])(?=[{_DIGIT}])",
-    rf"(?<=[{_DIGIT}])(?=[{_LATIN}])",
-))
+# The three classes are disjoint and the inserted space is in none of them,
+# so one pass finds every boundary between two of them.
+_BOUNDARY_RE = re.compile(
+    rf"(?<=[{_ARABIC_LETTER}])(?=[{_DIGIT}{_LATIN}])"
+    rf"|(?<=[{_DIGIT}])(?=[{_ARABIC_LETTER}{_LATIN}])"
+    rf"|(?<=[{_LATIN}])(?=[{_ARABIC_LETTER}{_DIGIT}])"
+)
 
+_DIGIT_OR_LATIN_RE = re.compile(rf"[{_DIGIT}{_LATIN}]")
 _BRACKET_RE = re.compile(r"\s*([()\[\]{}])\s*")
 
 _PLACEHOLDER_SPLIT_RE = re.compile(
@@ -101,13 +113,13 @@ def _substitute(segment: str) -> tuple:
     claimed by the email or mention patterns.
     """
     count = 0
-    for pattern, token in ((URL_RE, URL_PLACEHOLDER),
-                           (EMAIL_RE, EMAIL_PLACEHOLDER),
-                           (MENTION_RE, USER_PLACEHOLDER)):
-        segment, n = pattern.subn(token, segment)
-        count += n
-    parts = _PLACEHOLDER_SPLIT_RE.split(segment)
-    return parts, count
+    if "/" in segment or "." in segment:
+        segment, count = URL_RE.subn(URL_PLACEHOLDER, segment)
+    if "@" in segment:
+        segment, n = EMAIL_RE.subn(EMAIL_PLACEHOLDER, segment)
+        segment, m = MENTION_RE.subn(USER_PLACEHOLDER, segment)
+        count += n + m
+    return _PLACEHOLDER_SPLIT_RE.split(segment), count
 
 
 def _unescape_entities(text: str) -> str:
@@ -135,7 +147,6 @@ def _eliminate(segment: str) -> str:
         tagless = _strip_tags(segment)
         spaced = _LINEBREAK_RE.sub(" ", tagless)
         kept = _STRIP_RE.sub("", spaced)
-        kept = "".join(c for c in kept if unicodedata.category(c) != "Cc")
         collapsed = _CHAR_RUN_RE.sub(r"\1\1", kept)
         # removing a tag, a character or part of a run can expose a tag or
         # an entity ("<\x1fb>", "&am<b>p;", "&llll;"); go again while one
@@ -147,9 +158,11 @@ def _eliminate(segment: str) -> str:
 
 
 def _correct_whitespace(segment: str) -> str:
-    for boundary in _BOUNDARY_RES:
-        segment = boundary.sub(" ", segment)
-    segment = _BRACKET_RE.sub(r" \1 ", segment)
+    # every boundary has a digit or a Latin letter on one side
+    if _DIGIT_OR_LATIN_RE.search(segment):
+        segment = _BOUNDARY_RE.sub(" ", segment)
+    if any(b in segment for b in "()[]{}"):
+        segment = _BRACKET_RE.sub(r" \1 ", segment)
     return segment
 
 
@@ -157,18 +170,15 @@ def normalize_tweet(text: str) -> NormalizedText:
     """Apply the full normalization pipeline to one tweet."""
     # literal placeholder tokens already in the input are protected too,
     # otherwise a second pass would space out their brackets
-    segments = _PLACEHOLDER_SPLIT_RE.split(text)
     replacements = 0
-
-    out = []
-    for i, seg in enumerate(segments):
+    segments = []
+    for i, seg in enumerate(_PLACEHOLDER_SPLIT_RE.split(text)):
         if i % 2 == 1:  # odd indices are placeholder tokens
-            out.append([seg])
+            segments.append(seg)
             continue
         parts, n = _substitute(seg)
         replacements += n
-        out.append(parts)
-    segments = [p for parts in out for p in parts]
+        segments.extend(parts)
 
     result = []
     for seg in segments:
@@ -193,27 +203,35 @@ def normalize_tweet(text: str) -> NormalizedText:
             else:
                 result.append(corrected)
 
-    joined = "".join(result)
-    joined = _MULTISPACE_RE.sub(" ", joined).strip()
-    return NormalizedText(joined, replacements)
+    return NormalizedText(" ".join("".join(result).split()), replacements)
 
 
 def normalize_corpus_file(in_path, out_path) -> int:
     """Rewrite a JSON-lines corpus with normalized text.
 
     The original text is preserved under ``raw_text``. Returns the number of
-    records written.
+    records written. A tweet whose text normalizes to nothing raises
+    CorpusError naming its file, line and id, and leaves `out_path` as it
+    was: the file is replaced only once every record is normalized.
     """
-    n = 0
-    with open(in_path, encoding="utf-8") as src, \
-            open(out_path, "w", encoding="utf-8") as dst:
-        for line in src:
+    in_path = Path(in_path)
+    count = 0
+
+    def write(src, dst):
+        nonlocal count
+        for lineno, line in enumerate(src, start=1):
             if not line.strip():
                 continue
             record = json.loads(line)
             raw = record.get("raw_text", record["text"])
             record["raw_text"] = raw
             record["text"] = normalize_tweet(raw).text
-            dst.write(json.dumps(record, ensure_ascii=False) + "\n")
-            n += 1
-    return n
+            if not record["text"]:
+                raise CorpusError(f"{in_path.name}:{lineno}: tweet "
+                                  f"{record.get('tweet_id')} normalizes to empty text")
+            dst.write((json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8"))
+            count += 1
+
+    with open(in_path, encoding="utf-8") as src:
+        atomic_write(out_path, lambda dst: write(src, dst))
+    return count

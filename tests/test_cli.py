@@ -79,6 +79,33 @@ def test_normalize_is_idempotent_at_file_level(corpus_jsonl, tmp_path):
     assert len(first) == len(list(Corpus.from_jsonl(corpus_jsonl).records))
 
 
+def test_normalize_rejects_a_tweet_that_normalizes_to_nothing(tmp_path,
+                                                              capsys):
+    src = tmp_path / "corpus.jsonl"
+    rows = [{"tweet_id": "1", "topic_id": "S-A", "text": "نص", "label": "CW"},
+            {"tweet_id": "2", "topic_id": "S-A", "text": "😀😀 <b></b>",
+             "label": "NCW"}]
+    src.write_text("".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+    dst = tmp_path / "normalized.jsonl"
+    assert main(["normalize", str(src), str(dst)]) == 2
+    assert ("error: corpus.jsonl:2: tweet 2 normalizes to empty text"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == [src]
+    # an existing output is left as it was
+    dst.write_text("previous\n", encoding="utf-8")
+    assert main(["normalize", str(src), str(dst)]) == 2
+    assert dst.read_text(encoding="utf-8") == "previous\n"
+    assert sorted(tmp_path.iterdir()) == [src, dst]
+
+
+def test_a_bad_corpus_record_is_an_error_not_a_traceback(tmp_path, capsys):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("[1]\n", encoding="utf-8")
+    rc = main(["split", "--corpus", str(path), "--target", "S-A"])
+    assert rc == 2
+    assert "error: corpus.jsonl:1: bad record: " in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # split / train / rank / eval
 

@@ -1,6 +1,8 @@
 """Corpus ingestion: TSV parsing, label mapping, topic merging, dedup, and
 round-trip serialization."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -227,6 +229,34 @@ def test_to_jsonl_writes_each_record_unescaped_in_field_order(tmp_path):
     assert path.read_text(encoding="utf-8") == (
         '{"tweet_id": "7", "topic_id": "CT20-AR-01", '
         '"text": "هل هذا صحيح؟ #كورونا", "label": "CW", "source": "CT20"}\n')
+
+
+_GOOD_LINE = json.dumps({"tweet_id": "1", "topic_id": "T", "text": "نص",
+                         "label": "CW"})
+
+
+@pytest.mark.parametrize("line, reason", [
+    ("[1]", "expected a JSON object, got list"),
+    ("null", "expected a JSON object, got NoneType"),
+    ('{"tweet_id": "2", "topic_id": "T", "text": "x", "label": "maybe"}',
+     "label must be one of"),
+    ('{"tweet_id": "2", "topic_id": "T", "text": " ", "label": "CW"}',
+     "tweet 2 has empty text"),
+    ('{"tweet_id": "2", "topic_id": "T", "text": 5, "label": "CW"}',
+     "text must be a string, got 5"),
+    ('{"tweet_id": "2", "topic_id": ["T"], "text": "x", "label": "CW"}',
+     "topic_id must be a string"),
+    ('{"tweet_id": "2", "topic_id": "T", "label": "CW"}', "'text'"),
+    ('{"tweet_id": ', "Expecting value"),
+])
+def test_from_jsonl_names_the_file_and_line_of_a_bad_record(tmp_path, line,
+                                                            reason):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(f"{_GOOD_LINE}\n\n{line}\n", encoding="utf-8")
+    with pytest.raises(CorpusError) as err:
+        Corpus.from_jsonl(path)
+    assert str(err.value).startswith("corpus.jsonl:3: bad record: ")
+    assert reason in str(err.value)
 
 
 def test_validate_canonical(protocol_corpus_14, small_corpus):

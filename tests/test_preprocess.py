@@ -1,8 +1,12 @@
 """Normalization: the golden corpus plus the structural properties that
 must hold for arbitrary input."""
 
+import hashlib
+import json
 import random
 import re
+import sys
+import unicodedata
 
 import pytest
 from golden_cases import GOLDEN_CASES
@@ -11,10 +15,16 @@ from hypothesis import strategies as st
 from synth import random_fuzz_text
 
 from claimcheck.preprocess import (
+    _ARABIC_LETTER,
+    _BRACKET_RE,
+    _DIGIT,
+    _LATIN,
+    _STRIP_RE,
     EMAIL_RE,
     MENTION_RE,
     PLACEHOLDERS,
     URL_RE,
+    _correct_whitespace,
     normalize_corpus_file,
     normalize_tweet,
 )
@@ -47,6 +57,21 @@ def test_golden_case(raw, expected, count):
     result = normalize_tweet(raw)
     assert result.text == expected
     assert result.replacements == count
+
+
+def test_outputs_match_the_pinned_digest():
+    """Every (text, replacements) pair on the golden inputs and 20,000
+    seeded fuzz strings hashes to the digest the rule-by-rule passes
+    gave, so a rewrite of the passes keeps every output byte."""
+    rng = random.Random(14)
+    inputs = [raw for raw, _, _ in GOLDEN_CASES]
+    inputs += [random_fuzz_text(rng) for _ in range(20_000)]
+    digest = hashlib.sha256()
+    for text in inputs:
+        out = normalize_tweet(text)
+        digest.update(json.dumps([out.text, out.replacements]).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "9f6a56791fe40d7c2302b5c34453a21db3ce9b7ba10dda29ed73763beaaa7ed6")
 
 
 def test_golden_corpus_covers_enough_cases():
@@ -135,6 +160,11 @@ def test_replacement_count_totals():
     assert result.text.count("[user]") == 2
 
 
+def test_a_url_without_a_slash_is_replaced():
+    result = normalize_tweet("زوروا www.example.com اليوم")
+    assert (result.text, result.replacements) == ("زوروا [url] اليوم", 1)
+
+
 def test_empty_and_whitespace_only():
     assert normalize_tweet("").text == ""
     assert normalize_tweet("  \n\t ").text == ""
@@ -157,3 +187,87 @@ def test_normalize_corpus_file(tmp_path, small_corpus):
     for row, original in zip(rows, records):
         assert row["raw_text"].startswith(original.text)
         assert row["text"].endswith("[url] extra spaces")
+
+
+# ---------------------------------------------------------------------------
+# each single-pass rule and prefilter against what it replaced
+
+EVERY_CODE_POINT = "".join(map(chr, range(sys.maxunicode + 1)))
+
+
+def _class_members(pattern):
+    return set(re.findall(pattern, EVERY_CODE_POINT))
+
+
+def test_strip_class_holds_exactly_the_control_characters_of_category_cc():
+    stripped = set(EVERY_CODE_POINT) - set(_STRIP_RE.sub("", EVERY_CODE_POINT))
+    cc = {c for c in EVERY_CODE_POINT if unicodedata.category(c) == "Cc"}
+    assert len(cc) == 65
+    assert {c for c in stripped if unicodedata.category(c) == "Cc"} == cc
+
+
+def test_regex_whitespace_is_str_isspace():
+    assert _class_members(r"\s") == {c for c in EVERY_CODE_POINT if c.isspace()}
+
+
+def test_script_classes_are_disjoint_and_exclude_the_space():
+    arabic, digit, latin = (_class_members(f"[{cls}]")
+                            for cls in (_ARABIC_LETTER, _DIGIT, _LATIN))
+    assert not arabic & digit and not arabic & latin and not digit & latin
+    assert " " not in arabic | digit | latin
+
+
+# The six sequential boundary passes the single alternation replaced; the
+# oracle of the test below.
+_SIX_BOUNDARY_PASSES = tuple(re.compile(p) for p in (
+    rf"(?<=[{_ARABIC_LETTER}])(?=[{_DIGIT}])",
+    rf"(?<=[{_DIGIT}])(?=[{_ARABIC_LETTER}])",
+    rf"(?<=[{_ARABIC_LETTER}])(?=[{_LATIN}])",
+    rf"(?<=[{_LATIN}])(?=[{_ARABIC_LETTER}])",
+    rf"(?<=[{_LATIN}])(?=[{_DIGIT}])",
+    rf"(?<=[{_DIGIT}])(?=[{_LATIN}])",
+))
+
+def _range_edges(cls):
+    """The first and last member of every range of a character class and
+    their neighbours outside the range."""
+    edges = set()
+    for first, last in re.findall(r"(.)(?:-(.))?", cls):
+        lo, hi = ord(first), ord(last or first)
+        edges.update(map(chr, (lo - 1, lo, hi, hi + 1)))
+    return edges
+
+
+_CLASS_EDGES = sorted(set().union(*map(_range_edges, (_ARABIC_LETTER, _DIGIT,
+                                                       _LATIN)))
+                      | set("()[]{} \t\u00a0é"))
+
+
+@settings(max_examples=2000, deadline=None)
+@given(st.text(alphabet=st.sampled_from(_CLASS_EDGES), max_size=24))
+def test_whitespace_correction_equals_six_sequential_passes(text):
+    expected = text
+    for boundary in _SIX_BOUNDARY_PASSES:
+        expected = boundary.sub(" ", expected)
+    expected = _BRACKET_RE.sub(r" \1 ", expected)
+    assert _correct_whitespace(text) == expected
+
+
+def test_url_literals_have_no_case_variants():
+    """URL_RE matches under IGNORECASE; the "/" and "." every one of its
+    branches holds match only themselves, so a prefilter on them is exact.
+    Letters are no such literal: "ſ" matches "s"."""
+    assert _class_members(re.compile(r"[/.:]", re.IGNORECASE)) == set("/.:")
+    assert re.fullmatch("s", "ſ", re.IGNORECASE)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.sampled_from(_URL_FRAGMENTS + ["ſ", "İ", "ı", "K", "HTTP://",
+                                                 "WWW.", "T.CO/", "@", "-"]),
+                max_size=10).map("".join))
+def test_every_match_holds_its_prefilter_literal(text):
+    for match in URL_RE.finditer(text):
+        assert "/" in match[0] or "." in match[0]
+    for pattern in (EMAIL_RE, MENTION_RE):
+        for match in pattern.finditer(text):
+            assert "@" in match[0]
