@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from pathlib import Path
 
 __all__ = ["stable_hash", "atomic_write", "cached"]
@@ -28,7 +27,10 @@ def atomic_write(path, write) -> None:
     """Create or replace `path` with what `write(binary_file)` writes."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    tmp = path.parent / f"tmp{os.urandom(8).hex()}.tmp"
+    # O_EXCL keeps the temp file this writer's own; the kernel takes the
+    # umask off 0o666, as open() does, so no thread has to read or set it
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             write(fh)

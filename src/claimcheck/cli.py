@@ -352,7 +352,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)  # reads --config
         return _COMMANDS[args.command](args)
-    except (ClaimCheckError, FileNotFoundError) as exc:
+    except (ClaimCheckError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

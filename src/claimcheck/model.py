@@ -37,8 +37,9 @@ ENCODER_DEFAULTS = {"epochs": 3, "batch_size": 32, "max_seq_len": 128}
 # `iterations` caps the solver's outer iterations; `l2` weighs ||w||^2 / 2
 BASELINE_DEFAULTS = {"iterations": 300, "l2": 1e-4}
 # Part of every baseline model-cache key; bump it whenever the numbers
-# `BaselineScorer.fit_matrix` produces change, so older entries are retrained.
-TRAINER_VERSION = 3
+# `BaselineScorer.fit_matrix` produces change, or what a cache entry holds
+# changes, so older entries are retrained rather than read.
+TRAINER_VERSION = 4
 # The baseline solver stops once the gradient's 2-norm falls below this.
 GRADIENT_TOLERANCE = 1e-5
 # The weight of diag(H) in the solver's diagonal preconditioner; 1 would be
@@ -165,9 +166,15 @@ def record_digests(texts, labels) -> np.ndarray:
     return np.frombuffer(blob, dtype=np.uint8).reshape(-1, 32)
 
 
-def _with_columns(x, remap, width: int) -> sparse.csr_matrix:
-    return sparse.csr_matrix((x.data, remap[x.indices], x.indptr),
-                             shape=(x.shape[0], width))
+def _stack(parts, width: int) -> sparse.csr_matrix:
+    """The (counts, column map) `parts` of `CorpusFeatures.columns`, each
+    moved onto its columns and stacked, as one `width`-column CSR matrix."""
+    blocks = [sparse.csr_matrix((x.data, remap[x.indices], x.indptr),
+                                shape=(x.shape[0], width))
+              for x, remap in parts]
+    if len(blocks) == 1:
+        return blocks[0]
+    return sparse.vstack(blocks, format="csr")
 
 
 class CorpusFeatures:
@@ -190,15 +197,15 @@ class CorpusFeatures:
             rows = np.arange(len(self.records))
         return Rows(self, np.asarray(rows, dtype=np.int64), tuple(extra))
 
-    def training_matrix(self, rows, extra=()):
-        """(tokens, x) of the records at `rows` followed by the `extra`
-        records, exactly as `count_matrix` returns them for those texts,
-        counting only the `extra` texts.
-
-        The rows' columns are remapped monotonically onto the sorted union
-        of the tokens they use and the tokens of `extra`, so each row keeps
-        its sorted column order.
-        """
+    def columns(self, rows, extra=()):
+        """The column layout of the records at `rows` followed by the
+        `extra` records, counting only the `extra` texts: (tokens, parts).
+        `tokens` are the sorted union of the corpus tokens the rows use and
+        the tokens of `extra`, exactly as `count_matrix` returns them for
+        those texts. `parts` pairs each block of counts (the rows' corpus
+        counts, then, with `extra`, the extra texts' counts) with the map
+        from its columns onto `tokens`; the maps are monotone, so each row
+        keeps its sorted column order."""
         sub = self.matrix[rows]
         extra_tokens, extra_x = count_matrix([r.text for r in extra])
         used = np.bincount(sub.indices, minlength=self.tokens.size) > 0
@@ -215,15 +222,20 @@ class CorpusFeatures:
         rank[order] = np.arange(order.size, dtype=np.int32)
         remap = np.zeros(self.tokens.size, dtype=np.int32)
         remap[cols] = rank[:cols.size]
-        x = _with_columns(sub, remap, tokens.size)
+        parts = [(sub, remap)]
         if extra:
             extra_remap = np.empty(extra_tokens.size, dtype=np.int32)
             extra_remap[found] = remap[at[found]]
             extra_remap[new] = rank[cols.size:]
-            x = sparse.vstack(
-                [x, _with_columns(extra_x, extra_remap, tokens.size)],
-                format="csr")
-        return tokens, x
+            parts.append((extra_x, extra_remap))
+        return tokens, parts
+
+    def training_matrix(self, rows, extra=()):
+        """(tokens, x) of the records at `rows` followed by the `extra`
+        records, exactly as `count_matrix` returns them for those texts,
+        counting only the `extra` texts."""
+        tokens, parts = self.columns(rows, extra)
+        return tokens, _stack(parts, tokens.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -398,6 +410,22 @@ def _fit_logistic(x, y, l2: float, max_iter: int):
     return theta, done, gnorm, cg_steps
 
 
+# what reading a file that is not the npz its reader expects can raise
+_NOT_A_MODEL = (IndexError, KeyError, TypeError, ValueError, ModelError,
+                zipfile.BadZipFile)
+
+
+def _npz_members(path, names) -> list:
+    """The arrays `names` of the npz zip at `path`, in order."""
+    with zipfile.ZipFile(path) as zf:
+        members = []
+        for name in names:
+            with zf.open(f"{name}.npy") as fh:
+                members.append(
+                    np.lib.format.read_array(fh, allow_pickle=False))
+    return members
+
+
 class BaselineScorer:
     """Bag-of-words logistic regression.
 
@@ -474,13 +502,50 @@ class BaselineScorer:
 
     @classmethod
     def load(cls, path) -> "BaselineScorer":
-        with np.load(path, allow_pickle=False) as data:
-            scorer = cls(ScorerConfig(**json.loads(str(data["config"][0]))))
-            blob = data["vocab"].tobytes().decode("utf-8")
-            scorer.weights = data["weights"]
-            scorer.bias = float(data["bias"][0])
-        scorer.vocab = _token_array(blob.split("\n") if blob else [])
+        """Read a model `save` wrote; a file that holds anything else
+        raises ModelError."""
+        try:
+            vocab, weights, bias, config = _npz_members(
+                path, ("vocab", "weights", "bias", "config"))
+            scorer = cls(ScorerConfig(**json.loads(str(config[0]))))
+            blob = vocab.tobytes().decode("utf-8")
+            scorer.vocab = _token_array(blob.split("\n") if blob else [])
+            if weights.shape != scorer.vocab.shape:
+                raise ModelError(f"{weights.size} weights for "
+                                 f"{scorer.vocab.size} tokens")
+            scorer.weights = weights
+            scorer.bias = float(bias[0])
+        except _NOT_A_MODEL as exc:
+            raise ModelError(
+                f"{path} is not a saved baseline model: {exc}") from exc
         return scorer
+
+
+def _write_entry(scorer: BaselineScorer, fh) -> None:
+    """Write a model-cache entry: an npz zip holding theta = (weights,
+    bias) as one stored float64 member. The entry's key fixes the config
+    and the training records, so it holds nothing else."""
+    np.savez(fh, theta=np.append(scorer.weights, scorer.bias))
+
+
+def _read_entry(path, config: ScorerConfig, vocab) -> BaselineScorer:
+    """The model of the cache entry at `path`, written for a fit of
+    `config` whose columns are the sorted tokens `vocab`."""
+    try:
+        (theta,) = _npz_members(path, ("theta",))
+    except _NOT_A_MODEL as exc:
+        raise ModelError(
+            f"{path} is not a baseline model-cache entry: {exc}") from exc
+    if theta.dtype != np.float64 or theta.shape != (vocab.size + 1,):
+        raise ModelError(
+            f"model-cache entry {path} holds {theta.size} {theta.dtype} "
+            f"coefficients; a vocabulary of {vocab.size} tokens needs "
+            f"{vocab.size + 1} float64")
+    scorer = BaselineScorer(config)
+    scorer.vocab = vocab
+    scorer.weights = theta[:-1]
+    scorer.bias = float(theta[-1])
+    return scorer
 
 
 class EncoderScorer:
@@ -565,9 +630,12 @@ def train_scorer(train, config: ScorerConfig, providers=None, cache_dir=None):
 
     Baseline models are cached under `cache_dir` by `model_cache_key`;
     encoder models live with their provider and are never cached here.
-    A baseline model that has to be trained takes its counts from the
-    `CorpusFeatures` the rows belong to; plain records are counted into
-    one of their own first.
+    A baseline model takes its columns, and when it has to be trained its
+    counts, from the `CorpusFeatures` the rows belong to; plain records
+    are counted into one of their own first. A cache entry holds only
+    theta = (weights, bias): its key fixes the config and the training
+    records, so a hit rebuilds the vocabulary from the rows, as a fit
+    would, and takes `config` as given.
     """
     if not isinstance(train, Rows):
         train = list(train)
@@ -579,12 +647,14 @@ def train_scorer(train, config: ScorerConfig, providers=None, cache_dir=None):
             [r.text for r in records], [r.label for r in records])
     if not isinstance(train, Rows):
         train = CorpusFeatures(train).select()
+    tokens, parts = train.features.columns(train.rows, train.extra)
 
     def fit():
-        counts = train.features.training_matrix(train.rows, train.extra)
-        return BaselineScorer(config).fit_matrix(*counts, train.labels())
+        return BaselineScorer(config).fit_matrix(
+            tokens, _stack(parts, tokens.size), train.labels())
 
     path = None
     if cache_dir is not None:
         path = Path(cache_dir) / f"{model_cache_key(config, train.digests())}.npz"
-    return cached(path, fit, BaselineScorer.save, BaselineScorer.load)
+    return cached(path, fit, _write_entry,
+                  lambda entry: _read_entry(entry, config, tokens))

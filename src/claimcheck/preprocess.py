@@ -206,13 +206,29 @@ def normalize_tweet(text: str) -> NormalizedText:
     return NormalizedText(" ".join("".join(result).split()), replacements)
 
 
+def _record_and_raw_text(line: str):
+    """A JSON-lines record and the text it normalizes from: `raw_text`
+    once normalized, else `text`. ValueError unless the line is a JSON
+    object whose `text`, and `raw_text` if present, are strings."""
+    record = json.loads(line)
+    if not isinstance(record, dict):
+        raise ValueError(f"expected a JSON object, got {type(record).__name__}")
+    if "text" not in record:
+        raise ValueError("no text")
+    for key in ("text", "raw_text"):
+        if not isinstance(record.get(key, ""), str):
+            raise ValueError(f"{key} must be a string, got {record[key]!r}")
+    return record, record.get("raw_text", record["text"])
+
+
 def normalize_corpus_file(in_path, out_path) -> int:
     """Rewrite a JSON-lines corpus with normalized text.
 
     The original text is preserved under ``raw_text``. Returns the number of
-    records written. A tweet whose text normalizes to nothing raises
-    CorpusError naming its file, line and id, and leaves `out_path` as it
-    was: the file is replaced only once every record is normalized.
+    records written. A line that is not a JSON object with a string
+    `text`, or a tweet whose text normalizes to nothing, raises CorpusError
+    naming its file and line, and leaves `out_path` as it was: the file is
+    replaced only once every record is normalized.
     """
     in_path = Path(in_path)
     count = 0
@@ -222,8 +238,11 @@ def normalize_corpus_file(in_path, out_path) -> int:
         for lineno, line in enumerate(src, start=1):
             if not line.strip():
                 continue
-            record = json.loads(line)
-            raw = record.get("raw_text", record["text"])
+            try:
+                record, raw = _record_and_raw_text(line)
+            except ValueError as exc:
+                raise CorpusError(
+                    f"{in_path.name}:{lineno}: bad record: {exc}") from exc
             record["raw_text"] = raw
             record["text"] = normalize_tweet(raw).text
             if not record["text"]:

@@ -176,6 +176,34 @@ def test_train_rank_round_trip(corpus_jsonl, tmp_path, capsys):
     assert len(lines) == 1 + 90  # 120 records minus the 30-tweet pool
 
 
+def test_normalize_reports_a_record_without_text(tmp_path, capsys):
+    src = tmp_path / "corpus.jsonl"
+    src.write_text('{"tweet_id": "1"}\n', encoding="utf-8")
+    dst = tmp_path / "normalized.jsonl"
+    assert main(["normalize", str(src), str(dst)]) == 2
+    assert ("error: corpus.jsonl:1: bad record: no text"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == [src]
+
+
+def test_rank_rejects_a_file_that_is_not_a_saved_model(corpus_jsonl,
+                                                       tmp_path, capsys):
+    # a model-cache entry holds only coefficients, so it is not one either
+    assert main(["suite", "table2", "--corpus", str(corpus_jsonl),
+                 "--holdout-k", "30", "--out", str(tmp_path / "run")]) == 0
+    entry = next((tmp_path / "run" / "cache" / "models").iterdir())
+    capsys.readouterr()
+    for model in (corpus_jsonl, entry):
+        assert main(["rank", "--corpus", str(corpus_jsonl), "--target", "S-B",
+                     "--model", str(model), "--holdout-k", "30"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {model} is not a saved baseline model")
+    # nor is a directory, which open() refuses with an OSError
+    assert main(["rank", "--corpus", str(corpus_jsonl), "--target", "S-B",
+                 "--model", str(tmp_path), "--holdout-k", "30"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_train_and_rank_create_the_out_directory(corpus_jsonl, tmp_path,
                                                 capsys):
     model = tmp_path / "models" / "model.npz"

@@ -217,9 +217,10 @@ def test_preconditioner_stays_positive_without_curvature_or_l2():
 
 
 def test_trainer_version_retrains_unpreconditioned_models():
-    # version 2 models came from the unpreconditioned solver; their cache
-    # keys differ, so they are retrained once
-    assert model.TRAINER_VERSION == 3
+    # version 2 models came from the unpreconditioned solver and version 3
+    # entries held the vocabulary and config too; their cache keys differ,
+    # so they are retrained once
+    assert model.TRAINER_VERSION == 4
 
 
 def test_baseline_iterations_cap_the_solver():
@@ -353,15 +354,15 @@ def test_model_cache_distinguishes_configs(tmp_path):
 
 def test_concurrent_cells_can_cache_the_same_model(tmp_path, monkeypatch):
     """Two cells with identical training data write one cache key at once."""
-    save = BaselineScorer.save
-    both_saving = threading.Barrier(2)
+    write_entry = model._write_entry
+    both_writing = threading.Barrier(2)
 
-    def slow_save(self, path):
-        both_saving.wait(timeout=10)
-        save(self, path)
+    def slow_write(scorer, fh):
+        both_writing.wait(timeout=10)
+        write_entry(scorer, fh)
         time.sleep(0.2)  # hold the written temp file open to the other writer
 
-    monkeypatch.setattr(BaselineScorer, "save", slow_save)
+    monkeypatch.setattr(model, "_write_entry", slow_write)
     records = planted_records()
     cfg = ScorerConfig(backend="baseline", hyperparams={"iterations": 20})
     errors = []
@@ -379,10 +380,11 @@ def test_concurrent_cells_can_cache_the_same_model(tmp_path, monkeypatch):
         t.join()
     assert errors == []
     assert [p.suffix for p in tmp_path.iterdir()] == [".npz"]
-    loaded = BaselineScorer.load(next(tmp_path.iterdir()))
     fresh = fit_texts(cfg, [r.text for r in records],
                       [r.label for r in records])
-    assert loaded.score_many(["X w1", "w2"]) == fresh.score_many(["X w1", "w2"])
+    loaded = model._read_entry(next(tmp_path.iterdir()), cfg, fresh.vocab)
+    assert loaded.weights.tobytes() == fresh.weights.tobytes()
+    assert loaded.bias == fresh.bias
 
 
 def test_second_train_scorer_call_is_a_cache_hit(tmp_path, monkeypatch):
@@ -398,6 +400,83 @@ def test_second_train_scorer_call_is_a_cache_hit(tmp_path, monkeypatch):
                           cache_dir=tmp_path)
     assert np.array_equal(second.vocab, first.vocab)
     assert np.array_equal(second.weights, first.weights)
+
+
+def _cache_hit_cases():
+    """Training `Rows` whose vocabulary a cache hit has to rebuild."""
+    corpus, cases = _matrix_path_cases()
+    rows, extra = cases["corpus+synthetic"]
+    nul_corpus = corpus + [_rec(80, "a a\x00 cue", CW), _rec(81, "a w3", NCW)]
+    # records hold no empty text, so plain objects stand in for them here
+    empty = [SimpleNamespace(text="", label=CW),
+             SimpleNamespace(text=" ", label=NCW)]
+    return {
+        "synthetic-only tokens": CorpusFeatures(corpus).select(rows, extra),
+        "a token holding a NUL": CorpusFeatures(nul_corpus).select(
+            range(40, 82), [_synthetic(3, "b\x00 w1 zz-new", NCW)]),
+        "empty vocabulary": CorpusFeatures(empty).select(),
+    }
+
+
+@pytest.mark.parametrize("case", ["synthetic-only tokens",
+                                  "a token holding a NUL",
+                                  "empty vocabulary"])
+def test_cache_hit_yields_exactly_the_fitted_model(case, tmp_path,
+                                                   monkeypatch):
+    train = _cache_hit_cases()[case]
+    cfg = ScorerConfig(backend="baseline", hyperparams={"iterations": 50})
+    fitted = train_scorer(train, cfg, cache_dir=tmp_path)
+
+    def no_fit(self, *args):
+        raise AssertionError("a cached model was retrained")
+
+    monkeypatch.setattr(BaselineScorer, "fit_matrix", no_fit)
+    hit = train_scorer(train, cfg, cache_dir=tmp_path)
+    assert hit.config is cfg
+    assert hit.vocab.dtype == fitted.vocab.dtype
+    assert hit.vocab.tolist() == fitted.vocab.tolist()
+    assert hit.weights.tobytes() == fitted.weights.tobytes()
+    assert hit.bias == fitted.bias
+    if case == "a token holding a NUL":
+        assert fitted.vocab.dtype == object
+        assert {"a\x00", "b\x00", "zz-new"} <= set(fitted.vocab.tolist())
+    if case == "empty vocabulary":
+        assert hit.vocab.size == 0 and hit.weights.shape == (0,)
+
+
+def test_cache_entry_is_one_stored_theta_member(tmp_path):
+    cfg = ScorerConfig(backend="baseline", hyperparams={"iterations": 20})
+    scorer = train_scorer(planted_records(), cfg, cache_dir=tmp_path)
+    (entry,) = tmp_path.iterdir()
+    with zipfile.ZipFile(entry) as zf:
+        (member,) = zf.infolist()
+        assert member.filename == "theta.npy"
+        assert member.compress_type == zipfile.ZIP_STORED
+    theta = np.load(entry)["theta"]
+    assert theta.tobytes() == np.append(scorer.weights,
+                                        scorer.bias).tobytes()
+
+
+def test_cache_entry_of_the_wrong_length_is_a_model_error(tmp_path):
+    records = planted_records()
+    cfg = ScorerConfig(backend="baseline", hyperparams={"iterations": 20})
+    scorer = train_scorer(records, cfg, cache_dir=tmp_path)
+    (entry,) = tmp_path.iterdir()
+    np.savez(entry, theta=np.append(scorer.weights, [scorer.bias, 0.0]))
+    with pytest.raises(ModelError, match=entry.name):
+        train_scorer(records, cfg, cache_dir=tmp_path)
+
+
+def test_load_rejects_files_that_are_not_saved_models(tmp_path):
+    train_scorer(planted_records(), ScorerConfig(), cache_dir=tmp_path)
+    (entry,) = tmp_path.iterdir()
+    jsonl = tmp_path / "corpus.jsonl"
+    jsonl.write_text('{"tweet_id": "1", "text": "a"}\n', encoding="utf-8")
+    npy = tmp_path / "weights.npy"
+    np.save(npy, np.zeros(3))
+    for path in (entry, jsonl, npy):
+        with pytest.raises(ModelError, match="is not a saved baseline model"):
+            BaselineScorer.load(path)
 
 
 def _key(config, texts, labels):

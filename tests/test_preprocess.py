@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from synth import random_fuzz_text
 
+from claimcheck.errors import CorpusError
 from claimcheck.preprocess import (
     _ARABIC_LETTER,
     _BRACKET_RE,
@@ -187,6 +188,26 @@ def test_normalize_corpus_file(tmp_path, small_corpus):
     for row, original in zip(rows, records):
         assert row["raw_text"].startswith(original.text)
         assert row["text"].endswith("[url] extra spaces")
+
+
+@pytest.mark.parametrize("line, problem", [
+    ("{not json", "Expecting property name"),
+    ('["a list"]', "expected a JSON object, got list"),
+    ('"a string"', "expected a JSON object, got str"),
+    ('{"tweet_id": "1"}', "no text"),
+    ('{"tweet_id": "1", "text": 7}', "text must be a string, got 7"),
+    ('{"tweet_id": "1", "text": "a", "raw_text": null}',
+     "raw_text must be a string, got None"),
+])
+def test_normalize_corpus_file_reports_bad_lines(tmp_path, line, problem):
+    src = tmp_path / "raw.jsonl"
+    good = '{"tweet_id": "0", "text": "fine"}'
+    src.write_text(f"{good}\n\n{line}\n", encoding="utf-8")
+    dst = tmp_path / "norm.jsonl"
+    with pytest.raises(CorpusError, match=r"^raw\.jsonl:3: bad record: ") as info:
+        normalize_corpus_file(src, dst)
+    assert problem in str(info.value)
+    assert list(tmp_path.iterdir()) == [src]
 
 
 # ---------------------------------------------------------------------------
