@@ -6,11 +6,23 @@ logistic regression fit to convergence by a trust-region Newton method,
 fully deterministic given its inputs; it is fit from token counts sliced
 out of `CorpusFeatures`, never from texts. A cell's records travel as
 `Rows`: positions in one `CorpusFeatures` plus any synthetic records. Its
-counts, labels and model-cache key are gathered by position, and its test
-rows are scored straight from the corpus matrix. The encoder backend delegates
-training and scoring to a provider speaking the fixed JSON contract
-documented in providers.py. Ranking and thresholding scores belong to
-evaluation.py.
+counts, labels and model-cache key are gathered by position.
+
+A fit's vocabulary is the sorted union of the corpus tokens its rows use
+and its synthetic records' tokens. `ColumnLayout` places each used corpus
+column in it by integers alone: its rank among the used columns, plus the
+synthetic-only tokens that sort before it. Which columns the rows use
+comes from per-column row counts kept once per corpus, less those of the
+few rows outside the training set. A model-cache hit therefore counts no
+text and copies no training row: it reads the synthetic records' unique
+tokens and the cached coefficients. Trained or read, the weights are
+placed once on the corpus's columns, so test rows are scored straight
+from the corpus matrix by one product, with no token compared; a model
+loaded from disk locates the corpus's tokens in its vocabulary instead.
+
+The encoder backend delegates training and scoring to a provider speaking
+the fixed JSON contract documented in providers.py. Ranking and
+thresholding scores belong to evaluation.py.
 """
 
 from __future__ import annotations
@@ -57,6 +69,7 @@ __all__ = [
     "count_matrix",
     "record_digests",
     "CorpusFeatures",
+    "ColumnLayout",
     "Rows",
     "BaselineScorer",
     "EncoderScorer",
@@ -167,8 +180,8 @@ def record_digests(texts, labels) -> np.ndarray:
 
 
 def _stack(parts, width: int) -> sparse.csr_matrix:
-    """The (counts, column map) `parts` of `CorpusFeatures.columns`, each
-    moved onto its columns and stacked, as one `width`-column CSR matrix."""
+    """The (counts, column map) `parts` of a `ColumnLayout`, each moved
+    onto its columns and stacked, as one `width`-column CSR matrix."""
     blocks = [sparse.csr_matrix((x.data, remap[x.indices], x.indptr),
                                 shape=(x.shape[0], width))
               for x, remap in parts]
@@ -177,16 +190,28 @@ def _stack(parts, width: int) -> sparse.csr_matrix:
     return sparse.vstack(blocks, format="csr")
 
 
+def _unique_tokens(texts) -> np.ndarray:
+    """The sorted set of the tokens of `texts`, as `count_matrix` returns
+    it, without counting them."""
+    tokens = set()
+    for text in texts:
+        tokens.update(_tokenize(text))
+    return _token_array(sorted(tokens))
+
+
 class CorpusFeatures:
     """Token counts, labels and (text, label) digests of a corpus's
     records, computed once and gathered by position: row i is
-    `records[i]`, and the columns are the corpus's sorted tokens."""
+    `records[i]`, and the columns are the corpus's sorted tokens.
+    `column_rows` counts the rows that use each column."""
 
     def __init__(self, records):
         self.records = tuple(records)
         texts = [r.text for r in self.records]
         labels = [r.label for r in self.records]
         self.tokens, self.matrix = count_matrix(texts)
+        self.column_rows = np.bincount(self.matrix.indices,
+                                       minlength=self.tokens.size)
         self.labels = np.array(labels, dtype=object)
         self.digests = record_digests(texts, labels)
 
@@ -197,45 +222,83 @@ class CorpusFeatures:
             rows = np.arange(len(self.records))
         return Rows(self, np.asarray(rows, dtype=np.int64), tuple(extra))
 
-    def columns(self, rows, extra=()):
-        """The column layout of the records at `rows` followed by the
-        `extra` records, counting only the `extra` texts: (tokens, parts).
-        `tokens` are the sorted union of the corpus tokens the rows use and
-        the tokens of `extra`, exactly as `count_matrix` returns them for
-        those texts. `parts` pairs each block of counts (the rows' corpus
-        counts, then, with `extra`, the extra texts' counts) with the map
-        from its columns onto `tokens`; the maps are monotone, so each row
-        keeps its sorted column order."""
-        sub = self.matrix[rows]
-        extra_tokens, extra_x = count_matrix([r.text for r in extra])
-        used = np.bincount(sub.indices, minlength=self.tokens.size) > 0
+    def used_columns(self, rows) -> np.ndarray:
+        """Whether any record at `rows` uses each column: `column_rows`
+        less the counts of the rows outside `rows`, which in a
+        leave-one-topic-out cell are few, so the training rows' counts are
+        never copied."""
+        outside = np.ones(len(self.records), dtype=bool)
+        outside[rows] = False
+        return self.column_rows > np.bincount(
+            self.matrix[np.flatnonzero(outside)].indices,
+            minlength=self.tokens.size)
+
+    def columns(self, rows, extra_tokens) -> "ColumnLayout":
+        """The column layout of a fit on the records at `rows` followed by
+        records whose sorted unique tokens are `extra_tokens` (as
+        `_unique_tokens` or `count_matrix` return them)."""
+        used = self.used_columns(rows)
         at, found = _locate(self.tokens, extra_tokens)
         used[at[found]] = True
         cols = np.flatnonzero(used)
-        new = ~found  # extra tokens the corpus lacks
-        # a new token sorts just before the first corpus token above it; the
-        # stable sort keeps new tokens with one insertion point in order
-        order = np.argsort(np.concatenate([2 * cols + 1, 2 * at[new]]),
-                           kind="stable")
-        tokens = np.concatenate([self.tokens[cols], extra_tokens[new]])[order]
-        rank = np.empty(order.size, dtype=np.int32)
-        rank[order] = np.arange(order.size, dtype=np.int32)
-        remap = np.zeros(self.tokens.size, dtype=np.int32)
-        remap[cols] = rank[:cols.size]
-        parts = [(sub, remap)]
-        if extra:
-            extra_remap = np.empty(extra_tokens.size, dtype=np.int32)
-            extra_remap[found] = remap[at[found]]
-            extra_remap[new] = rank[cols.size:]
-            parts.append((extra_x, extra_remap))
-        return tokens, parts
+        new_at = at[~found]  # insertion points of the tokens the corpus lacks
+        # a corpus column moves up past the new tokens that sort before it,
+        # a new token past the used columns that do
+        col_pos = np.arange(cols.size) + np.searchsorted(new_at, cols, "right")
+        extra_pos = np.empty(extra_tokens.size, dtype=np.int32)
+        extra_pos[~found] = (np.arange(new_at.size)
+                             + np.searchsorted(cols, new_at, "left"))
+        extra_pos[found] = col_pos[np.searchsorted(cols, at[found])]
+        return ColumnLayout(self, cols, col_pos, extra_tokens, extra_pos,
+                            ~found)
 
-    def training_matrix(self, rows, extra=()):
-        """(tokens, x) of the records at `rows` followed by the `extra`
-        records, exactly as `count_matrix` returns them for those texts,
-        counting only the `extra` texts."""
-        tokens, parts = self.columns(rows, extra)
-        return tokens, _stack(parts, tokens.size)
+
+@dataclass(frozen=True, eq=False)
+class ColumnLayout:
+    """Where each column of a fit sits in its vocabulary, the sorted union
+    of the corpus tokens its rows use and its extra records' tokens,
+    exactly as `count_matrix` orders them for those texts. The corpus
+    columns `cols` go to `col_pos`, and `extra_tokens[j]` to
+    `extra_pos[j]`; `new` marks the extra tokens the corpus lacks. Both
+    maps are monotone, so each row keeps its sorted column order."""
+
+    features: CorpusFeatures
+    cols: np.ndarray
+    col_pos: np.ndarray
+    extra_tokens: np.ndarray
+    extra_pos: np.ndarray
+    new: np.ndarray
+
+    @property
+    def size(self) -> int:
+        return self.cols.size + int(np.count_nonzero(self.new))
+
+    def vocab(self) -> np.ndarray:
+        """The vocabulary's tokens, in column order."""
+        corpus_tokens, extra_tokens = self.features.tokens, self.extra_tokens
+        vocab = np.empty(self.size, dtype=np.result_type(corpus_tokens,
+                                                         extra_tokens))
+        vocab[self.col_pos] = corpus_tokens[self.cols]
+        vocab[self.extra_pos[self.new]] = extra_tokens[self.new]
+        return vocab
+
+    def parts(self, rows, extra_x=None) -> list:
+        """The (counts, column map) parts `_stack` merges: the corpus
+        counts of `rows`, then, when given, the extra records' counts
+        `extra_x`, whose columns are `extra_tokens`."""
+        remap = np.zeros(self.features.tokens.size, dtype=np.int32)
+        remap[self.cols] = self.col_pos
+        parts = [(self.features.matrix[rows], remap)]
+        if extra_x is not None:
+            parts.append((extra_x, self.extra_pos))
+        return parts
+
+    def on_corpus(self, weights: np.ndarray) -> np.ndarray:
+        """`weights` of the vocabulary placed on the corpus's columns; a
+        corpus token outside the vocabulary weighs +0.0."""
+        placed = np.zeros(self.features.tokens.size)
+        placed[self.cols] = weights[self.col_pos]
+        return placed
 
 
 @dataclass(frozen=True, eq=False)
@@ -440,43 +503,67 @@ class BaselineScorer:
 
     def __init__(self, config: ScorerConfig):
         self.config = config
-        self.vocab = _token_array([])
+        self._vocab = _token_array([])
         self.weights = None
         self.bias = 0.0
         self.n_iter = None
         self.cg_steps = None
         self.grad_norm = None
+        self._placed = None  # (CorpusFeatures, the weights on its columns)
+
+    @property
+    def vocab(self) -> np.ndarray:
+        """The sorted tokens the weights belong to. A cache hit builds them
+        from its column layout only when asked: to save, to score strings,
+        or to score another corpus's rows."""
+        if isinstance(self._vocab, ColumnLayout):
+            self._vocab = self._vocab.vocab()
+        return self._vocab
 
     def fit_matrix(self, vocab: np.ndarray, x, labels) -> "BaselineScorer":
         """Fit on counts `x` whose columns are the sorted tokens `vocab`,
-        as `count_matrix` or `CorpusFeatures.training_matrix` return them."""
+        as `count_matrix` returns them, or as a `ColumnLayout` lays them
+        out (its `vocab`, and its `parts` merged by `_stack`)."""
         _check_training(x.shape[0], labels)
         params = self.config.resolved_hyperparams()
         y = np.array([1.0 if lab == CW else 0.0 for lab in labels])
         theta, self.n_iter, self.grad_norm, self.cg_steps = _fit_logistic(
             x, y, float(params["l2"]), params["iterations"])
-        self.vocab = vocab
+        self._vocab = vocab
         self.weights = theta[:-1]
         self.bias = float(theta[-1])
         return self
 
+    def _place(self, layout: ColumnLayout) -> "BaselineScorer":
+        """Place the weights, fit on the columns `layout` lays out, on its
+        corpus's columns, for `score_many` of that corpus's `Rows`."""
+        self._placed = (layout.features, layout.on_corpus(self.weights))
+        return self
+
+    def _weights_on(self, tokens: np.ndarray) -> np.ndarray:
+        """The weights placed on the columns of the sorted `tokens`; a
+        token the model lacks weighs +0.0, which changes no row sum."""
+        at, found = _locate(self.vocab, tokens)
+        placed = np.zeros(tokens.size)
+        placed[found] = self.weights[at[found]]
+        return placed
+
     def score_many(self, texts) -> list:
         """P(CW) of each text: of strings, counted here, or of `Rows`,
-        whose counts are sliced out of their corpus matrix. Either way the
-        weights are placed on the columns of the counts' sorted tokens that
-        the texts use, and tokens the model lacks weigh +0.0, which changes
-        no row sum."""
+        whose counts are sliced out of their corpus matrix. The weights are
+        placed on the counts' columns. For `Rows` that is done once per
+        corpus: `train_scorer` places them from the fit's column layout,
+        and any other corpus's tokens are located in the vocabulary."""
         if self.weights is None:
             raise ModelError("scorer is not trained")
         if isinstance(texts, Rows):
-            tokens = texts.features.tokens
-            x = texts.features.matrix[texts.rows]
+            features = texts.features
+            if self._placed is None or self._placed[0] is not features:
+                self._placed = (features, self._weights_on(features.tokens))
+            x, w = features.matrix[texts.rows], self._placed[1]
         else:
             tokens, x = count_matrix(texts)
-        cols = np.flatnonzero(np.bincount(x.indices, minlength=tokens.size))
-        at, found = _locate(self.vocab, tokens[cols])
-        w = np.zeros(tokens.size)
-        w[cols[found]] = self.weights[at[found]]
+            w = self._weights_on(tokens)
         z = x @ w + self.bias
         return (1.0 / (1.0 + np.exp(-z))).tolist()
 
@@ -509,7 +596,7 @@ class BaselineScorer:
                 path, ("vocab", "weights", "bias", "config"))
             scorer = cls(ScorerConfig(**json.loads(str(config[0]))))
             blob = vocab.tobytes().decode("utf-8")
-            scorer.vocab = _token_array(blob.split("\n") if blob else [])
+            scorer._vocab = _token_array(blob.split("\n") if blob else [])
             if weights.shape != scorer.vocab.shape:
                 raise ModelError(f"{weights.size} weights for "
                                  f"{scorer.vocab.size} tokens")
@@ -528,24 +615,26 @@ def _write_entry(scorer: BaselineScorer, fh) -> None:
     np.savez(fh, theta=np.append(scorer.weights, scorer.bias))
 
 
-def _read_entry(path, config: ScorerConfig, vocab) -> BaselineScorer:
+def _read_entry(path, config: ScorerConfig,
+                layout: ColumnLayout) -> BaselineScorer:
     """The model of the cache entry at `path`, written for a fit of
-    `config` whose columns are the sorted tokens `vocab`."""
+    `config` whose columns `layout` lays out."""
     try:
         (theta,) = _npz_members(path, ("theta",))
     except _NOT_A_MODEL as exc:
         raise ModelError(
             f"{path} is not a baseline model-cache entry: {exc}") from exc
-    if theta.dtype != np.float64 or theta.shape != (vocab.size + 1,):
+    size = layout.size
+    if theta.dtype != np.float64 or theta.shape != (size + 1,):
         raise ModelError(
             f"model-cache entry {path} holds {theta.size} {theta.dtype} "
-            f"coefficients; a vocabulary of {vocab.size} tokens needs "
-            f"{vocab.size + 1} float64")
+            f"coefficients; a vocabulary of {size} tokens needs "
+            f"{size + 1} float64")
     scorer = BaselineScorer(config)
-    scorer.vocab = vocab
+    scorer._vocab = layout  # built on first use
     scorer.weights = theta[:-1]
     scorer.bias = float(theta[-1])
-    return scorer
+    return scorer._place(layout)
 
 
 class EncoderScorer:
@@ -630,12 +719,14 @@ def train_scorer(train, config: ScorerConfig, providers=None, cache_dir=None):
 
     Baseline models are cached under `cache_dir` by `model_cache_key`;
     encoder models live with their provider and are never cached here.
-    A baseline model takes its columns, and when it has to be trained its
-    counts, from the `CorpusFeatures` the rows belong to; plain records
-    are counted into one of their own first. A cache entry holds only
+    A baseline model takes its column layout, and when it has to be
+    trained its counts, from the `CorpusFeatures` the rows belong to;
+    plain records are counted into one of their own first. The layout
+    needs only which corpus columns the rows use and the extra records'
+    unique tokens, so a cache hit counts nothing. An entry holds only
     theta = (weights, bias): its key fixes the config and the training
-    records, so a hit rebuilds the vocabulary from the rows, as a fit
-    would, and takes `config` as given.
+    records, so a hit takes `config` as given. Either way the weights are
+    placed on the corpus's columns once, for `score_many` of its `Rows`.
     """
     if not isinstance(train, Rows):
         train = list(train)
@@ -647,14 +738,23 @@ def train_scorer(train, config: ScorerConfig, providers=None, cache_dir=None):
             [r.text for r in records], [r.label for r in records])
     if not isinstance(train, Rows):
         train = CorpusFeatures(train).select()
-    tokens, parts = train.features.columns(train.rows, train.extra)
+    features = train.features
+    extra_texts = [r.text for r in train.extra]
 
     def fit():
+        extra_tokens, extra_x = count_matrix(extra_texts)
+        layout = features.columns(train.rows, extra_tokens)
+        x = _stack(layout.parts(train.rows, extra_x if extra_texts else None),
+                   layout.size)
         return BaselineScorer(config).fit_matrix(
-            tokens, _stack(parts, tokens.size), train.labels())
+            layout.vocab(), x, train.labels())._place(layout)
+
+    def read(entry):
+        # the extra texts' unique tokens give the layout their counts would
+        layout = features.columns(train.rows, _unique_tokens(extra_texts))
+        return _read_entry(entry, config, layout)
 
     path = None
     if cache_dir is not None:
         path = Path(cache_dir) / f"{model_cache_key(config, train.digests())}.npz"
-    return cached(path, fit, _write_entry,
-                  lambda entry: _read_entry(entry, config, tokens))
+    return cached(path, fit, _write_entry, read)

@@ -336,8 +336,12 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
     providers one at a time. Writes report.md, cells.csv, and run.json
     under `out_dir` (defaults to the config's output_dir). Cells that fail
     are recorded with their error and excluded from rendered tables; the
-    returned record lists them so callers can exit nonzero.
+    returned record lists them so callers can exit nonzero. `wall_clock`
+    holds each cell's seconds and, as `total`, the seconds from this call's
+    start to the end of the last cell: the holdouts, the corpus features
+    and the cells.
     """
+    suite_started = time.perf_counter()
     combos = _suite_cells(suite, base_config)
     out_dir = Path(out_dir if out_dir is not None else base_config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -370,7 +374,6 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
         return cell_config, topic, report, error, details, \
             time.perf_counter() - started
 
-    suite_started = time.perf_counter()
     workers = base_config.max_workers
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -382,9 +382,8 @@ def test_concurrent_cells_can_cache_the_same_model(tmp_path, monkeypatch):
     assert [p.suffix for p in tmp_path.iterdir()] == [".npz"]
     fresh = fit_texts(cfg, [r.text for r in records],
                       [r.label for r in records])
-    loaded = model._read_entry(next(tmp_path.iterdir()), cfg, fresh.vocab)
-    assert loaded.weights.tobytes() == fresh.weights.tobytes()
-    assert loaded.bias == fresh.bias
+    theta = np.load(next(tmp_path.iterdir()))["theta"]
+    assert theta.tobytes() == np.append(fresh.weights, fresh.bias).tobytes()
 
 
 def test_second_train_scorer_call_is_a_cache_hit(tmp_path, monkeypatch):
@@ -402,46 +401,107 @@ def test_second_train_scorer_call_is_a_cache_hit(tmp_path, monkeypatch):
     assert np.array_equal(second.weights, first.weights)
 
 
+def _topic_corpus():
+    """`_corpus_records` plus a target topic "T-B": only its rows 80 and
+    82 hold "only-in-target", and only its row 81 holds "shared-once"."""
+    corpus = _corpus_records()
+    return corpus + [_rec(80, "only-in-target w1 cue", CW, topic="T-B"),
+                     _rec(81, "w2 w3 shared-once", NCW, topic="T-B"),
+                     _rec(82, "w4 only-in-target", NCW, topic="T-B")]
+
+
 def _cache_hit_cases():
-    """Training `Rows` whose vocabulary a cache hit has to rebuild."""
+    """(training `Rows`, test `Rows`) whose column layout a cache hit has
+    to work out without counting."""
     corpus, cases = _matrix_path_cases()
     rows, extra = cases["corpus+synthetic"]
+    features = CorpusFeatures(corpus)
     nul_corpus = corpus + [_rec(80, "a a\x00 cue", CW), _rec(81, "a w3", NCW)]
+    nul_features = CorpusFeatures(nul_corpus)
+    topics = _topic_corpus()
+    topic_features = CorpusFeatures(topics)
+    # leave out the target topic, but for its row holding "shared-once",
+    # and row 0, which holds "heldout-only"
+    left_out = list(range(1, 80)) + [81]
     # records hold no empty text, so plain objects stand in for them here
-    empty = [SimpleNamespace(text="", label=CW),
-             SimpleNamespace(text=" ", label=NCW)]
+    empty = CorpusFeatures([SimpleNamespace(text="", label=CW),
+                            SimpleNamespace(text=" ", label=NCW)])
     return {
-        "synthetic-only tokens": CorpusFeatures(corpus).select(rows, extra),
-        "a token holding a NUL": CorpusFeatures(nul_corpus).select(
-            range(40, 82), [_synthetic(3, "b\x00 w1 zz-new", NCW)]),
-        "empty vocabulary": CorpusFeatures(empty).select(),
+        "synthetic-only tokens": (features.select(rows, extra),
+                                  features.select(range(5))),
+        "synthetic tokens only the target topic holds": (
+            topic_features.select(left_out, [
+                _synthetic(3, "only-in-target heldout-only zz-new", CW),
+                _synthetic(9, "shared-once w5 0zero", NCW)]),
+            topic_features.select([0, 80, 82])),
+        "more rows outside than inside": (
+            features.select(range(20, 32), [
+                _synthetic(3, "w1 heldout-only new-token", CW)]),
+            features.select(range(80))),
+        "a token holding a NUL": (
+            nul_features.select(range(40, 82),
+                                [_synthetic(3, "b\x00 w1 zz-new", NCW)]),
+            nul_features.select(range(0, 82, 3))),
+        "no synthetic records": (features.select(rows),
+                                 features.select(range(80))),
+        "empty vocabulary": (empty.select(), empty.select()),
     }
 
 
 @pytest.mark.parametrize("case", ["synthetic-only tokens",
+                                  "synthetic tokens only the target topic "
+                                  "holds",
+                                  "more rows outside than inside",
                                   "a token holding a NUL",
+                                  "no synthetic records",
                                   "empty vocabulary"])
 def test_cache_hit_yields_exactly_the_fitted_model(case, tmp_path,
                                                    monkeypatch):
-    train = _cache_hit_cases()[case]
+    """A hit counts no text, yet gives the fit's vocabulary, coefficients,
+    weights on the corpus's columns and scores, bit for bit."""
+    train, test = _cache_hit_cases()[case]
     cfg = ScorerConfig(backend="baseline", hyperparams={"iterations": 50})
     fitted = train_scorer(train, cfg, cache_dir=tmp_path)
+    fitted_scores = fitted.score_many(test)
 
     def no_fit(self, *args):
         raise AssertionError("a cached model was retrained")
 
+    def no_count(texts):
+        raise AssertionError("a cache hit counted texts")
+
     monkeypatch.setattr(BaselineScorer, "fit_matrix", no_fit)
+    monkeypatch.setattr(model, "count_matrix", no_count)
     hit = train_scorer(train, cfg, cache_dir=tmp_path)
     assert hit.config is cfg
-    assert hit.vocab.dtype == fitted.vocab.dtype
-    assert hit.vocab.tolist() == fitted.vocab.tolist()
     assert hit.weights.tobytes() == fitted.weights.tobytes()
     assert hit.bias == fitted.bias
+    assert hit.score_many(test) == fitted_scores
+    assert (hit._placed[1].tobytes()
+            == fitted._weights_on(train.features.tokens).tobytes())
+    assert hit.vocab.dtype == fitted.vocab.dtype
+    assert hit.vocab.tolist() == fitted.vocab.tolist()
+    monkeypatch.undo()
+    assert fitted.vocab.tolist() == model.count_matrix(
+        [r.text for r in train])[0].tolist()
+    if case == "synthetic tokens only the target topic holds":
+        assert {"only-in-target", "shared-once"} <= set(hit.vocab.tolist())
     if case == "a token holding a NUL":
         assert fitted.vocab.dtype == object
         assert {"a\x00", "b\x00", "zz-new"} <= set(fitted.vocab.tolist())
     if case == "empty vocabulary":
         assert hit.vocab.size == 0 and hit.weights.shape == (0,)
+
+
+def test_corpus_column_row_counts_and_used_columns():
+    corpus = _topic_corpus()
+    features = CorpusFeatures(corpus)
+    x = features.matrix.toarray()
+    assert np.array_equal(features.column_rows, (x > 0).sum(axis=0))
+    for rows in (range(83), range(1, 80), [81, 81, 3], [], [82] * 5):
+        rows = np.array(rows, dtype=np.int64)
+        expected = (x[rows] > 0).any(axis=0)
+        assert np.array_equal(features.used_columns(rows), expected)
 
 
 def test_cache_entry_is_one_stored_theta_member(tmp_path):
@@ -652,7 +712,11 @@ def test_corpus_matrix_fit_equals_text_fit(case):
     cfg = ScorerConfig(backend="baseline", hyperparams={"iterations": 50})
     from_text = fit_texts(cfg, texts, labels)
     features = CorpusFeatures(corpus)
-    vocab, x = features.training_matrix(rows, extra)
+    extra_tokens, extra_x = model.count_matrix([r.text for r in extra])
+    layout = features.columns(rows, extra_tokens)
+    vocab = layout.vocab()
+    x = model._stack(layout.parts(rows, extra_x if extra else None),
+                     layout.size)
     _, text_x = model.count_matrix(texts)
     assert x.indices.dtype == np.int32
     for part in ("indptr", "indices", "data"):
@@ -667,6 +731,8 @@ def test_corpus_matrix_fit_equals_text_fit(case):
     trained = train_scorer(features.select(rows, extra), cfg)
     assert list(trained.vocab) == list(from_text.vocab)
     assert np.array_equal(trained.weights, from_text.weights)
+    assert (layout.on_corpus(from_text.weights).tobytes()
+            == from_text._weights_on(features.tokens).tobytes())
 
 
 def test_train_scorer_fits_through_corpus_features():
@@ -715,6 +781,30 @@ def test_matrix_scores_equal_text_count_scores_bit_for_bit(nul_in):
     scores = scorer.score_many(features.select(test_rows))
     assert scores == _reference_scores(scorer, texts)
     assert scorer.score_many(texts) == scores
+
+
+@pytest.mark.parametrize("nul", [False, True])
+def test_a_loaded_model_scores_rows_as_the_trained_one(nul, tmp_path):
+    """`claimcheck rank`'s path: a saved model, loaded, places its weights
+    on a freshly counted corpus by locating its tokens, and scores that
+    corpus's rows exactly as the trained scorer scored its own."""
+    corpus = _corpus_records() + [_rec(80, "a\x00 w3 cue" if nul else "a w3",
+                                       CW)]
+    features = CorpusFeatures(corpus)
+    train = features.select(range(10, len(corpus)), [
+        _synthetic(3, "aaa cue w1 zz-new", CW),
+        _synthetic(9, "w2 brand-new heldout-only", NCW)])
+    scorer = train_scorer(train, ScorerConfig(
+        backend="baseline", hyperparams={"iterations": 50}))
+    test_rows = list(range(0, len(corpus), 3))
+    scores = scorer.score_many(features.select(test_rows))
+    path = tmp_path / "model.npz"
+    scorer.save(path)
+    loaded = BaselineScorer.load(path)
+    fresh = CorpusFeatures(corpus)
+    assert loaded.score_many(fresh.select(test_rows)) == scores
+    assert loaded._placed[0] is fresh
+    assert loaded._placed[1].tobytes() == scorer._placed[1].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -478,6 +478,29 @@ def test_wall_clock_total_is_wall_time_with_parallel_cells(suite_corpus,
     assert record.wall_clock["total"] < 0.75 * sum(cell_times)
 
 
+def test_wall_clock_total_covers_the_corpus_features_build(suite_corpus,
+                                                           tmp_path,
+                                                           monkeypatch):
+    """`total` runs from the top of `run_suite`: a slow `CorpusFeatures`
+    build, which no cell times, falls inside it."""
+    delay = 0.3
+
+    class SlowFeatures(CorpusFeatures):
+        def __init__(self, records):
+            time.sleep(delay)
+            super().__init__(records)
+
+    monkeypatch.setattr(runner, "CorpusFeatures", SlowFeatures)
+    started = time.perf_counter()
+    record = run_suite("table2", suite_corpus, ExperimentConfig(holdout_k=50),
+                       out_dir=tmp_path)
+    elapsed = time.perf_counter() - started
+    assert record.failures == []
+    cells = sum(v for k, v in record.wall_clock.items() if k != "total")
+    assert record.wall_clock["total"] >= cells + delay
+    assert record.wall_clock["total"] <= elapsed
+
+
 class PatternedEncoder(MockEncoderProvider):
     """Fails the calls a seeded pattern picks, each in one of four ways:
     a provider error, a fault outside the package's errors, a reply with
