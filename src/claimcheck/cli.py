@@ -284,7 +284,7 @@ def _cmd_augment(args) -> int:
     result = prepare_cell(config, Corpus.from_jsonl(args.corpus), args.target,
                           _providers_from(args)).augmentation
     out = args.out or "synthetic.jsonl"
-    with open(out, "w", encoding="utf-8") as fh:
+    with open(_out_file(out), "w", encoding="utf-8") as fh:
         for sample in result.samples:
             fh.write(json.dumps(asdict(sample), ensure_ascii=False) + "\n")
     print(f"{config.strategy}: {len(result.samples)} synthetic, "

@@ -260,8 +260,8 @@ class Corpus:
     """Immutable collection of labelled tweets grouped by topic.
 
     A record's position is its index in `records`, and splits name records
-    by position. `tweet_ids`, `id_order` and `topic_codes` index them; each
-    is built on first use, so loading a corpus never pays for them.
+    by position. `tweet_ids`, `id_order`, `topic_codes` and `features` (the
+    token counts) are built on first use, so loading a corpus pays for none.
     """
 
     def __init__(self, records):
@@ -335,6 +335,12 @@ class Corpus:
         return stable_hash(sorted(
             (r.tweet_id, r.topic_id, r.text, r.label, r.source)
             for r in self._records))
+
+    @cached_property
+    def features(self):
+        """Every record's token counts, as a `CorpusFeatures`."""
+        from .model import CorpusFeatures  # model imports this module
+        return CorpusFeatures(self._records)
 
     def validate_canonical(self):
         """Require every topic id to be one of the 14 canonical ids."""

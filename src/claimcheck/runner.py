@@ -6,7 +6,7 @@ laid out: per-topic rows, an average row, and integer percentage-point
 deltas against the relevant base column. Failed cells are marked and the
 suite keeps going; the caller decides what exit code that deserves.
 
-A suite pass counts the corpus's tokens once, into a `CorpusFeatures`.
+A corpus counts its tokens once, on first use, into `Corpus.features`.
 Every cell is a set of its row positions: the split names train and test
 positions, augmentation appends synthetic records, the model-cache key and
 the training matrix are gathered by position, and test rows are scored
@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
@@ -42,7 +43,7 @@ from .evaluation import (
     render_improvement_table,
     render_report_table,
 )
-from .model import CorpusFeatures, Rows, ScorerConfig, train_scorer
+from .model import Rows, ScorerConfig, train_scorer
 from .splits import (HoldoutTable, TopicSplit, few_shot_split, make_holdouts,
                      zero_shot_split)
 
@@ -88,8 +89,12 @@ class ExperimentConfig:
     max_workers: int = 0
 
     def __post_init__(self):
-        if not is_int(self.shots):
-            raise ConfigError(f"shots must be an integer, got {self.shots!r}")
+        for name in ("shots", "seed"):
+            if not is_int(value := getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.output_dir, (str, os.PathLike)):
+            raise ConfigError(
+                f"output_dir must be a path, got {self.output_dir!r}")
         if self.setting is None:
             few = self.shots or self.strategy != NONE
             object.__setattr__(self, "setting", FEW_SHOT if few else ZERO_SHOT)
@@ -211,21 +216,15 @@ class PreparedCell:
 
 def prepare_cell(config: ExperimentConfig, corpus: Corpus, target: str,
                  providers=None, holdouts: HoldoutTable = None,
-                 cache_dir=None, features: CorpusFeatures = None,
-                 stage_s: dict = None) -> PreparedCell:
+                 cache_dir=None, stage_s: dict = None) -> PreparedCell:
     """Split, check and optionally augment the training data of one
-    leave-one-topic-out cell, as `Rows` of `features`, the corpus's
-    `CorpusFeatures` (counted here when not given).
+    leave-one-topic-out cell, as `Rows` of `corpus.features`.
 
     Holdouts are drawn from the config when none are given. Augmentation
     results are cached under `cache_dir`/augment when a cache is given.
     Each stage's seconds are added to `stage_s` when it is given.
     """
     stage_s = {} if stage_s is None else stage_s
-    if features is None:
-        features = CorpusFeatures(corpus.records)
-    elif features.records is not corpus.records:
-        raise ConfigError("corpus features were counted over another corpus")
     with _stage("split", stage_s):
         if holdouts is None:
             holdouts = make_holdouts(corpus, config.holdout_k, config.seed)
@@ -233,13 +232,13 @@ def prepare_cell(config: ExperimentConfig, corpus: Corpus, target: str,
             split = zero_shot_split(corpus, holdouts, target)
         else:
             split = few_shot_split(corpus, holdouts, target, config.shots)
-        train = features.select(split.train)
-        test = features.select(split.test)
+        train = corpus.features.select(split.train)
+        test = corpus.features.select(split.test)
 
     aug_result = None
     if config.strategy != NONE:
         with _stage("augment", stage_s):
-            pool = features.select(
+            pool = corpus.features.select(
                 corpus.positions(holdouts.pool(target)[: config.shots]))
             train, aug_result = augment_training(
                 train, pool, config.strategy, providers, config.seed,
@@ -253,19 +252,17 @@ def prepare_cell(config: ExperimentConfig, corpus: Corpus, target: str,
 
 def run_topic(config: ExperimentConfig, corpus: Corpus, target: str,
               providers=None, holdouts: HoldoutTable = None,
-              cache_dir=None, details: dict = None,
-              features: CorpusFeatures = None) -> EvalReport:
+              cache_dir=None, details: dict = None) -> EvalReport:
     """Run one leave-one-topic-out experiment and evaluate on the holdout
     complement of the target topic.
 
     When a `details` dict is supplied it is filled with split sizes,
     augmentation skip information, the trained-on record count, and
     `stage_s`, the seconds each stage took (also when a stage fails).
-    `features` is the corpus's `CorpusFeatures` (see `prepare_cell`).
     """
     stage_s = details.setdefault("stage_s", {}) if details is not None else {}
     cell = prepare_cell(config, corpus, target, providers, holdouts,
-                        cache_dir, features, stage_s)
+                        cache_dir, stage_s)
     with _stage("train", stage_s):
         scorer = train_scorer(cell.train, config.scorer_config(), providers,
                               cache_dir=(Path(cache_dir) / "models"
@@ -338,8 +335,8 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
     are recorded with their error and excluded from rendered tables; the
     returned record lists them so callers can exit nonzero. `wall_clock`
     holds each cell's seconds and, as `total`, the seconds from this call's
-    start to the end of the last cell: the holdouts, the corpus features
-    and the cells.
+    start to the end of the last cell: the holdouts, a first count of the
+    corpus features and the cells.
     """
     suite_started = time.perf_counter()
     combos = _suite_cells(suite, base_config)
@@ -348,16 +345,13 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
     cache_dir = out_dir / "cache"
 
     holdouts = make_holdouts(corpus, base_config.holdout_k, base_config.seed)
-    # once per pass: every cell scores from it, and a missed model trains
-    # from it
-    features = CorpusFeatures(corpus.records)
-    topics = corpus.topic_ids()
+    corpus.features  # counted on first use, so before any worker starts
 
     jobs = []
     for setting, strategy, shots in combos:
         cell_config = replace(base_config, setting=setting, strategy=strategy,
                               shots=shots)
-        for topic in topics:
+        for topic in corpus.topic_ids():
             jobs.append((cell_config, topic))
 
     def run_job(job):
@@ -365,9 +359,8 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
         details = {}
         started = time.perf_counter()
         try:
-            report = run_topic(cell_config, corpus, topic, providers=providers,
-                               holdouts=holdouts, cache_dir=cache_dir,
-                               details=details, features=features)
+            report = run_topic(cell_config, corpus, topic, providers,
+                               holdouts, cache_dir, details)
             error = None
         except Exception as exc:  # one cell's fault must not end the suite
             report, error = None, f"{type(exc).__name__}: {exc}"

@@ -324,6 +324,15 @@ def test_augment_writes_synthetic_samples(corpus_jsonl, tmp_path, capsys):
     assert all(s["origin_tweet_id"].startswith("S-A") for s in samples)
 
 
+def test_augment_creates_the_out_directory(corpus_jsonl, tmp_path, capsys):
+    out = tmp_path / "new" / "dir" / "synthetic.jsonl"
+    rc = main(["augment", "--corpus", str(corpus_jsonl), "--target", "S-A",
+               "--strategy", "CWE", "--shots", "50", "--holdout-k", "50",
+               "--providers", "mock", "--out", str(out)])
+    assert rc == 0
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 50
+
+
 def test_augment_requires_a_strategy(corpus_jsonl, capsys):
     rc = main(["augment", "--corpus", str(corpus_jsonl), "--target", "S-A",
                "--shots", "50", "--holdout-k", "50", "--providers", "mock"])
@@ -446,6 +455,24 @@ def test_suite_with_a_bad_count_fails_before_any_cell(corpus_jsonl, tmp_path,
     assert rc == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("setting", [
+    '{"seed": true}', '{"seed": "7"}', '{"seed": 1.5}', '{"seed": null}',
+    '{"output_dir": 5}',
+])
+def test_a_config_file_seed_or_output_dir_of_the_wrong_type_exits_two(
+        corpus_jsonl, tmp_path, monkeypatch, capsys, setting):
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(setting, encoding="utf-8")
+    rc = main(["suite", "table2", "--corpus", str(corpus_jsonl),
+               "--config", str(config)])
+    assert rc == 2
+    name = next(iter(json.loads(setting)))
+    assert re.search(rf"^error: .*{name} must be",
+                     capsys.readouterr().err, re.M)
+    assert list(tmp_path.iterdir()) == [config]
 
 
 @pytest.mark.parametrize("command", ["eval", "train", "augment"])

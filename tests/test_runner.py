@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from claimcheck import runner
+from claimcheck import model, runner
 from claimcheck.augment import BT, CWE, NONE, STRATEGIES, GenerationParams
 from claimcheck.cache import stable_hash
 from claimcheck.errors import (AugmentError, ConfigError, ModelError,
@@ -152,6 +152,22 @@ def test_generation_params_accept_their_boundary_values():
 def test_config_from_mapping_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="learning_rate"):
         config_from_mapping({"seed": 1, "learning_rate": 0.1})
+
+
+@pytest.mark.parametrize("seed", [True, "7", 1.5, None])
+def test_config_from_mapping_rejects_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        config_from_mapping({"seed": seed})
+    assert config_from_mapping({"seed": -7}).seed == -7
+
+
+@pytest.mark.parametrize("output_dir", [5, None, ["runs"]])
+def test_config_from_mapping_rejects_an_output_dir_that_is_not_a_path(
+        output_dir):
+    with pytest.raises(ConfigError, match="output_dir must be a path"):
+        config_from_mapping({"output_dir": output_dir})
+    assert config_from_mapping({"output_dir": Path("runs")}) \
+        .to_dict()["output_dir"] == "runs"
 
 
 def test_config_from_mapping_builds_generation_params():
@@ -293,14 +309,6 @@ def test_prepare_cell_augments_the_pool_prefix():
     assert len(cell.train) == len(cell.split.train) + len(aug.samples)
     assert [r.tweet_id for r in cell.train.extra] == [
         f"{s.origin_tweet_id}::cwe" for s in aug.samples]
-
-
-def test_prepare_cell_refuses_features_of_another_corpus():
-    corpus = tiny_corpus(1, per_topic=60)
-    other = CorpusFeatures(tiny_corpus(1, per_topic=60).records)
-    with pytest.raises(ConfigError, match="another corpus"):
-        prepare_cell(ExperimentConfig(holdout_k=20), corpus, "S-A",
-                     features=other)
 
 
 def test_prepare_cell_caches_augmentation_under_the_cache_dir(tmp_path):
@@ -481,8 +489,8 @@ def test_wall_clock_total_is_wall_time_with_parallel_cells(suite_corpus,
 def test_wall_clock_total_covers_the_corpus_features_build(suite_corpus,
                                                            tmp_path,
                                                            monkeypatch):
-    """`total` runs from the top of `run_suite`: a slow `CorpusFeatures`
-    build, which no cell times, falls inside it."""
+    """`total` runs from the top of `run_suite`: a slow first build of the
+    corpus's features, which no cell times, falls inside it."""
     delay = 0.3
 
     class SlowFeatures(CorpusFeatures):
@@ -490,9 +498,10 @@ def test_wall_clock_total_covers_the_corpus_features_build(suite_corpus,
             time.sleep(delay)
             super().__init__(records)
 
-    monkeypatch.setattr(runner, "CorpusFeatures", SlowFeatures)
+    monkeypatch.setattr(model, "CorpusFeatures", SlowFeatures)
+    corpus = Corpus(suite_corpus.records)  # no features counted yet
     started = time.perf_counter()
-    record = run_suite("table2", suite_corpus, ExperimentConfig(holdout_k=50),
+    record = run_suite("table2", corpus, ExperimentConfig(holdout_k=50),
                        out_dir=tmp_path)
     elapsed = time.perf_counter() - started
     assert record.failures == []
@@ -588,7 +597,7 @@ def test_suite_rerun_in_place_is_stable(suite_corpus, tmp_path):
 
 
 def _counting_features(monkeypatch):
-    """Patch the runner's corpus matrix with one that counts its builds."""
+    """Patch the corpus matrix with one that counts its builds."""
     builds = []
     lock = threading.Lock()
 
@@ -599,7 +608,7 @@ def _counting_features(monkeypatch):
             time.sleep(0.05)  # widen the window for a second builder
             super().__init__(records)
 
-    monkeypatch.setattr(runner, "CorpusFeatures", Counted)
+    monkeypatch.setattr(model, "CorpusFeatures", Counted)
     return builds
 
 
@@ -608,6 +617,7 @@ def test_every_cell_of_a_parallel_pass_shares_one_corpus_matrix(
     """The matrix is built before any worker starts, so contention cannot
     build a second one: every cell trains and scores rows of the same one."""
     builds = _counting_features(monkeypatch)
+    corpus = Corpus(suite_corpus.records)  # no features counted yet
     seen = []
 
     def recording(train, *args, **kwargs):
@@ -618,14 +628,13 @@ def test_every_cell_of_a_parallel_pass_shares_one_corpus_matrix(
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        record = run_suite("table3", suite_corpus,
-                           few_shot_config(max_workers=4),
+        record = run_suite("table3", corpus, few_shot_config(max_workers=4),
                            providers=mock_bundle(), out_dir=tmp_path)
     finally:
         sys.setswitchinterval(interval)
     assert record.failures == []
     assert len(builds) == 1
-    assert len(seen) == 12 and len({id(f) for f in seen}) == 1
+    assert len(seen) == 12 and all(f is corpus.features for f in seen)
 
 
 class InFlightCounter:
@@ -679,26 +688,34 @@ def test_a_single_cell_calls_its_provider_one_at_a_time(strategy):
 
 def test_corpus_matrix_is_built_once_per_pass_and_workers_agree(
         suite_corpus, tmp_path, monkeypatch):
+    """A corpus counts its tokens once, whatever passes run over it: a
+    serial pass, a parallel pass and an all-hit pass share one build."""
     builds = _counting_features(monkeypatch)
+    corpus = Corpus(suite_corpus.records)  # no features counted yet
     serial, parallel = tmp_path / "w1", tmp_path / "w2"
-    run_suite("table2", suite_corpus, ExperimentConfig(holdout_k=50),
+    run_suite("table2", corpus, ExperimentConfig(holdout_k=50),
               out_dir=serial)
     assert len(builds) == 1
-    builds.clear()
-    record = run_suite("table2", suite_corpus,
-                       ExperimentConfig(holdout_k=50, max_workers=2),
-                       out_dir=parallel)
-    assert record.failures == []
+    for _ in range(2):  # a parallel pass, then its all-hit rerun
+        record = run_suite("table2", corpus,
+                           ExperimentConfig(holdout_k=50, max_workers=2),
+                           out_dir=parallel)
+        assert record.failures == []
+        for name in ("cells.csv", "report.md"):
+            assert (parallel / name).read_bytes() == \
+                (serial / name).read_bytes()
     assert len(builds) == 1
-    for name in ("cells.csv", "report.md"):
-        assert (parallel / name).read_bytes() == (serial / name).read_bytes()
 
-    builds.clear()
-    run_suite("table2", suite_corpus,
-              ExperimentConfig(holdout_k=50, max_workers=2), out_dir=parallel)
-    assert len(builds) == 1  # an all-hit pass still scores from the matrix
-    assert (parallel / "cells.csv").read_bytes() == \
-        (serial / "cells.csv").read_bytes()
+
+def test_prepare_cell_counts_the_corpus_once_across_targets(monkeypatch):
+    builds = _counting_features(monkeypatch)
+    corpus = tiny_corpus(2, per_topic=60)
+    cells = [prepare_cell(ExperimentConfig(holdout_k=20), corpus, target)
+             for target in ("S-A", "S-B")]
+    assert len(builds) == 1
+    for cell in cells:
+        assert cell.train.features is corpus.features
+        assert cell.test.features is corpus.features
 
 
 def test_a_suite_pass_never_looks_records_up_by_id(suite_corpus, tmp_path,
