@@ -237,7 +237,10 @@ def _provider_identity(provider) -> str:
 
 
 def _save_result(result: AugmentationResult, fh) -> None:
-    fh.write(json.dumps(asdict(result), ensure_ascii=False).encode("utf-8"))
+    """`result` as the JSON of `asdict(result)`, built from the fields
+    without its deep copy."""
+    blob = {**vars(result), "samples": [vars(s) for s in result.samples]}
+    fh.write(json.dumps(blob, ensure_ascii=False).encode("utf-8"))
 
 
 def _load_result(path) -> AugmentationResult:

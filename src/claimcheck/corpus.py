@@ -261,7 +261,8 @@ class Corpus:
 
     A record's position is its index in `records`, and splits name records
     by position. `tweet_ids`, `id_order`, `topic_codes` and `features` (the
-    token counts) are built on first use, so loading a corpus pays for none.
+    token counts) are built on first use, so loading a corpus pays for none;
+    `holdouts` keeps the pools drawn from it.
     """
 
     def __init__(self, records):
@@ -341,6 +342,12 @@ class Corpus:
         """Every record's token counts, as a `CorpusFeatures`."""
         from .model import CorpusFeatures  # model imports this module
         return CorpusFeatures(self._records)
+
+    @cached_property
+    def holdouts(self) -> dict:
+        """The holdout tables `splits.make_holdouts` drew from this corpus,
+        by (k, seed), each with the warnings its draw gives."""
+        return {}
 
     def validate_canonical(self):
         """Require every topic id to be one of the 14 canonical ids."""

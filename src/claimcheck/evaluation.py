@@ -3,10 +3,11 @@
 The task is scored as a ranking problem: each test set gets one average
 precision per class (AP over the ranking ordered for that class), the mean of
 the two is the MAP, and predictions thresholded by `classify` additionally
-yield precision/recall/F1 for the positive class. `rank_scores` is the one
-rank order, for metrics and the `rank` command alike. Improvement tables
-compare MAP columns of two experiment variants topic by topic, with integer
-percentage deltas.
+yield precision/recall/F1 for the positive class. A test set is kept as
+arrays in ascending-id order, and `_rank`, one stable argsort, is the one
+rank order, for metrics and the `rank` command (`rank_scores`) alike.
+Improvement tables compare MAP columns of two experiment variants topic by
+topic, with integer percentage deltas.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 
+import numpy as np
+
 from .corpus import CW, NCW
-from .errors import EvalError
+from .errors import EvalError, is_int
 
 __all__ = [
     "EvalReport",
@@ -78,14 +81,84 @@ def _unit(value: float, name: str = "score") -> float:
     return value
 
 
+def _scored(scores: dict):
+    """The ids of `scores` (id -> P(CW)) ascending, and their scores as a
+    float64 array in that order."""
+    if not scores:
+        raise EvalError("cannot rank an empty score table")
+    ids = sorted(scores)
+    values = np.array([scores[i] for i in ids])
+    if (values.dtype.kind not in "biuf"
+            or not ((values >= 0.0) & (values <= 1.0)).all()):
+        for value in scores.values():  # fail on the first bad score as given
+            _unit(value)
+    return ids, values.astype(np.float64)
+
+
+def _classes(ids, labels: dict) -> np.ndarray:
+    """The labels of `ids`, in order, once each is CW or NCW."""
+    classes = [labels[i] for i in ids]
+    unknown = set(classes) - {CW, NCW}
+    if unknown:
+        raise EvalError(f"unknown labels: {', '.join(sorted(map(repr, unknown)))}")
+    return np.array(classes, dtype=object)
+
+
+def _scored_and_labelled(scores: dict, labels: dict):
+    """The scores of `_scored(scores)`, and whether each is labelled CW."""
+    if scores.keys() != labels.keys():
+        raise EvalError(
+            f"scores and labels cover different ids "
+            f"({len(scores)} scored vs {len(labels)} labelled)"
+        )
+    ids, values = _scored(scores)
+    return values, _classes(ids, labels) == CW
+
+
+def _rank(values: np.ndarray, positive: str) -> np.ndarray:
+    """Positions of `values`, P(CW) in ascending-id order, best first for
+    `positive`: descending P(positive), ties broken by ascending id."""
+    # descending P(NCW) == ascending P(CW); a stable sort keeps id order
+    return np.argsort(-values if positive == CW else values, kind="stable")
+
+
+def _check_prefix(n) -> None:
+    """A ranking prefix length is None (all items) or an integer >= 1."""
+    if n is not None and not (is_int(n) and n >= 1):
+        raise EvalError(f"n must be None or an integer >= 1, got {n!r}")
+
+
+def _ap(hits: np.ndarray) -> float:
+    """AP of a ranking whose positive items are `hits`, in rank order:
+    hits / rank at each positive item, summed by Python in rank order."""
+    at = np.flatnonzero(hits)
+    if not at.size:
+        return 0.0
+    return sum((np.arange(1, at.size + 1) / (at + 1)).tolist()) / at.size
+
+
+def _class_aps(values: np.ndarray, is_cw: np.ndarray, n=None) -> tuple:
+    """(AP_cw, AP_ncw) of each class's ranking, within its top `n`."""
+    return (_ap(is_cw[_rank(values, CW)][:n]),
+            _ap(~is_cw[_rank(values, NCW)][:n]))
+
+
+def _prf(predicted: np.ndarray, actual: np.ndarray) -> tuple:
+    """Precision, recall and F1 of boolean predictions; 0/0 maps to 0."""
+    tp = int(np.count_nonzero(predicted & actual))
+    fp = int(np.count_nonzero(predicted & ~actual))
+    fn = int(np.count_nonzero(~predicted & actual))
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return precision, recall, f1
+
+
 def rank_scores(scores: dict, positive: str = CW) -> list:
     """Ids of `scores` (id -> P(CW)) best first for `positive`: descending
     P(positive), ties broken by ascending id."""
-    if not scores:
-        raise EvalError("cannot rank an empty score table")
-    # descending P(NCW) == ascending P(CW)
-    sign = -1.0 if positive == CW else 1.0
-    return sorted(scores, key=lambda i: (sign * _unit(scores[i]), i))
+    ids, values = _scored(scores)
+    return [ids[j] for j in _rank(values, positive).tolist()]
 
 
 def classify(score: float, threshold: float = 0.5) -> str:
@@ -100,23 +173,15 @@ def average_precision(ranked_ids, labels: dict, positive: str, n: int | None = N
     Only the top `n` items are considered (all of them when n is None).
     Returns 0.0 when no positive item appears in the considered prefix.
     """
+    _check_prefix(n)
     ranked_ids = list(ranked_ids)
     if not ranked_ids:
         raise EvalError("cannot compute average precision of an empty ranking")
     missing = [i for i in ranked_ids if i not in labels]
     if missing:
         raise EvalError(f"ranked ids without a label: {missing[:5]}")
-    if n is not None:
-        ranked_ids = ranked_ids[:n]
-    hits = 0
-    precisions = []
-    for rank, item_id in enumerate(ranked_ids, start=1):
-        if labels[item_id] == positive:
-            hits += 1
-            precisions.append(hits / rank)
-    if not precisions:
-        return 0.0
-    return sum(precisions) / len(precisions)
+    return _ap(np.array([labels[i] == positive for i in ranked_ids[:n]],
+                        dtype=bool))
 
 
 def mean_average_precision(scores: dict, labels: dict, n: int | None = None,
@@ -129,36 +194,29 @@ def mean_average_precision(scores: dict, labels: dict, n: int | None = None,
 
     Returns (ap_cw, ap_ncw, map).
     """
-    if set(scores) != set(labels):
-        raise EvalError(
-            f"scores and labels cover different ids "
-            f"({len(scores)} scored vs {len(labels)} labelled)"
-        )
-    ap_cw = average_precision(rank_scores(scores, CW), labels, CW, n=n)
-    ap_ncw = average_precision(rank_scores(scores, NCW), labels, NCW, n=n)
+    _check_prefix(n)
+    values, is_cw = _scored_and_labelled(scores, labels)
+    ap_cw, ap_ncw = _class_aps(values, is_cw, n)
     return ap_cw, ap_ncw, _combine_aps(ap_cw, ap_ncw, cw_only)
 
 
 def precision_recall_f1(predictions: dict, labels: dict, positive: str = CW):
     """Standard P/R/F1 against the positive class; 0/0 cases map to 0."""
-    if set(predictions) != set(labels):
+    if predictions.keys() != labels.keys():
         raise EvalError("predictions and labels cover different ids")
-    tp = sum(1 for i, p in predictions.items() if p == positive and labels[i] == positive)
-    fp = sum(1 for i, p in predictions.items() if p == positive and labels[i] != positive)
-    fn = sum(1 for i, p in predictions.items() if p != positive and labels[i] == positive)
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return precision, recall, f1
+    ids = list(predictions)
+    predicted = np.array([predictions[i] == positive for i in ids], dtype=bool)
+    return _prf(predicted, _classes(ids, labels) == positive)
 
 
 def evaluate_scores(target_topic_id: str, scores: dict, labels: dict,
                     threshold: float = 0.5, cw_only: bool = False) -> EvalReport:
     """Build the full EvalReport for one scored test set."""
-    ap_cw, ap_ncw, map_ = mean_average_precision(scores, labels, cw_only=cw_only)
-    predictions = {i: classify(s, threshold) for i, s in scores.items()}
-    p, r, f1 = precision_recall_f1(predictions, labels, positive=CW)
-    return EvalReport(target_topic_id, ap_cw, ap_ncw, map_, p, r, f1,
+    values, is_cw = _scored_and_labelled(scores, labels)
+    ap_cw, ap_ncw = _class_aps(values, is_cw)
+    p, r, f1 = _prf(values >= _unit(threshold, "threshold"), is_cw)
+    return EvalReport(target_topic_id, ap_cw, ap_ncw,
+                      _combine_aps(ap_cw, ap_ncw, cw_only), p, r, f1,
                       len(labels), cw_only)
 
 

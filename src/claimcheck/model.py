@@ -328,10 +328,11 @@ class Rows:
 
     def digests(self) -> np.ndarray:
         """The (text, label) digests of every record, in order."""
-        return np.concatenate([
-            self.features.digests[self.rows],
-            record_digests([r.text for r in self.extra],
-                           [r.label for r in self.extra])])
+        held = np.take(self.features.digests, self.rows, axis=0)
+        if not self.extra:
+            return held
+        return np.concatenate([held, record_digests(
+            [r.text for r in self.extra], [r.label for r in self.extra])])
 
 
 def _check_training(n: int, labels) -> None:

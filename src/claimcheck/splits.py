@@ -1,10 +1,11 @@
 """Cross-topic experiment splits.
 
 For every topic a fixed holdout pool is sampled once per seed; the topic's
-test set is everything outside that pool. Zero-shot training data is all
-other topics; few-shot training data additionally takes a prefix of the
-holdout pool, so shot sweeps are nested and every setting shares the exact
-same test set.
+test set is everything outside that pool. A `Corpus` object draws its pools
+once per holdout size and seed, and keeps them for every later pass.
+Zero-shot training data is all other topics; few-shot training data
+additionally takes a prefix of the holdout pool, so shot sweeps are nested
+and every setting shares the exact same test set.
 
 Holdout pools are tuples of tweet ids. A split's train and test sets are
 int arrays of corpus positions in tweet-id order, which is also the row
@@ -19,6 +20,7 @@ import json
 import random
 import warnings
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -35,7 +37,7 @@ class HoldoutTable:
 
     seed: int
     k: int
-    per_topic: dict  # topic_id -> tuple of tweet_ids in fixed order
+    per_topic: dict  # topic_id -> tuple of tweet_ids in fixed order, read-only
 
     def pool(self, topic_id: str) -> tuple:
         if topic_id not in self.per_topic:
@@ -106,23 +108,30 @@ def make_holdouts(corpus: Corpus, k: int = 200, seed: int = 0) -> HoldoutTable:
     Sampling is keyed on (seed, topic id) and on sorted record ids, so the
     result does not depend on corpus file order. Topics smaller than k are
     held out whole, which leaves an empty test set; that is flagged with a
-    warning rather than an error.
+    warning rather than an error, on every call. Each `Corpus` object draws
+    once per (k, seed) and keeps the table (`Corpus.holdouts`), whose
+    `per_topic` is read-only.
     """
     if k < 1:
         raise SplitError(f"holdout size must be >= 1, got {k}")
-    per_topic = {}
-    for topic_id in corpus.topic_ids():
-        records = corpus.records_for(topic_id)
-        rng = random.Random(f"{seed}|holdout|{topic_id}")
-        pool = _stratified_pool(records, k, rng)
-        if len(pool) >= len(records):
-            warnings.warn(
-                f"topic {topic_id}: holdout of {k} covers all "
-                f"{len(records)} records, test set is empty",
-                stacklevel=2,
-            )
-        per_topic[topic_id] = tuple(pool)
-    return HoldoutTable(seed=seed, k=k, per_topic=per_topic)
+    key = (repr(k), repr(seed))  # True == 1, but they draw differently
+    if key not in corpus.holdouts:
+        per_topic, whole = {}, []
+        for topic_id in corpus.topic_ids():
+            records = corpus.records_for(topic_id)
+            rng = random.Random(f"{seed}|holdout|{topic_id}")
+            pool = _stratified_pool(records, k, rng)
+            if len(pool) >= len(records):
+                whole.append(f"topic {topic_id}: holdout of {k} covers all "
+                             f"{len(records)} records, test set is empty")
+            per_topic[topic_id] = tuple(pool)
+        table = HoldoutTable(seed=seed, k=k,
+                             per_topic=MappingProxyType(per_topic))
+        corpus.holdouts[key] = table, whole
+    table, whole = corpus.holdouts[key]
+    for message in whole:
+        warnings.warn(message, stacklevel=2)
+    return table
 
 
 def _split(corpus: Corpus, holdouts: HoldoutTable, target: str,

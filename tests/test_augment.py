@@ -1,5 +1,9 @@
 """Augmentation strategy tests, run entirely against mock providers."""
 
+import io
+import json
+from dataclasses import asdict
+
 import pytest
 
 from mocks import MarkerFiller, RecordingGenerator, ReversingTranslator
@@ -14,6 +18,7 @@ from claimcheck.augment import (
     AugmentedSample,
     GenerationParams,
     _provider_identity,
+    _save_result,
     augment_training,
     back_translate,
     contextual_substitute,
@@ -397,6 +402,21 @@ def test_augment_cache_entry_bytes(tmp_path):
         '"skips": [["p001", "translator failed: offline"]], '
         '"identical_count": 1}'
     ).encode("utf-8")
+
+
+@pytest.mark.parametrize("result", [
+    AugmentationResult(TXTGEN, 0),
+    AugmentationResult(BT, 1, skips=(("p1", "translator failed: «x»"),)),
+    AugmentationResult(CWE, 3, samples=(
+        AugmentedSample("p0", "نص عربي ✅", CW, CWE),
+        AugmentedSample("p2", 'say "\\n"\t', NCW, CWE)),
+        skips=(("p1", "filler failed"),), identical_count=1),
+])
+def test_augment_cache_entry_is_the_json_of_asdict(result):
+    fh = io.BytesIO()
+    _save_result(result, fh)
+    assert fh.getvalue() == json.dumps(asdict(result),
+                                       ensure_ascii=False).encode("utf-8")
 
 
 def test_augment_cache_keys_on_seed(tmp_path):

@@ -4,8 +4,13 @@ metrics, and the integer-delta improvement tables."""
 import json
 import math
 import random
+import re
+from dataclasses import astuple
 
 import pytest
+import reference_evaluation as reference
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import brute_force_ap, brute_force_map
 
 from claimcheck.corpus import CW, NCW
@@ -20,6 +25,7 @@ from claimcheck.evaluation import (
     improvement_table,
     mean_average_precision,
     precision_recall_f1,
+    rank_scores,
     render_improvement_table,
 )
 
@@ -163,6 +169,88 @@ def test_evaluate_scores_labels_through_classify():
         evaluate_scores("t", scores, labels, threshold=1.5)
     with pytest.raises(EvalError, match="outside"):
         evaluate_scores("t", {**scores, "b": float("nan")}, labels)
+
+
+def test_unknown_labels_are_rejected_by_name():
+    scores = {"a": 0.9, "b": 0.1, "c": 0.5}
+    labels = {"a": CW, "b": "maybe", "c": NCW}
+    with pytest.raises(EvalError, match="unknown labels: 'maybe'"):
+        evaluate_scores("T", scores, labels)
+    with pytest.raises(EvalError, match="'maybe'"):
+        mean_average_precision(scores, labels)
+    with pytest.raises(EvalError, match="'maybe'"):
+        precision_recall_f1({"a": CW, "b": NCW, "c": NCW}, labels)
+
+
+def test_ap_prefix_must_be_none_or_a_positive_integer():
+    ranking, labels = ["a", "b", "c"], {"a": NCW, "b": NCW, "c": CW}
+    assert average_precision(ranking, labels, CW) == 1 / 3
+    assert average_precision(ranking, labels, CW, n=3) == 1 / 3
+    assert average_precision(ranking, labels, CW, n=9) == 1 / 3
+    for bad in (-1, 0, 1.5, True, "2"):
+        with pytest.raises(EvalError, match="n must be None"):
+            average_precision(ranking, labels, CW, n=bad)
+        with pytest.raises(EvalError, match="n must be None"):
+            mean_average_precision({"a": 0.9, "b": 0.5, "c": 0.1}, labels,
+                                   n=bad)
+
+
+def _bits(report) -> tuple:
+    return tuple(v.hex() if isinstance(v, float) else v for v in astuple(report))
+
+
+# scores from a small set, so ties are common and a threshold can equal one;
+# the ints 0 and 1 are scores too
+_VALUES = (0.0, 1.0, 0.5, 0.25, 0.1, 0.3, 1 / 3, 0.7, 0.75, 0, 1)
+
+
+@st.composite
+def _scored_tables(draw):
+    ids = draw(st.lists(st.text("abcd", min_size=1, max_size=3), min_size=1,
+                        max_size=14, unique=True))
+    classes = draw(st.sampled_from([(CW, NCW), (CW,), (NCW,)]))
+    scores = {i: draw(st.sampled_from(_VALUES)) for i in ids}
+    labels = {i: draw(st.sampled_from(classes)) for i in ids}
+    return scores, labels
+
+
+@settings(max_examples=400, deadline=None)
+@given(_scored_tables(), st.sampled_from(_VALUES), st.booleans(),
+       st.one_of(st.none(), st.integers(1, 16)))
+def test_array_metrics_are_bit_equal_to_the_per_item_reference(
+        table, threshold, cw_only, n):
+    scores, labels = table
+    got = evaluate_scores("T", scores, labels, threshold, cw_only)
+    want = reference.evaluate_scores("T", scores, labels, threshold, cw_only)
+    assert _bits(got) == _bits(want)
+    for positive in (CW, NCW):
+        ranking = rank_scores(scores, positive)
+        assert ranking == reference.rank_scores(scores, positive)
+        assert (average_precision(ranking, labels, positive, n).hex()
+                == reference.average_precision(ranking, labels, positive, n).hex())
+    got_map = mean_average_precision(scores, labels, n, cw_only)
+    assert ([v.hex() for v in got_map] == [v.hex() for v in
+            reference.mean_average_precision(scores, labels, n, cw_only)])
+    exact = brute_force_map(scores, labels, n)
+    for value, oracle in zip(got_map[:2], exact):
+        assert abs(value - float(oracle)) < 1e-12
+    predictions = {i: reference.classify(s, threshold) for i, s in scores.items()}
+    assert (precision_recall_f1(predictions, labels)
+            == reference.precision_recall_f1(predictions, labels))
+
+
+def test_a_bad_score_is_named_as_the_per_item_reference_names_it():
+    labels = {"a": CW, "b": NCW, "c": CW}
+    for scores in ({"a": 0.5, "b": 2, "c": float("nan")},
+                   {"c": -0.5, "a": float("nan"), "b": 0.5},
+                   {"a": 0.5, "b": "0.5", "c": 0.5},
+                   {"a": 0.5, "b": None, "c": 2}):
+        with pytest.raises((EvalError, TypeError)) as want:
+            reference.evaluate_scores("T", scores, labels)
+        with pytest.raises(want.type, match=re.escape(str(want.value))):
+            evaluate_scores("T", scores, labels)
+        with pytest.raises(want.type, match=re.escape(str(want.value))):
+            rank_scores(scores)
 
 
 def test_report_dict_is_golden_with_and_without_cw_only():

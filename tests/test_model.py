@@ -589,6 +589,25 @@ def test_model_cache_key_is_equal_for_equal_rows_of_two_corpora():
             != _key(cfg, texts, labels))
 
 
+def test_model_cache_key_of_a_tiny_corpus_is_pinned():
+    """Cache entries are named by this key, so gathering the digests another
+    way must not rename one, with or without synthetic records."""
+    features = CorpusFeatures([
+        _rec(0, "masks work", CW), _rec(1, "nice day", NCW),
+        _rec(2, "vaccine 95% effective", CW), _rec(3, "نص عربي", NCW)])
+    synthetic = [_rec(900, "masks work well ✅", CW)]
+    cfg = ScorerConfig(backend="baseline")
+    assert (model_cache_key(cfg, features.select([3, 0, 2]).digests())
+            == "f32be9b0ff88c5889620a9020c841a33"
+               "47ce52e16eab06a83fb6e34028fd6a4c")
+    assert (model_cache_key(cfg, features.select([3, 0, 2], synthetic).digests())
+            == "86ab0fada9c3d6a3689f334fffa6375e"
+               "0861497a4687dccd9b2eda840ef38ece")
+    assert (model_cache_key(cfg, features.select([], synthetic).digests())
+            == "579d4f17a01cd76d9747e09b417bb37c"
+               "9f5415b01be1da5b5fcd77014da09620")
+
+
 def test_model_cache_key_changes_when_one_label_flips():
     cfg = ScorerConfig(backend="baseline")
     texts = ["a b", "c d", "e"]

@@ -10,6 +10,7 @@ import pytest
 from synth import tiny_corpus
 
 from claimcheck.corpus import CW, Corpus, TweetRecord
+from claimcheck import splits
 from claimcheck.errors import SplitError
 from claimcheck.splits import (
     HoldoutTable,
@@ -73,6 +74,64 @@ def test_holdout_pool_covering_whole_topic_warns():
 def test_holdout_k_must_be_positive(corpus):
     with pytest.raises(SplitError):
         make_holdouts(corpus, k=0, seed=1)
+
+
+def _counting_pools(monkeypatch) -> list:
+    calls = []
+    draw = splits._stratified_pool
+
+    def counted(records, k, rng):
+        calls.append(k)
+        return draw(records, k, rng)
+
+    monkeypatch.setattr(splits, "_stratified_pool", counted)
+    return calls
+
+
+def test_holdouts_are_drawn_once_per_corpus_k_and_seed(monkeypatch):
+    records = tiny_corpus(seed=21, per_topic=60).records
+    corpus = Corpus(records)
+    calls = _counting_pools(monkeypatch)
+    table = make_holdouts(corpus, k=20, seed=5)
+    topics = len(corpus.topic_ids())
+    assert len(calls) == topics
+    assert make_holdouts(corpus, k=20, seed=5) is table
+    assert len(calls) == topics
+    for k, seed in ((20, 6), (21, 5), (20, True), (20, 1)):
+        again = make_holdouts(corpus, k=k, seed=seed)
+        assert (again.k, again.seed) == (k, seed)
+    assert len(calls) == 5 * topics
+    equal = make_holdouts(Corpus(records), k=20, seed=5)
+    assert len(calls) == 6 * topics
+    assert equal is not table and equal == table
+    with pytest.raises(SplitError):
+        make_holdouts(corpus, k=0, seed=5)
+    assert len(calls) == 6 * topics
+
+
+def test_a_kept_holdout_table_cannot_be_changed():
+    corpus = Corpus(tiny_corpus(seed=21, per_topic=60).records)
+    table = make_holdouts(corpus, k=20, seed=5)
+    with pytest.raises(TypeError):
+        table.per_topic["S-A"] = ()
+    with pytest.raises(TypeError):
+        del table.per_topic["S-A"]
+    assert len(make_holdouts(corpus, k=20, seed=5).pool("S-A")) == 20
+
+
+def test_a_kept_whole_topic_holdout_warns_on_every_call(monkeypatch):
+    corpus = Corpus([TweetRecord(f"t{i}", "T", f"text {i}",
+                                 CW if i % 2 else "NCW", "synthetic")
+                     for i in range(10)])
+    calls = _counting_pools(monkeypatch)
+    for _ in range(3):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            make_holdouts(corpus, k=50, seed=1)
+        assert [str(w.message) for w in caught] == [
+            "topic T: holdout of 50 covers all 10 records, test set is empty"]
+        assert caught[0].filename == __file__
+    assert calls == [50]
 
 
 def test_zero_shot_excludes_target_entirely(corpus, holdouts):
