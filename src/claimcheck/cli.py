@@ -138,7 +138,7 @@ def _experiment_config(args, **forced):
     """Merge config file values with explicit flags, then the `forced`
     fields, into an ExperimentConfig."""
     data = {key: value for key, value in (args.config or {}).items()
-            if key not in ("corpus", "providers")}
+            if key != "providers"}
     overrides = {
         "seed": getattr(args, "seed", None),
         "backend_id": getattr(args, "backend", None),
@@ -210,7 +210,7 @@ def _cmd_normalize(args) -> int:
 def _cmd_split(args) -> int:
     config = _experiment_config(args, strategy=NONE)
     cell = prepare_cell(config, Corpus.from_jsonl(args.corpus), args.target)
-    text = split_to_json(cell.split, cell.holdouts.pool(args.target))
+    text = split_to_json(cell.split)
     if args.out:
         _out_file(args.out).write_text(text + "\n", encoding="utf-8")
         print(f"wrote {args.out}")

@@ -26,8 +26,6 @@ import math
 import time
 from dataclasses import dataclass
 
-import requests
-
 from .errors import ProviderError
 
 MASK_TOKEN = "[MASK]"
@@ -160,7 +158,10 @@ class MockEncoderProvider:
 
 def _post_json(url: str, payload: dict, retries: int = 3, timeout: float = 30.0) -> dict:
     """POST `payload`, retrying timeouts, 5xx and malformed replies; a 4xx
-    is the request's own fault and is never retried."""
+    is the request's own fault and is never retried. `requests` loads on
+    the first post, so a run without an HTTP provider never imports it."""
+    import requests
+
     last = None
     for attempt in range(1, retries + 1):
         try:

@@ -6,11 +6,14 @@ laid out: per-topic rows, an average row, and integer percentage-point
 deltas against the relevant base column. Failed cells are marked and the
 suite keeps going; the caller decides what exit code that deserves.
 
-A corpus counts its tokens once, on first use, into `Corpus.features`.
-Every cell is a set of its row positions: the split names train and test
-positions, augmentation appends synthetic records, the model-cache key and
+A cell is named by `(config, corpus, target)`: its holdout pools follow
+the config's `holdout_k` and `seed`. A corpus counts its tokens once, on
+first use, into `Corpus.features`. Every cell is a set of its row
+positions: the split names train, test and shot positions, augmentation
+seeds from the shots and appends synthetic records, the model-cache key and
 the training matrix are gathered by position, and test rows are scored
-straight from the corpus matrix.
+straight from the corpus matrix. `run_suite` builds each cell's run.json
+row in one place and derives the rest of the record from those rows.
 
 The raw per-cell CSV is byte-identical across reruns with the same corpus,
 config, seed, and providers. Timing lives only in run.json: the cell's
@@ -44,7 +47,7 @@ from .evaluation import (
     render_report_table,
 )
 from .model import Rows, ScorerConfig, train_scorer
-from .splits import (HoldoutTable, TopicSplit, few_shot_split, make_holdouts,
+from .splits import (TopicSplit, few_shot_split, make_holdouts,
                      zero_shot_split)
 
 try:
@@ -207,27 +210,31 @@ class PreparedCell:
     split's train positions, then any synthetic records) and the test rows
     (its test positions), both in tweet-id order."""
 
-    holdouts: HoldoutTable
     split: TopicSplit
     train: Rows
     test: Rows
     augmentation: AugmentationResult = None
 
 
+def _holdouts(config: ExperimentConfig, corpus: Corpus):
+    """The config's pools, drawn on one line: a whole-topic warning shows
+    once a suite under a filter that shows each source line once."""
+    return make_holdouts(corpus, config.holdout_k, config.seed)
+
+
 def prepare_cell(config: ExperimentConfig, corpus: Corpus, target: str,
-                 providers=None, holdouts: HoldoutTable = None,
-                 cache_dir=None, stage_s: dict = None) -> PreparedCell:
+                 providers=None, cache_dir=None,
+                 stage_s: dict = None) -> PreparedCell:
     """Split, check and optionally augment the training data of one
     leave-one-topic-out cell, as `Rows` of `corpus.features`.
 
-    Holdouts are drawn from the config when none are given. Augmentation
-    results are cached under `cache_dir`/augment when a cache is given.
-    Each stage's seconds are added to `stage_s` when it is given.
+    The holdout pools follow the config's `holdout_k` and `seed`.
+    Augmentation results are cached under `cache_dir`/augment when a cache
+    is given. Each stage's seconds are added to `stage_s` when it is given.
     """
     stage_s = {} if stage_s is None else stage_s
     with _stage("split", stage_s):
-        if holdouts is None:
-            holdouts = make_holdouts(corpus, config.holdout_k, config.seed)
+        holdouts = _holdouts(config, corpus)
         if config.setting == ZERO_SHOT:
             split = zero_shot_split(corpus, holdouts, target)
         else:
@@ -238,21 +245,20 @@ def prepare_cell(config: ExperimentConfig, corpus: Corpus, target: str,
     aug_result = None
     if config.strategy != NONE:
         with _stage("augment", stage_s):
-            pool = corpus.features.select(
-                corpus.positions(holdouts.pool(target)[: config.shots]))
             train, aug_result = augment_training(
-                train, pool, config.strategy, providers, config.seed,
+                train, corpus.features.select(split.shots), config.strategy,
+                providers, config.seed,
                 params=config.generation_params, ratio=config.ratio,
                 pivot=config.pivot,
                 cache_dir=(Path(cache_dir) / "augment"
                            if cache_dir is not None else None),
             )
-    return PreparedCell(holdouts, split, train, test, aug_result)
+    return PreparedCell(split, train, test, aug_result)
 
 
 def run_topic(config: ExperimentConfig, corpus: Corpus, target: str,
-              providers=None, holdouts: HoldoutTable = None,
-              cache_dir=None, details: dict = None) -> EvalReport:
+              providers=None, cache_dir=None,
+              details: dict = None) -> EvalReport:
     """Run one leave-one-topic-out experiment and evaluate on the holdout
     complement of the target topic.
 
@@ -261,8 +267,7 @@ def run_topic(config: ExperimentConfig, corpus: Corpus, target: str,
     `stage_s`, the seconds each stage took (also when a stage fails).
     """
     stage_s = details.setdefault("stage_s", {}) if details is not None else {}
-    cell = prepare_cell(config, corpus, target, providers, holdouts,
-                        cache_dir, stage_s)
+    cell = prepare_cell(config, corpus, target, providers, cache_dir, stage_s)
     with _stage("train", stage_s):
         scorer = train_scorer(cell.train, config.scorer_config(), providers,
                               cache_dir=(Path(cache_dir) / "models"
@@ -283,7 +288,6 @@ def run_topic(config: ExperimentConfig, corpus: Corpus, target: str,
         details["test_size"] = len(cell.test)
         details["aug_samples"] = len(aug.samples) if aug else 0
         details["aug_skips"] = list(aug.skips) if aug else []
-        details["aug_identical"] = aug.identical_count if aug else 0
     return report
 
 
@@ -344,76 +348,64 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
     out_dir.mkdir(parents=True, exist_ok=True)
     cache_dir = out_dir / "cache"
 
-    holdouts = make_holdouts(corpus, base_config.holdout_k, base_config.seed)
+    _holdouts(base_config, corpus)  # drawn and kept before any worker starts
     corpus.features  # counted on first use, so before any worker starts
 
-    jobs = []
-    for setting, strategy, shots in combos:
-        cell_config = replace(base_config, setting=setting, strategy=strategy,
-                              shots=shots)
-        for topic in corpus.topic_ids():
-            jobs.append((cell_config, topic))
+    jobs = [(replace(base_config, setting=setting, strategy=strategy,
+                     shots=shots), topic)
+            for setting, strategy, shots in combos
+            for topic in corpus.topic_ids()]
 
-    def run_job(job):
-        cell_config, topic = job
+    def run_cell(job):
+        """A cell's run.json row, its report (None if it failed), seconds."""
+        config, topic = job
+        row = {"suite": suite, "setting": config.setting,
+               "strategy": config.strategy, "shots": config.shots,
+               "topic_id": topic, "seed": config.seed}
         details = {}
         started = time.perf_counter()
         try:
-            report = run_topic(cell_config, corpus, topic, providers,
-                               holdouts, cache_dir, details)
-            error = None
+            report = run_topic(config, corpus, topic, providers, cache_dir,
+                               details)
         except Exception as exc:  # one cell's fault must not end the suite
-            report, error = None, f"{type(exc).__name__}: {exc}"
-        return cell_config, topic, report, error, details, \
-            time.perf_counter() - started
-
-    workers = base_config.max_workers
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run_job, jobs))
-    else:
-        outcomes = [run_job(j) for j in jobs]
-    suite_elapsed = time.perf_counter() - suite_started
-
-    cells, failures, skip_counts, wall_clock = [], [], {}, {}
-    reports = {}  # (setting, strategy, shots) -> topic -> EvalReport
-    for cell_config, topic, report, error, details, elapsed in outcomes:
-        key = _cell_key(cell_config.setting, cell_config.strategy,
-                        cell_config.shots)
-        row = {
-            "suite": suite,
-            "setting": cell_config.setting,
-            "strategy": cell_config.strategy,
-            "shots": cell_config.shots,
-            "topic_id": topic,
-            "seed": cell_config.seed,
-        }
-        wall_clock[f"{key}/{topic}"] = round(elapsed, 6)
-        if report is None:
-            row.update(status="failed", error=error)
-            failures.append({"cell": f"{key}/{topic}", "error": error})
+            report = None
+            row.update(status="failed", error=f"{type(exc).__name__}: {exc}")
         else:
             row.update(
                 n_test=report.n_test, ap_cw=report.ap_cw, ap_ncw=report.ap_ncw,
                 map=report.map, precision=report.precision,
                 recall=report.recall, f1=report.f1,
-                aug_samples=details.get("aug_samples", 0),
-                aug_skips=len(details.get("aug_skips", [])),
-                status="ok", error="",
-            )
-            reports.setdefault(
-                (cell_config.setting, cell_config.strategy, cell_config.shots),
-                {},
-            )[topic] = report
-            if details.get("aug_skips"):
-                skip_counts[f"{key}/{topic}"] = len(details["aug_skips"])
-        row["stage_s"] = {name: round(seconds, 6) for name, seconds
+                aug_samples=details["aug_samples"],
+                aug_skips=len(details["aug_skips"]), status="ok", error="")
+        seconds = time.perf_counter() - started
+        row["stage_s"] = {name: round(spent, 6) for name, spent
                           in details.get("stage_s", {}).items()}
-        cells.append(row)
-    wall_clock["total"] = round(suite_elapsed, 6)
+        return row, report, seconds
 
-    cells.sort(key=lambda r: (r["setting"], r["strategy"], r["shots"],
-                              r["topic_id"]))
+    workers = base_config.max_workers
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(run_cell, jobs))
+    else:
+        outcomes = [run_cell(job) for job in jobs]
+    suite_elapsed = time.perf_counter() - suite_started
+
+    failures, skip_counts, wall_clock = [], {}, {}
+    reports = {}  # (setting, strategy, shots) -> topic -> EvalReport
+    for row, report, seconds in outcomes:
+        combo = (row["setting"], row["strategy"], row["shots"])
+        name = f"{_cell_key(*combo)}/{row['topic_id']}"
+        wall_clock[name] = round(seconds, 6)
+        if report is None:
+            failures.append({"cell": name, "error": row["error"]})
+            continue
+        reports.setdefault(combo, {})[row["topic_id"]] = report
+        if row["aug_skips"]:
+            skip_counts[name] = row["aug_skips"]
+    wall_clock["total"] = round(suite_elapsed, 6)
+    cells = sorted((row for row, _, _ in outcomes),
+                   key=lambda r: (r["setting"], r["strategy"], r["shots"],
+                                  r["topic_id"]))
 
     aggregates = {}
     for (setting, strategy, shots), column in reports.items():

@@ -9,8 +9,9 @@ and every setting shares the exact same test set.
 
 Holdout pools are tuples of tweet ids. A split's train and test sets are
 int arrays of corpus positions in tweet-id order, which is also the row
-order of the cell's training and test data; ids reappear only where a split
-is written out (`split_to_json`, `TopicSplit.test_hash`).
+order of the cell's training and test data; its shots are the positions of
+the pool prefix, in pool order, sliced only by `_split`. Ids reappear only
+where a split is written out (`split_to_json`, `TopicSplit.test_hash`).
 """
 
 from __future__ import annotations
@@ -48,12 +49,13 @@ class HoldoutTable:
 @dataclass(frozen=True, eq=False)
 class TopicSplit:
     """One cell's train and test positions in `corpus`, disjoint int arrays
-    in tweet-id order; train holds `few_shot_used` target records."""
+    in tweet-id order; train holds the target's records at `shots` (the
+    holdout pool prefix, in pool order) and no others."""
 
     target_topic_id: str
     train: np.ndarray
     test: np.ndarray
-    few_shot_used: int
+    shots: np.ndarray
     seed: int
     corpus: Corpus = field(repr=False)
 
@@ -68,16 +70,19 @@ class TopicSplit:
             )
         topics, target = self.corpus.topic_ids(), self.target_topic_id
         code = topics.index(target) if target in topics else -1
-        shots = np.count_nonzero(self.corpus.topic_codes[self.train] == code)
-        if shots != self.few_shot_used:
-            raise SplitError(f"train set of {target} holds {shots} of its "
-                             f"records, expected {self.few_shot_used}")
+        held = self.train[self.corpus.topic_codes[self.train] == code]
+        if not np.array_equal(np.sort(held), np.sort(self.shots)):
+            raise SplitError(f"train set of {target} holds {len(held)} of its "
+                             f"records, expected its {len(self.shots)} shots")
 
     def train_ids(self) -> list:
         return self.corpus.tweet_ids[self.train].tolist()
 
     def test_ids(self) -> list:
         return self.corpus.tweet_ids[self.test].tolist()
+
+    def shot_ids(self) -> list:
+        return self.corpus.tweet_ids[self.shots].tolist()
 
     def test_hash(self) -> str:
         digest = hashlib.sha256("\n".join(self.test_ids()).encode("utf-8"))
@@ -156,7 +161,7 @@ def _split(corpus: Corpus, holdouts: HoldoutTable, target: str,
     test[pool] = False
     order = corpus.id_order
     return TopicSplit(target_topic_id=target, train=order[train[order]],
-                      test=order[test[order]], few_shot_used=shots,
+                      test=order[test[order]], shots=pool[:shots],
                       seed=holdouts.seed, corpus=corpus)
 
 
@@ -175,15 +180,16 @@ def few_shot_split(corpus: Corpus, holdouts: HoldoutTable, target: str,
     return _split(corpus, holdouts, target, shots)
 
 
-def split_to_json(split: TopicSplit, shots_pool: tuple = ()) -> str:
-    """Serialize one split; id lists are sorted for stable output."""
+def split_to_json(split: TopicSplit) -> str:
+    """Serialize one split; train and test ids are sorted, shot ids are in
+    pool order."""
     return json.dumps({
         "target": split.target_topic_id,
         "seed": split.seed,
-        "shots": split.few_shot_used,
+        "shots": len(split.shots),
         "train_ids": split.train_ids(),
         "test_ids": split.test_ids(),
         "test_hash": split.test_hash(),
         "stratified_holdout": True,
-        "shot_ids": list(shots_pool[:split.few_shot_used]),
+        "shot_ids": split.shot_ids(),
     }, ensure_ascii=False, indent=2)

@@ -206,12 +206,10 @@ def test_6_planted_signal_few_shot_gain(capsys, planted_corpus_3):
     with verdict(capsys, "6 planted-signal few-shot gain"):
         start = time.perf_counter()
         corpus = planted_corpus_3
-        holdouts = make_holdouts(corpus, 200, seed=0)
-        zero = run_topic(ExperimentConfig(holdout_k=200), corpus, "P-A",
-                         holdouts=holdouts)
+        zero = run_topic(ExperimentConfig(holdout_k=200), corpus, "P-A")
         few = run_topic(
             ExperimentConfig(setting=FEW_SHOT, shots=200, holdout_k=200),
-            corpus, "P-A", holdouts=holdouts)
+            corpus, "P-A")
         assert few.map >= zero.map + 0.05
         assert time.perf_counter() - start < 120
 

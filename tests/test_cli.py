@@ -1,7 +1,10 @@
 """End-to-end command-line tests, driven in process through main()."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -438,6 +441,43 @@ def test_malformed_config_file_is_a_config_error(corpus_jsonl, tmp_path, capsys)
     assert rc == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
+
+
+def test_a_config_file_corpus_key_is_an_unknown_key(corpus_jsonl, tmp_path,
+                                                    capsys):
+    """`--corpus` names the corpus; a config file's `corpus` key is not
+    dropped but refused like any key the config lacks."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"corpus": str(corpus_jsonl), "seed": 1}),
+                      encoding="utf-8")
+    rc = main(["suite", "table2", "--corpus", str(corpus_jsonl),
+               "--holdout-k", "30", "--config", str(config),
+               "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "unknown config keys: ['corpus']" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_suite_without_http_providers_never_loads_requests(corpus_jsonl,
+                                                            tmp_path):
+    """`requests` (and `urllib3` under it) load only when an HTTP provider
+    posts, so a mock-provider suite runs without them."""
+    probe = (
+        "import json, sys\n"
+        "from claimcheck.cli import main\n"
+        "rc = main(['suite', 'table2', '--corpus', sys.argv[1], "
+        "'--holdout-k', '30', '--providers', 'mock', '--out', sys.argv[2]])\n"
+        "print(json.dumps([rc, sorted(m for m in sys.modules if m.split('.')[0] "
+        "in ('requests', 'urllib3'))]))\n"
+    )
+    src = os.path.join(os.path.dirname(cli.__file__), os.pardir)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", probe, str(corpus_jsonl), str(tmp_path / "run")],
+        env=env, capture_output=True, text=True, timeout=120,
+        check=True).stdout
+    assert json.loads(out.splitlines()[-1]) == [0, []]
 
 
 @pytest.mark.parametrize("flags", [

@@ -248,7 +248,7 @@ def timeouts(monkeypatch):
     """`timeouts(n)` makes the next `n` POSTs time out."""
     def inject(n):
         fake = TimingOut(n)
-        monkeypatch.setattr(providers_mod.requests, "post", fake)
+        monkeypatch.setattr(requests, "post", fake)
         return fake.attempts
     return inject
 

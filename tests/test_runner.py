@@ -286,22 +286,24 @@ def test_prepare_cell_zero_shot_draws_holdouts_and_excludes_target():
     corpus = tiny_corpus(1, per_topic=120)
     config = ExperimentConfig(holdout_k=50, seed=4)
     cell = prepare_cell(config, corpus, "S-A")
-    assert cell.holdouts == make_holdouts(corpus, 50, 4)
+    pool = make_holdouts(corpus, 50, 4).pool("S-A")
     assert cell.augmentation is None
     assert [r.tweet_id for r in cell.train] == cell.split.train_ids()
     assert cell.split.train_ids() == sorted(
         r.tweet_id for r in corpus.records if r.topic_id != "S-A")
     assert not any(r.topic_id == "S-A" for r in cell.train)
     assert [r.tweet_id for r in cell.test] == cell.split.test_ids()
-    assert set(cell.split.test_ids()).isdisjoint(cell.holdouts.pool("S-A"))
+    assert set(cell.split.test_ids()).isdisjoint(pool)
+    assert set(cell.split.test_ids()) == {
+        r.tweet_id for r in corpus.records_for("S-A")} - set(pool)
 
 
 def test_prepare_cell_augments_the_pool_prefix():
     corpus = tiny_corpus(1, per_topic=120)
     holdouts = make_holdouts(corpus, 50, 0)
     cell = prepare_cell(few_shot_config(strategy=CWE), corpus, "S-A",
-                        providers=mock_bundle(), holdouts=holdouts)
-    assert cell.holdouts is holdouts
+                        providers=mock_bundle())
+    assert cell.split.shot_ids() == list(holdouts.pool("S-A")[:50])
     aug = cell.augmentation
     assert aug.strategy == CWE and aug.pool_size == 50
     origins = {s.origin_tweet_id for s in aug.samples}
@@ -327,24 +329,20 @@ def test_prepare_cell_caches_augmentation_under_the_cache_dir(tmp_path):
 
 def test_few_shot_training_set_grows_by_shots():
     corpus = tiny_corpus(1, per_topic=120)
-    holdouts = make_holdouts(corpus, 50, 0)
     zero_details, few_details = {}, {}
-    run_topic(ExperimentConfig(), corpus, "S-A", holdouts=holdouts,
+    run_topic(ExperimentConfig(holdout_k=50), corpus, "S-A",
               details=zero_details)
-    run_topic(few_shot_config(), corpus, "S-A", holdouts=holdouts,
-              details=few_details)
+    run_topic(few_shot_config(), corpus, "S-A", details=few_details)
     assert few_details["train_size"] == zero_details["train_size"] + 50
     assert few_details["test_size"] == zero_details["test_size"]
 
 
 def test_augmented_run_adds_synthetic_records():
     corpus = tiny_corpus(1, per_topic=120)
-    holdouts = make_holdouts(corpus, 50, 0)
     plain, augmented = {}, {}
-    run_topic(few_shot_config(), corpus, "S-A", holdouts=holdouts,
-              details=plain)
+    run_topic(few_shot_config(), corpus, "S-A", details=plain)
     run_topic(few_shot_config(strategy=CWE), corpus, "S-A",
-              providers=mock_bundle(), holdouts=holdouts, details=augmented)
+              providers=mock_bundle(), details=augmented)
     assert augmented["aug_samples"] + len(augmented["aug_skips"]) == 50
     assert augmented["train_size"] == plain["train_size"] + augmented["aug_samples"]
 
@@ -578,6 +576,22 @@ def test_suite_always_finishes_and_marks_every_failed_cell(suite_corpus, seed,
             if line.startswith("- `")} == failed
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_suite_shows_each_whole_topic_warning_once(tmp_path, workers):
+    """The suite and its cells draw holdouts from one source line, so a
+    filter that shows each warning once per line shows it once a suite."""
+    corpus = tiny_corpus(3, per_topic=60)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.filterwarnings("default", message="topic .* covers all")
+        record = run_suite("table2", corpus,
+                           ExperimentConfig(holdout_k=60, max_workers=workers),
+                           out_dir=tmp_path)
+    assert len(record.failures) == 3  # every test set is empty
+    assert sorted(str(w.message) for w in caught) == [
+        f"topic {t}: holdout of 60 covers all 60 records, test set is empty"
+        for t in corpus.topic_ids()]
+
+
 def test_suite_cells_csv_is_deterministic(suite_corpus, tmp_path):
     a_dir, b_dir = tmp_path / "a", tmp_path / "b"
     run_suite("table4", suite_corpus, few_shot_config(seed=2),
@@ -778,8 +792,9 @@ def test_prepare_cell_matches_the_id_based_reference(seed, sizes, cell,
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a pool may cover a whole topic
         prepared = prepare_cell(config, corpus, target, providers=providers)
+        holdouts = make_holdouts(corpus, config.holdout_k, config.seed)
     train_ids, test_ids, synthetic = reference_cell(
-        corpus, prepared.holdouts, target, config.shots,
+        corpus, holdouts, target, config.shots,
         None if strategy == NONE else strategy, providers, config.ratio,
         config.seed, config.generation_params)
     assert prepared.split.train_ids() == train_ids

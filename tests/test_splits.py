@@ -2,6 +2,7 @@
 freedom, frozen test sets, and nested shot prefixes."""
 
 import hashlib
+import json
 import random
 import warnings
 
@@ -139,7 +140,7 @@ def test_zero_shot_excludes_target_entirely(corpus, holdouts):
         split = zero_shot_split(corpus, holdouts, target)
         train_topics = {corpus.records[i].topic_id for i in split.train}
         assert target not in train_topics
-        assert split.few_shot_used == 0
+        assert len(split.shots) == 0
         other = {r.tweet_id for r in corpus.records
                  if r.topic_id != target}
         assert split.train_ids() == sorted(other)
@@ -167,7 +168,7 @@ def test_few_shot_adds_exactly_the_pool_prefix(corpus, holdouts):
     few = few_shot_split(corpus, holdouts, target, shots=15)
     gained = set(few.train_ids()) - set(zero.train_ids())
     assert gained == set(holdouts.pool(target)[:15])
-    assert few.few_shot_used == 15
+    assert few.shot_ids() == list(holdouts.pool(target)[:15])
 
 
 def test_few_shot_test_set_identical_to_zero_shot(corpus, holdouts):
@@ -191,8 +192,9 @@ def test_few_shot_zero_equals_zero_shot(corpus, holdouts):
     target = corpus.topic_ids()[2]
     few = few_shot_split(corpus, holdouts, target, 0)
     zero = zero_shot_split(corpus, holdouts, target)
-    assert (few.target_topic_id, few.few_shot_used, few.seed) == \
-        (zero.target_topic_id, zero.few_shot_used, zero.seed)
+    assert (few.target_topic_id, few.seed) == \
+        (zero.target_topic_id, zero.seed)
+    assert len(few.shots) == len(zero.shots) == 0
     assert np.array_equal(few.train, zero.train)
     assert np.array_equal(few.test, zero.test)
 
@@ -216,28 +218,35 @@ def test_no_leakage_anywhere(corpus, holdouts):
 def test_topic_split_rejects_leaky_construction(corpus):
     with pytest.raises(SplitError):
         TopicSplit(target_topic_id="T", train=np.array([0, 3]),
-                   test=np.array([3, 5]), few_shot_used=0, seed=0,
+                   test=np.array([3, 5]), shots=np.array([], dtype=int),
+                   seed=0,
                    corpus=corpus)
 
 
 def test_topic_split_checks_its_own_target_count(corpus, holdouts):
-    """The train positions hold exactly `few_shot_used` target records,
-    whoever builds the split."""
+    """The train positions hold the target's records at `shots` and no
+    others, whoever builds the split: no shot that train lacks, and as many
+    target records as shots."""
     target = corpus.topic_ids()[0]
     zero = zero_shot_split(corpus, holdouts, target)
     few = few_shot_split(corpus, holdouts, target, 10)
-    for split, claimed in ((zero, 10), (few, 0), (few, 9), (few, 11)):
-        with pytest.raises(SplitError, match="expected"):
+    pool = corpus.positions(holdouts.pool(target))
+    other = np.setdiff1d(few.train, pool)[:1]  # a record of another topic
+    for split, shots, held in ((zero, pool[:10], 0), (few, pool[:0], 10),
+                               (few, pool[:9], 10), (few, pool[:11], 10),
+                               (few, pool[1:11], 10),
+                               (few, np.concatenate([pool[:9], other]), 10)):
+        with pytest.raises(SplitError, match=f"holds {held} of its records, "
+                                             f"expected its {len(shots)} "):
             TopicSplit(target_topic_id=target, train=split.train,
-                       test=split.test, few_shot_used=claimed, seed=5,
-                       corpus=corpus)
+                       test=split.test, shots=shots, seed=5, corpus=corpus)
+    assert few.shot_ids() == list(holdouts.pool(target)[:10])
 
 
 def test_split_json_shape(corpus, holdouts):
     target = corpus.topic_ids()[0]
     split = few_shot_split(corpus, holdouts, target, 10)
-    import json
-    data = json.loads(split_to_json(split, holdouts.pool(target)))
+    data = json.loads(split_to_json(split))
     assert data["target"] == target
     assert data["shots"] == 10
     assert set(data["shot_ids"]) == set(holdouts.pool(target)[:10])
@@ -246,6 +255,16 @@ def test_split_json_shape(corpus, holdouts):
     assert data["test_ids"] == sorted(
         corpus.records[i].tweet_id for i in split.test)
     assert data["test_hash"] == split.test_hash()
+
+
+def test_split_json_lists_its_own_shot_ids_in_pool_order(corpus, holdouts):
+    """The split alone gives its shot ids: the pool prefix, in pool order."""
+    target = corpus.topic_ids()[1]
+    data = json.loads(split_to_json(few_shot_split(corpus, holdouts, target,
+                                                   20)))
+    assert data["shots"] == 20
+    assert data["shot_ids"] == list(holdouts.pool(target)[:20])
+    assert set(data["shot_ids"]) <= set(data["train_ids"])
 
 
 # sha256 of split_to_json on tiny_corpus(seed=21, per_topic=120) with
@@ -272,7 +291,7 @@ def test_split_json_bytes_are_golden(corpus, order):
     for (target, shots), digest in GOLDEN_SPLIT_JSON.items():
         split = (few_shot_split(corpus, holdouts, target, shots) if shots
                  else zero_shot_split(corpus, holdouts, target))
-        text = split_to_json(split, holdouts.pool(target))
+        text = split_to_json(split)
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
