@@ -55,14 +55,9 @@ def _config_file(path) -> dict:
     return loaded
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=None, help="master random seed")
-    p.add_argument("--backend", default=None, choices=("baseline", "encoder"),
-                   help="scorer backend")
-    p.add_argument("--shots", type=int, default=None,
-                   help=f"few-shot pool prefix size, one of {SHOT_CHOICES}")
-    p.add_argument("--strategy", default=None,
-                   choices=(NONE,) + STRATEGIES, help="augmentation strategy")
+def _add_io(p: argparse.ArgumentParser) -> None:
+    """The settings, providers and output flags that `similarity` shares
+    with the experiment commands."""
     p.add_argument("--config", type=_config_file, default=None, metavar="FILE",
                    help="JSON file of experiment settings; flags override it")
     p.add_argument("--out", default=None, metavar="PATH",
@@ -70,6 +65,18 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--providers", default=None,
                    help='provider set: "mock", "none", or a base URL, '
                         'given as "http(s)://..." or "http:<base-url>"')
+
+
+def _add_common(p: argparse.ArgumentParser) -> None:
+    """The flags of every command that runs or prepares experiment cells."""
+    _add_io(p)
+    p.add_argument("--seed", type=int, default=None, help="master random seed")
+    p.add_argument("--backend", default=None, choices=("baseline", "encoder"),
+                   help="scorer backend")
+    p.add_argument("--shots", type=int, default=None,
+                   help=f"few-shot pool prefix size, one of {SHOT_CHOICES}")
+    p.add_argument("--strategy", default=None,
+                   choices=(NONE,) + STRATEGIES, help="augmentation strategy")
     p.add_argument("--holdout-k", type=int, default=None,
                    help="per-topic holdout pool size")
 
@@ -122,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("similarity", help="pairwise topic similarity matrix")
     p.add_argument("--corpus", required=True)
-    _add_common(p)
+    _add_io(p)
 
     p = sub.add_parser("suite", help="run a reporting suite")
     p.add_argument("suite", choices=SUITES)

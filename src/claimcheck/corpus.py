@@ -346,7 +346,7 @@ class Corpus:
     @cached_property
     def holdouts(self) -> dict:
         """The holdout tables `splits.make_holdouts` drew from this corpus,
-        by (k, seed), each with the warnings its draw gives."""
+        by (k, seed)."""
         return {}
 
     def validate_canonical(self):

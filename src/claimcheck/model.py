@@ -2,11 +2,12 @@
 
 Both backends map any text to P(CW) in [0, 1] through `score_many`, and
 `train_scorer` is the one way to fit either. The baseline is a bag-of-words
-logistic regression fit to convergence by a trust-region Newton method,
-fully deterministic given its inputs; it is fit from token counts sliced
-out of `CorpusFeatures`, never from texts. A cell's records travel as
-`Rows`: positions in one `CorpusFeatures` plus any synthetic records. Its
-counts, labels and model-cache key are gathered by position.
+logistic regression fit to convergence by truncated Newton (preconditioned
+conjugate gradients) with a backtracking line search, fully deterministic
+given its inputs; it is fit from token counts sliced out of
+`CorpusFeatures`, never from texts. A cell's records travel as `Rows`:
+positions in one `CorpusFeatures` plus any synthetic records. Its counts,
+labels and model-cache key are gathered by position.
 
 A fit's vocabulary is the sorted union of the corpus tokens its rows use
 and its synthetic records' tokens. `ColumnLayout` places each used corpus
@@ -46,12 +47,13 @@ from .errors import ModelError, ProviderError, is_int, is_number
 BACKENDS = ("baseline", "encoder")
 
 ENCODER_DEFAULTS = {"epochs": 3, "batch_size": 32, "max_seq_len": 128}
-# `iterations` caps the solver's outer iterations; `l2` weighs ||w||^2 / 2
+# `iterations` caps the solver's trial points, accepted or not; `l2` weighs
+# ||w||^2 / 2
 BASELINE_DEFAULTS = {"iterations": 300, "l2": 1e-4}
 # Part of every baseline model-cache key; bump it whenever the numbers
 # `BaselineScorer.fit_matrix` produces change, or what a cache entry holds
 # changes, so older entries are retrained rather than read.
-TRAINER_VERSION = 4
+TRAINER_VERSION = 5
 # The baseline solver stops once the gradient's 2-norm falls below this.
 GRADIENT_TOLERANCE = 1e-5
 # The weight of diag(H) in the solver's diagonal preconditioner; 1 would be
@@ -348,22 +350,12 @@ def _check_training(n: int, labels) -> None:
         raise ModelError("training data contains a single class")
 
 
-def _to_boundary(s, d, m, radius: float) -> float:
-    """The t > 0 with ||s + t·d||_M = radius, for s strictly inside, where
-    ||v||_M^2 = v·(m * v) for the diagonal preconditioner `m`."""
-    md = m * d
-    a, b = float(d @ md), 2.0 * float(s @ md)
-    c = float(s @ (m * s)) - radius * radius
-    aux = b + math.copysign(math.sqrt(b * b - 4.0 * a * c), b)
-    return max(-aux / (2.0 * a), -2.0 * c / aux)
-
-
-def _steihaug(hessp, g, m, gnorm: float, radius: float):
-    """Minimize the model g·s + s·H·s/2 over ||s||_M <= radius by conjugate
-    gradients preconditioned with the diagonal `m` (Steihaug), stopping at
-    the boundary, on curvature d·H·d <= 0, or once the model's gradient r
-    has ||r|| < min(0.5, sqrt(||g||))·||g||. Returns the step s, the
-    model's gradient g + H·s there, whether s lies on the boundary, and
+def _newton_cg(hessp, g, m, gnorm: float):
+    """An inexact Newton step: minimize the model g·s + s·H·s/2 from s = 0
+    by conjugate gradients preconditioned with the diagonal `m`, until the
+    model's gradient r = g + H·s has ||r|| < min(0.5, sqrt(||g||))·||g||.
+    A direction of curvature d·H·d <= 0 ends it with the step so far, or
+    with the first direction -g/m if there is none. Returns the step and
     the number of CG steps (Hessian-vector products) taken."""
     tol = min(0.5, math.sqrt(gnorm)) * gnorm
     s = np.zeros_like(g)
@@ -376,20 +368,16 @@ def _steihaug(hessp, g, m, gnorm: float, radius: float):
         hd = hessp(d)
         steps += 1
         dhd = float(d @ hd)
-        if dhd > 0:
-            alpha = rz / dhd
-            step = s + alpha * d
-            if float(step @ (m * step)) < radius * radius:
-                s, r = step, r + alpha * hd
-                if math.sqrt(float(r @ r)) < tol:
-                    return s, r, False, steps
-                z = r / m
-                rz_next = float(r @ z)
-                d = (rz_next / rz) * d - z
-                rz = rz_next
-                continue
-        t = _to_boundary(s, d, m, radius)
-        return s + t * d, r + t * hd, True, steps
+        if dhd <= 0:
+            return (s if steps > 1 else d), steps
+        alpha = rz / dhd
+        s, r = s + alpha * d, r + alpha * hd
+        if math.sqrt(float(r @ r)) < tol:
+            return s, steps
+        z = r / m
+        rz_next = float(r @ z)
+        d = (rz_next / rz) * d - z
+        rz = rz_next
 
 
 def _preconditioner(xsq_t, curvature, l2: float):
@@ -408,14 +396,14 @@ def _preconditioner(xsq_t, curvature, l2: float):
 
 def _fit_logistic(x, y, l2: float, max_iter: int):
     """Minimize mean(log(1 + e^z) - y·z) + l2/2·||w||^2, z = x·w + b, over
-    theta = (w, b), the bias unregularized, by trust-region Newton (Lin,
-    Weng & Keerthi, JMLR 2008; the trust-region rules of Nocedal & Wright,
-    Alg. 7.2) whose Steihaug conjugate gradients are preconditioned by a
-    diagonal M, rebuilt at every accepted step, with the trust region
-    measured in the M-norm (Hsia, Chiang & Lin, ACML 2018). Starts at zero
-    and stops once ||gradient|| < GRADIENT_TOLERANCE or after `max_iter`
-    outer iterations. Returns (theta, outer iterations, final gradient
-    norm, CG steps)."""
+    theta = (w, b), the bias unregularized, by truncated Newton with a
+    backtracking line search (Nocedal & Wright, Alg. 7.1): each step comes
+    from `_newton_cg`, whose conjugate gradients are preconditioned by a
+    diagonal M rebuilt at every accepted iterate (Hsia, Chiang & Lin, ACML
+    2018), and is halved until the loss falls enough (Armijo). Starts at
+    zero and stops once ||gradient|| < GRADIENT_TOLERANCE, after `max_iter`
+    trial points, accepted or not, or at a step that does not descend.
+    Returns (theta, trial points, final gradient norm, CG steps)."""
     n = x.shape[0]
     # CSC views of x and of its squared counts; a matvec with x.T is faster
     # than one with x.T.tocsr()
@@ -449,28 +437,26 @@ def _fit_logistic(x, y, l2: float, max_iter: int):
     g, curvature = gradient(theta, z, soft)
     m = _preconditioner(xsq_t, curvature, l2)
     gnorm = float(np.sqrt(g @ g))
-    radius = 1.0
     done = cg_steps = 0
     while gnorm >= GRADIENT_TOLERANCE and done < max_iter:
-        step, model_grad, on_boundary, steps = _steihaug(hessp, g, m, gnorm,
-                                                         radius)
+        step, steps = _newton_cg(hessp, g, m, gnorm)
         cg_steps += steps
-        predicted = -0.5 * float(step @ (g + model_grad))
-        if predicted <= 0:  # rounding has swamped the model's decrease
+        slope = float(g @ step)
+        if slope >= 0:  # rounding has left no descent direction
             break
-        trial = theta + step
-        f_trial, z, soft = loss(trial)
-        rho = (f - f_trial) / predicted
-        if rho < 0.25:
-            radius *= 0.25
-        elif rho > 0.75 and on_boundary:
-            radius *= 2.0
-        if rho > 0.15:
-            theta, f = trial, f_trial
-            g, curvature = gradient(theta, z, soft)
-            m = _preconditioner(xsq_t, curvature, l2)
-            gnorm = float(np.sqrt(g @ g))
-        done += 1
+        while done < max_iter:
+            done += 1
+            trial = theta + step
+            f_trial, z, soft = loss(trial)
+            # Armijo's sufficient decrease, with the usual constant 1e-4
+            if f_trial <= f + 1e-4 * slope:
+                theta, f = trial, f_trial
+                g, curvature = gradient(theta, z, soft)
+                m = _preconditioner(xsq_t, curvature, l2)
+                gnorm = float(np.sqrt(g @ g))
+                break
+            # halving is exact, so slope stays g·step to the last bit
+            step, slope = 0.5 * step, 0.5 * slope
     return theta, done, gnorm, cg_steps
 
 
@@ -495,11 +481,11 @@ class BaselineScorer:
 
     The vocabulary is the sorted set of training tokens, and the weights
     are the minimizer of the regularized logistic loss, found from zero by
-    a trust-region Newton solve, so training is deterministic and
+    a line-search Newton solve, so training is deterministic and
     insensitive to record order (up to float summation noise). `n_iter`,
-    `cg_steps` and `grad_norm` report the last fit's outer iterations,
-    Hessian-vector products and final gradient norm; a loaded model has
-    none of them.
+    `cg_steps` and `grad_norm` report the last fit's iterations (trial
+    points, accepted or not), Hessian-vector products and final gradient
+    norm; a loaded model has none of them.
     """
 
     def __init__(self, config: ScorerConfig):

@@ -216,12 +216,6 @@ class PreparedCell:
     augmentation: AugmentationResult = None
 
 
-def _holdouts(config: ExperimentConfig, corpus: Corpus):
-    """The config's pools, drawn on one line: a whole-topic warning shows
-    once a suite under a filter that shows each source line once."""
-    return make_holdouts(corpus, config.holdout_k, config.seed)
-
-
 def prepare_cell(config: ExperimentConfig, corpus: Corpus, target: str,
                  providers=None, cache_dir=None,
                  stage_s: dict = None) -> PreparedCell:
@@ -234,7 +228,7 @@ def prepare_cell(config: ExperimentConfig, corpus: Corpus, target: str,
     """
     stage_s = {} if stage_s is None else stage_s
     with _stage("split", stage_s):
-        holdouts = _holdouts(config, corpus)
+        holdouts = make_holdouts(corpus, config.holdout_k, config.seed)
         if config.setting == ZERO_SHOT:
             split = zero_shot_split(corpus, holdouts, target)
         else:
@@ -337,7 +331,8 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
     providers one at a time. Writes report.md, cells.csv, and run.json
     under `out_dir` (defaults to the config's output_dir). Cells that fail
     are recorded with their error and excluded from rendered tables; the
-    returned record lists them so callers can exit nonzero. `wall_clock`
+    returned record lists them so callers can exit nonzero. Its `notes`
+    name each topic whose holdout pool is all of it. `wall_clock`
     holds each cell's seconds and, as `total`, the seconds from this call's
     start to the end of the last cell: the holdouts, a first count of the
     corpus features and the cells.
@@ -348,7 +343,8 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
     out_dir.mkdir(parents=True, exist_ok=True)
     cache_dir = out_dir / "cache"
 
-    _holdouts(base_config, corpus)  # drawn and kept before any worker starts
+    # drawn before any worker starts: a whole-topic pool warns here, once
+    holdouts = make_holdouts(corpus, base_config.holdout_k, base_config.seed)
     corpus.features  # counted on first use, so before any worker starts
 
     jobs = [(replace(base_config, setting=setting, strategy=strategy,
@@ -415,6 +411,7 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
     notes = []
     if suite == "fig4":
         notes.append("shots sweep runs without augmentation")
+    notes.extend(holdouts.notes)
     record = RunRecord(
         suite=suite,
         config=base_config.to_dict(),

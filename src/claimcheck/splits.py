@@ -34,11 +34,13 @@ __all__ = ["HoldoutTable", "TopicSplit", "make_holdouts", "zero_shot_split",
 
 @dataclass(frozen=True)
 class HoldoutTable:
-    """Per-topic held-out id pools, fully determined by (corpus, seed)."""
+    """Per-topic held-out id pools, fully determined by (corpus, seed), and
+    the warnings their draw gave, one per topic held out whole."""
 
     seed: int
     k: int
     per_topic: dict  # topic_id -> tuple of tweet_ids in fixed order, read-only
+    notes: tuple = ()
 
     def pool(self, topic_id: str) -> tuple:
         if topic_id not in self.per_topic:
@@ -113,9 +115,9 @@ def make_holdouts(corpus: Corpus, k: int = 200, seed: int = 0) -> HoldoutTable:
     Sampling is keyed on (seed, topic id) and on sorted record ids, so the
     result does not depend on corpus file order. Topics smaller than k are
     held out whole, which leaves an empty test set; that is flagged with a
-    warning rather than an error, on every call. Each `Corpus` object draws
-    once per (k, seed) and keeps the table (`Corpus.holdouts`), whose
-    `per_topic` is read-only.
+    warning rather than an error when the table is drawn, and kept in its
+    `notes`. Each `Corpus` object draws once per (k, seed) and keeps the
+    table (`Corpus.holdouts`), whose `per_topic` is read-only.
     """
     if k < 1:
         raise SplitError(f"holdout size must be >= 1, got {k}")
@@ -130,13 +132,12 @@ def make_holdouts(corpus: Corpus, k: int = 200, seed: int = 0) -> HoldoutTable:
                 whole.append(f"topic {topic_id}: holdout of {k} covers all "
                              f"{len(records)} records, test set is empty")
             per_topic[topic_id] = tuple(pool)
-        table = HoldoutTable(seed=seed, k=k,
-                             per_topic=MappingProxyType(per_topic))
-        corpus.holdouts[key] = table, whole
-    table, whole = corpus.holdouts[key]
-    for message in whole:
-        warnings.warn(message, stacklevel=2)
-    return table
+        corpus.holdouts[key] = HoldoutTable(
+            seed=seed, k=k, per_topic=MappingProxyType(per_topic),
+            notes=tuple(whole))
+        for message in whole:
+            warnings.warn(message, stacklevel=2)
+    return corpus.holdouts[key]
 
 
 def _split(corpus: Corpus, holdouts: HoldoutTable, target: str,

@@ -352,6 +352,21 @@ def test_similarity_writes_matrix(corpus_jsonl, tmp_path, capsys):
     assert (tmp_path / "similarity.csv").exists()
 
 
+@pytest.mark.parametrize("flag", [
+    ["--seed", "3"], ["--backend", "encoder"], ["--shots", "50"],
+    ["--strategy", "CWE"], ["--holdout-k", "50"],
+])
+def test_similarity_rejects_the_experiment_flags_it_would_ignore(
+        corpus_jsonl, tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exited:
+        main(["similarity", "--corpus", str(corpus_jsonl), "--providers",
+              "mock", "--out", str(tmp_path), *flag])
+    assert exited.value.code == 2
+    assert (f"unrecognized arguments: {' '.join(flag)}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "similarity.csv").exists()
+
+
 def test_similarity_requires_embedder(corpus_jsonl, capsys):
     rc = main(["similarity", "--corpus", str(corpus_jsonl),
                "--providers", "none"])

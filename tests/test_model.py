@@ -217,10 +217,11 @@ def test_preconditioner_stays_positive_without_curvature_or_l2():
 
 
 def test_trainer_version_retrains_unpreconditioned_models():
-    # version 2 models came from the unpreconditioned solver and version 3
-    # entries held the vocabulary and config too; their cache keys differ,
-    # so they are retrained once
-    assert model.TRAINER_VERSION == 4
+    # version 2 models came from the unpreconditioned solver, version 3
+    # entries held the vocabulary and config too, and version 4 came from
+    # the trust-region solver; their cache keys differ, so they are
+    # retrained once
+    assert model.TRAINER_VERSION == 5
 
 
 def test_baseline_iterations_cap_the_solver():
@@ -247,6 +248,81 @@ def test_unregularized_fit_on_separable_data_stays_finite():
     assert np.all(np.isfinite(scorer.weights)) and np.isfinite(scorer.bias)
     assert all(0.0 <= s <= 1.0 for s in scores)
     assert scorer.grad_norm < GRADIENT_TOLERANCE
+
+
+def _planted_fit(config=ScorerConfig()):
+    records = planted_records()
+    return fit_texts(config, [r.text for r in records],
+                     [r.label for r in records])
+
+
+def _scaled_steps(monkeypatch, factor: float) -> None:
+    """Make every Newton step the solver tries `factor` times as long."""
+    newton_cg = model._newton_cg
+
+    def scaled(*args):
+        step, steps = newton_cg(*args)
+        return factor * step, steps
+
+    monkeypatch.setattr(model, "_newton_cg", scaled)
+
+
+def test_a_too_long_newton_step_is_backtracked_and_still_converges(
+        monkeypatch):
+    records = planted_records()
+    _, x, y = _dense_problem(records)
+    l2 = BASELINE_DEFAULTS["l2"]
+    plain = _planted_fit()
+    _scaled_steps(monkeypatch, 8.0)
+    backtracked = _planted_fit()
+    assert backtracked.grad_norm < GRADIENT_TOLERANCE
+    assert backtracked.n_iter > plain.n_iter
+    # the iterate after each trial point, as a fit capped there returns it
+    losses = []
+    for cap in range(1, backtracked.n_iter + 1):
+        capped = _planted_fit(ScorerConfig(hyperparams={"iterations": cap}))
+        losses.append(_dense_loss_and_gradient(x, y, l2, capped.weights,
+                                               capped.bias)[0])
+    assert all(after <= before for before, after in zip(losses, losses[1:]))
+    assert any(after == before for before, after in zip(losses, losses[1:]))
+
+
+def test_a_rejected_trial_at_the_iteration_cap_keeps_theta_at_zero(
+        monkeypatch):
+    _scaled_steps(monkeypatch, 100.0)
+    scorer = _planted_fit(ScorerConfig(hyperparams={"iterations": 1}))
+    assert scorer.n_iter == 1
+    assert not scorer.weights.any() and scorer.bias == 0.0
+
+
+def test_a_step_that_does_not_descend_stops_the_fit_at_zero(monkeypatch):
+    _scaled_steps(monkeypatch, -1.0)
+    scorer = _planted_fit()
+    assert scorer.n_iter == 0 and scorer.cg_steps >= 1
+    assert not scorer.weights.any() and scorer.bias == 0.0
+    assert scorer.grad_norm > GRADIENT_TOLERANCE
+
+
+def test_newton_cg_without_curvature_steps_along_the_preconditioned_gradient():
+    g, m = np.array([0.3, -1.2, 0.5]), np.array([2.0, 0.5, 4.0])
+    step, steps = model._newton_cg(np.zeros_like, g, m,
+                                   float(np.linalg.norm(g)))
+    assert steps == 1
+    assert np.array_equal(step, -g / m)
+
+
+def test_newton_cg_keeps_its_step_when_curvature_vanishes_later():
+    g, h = np.array([1.0, -1.0, 1.0]), np.array([1.0, 10.0, 100.0])
+    calls = []
+
+    def hessp(d):  # the diagonal h on the first direction, then none
+        calls.append(d)
+        return h * d if len(calls) == 1 else np.zeros_like(d)
+
+    step, steps = model._newton_cg(hessp, g, np.ones(3),
+                                   float(np.linalg.norm(g)))
+    assert steps == 2
+    assert step == pytest.approx(-g * (g @ g) / (g @ (h * g)), rel=1e-12)
 
 
 def test_importing_and_training_loads_no_scipy_solver_module():
@@ -591,21 +667,22 @@ def test_model_cache_key_is_equal_for_equal_rows_of_two_corpora():
 
 def test_model_cache_key_of_a_tiny_corpus_is_pinned():
     """Cache entries are named by this key, so gathering the digests another
-    way must not rename one, with or without synthetic records."""
+    way must not rename one, with or without synthetic records; only a
+    `TRAINER_VERSION` bump (here, 5) may."""
     features = CorpusFeatures([
         _rec(0, "masks work", CW), _rec(1, "nice day", NCW),
         _rec(2, "vaccine 95% effective", CW), _rec(3, "نص عربي", NCW)])
     synthetic = [_rec(900, "masks work well ✅", CW)]
     cfg = ScorerConfig(backend="baseline")
     assert (model_cache_key(cfg, features.select([3, 0, 2]).digests())
-            == "f32be9b0ff88c5889620a9020c841a33"
-               "47ce52e16eab06a83fb6e34028fd6a4c")
+            == "78f0ee8b83fac954f88c7681d0cb8f03"
+               "a0ecd21856befcdfa802e0259b1cee73")
     assert (model_cache_key(cfg, features.select([3, 0, 2], synthetic).digests())
-            == "86ab0fada9c3d6a3689f334fffa6375e"
-               "0861497a4687dccd9b2eda840ef38ece")
+            == "6e877884c615bd0a75419e2646a0c073"
+               "4028ac33d91e378c721cc6885cdb3700")
     assert (model_cache_key(cfg, features.select([], synthetic).digests())
-            == "579d4f17a01cd76d9747e09b417bb37c"
-               "9f5415b01be1da5b5fcd77014da09620")
+            == "e2b907aed20785bae2a95c5232d0aad5"
+               "d84f4d93ea12cc6e0abc36c1543e7080")
 
 
 def test_model_cache_key_changes_when_one_label_flips():

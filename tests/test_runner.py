@@ -578,18 +578,25 @@ def test_suite_always_finishes_and_marks_every_failed_cell(suite_corpus, seed,
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_suite_shows_each_whole_topic_warning_once(tmp_path, workers):
-    """The suite and its cells draw holdouts from one source line, so a
-    filter that shows each warning once per line shows it once a suite."""
+    """The pools are drawn once per corpus, before any cell runs, so even a
+    filter that shows every warning shows each once; run.json's notes name
+    them on every pass."""
     corpus = tiny_corpus(3, per_topic=60)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.filterwarnings("default", message="topic .* covers all")
-        record = run_suite("table2", corpus,
-                           ExperimentConfig(holdout_k=60, max_workers=workers),
-                           out_dir=tmp_path)
-    assert len(record.failures) == 3  # every test set is empty
-    assert sorted(str(w.message) for w in caught) == [
+    config = ExperimentConfig(holdout_k=60, max_workers=workers)
+    expected = [
         f"topic {t}: holdout of 60 covers all 60 records, test set is empty"
         for t in corpus.topic_ids()]
+    for shown in (expected, []):  # the draw, then a pass on the kept pools
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            record = run_suite("table2", corpus, config, out_dir=tmp_path)
+        assert len(record.failures) == 3  # every test set is empty
+        assert sorted(str(w.message) for w in caught) == shown
+        assert record.notes == expected
+        run = json.loads((tmp_path / "run.json").read_text(encoding="utf-8"))
+        assert run["notes"] == expected
+        report = (tmp_path / "report.md").read_text(encoding="utf-8")
+        assert all(f"- note: {note}\n" in report for note in expected)
 
 
 def test_suite_cells_csv_is_deterministic(suite_corpus, tmp_path):

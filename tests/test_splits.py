@@ -120,19 +120,21 @@ def test_a_kept_holdout_table_cannot_be_changed():
     assert len(make_holdouts(corpus, k=20, seed=5).pool("S-A")) == 20
 
 
-def test_a_kept_whole_topic_holdout_warns_on_every_call(monkeypatch):
+def test_a_whole_topic_holdout_warns_once_when_drawn(monkeypatch):
     corpus = Corpus([TweetRecord(f"t{i}", "T", f"text {i}",
                                  CW if i % 2 else "NCW", "synthetic")
                      for i in range(10)])
     calls = _counting_pools(monkeypatch)
-    for _ in range(3):
+    message = "topic T: holdout of 50 covers all 10 records, test set is empty"
+    for expected in ([message], []):  # the draw, then the kept table
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            make_holdouts(corpus, k=50, seed=1)
-        assert [str(w.message) for w in caught] == [
-            "topic T: holdout of 50 covers all 10 records, test set is empty"]
-        assert caught[0].filename == __file__
+            table = make_holdouts(corpus, k=50, seed=1)
+        assert [str(w.message) for w in caught] == expected
+        assert all(w.filename == __file__ for w in caught)
+        assert table.notes == (message,)
     assert calls == [50]
+    assert make_holdouts(corpus, k=5, seed=1).notes == ()
 
 
 def test_zero_shot_excludes_target_entirely(corpus, holdouts):
