@@ -51,6 +51,21 @@ _LABEL_ALIASES = {
 }
 
 
+def utf8_error(path) -> CorpusError:
+    """The error for the file at `path`, which is not UTF-8 text: it names
+    the file and the first line that does not decode. Reading text fails
+    a buffer, not a line, at a time, so the file is read again as bytes."""
+    path = Path(path)
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return CorpusError(f"{path.name}:{lineno}: not UTF-8 text: "
+                                   f"{exc.reason} at byte {exc.start + 1} of the line")
+    return CorpusError(f"{path.name}: not UTF-8 text")
+
+
 def parse_label(value) -> str:
     """Map a raw check-worthiness field onto CW/NCW.
 
@@ -181,37 +196,40 @@ def load_tsv(path, schema: TsvSchema) -> list:
         raise CorpusError(f"input file not found: {path}")
     records = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if lineno == 1 and schema.has_header:
-                continue
-            line = line.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            cols = line.split("\t")
-            if len(cols) != schema.n_cols:
-                raise CorpusError(
-                    f"{path.name}:{lineno}: expected {schema.n_cols} columns, "
-                    f"got {len(cols)}"
-                )
-            try:
-                label = parse_label(cols[schema.label_col])
-            except CorpusError as exc:
-                raise CorpusError(f"{path.name}:{lineno}: {exc}") from exc
-            tweet_id = cols[schema.id_col].strip()
-            if tweet_id in seen:
-                raise CorpusError(f"{path.name}:{lineno}: duplicate tweet id {tweet_id}")
-            seen.add(tweet_id)
-            try:
-                records.append(TweetRecord(
-                    tweet_id=tweet_id,
-                    topic_id=cols[schema.topic_col].strip(),
-                    text=cols[schema.text_col],
-                    label=label,
-                    source=schema.source,
-                ))
-            except CorpusError as exc:
-                raise CorpusError(f"{path.name}:{lineno}: {exc}") from exc
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if lineno == 1 and schema.has_header:
+                    continue
+                line = line.rstrip("\n").rstrip("\r")
+                if not line.strip():
+                    continue
+                cols = line.split("\t")
+                if len(cols) != schema.n_cols:
+                    raise CorpusError(
+                        f"{path.name}:{lineno}: expected {schema.n_cols} "
+                        f"columns, got {len(cols)}")
+                try:
+                    label = parse_label(cols[schema.label_col])
+                except CorpusError as exc:
+                    raise CorpusError(f"{path.name}:{lineno}: {exc}") from exc
+                tweet_id = cols[schema.id_col].strip()
+                if tweet_id in seen:
+                    raise CorpusError(
+                        f"{path.name}:{lineno}: duplicate tweet id {tweet_id}")
+                seen.add(tweet_id)
+                try:
+                    records.append(TweetRecord(
+                        tweet_id=tweet_id,
+                        topic_id=cols[schema.topic_col].strip(),
+                        text=cols[schema.text_col],
+                        label=label,
+                        source=schema.source,
+                    ))
+                except CorpusError as exc:
+                    raise CorpusError(f"{path.name}:{lineno}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise utf8_error(path) from None
     return records
 
 
@@ -369,14 +387,18 @@ class Corpus:
         if not path.exists():
             raise CorpusError(f"corpus file not found: {path}")
         records = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    records.append(TweetRecord.from_dict(json.loads(line)))
-                except (json.JSONDecodeError, KeyError, CorpusError) as exc:
-                    raise CorpusError(f"{path.name}:{lineno}: bad record: {exc}") from exc
+        try:
+            with open(path, encoding="utf-8") as fh:
+                for lineno, line in enumerate(fh, start=1):
+                    if not line.strip():
+                        continue
+                    try:
+                        records.append(TweetRecord.from_dict(json.loads(line)))
+                    except (json.JSONDecodeError, KeyError, CorpusError) as exc:
+                        raise CorpusError(
+                            f"{path.name}:{lineno}: bad record: {exc}") from exc
+        except UnicodeDecodeError:
+            raise utf8_error(path) from None
         return cls(records)
 
 

@@ -16,10 +16,14 @@ synthetic-only tokens that sort before it. Which columns the rows use
 comes from per-column row counts kept once per corpus, less those of the
 few rows outside the training set. A model-cache hit therefore counts no
 text and copies no training row: it reads the synthetic records' unique
-tokens and the cached coefficients. Trained or read, the weights are
-placed once on the corpus's columns, so test rows are scored straight
-from the corpus matrix by one product, with no token compared; a model
-loaded from disk locates the corpus's tokens in its vocabulary instead.
+tokens and the cached coefficients. Trained or read, a scorer keeps the
+layout as its vocabulary and places its weights once on the corpus's
+columns, so test rows are scored straight from the corpus matrix by one
+product, with no token compared; the vocabulary's strings are built from
+the layout only to save, to score strings or to score another corpus's
+rows. A model loaded from disk locates the corpus's tokens in its
+vocabulary instead. Fit, hit and load all set a scorer's coefficients
+through `BaselineScorer._set`.
 
 The encoder backend delegates training and scoring to a provider speaking
 the fixed JSON contract documented in providers.py. Ranking and
@@ -181,17 +185,6 @@ def record_digests(texts, labels) -> np.ndarray:
     return np.frombuffer(blob, dtype=np.uint8).reshape(-1, 32)
 
 
-def _stack(parts, width: int) -> sparse.csr_matrix:
-    """The (counts, column map) `parts` of a `ColumnLayout`, each moved
-    onto its columns and stacked, as one `width`-column CSR matrix."""
-    blocks = [sparse.csr_matrix((x.data, remap[x.indices], x.indptr),
-                                shape=(x.shape[0], width))
-              for x, remap in parts]
-    if len(blocks) == 1:
-        return blocks[0]
-    return sparse.vstack(blocks, format="csr")
-
-
 def _unique_tokens(texts) -> np.ndarray:
     """The sorted set of the tokens of `texts`, as `count_matrix` returns
     it, without counting them."""
@@ -284,16 +277,22 @@ class ColumnLayout:
         vocab[self.extra_pos[self.new]] = extra_tokens[self.new]
         return vocab
 
-    def parts(self, rows, extra_x=None) -> list:
-        """The (counts, column map) parts `_stack` merges: the corpus
-        counts of `rows`, then, when given, the extra records' counts
-        `extra_x`, whose columns are `extra_tokens`."""
+    def matrix(self, rows, extra_x) -> sparse.csr_matrix:
+        """The counts of a fit on the vocabulary's columns, as one CSR
+        matrix: the corpus counts of `rows`, stacked over the extra
+        records' counts `extra_x`, whose columns are `extra_tokens`, when
+        it has any rows."""
         remap = np.zeros(self.features.tokens.size, dtype=np.int32)
         remap[self.cols] = self.col_pos
         parts = [(self.features.matrix[rows], remap)]
-        if extra_x is not None:
+        if extra_x.shape[0]:
             parts.append((extra_x, self.extra_pos))
-        return parts
+        blocks = [sparse.csr_matrix((x.data, cols[x.indices], x.indptr),
+                                    shape=(x.shape[0], self.size))
+                  for x, cols in parts]
+        if len(blocks) == 1:
+            return blocks[0]
+        return sparse.vstack(blocks, format="csr")
 
     def on_corpus(self, weights: np.ndarray) -> np.ndarray:
         """`weights` of the vocabulary placed on the corpus's columns; a
@@ -500,32 +499,35 @@ class BaselineScorer:
 
     @property
     def vocab(self) -> np.ndarray:
-        """The sorted tokens the weights belong to. A cache hit builds them
-        from its column layout only when asked: to save, to score strings,
-        or to score another corpus's rows."""
+        """The sorted tokens the weights belong to. A scorer fit or read
+        through a column layout builds them from it only when asked: to
+        save, to score strings, or to score another corpus's rows."""
         if isinstance(self._vocab, ColumnLayout):
             self._vocab = self._vocab.vocab()
         return self._vocab
 
-    def fit_matrix(self, vocab: np.ndarray, x, labels) -> "BaselineScorer":
-        """Fit on counts `x` whose columns are the sorted tokens `vocab`,
-        as `count_matrix` returns them, or as a `ColumnLayout` lays them
-        out (its `vocab`, and its `parts` merged by `_stack`)."""
+    def _set(self, vocab, theta: np.ndarray) -> "BaselineScorer":
+        """Take the coefficients theta = (weights, bias) over `vocab`: the
+        sorted tokens, or the `ColumnLayout` that lays them out, whose
+        corpus columns the weights are placed on now, for `score_many` of
+        that corpus's `Rows`."""
+        self._vocab = vocab
+        self.weights = theta[:-1]
+        self.bias = float(theta[-1])
+        self._placed = ((vocab.features, vocab.on_corpus(self.weights))
+                        if isinstance(vocab, ColumnLayout) else None)
+        return self
+
+    def fit_matrix(self, vocab, x, labels) -> "BaselineScorer":
+        """Fit on counts `x` whose columns are `vocab`: the sorted tokens,
+        as `count_matrix` returns them, or a `ColumnLayout`, whose
+        `matrix` gives the counts."""
         _check_training(x.shape[0], labels)
         params = self.config.resolved_hyperparams()
         y = np.array([1.0 if lab == CW else 0.0 for lab in labels])
         theta, self.n_iter, self.grad_norm, self.cg_steps = _fit_logistic(
             x, y, float(params["l2"]), params["iterations"])
-        self._vocab = vocab
-        self.weights = theta[:-1]
-        self.bias = float(theta[-1])
-        return self
-
-    def _place(self, layout: ColumnLayout) -> "BaselineScorer":
-        """Place the weights, fit on the columns `layout` lays out, on its
-        corpus's columns, for `score_many` of that corpus's `Rows`."""
-        self._placed = (layout.features, layout.on_corpus(self.weights))
-        return self
+        return self._set(vocab, theta)
 
     def _weights_on(self, tokens: np.ndarray) -> np.ndarray:
         """The weights placed on the columns of the sorted `tokens`; a
@@ -581,14 +583,13 @@ class BaselineScorer:
         try:
             vocab, weights, bias, config = _npz_members(
                 path, ("vocab", "weights", "bias", "config"))
-            scorer = cls(ScorerConfig(**json.loads(str(config[0]))))
             blob = vocab.tobytes().decode("utf-8")
-            scorer._vocab = _token_array(blob.split("\n") if blob else [])
-            if weights.shape != scorer.vocab.shape:
-                raise ModelError(f"{weights.size} weights for "
-                                 f"{scorer.vocab.size} tokens")
-            scorer.weights = weights
-            scorer.bias = float(bias[0])
+            tokens = _token_array(blob.split("\n") if blob else [])
+            if weights.shape != tokens.shape:
+                raise ModelError(
+                    f"{weights.size} weights for {tokens.size} tokens")
+            scorer = cls(ScorerConfig(**json.loads(str(config[0]))))._set(
+                tokens, np.append(weights, float(bias[0])))
         except _NOT_A_MODEL as exc:
             raise ModelError(
                 f"{path} is not a saved baseline model: {exc}") from exc
@@ -617,11 +618,7 @@ def _read_entry(path, config: ScorerConfig,
             f"model-cache entry {path} holds {theta.size} {theta.dtype} "
             f"coefficients; a vocabulary of {size} tokens needs "
             f"{size + 1} float64")
-    scorer = BaselineScorer(config)
-    scorer._vocab = layout  # built on first use
-    scorer.weights = theta[:-1]
-    scorer.bias = float(theta[-1])
-    return scorer._place(layout)
+    return BaselineScorer(config)._set(layout, theta)
 
 
 class EncoderScorer:
@@ -712,8 +709,9 @@ def train_scorer(train, config: ScorerConfig, providers=None, cache_dir=None):
     needs only which corpus columns the rows use and the extra records'
     unique tokens, so a cache hit counts nothing. An entry holds only
     theta = (weights, bias): its key fixes the config and the training
-    records, so a hit takes `config` as given. Either way the weights are
-    placed on the corpus's columns once, for `score_many` of its `Rows`.
+    records, so a hit takes `config` as given. Either way the scorer keeps
+    the layout as its vocabulary and places the weights on the corpus's
+    columns once, for `score_many` of its `Rows`.
     """
     if not isinstance(train, Rows):
         train = list(train)
@@ -731,10 +729,8 @@ def train_scorer(train, config: ScorerConfig, providers=None, cache_dir=None):
     def fit():
         extra_tokens, extra_x = count_matrix(extra_texts)
         layout = features.columns(train.rows, extra_tokens)
-        x = _stack(layout.parts(train.rows, extra_x if extra_texts else None),
-                   layout.size)
         return BaselineScorer(config).fit_matrix(
-            layout.vocab(), x, train.labels())._place(layout)
+            layout, layout.matrix(train.rows, extra_x), train.labels())
 
     def read(entry):
         # the extra texts' unique tokens give the layout their counts would

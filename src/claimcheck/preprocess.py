@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .cache import atomic_write
+from .corpus import utf8_error
 from .errors import CorpusError
 
 __all__ = ["NormalizedText", "normalize_tweet", "normalize_corpus_file",
@@ -251,6 +252,9 @@ def normalize_corpus_file(in_path, out_path) -> int:
             dst.write((json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8"))
             count += 1
 
-    with open(in_path, encoding="utf-8") as src:
-        atomic_write(out_path, lambda dst: write(src, dst))
+    try:
+        with open(in_path, encoding="utf-8") as src:
+            atomic_write(out_path, lambda dst: write(src, dst))
+    except UnicodeDecodeError:
+        raise utf8_error(in_path) from None
     return count

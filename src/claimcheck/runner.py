@@ -329,16 +329,22 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
 
     Up to the config's `max_workers` cells run at once, each calling its
     providers one at a time. Writes report.md, cells.csv, and run.json
-    under `out_dir` (defaults to the config's output_dir). Cells that fail
-    are recorded with their error and excluded from rendered tables; the
-    returned record lists them so callers can exit nonzero. Its `notes`
-    name each topic whose holdout pool is all of it. `wall_clock`
-    holds each cell's seconds and, as `total`, the seconds from this call's
-    start to the end of the last cell: the holdouts, a first count of the
-    corpus features and the cells.
+    under `out_dir` (defaults to the config's output_dir). A column whose
+    config is invalid, such as one with more shots than `holdout_k`,
+    raises ConfigError before `out_dir` is made, the holdouts drawn or the
+    corpus counted. Cells that fail are recorded with their error and
+    excluded from rendered tables; the returned record lists them so
+    callers can exit nonzero. Its `notes` name each topic whose holdout
+    pool is all of it. `wall_clock` holds each cell's seconds and, as
+    `total`, the seconds from this call's start to the end of the last
+    cell: the holdouts, a first count of the corpus features and the
+    cells.
     """
     suite_started = time.perf_counter()
     combos = _suite_cells(suite, base_config)
+    # a bad column config is reported before anything is made or counted
+    configs = [replace(base_config, setting=setting, strategy=strategy,
+                       shots=shots) for setting, strategy, shots in combos]
     out_dir = Path(out_dir if out_dir is not None else base_config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     cache_dir = out_dir / "cache"
@@ -347,9 +353,7 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
     holdouts = make_holdouts(corpus, base_config.holdout_k, base_config.seed)
     corpus.features  # counted on first use, so before any worker starts
 
-    jobs = [(replace(base_config, setting=setting, strategy=strategy,
-                     shots=shots), topic)
-            for setting, strategy, shots in combos
+    jobs = [(config, topic) for config in configs
             for topic in corpus.topic_ids()]
 
     def run_cell(job):
@@ -379,6 +383,8 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
         return row, report, seconds
 
     workers = base_config.max_workers
+    # one worker runs here, not in a one-thread pool, which raised the
+    # bench's 1-worker peak RSS by about 7%
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(run_cell, jobs))

@@ -69,6 +69,47 @@ def test_load_enforces_canonical_topics_by_default(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _assert_not_utf8_error(capsys, where):
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {where}: not UTF-8 text: "
+                          f"invalid start byte at byte ")
+    assert "Traceback" not in err
+
+
+def test_load_reports_a_tsv_that_is_not_utf8(tmp_path, capsys):
+    tsv = tmp_path / "tweets.tsv"
+    tsv.write_bytes(b"S-A\t1\tfine text\t1\nS-A\t2\tbad \xff text\t0\n")
+    rc = main(["load", "--input", f"simple={tsv}", "--allow-noncanonical",
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    _assert_not_utf8_error(capsys, "tweets.tsv:2")
+    assert not (tmp_path / "o").exists()
+
+
+def test_normalize_reports_a_corpus_that_is_not_utf8_and_keeps_its_output(
+        corpus_jsonl, tmp_path, capsys):
+    src = tmp_path / "corpus.jsonl"
+    src.write_bytes(corpus_jsonl.read_bytes() + b'{"text": "\xff"}\n')
+    dst = tmp_path / "normalized.jsonl"
+    dst.write_bytes(b"kept\n")
+    assert main(["normalize", str(src), str(dst)]) == 2
+    _assert_not_utf8_error(capsys, "corpus.jsonl:361")
+    assert dst.read_bytes() == b"kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "corpus.jsonl", "normalized.jsonl"]
+
+
+def test_suite_reports_a_corpus_that_is_not_utf8(corpus_jsonl, tmp_path,
+                                                 capsys):
+    src = tmp_path / "corpus.jsonl"
+    src.write_bytes(b"\xff" + corpus_jsonl.read_bytes())
+    rc = main(["suite", "table2", "--corpus", str(src),
+               "--out", str(tmp_path / "run")])
+    assert rc == 2
+    _assert_not_utf8_error(capsys, "corpus.jsonl:1")
+    assert not (tmp_path / "run").exists()
+
+
 def test_normalize_is_idempotent_at_file_level(corpus_jsonl, tmp_path):
     once = tmp_path / "once.jsonl"
     twice = tmp_path / "twice.jsonl"

@@ -615,6 +615,18 @@ def test_load_rejects_files_that_are_not_saved_models(tmp_path):
             BaselineScorer.load(path)
 
 
+def test_load_rejects_a_model_with_one_weight_too_few(tmp_path):
+    path = tmp_path / "model.npz"
+    train_scorer(planted_records(), ScorerConfig()).save(path)
+    with np.load(path) as saved:
+        members = dict(saved)
+    n = members["weights"].size
+    np.savez(path, **{**members, "weights": members["weights"][:-1]})
+    with pytest.raises(ModelError, match=rf"is not a saved baseline model: "
+                                         rf"{n - 1} weights for {n} tokens"):
+        BaselineScorer.load(path)
+
+
 def _key(config, texts, labels):
     return model_cache_key(config, record_digests(texts, labels))
 
@@ -811,8 +823,7 @@ def test_corpus_matrix_fit_equals_text_fit(case):
     extra_tokens, extra_x = model.count_matrix([r.text for r in extra])
     layout = features.columns(rows, extra_tokens)
     vocab = layout.vocab()
-    x = model._stack(layout.parts(rows, extra_x if extra else None),
-                     layout.size)
+    x = layout.matrix(rows, extra_x)
     _, text_x = model.count_matrix(texts)
     assert x.indices.dtype == np.int32
     for part in ("indptr", "indices", "data"):

@@ -8,6 +8,7 @@ import tempfile
 import threading
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -377,6 +378,21 @@ def test_suite_rejects_unknown_name(suite_corpus, tmp_path):
     assert not out.exists()  # rejected before any directory is made
 
 
+@pytest.mark.parametrize("suite, shots", [("fig4", 150), ("table3", 200)])
+def test_a_bad_column_config_is_rejected_before_any_work(suite, shots,
+                                                         tmp_path):
+    """The base config is valid, but a column's shots exceed the holdout
+    size: no directory is made, no holdout drawn and nothing counted."""
+    corpus = tiny_corpus(3, per_topic=120)
+    out = tmp_path / "run"
+    with pytest.raises(ConfigError, match=rf"shots \({shots}\) exceed "
+                                          r"the holdout size \(100\)"):
+        run_suite(suite, corpus, ExperimentConfig(holdout_k=100), out_dir=out)
+    assert not out.exists()
+    assert "features" not in vars(corpus)
+    assert not corpus.holdouts
+
+
 @pytest.mark.parametrize("suite, columns", [
     ("table2", 1),
     ("table3", 4),
@@ -435,6 +451,58 @@ def test_suite_marks_failures_and_continues(suite_corpus, tmp_path):
     report = (tmp_path / "report.md").read_text(encoding="utf-8")
     assert "Failed cells" in report
     assert "No complete columns" in report
+
+
+class SeedFailingFiller(MarkerFiller):
+    """Fails on the masked texts of some seeds, whatever the call order."""
+
+    def __call__(self, masked_text: str) -> str:
+        if int(stable_hash(masked_text), 16) % 3 == 0:
+            raise ProviderError("filler refused this text")
+        return super().__call__(masked_text)
+
+
+def test_a_suite_reports_the_augmentation_skips_of_each_cell(
+        suite_corpus, tmp_path):
+    providers = replace(mock_bundle(), filler=SeedFailingFiller())
+    record = run_suite("table3", suite_corpus, few_shot_config(),
+                       providers=providers, out_dir=tmp_path)
+    assert record.failures == []
+    with open(tmp_path / "cells.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["status"] for row in rows] == ["ok"] * 12
+    skipped = {}
+    for row in rows:
+        if row["strategy"] == NONE:
+            continue
+        samples, skips = int(row["aug_samples"]), int(row["aug_skips"])
+        assert samples + skips == int(row["shots"]) == 50
+        if skips:
+            skipped["{setting}/{strategy}/{shots}/{topic_id}".format(
+                **row)] = skips
+    assert skipped and all(f"/{CWE}/" in name for name in skipped)
+    assert all(skips < 50 for skips in skipped.values())
+    run = json.loads((tmp_path / "run.json").read_text(encoding="utf-8"))
+    assert run["skip_counts"] == record.skip_counts == skipped
+
+
+def test_a_garbage_model_cache_entry_fails_only_its_cell(suite_corpus,
+                                                         tmp_path):
+    config = ExperimentConfig(holdout_k=50)
+    run_suite("table2", suite_corpus, config, out_dir=tmp_path)
+    entries = sorted((tmp_path / "cache" / "models").iterdir())
+    assert len(entries) == 3
+    entries[0].write_bytes(b"not a model-cache entry")
+    for name in ("report.md", "cells.csv", "run.json"):
+        (tmp_path / name).unlink()
+    record = run_suite("table2", suite_corpus, config, out_dir=tmp_path)
+    (failure,) = record.failures
+    assert failure["error"].startswith("ModelError: stage train failed")
+    assert f"{entries[0]} is not a baseline model-cache entry" in (
+        failure["error"])
+    assert [c["status"] for c in record.cells].count("ok") == 2
+    for name in ("report.md", "cells.csv", "run.json"):
+        assert (tmp_path / name).exists()
 
 
 class FlakyScoreEncoder(MockEncoderProvider):
@@ -750,6 +818,22 @@ def test_a_suite_pass_never_looks_records_up_by_id(suite_corpus, tmp_path,
                            providers=mock_bundle(), out_dir=tmp_path)
         assert record.failures == [], out
         assert all(c["status"] == "ok" for c in record.cells)
+
+
+def test_a_suite_pass_builds_no_vocabulary_strings(suite_corpus, tmp_path,
+                                                  monkeypatch):
+    """Fit or read, a cell scores its own corpus's rows from its column
+    layout, so no pass needs the vocabulary's tokens as strings."""
+    def no_vocab(self):
+        raise AssertionError("built a vocabulary array")
+
+    monkeypatch.setattr(model.ColumnLayout, "vocab", no_vocab)
+    for out in ("cold", "warm"):
+        record = run_suite("table3", suite_corpus, few_shot_config(),
+                           providers=mock_bundle(), out_dir=tmp_path)
+        assert record.failures == [], out
+        assert all(c["status"] == "ok" for c in record.cells)
+    assert len(list((tmp_path / "cache" / "models").iterdir())) == 12
 
 
 def test_stage_seconds_add_up_to_each_cell_time(suite_corpus, tmp_path):
