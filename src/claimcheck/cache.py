@@ -2,9 +2,10 @@
 
 Keys are sha256 hashes of canonically serialized inputs, so a cache hit
 means the exact same work was already done under the same seed and
-parameters. Every cache write goes through `atomic_write`: a uniquely named
-temp file and a rename, so a crashed run never leaves a truncated entry
-behind and two writers of one key never share a temp file.
+parameters. Every file claimcheck writes goes through `atomic_write`: a
+uniquely named temp file and a rename, so a failed or crashed write leaves
+no truncated file and makes no directory, and two writers of one key never
+share a temp file.
 """
 
 from __future__ import annotations
@@ -23,17 +24,24 @@ def stable_hash(obj) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def atomic_write(path, write) -> None:
-    """Create or replace `path` with what `write(binary_file)` writes."""
+def atomic_write(path, write, text=False) -> None:
+    """Create or replace `path`, whole or not at all, with what `write(file)`
+    writes to a binary file, or with `text` to a UTF-8 text file. Missing
+    directories are made only once `write` has returned."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.parent / f"tmp{os.urandom(8).hex()}.tmp"
+    # the nearest existing ancestor holds the temp file: a directory made
+    # under it shares its filesystem, so the rename still works
+    base = next((d for d in (path.parent, *path.parent.parents)
+                 if d.is_dir()), path.parent)
+    tmp = base / f"tmp{os.urandom(8).hex()}.tmp"
     # O_EXCL keeps the temp file this writer's own; the kernel takes the
     # umask off 0o666, as open() does, so no thread has to read or set it
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with (open(fd, "w", encoding="utf-8", newline="") if text
+              else open(fd, "wb")) as fh:
             write(fh)
+        path.parent.mkdir(parents=True, exist_ok=True)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

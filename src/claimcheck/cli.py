@@ -16,6 +16,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .augment import NONE, STRATEGIES
+from .cache import atomic_write
 from .corpus import (
     SCHEMA_PRESETS,
     Corpus,
@@ -169,13 +170,6 @@ def _providers_from(args):
     return make_providers(spec)
 
 
-def _out_file(path) -> Path:
-    """`path` as a Path, its parent directory created."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _cmd_load(args) -> int:
     inputs = []
     for item in args.input:
@@ -190,16 +184,16 @@ def _cmd_load(args) -> int:
         inputs, require_canonical=not args.allow_noncanonical
     )
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     corpus.to_jsonl(out / "corpus.jsonl")
     stats = corpus_stats(corpus)
-    (out / "stats.json").write_text(json.dumps({
+    text = json.dumps({
         "total": stats.total_count,
         "topics": {t: {"cw": c[0], "ncw": c[1]}
                    for t, c in sorted(stats.per_topic.items())},
         "overall_cw_fraction": stats.overall_cw_fraction,
         **asdict(report),
-    }, indent=2, ensure_ascii=False) + "\n", encoding="utf-8")
+    }, indent=2, ensure_ascii=False)
+    atomic_write(out / "stats.json", lambda fh: fh.write(text + "\n"), text=True)
     print(f"loaded {stats.total_count} tweets across "
           f"{len(stats.per_topic)} topics "
           f"(CW fraction {stats.overall_cw_fraction:.3f}, "
@@ -219,7 +213,7 @@ def _cmd_split(args) -> int:
     cell = prepare_cell(config, Corpus.from_jsonl(args.corpus), args.target)
     text = split_to_json(cell.split)
     if args.out:
-        _out_file(args.out).write_text(text + "\n", encoding="utf-8")
+        atomic_write(args.out, lambda fh: fh.write(text + "\n"), text=True)
         print(f"wrote {args.out}")
     else:
         print(text)
@@ -237,7 +231,7 @@ def _cmd_train(args) -> int:
                         _providers_from(args))
     out = args.out or "model.npz"
     scorer = train_scorer(cell.train, config.scorer_config())
-    scorer.save(_out_file(out))
+    scorer.save(out)
     print(f"trained on {len(cell.train)} records in {scorer.n_iter} "
           f"solver iterations and {scorer.cg_steps} CG steps "
           f"(gradient norm {scorer.grad_norm:.2g}) -> {out}")
@@ -255,12 +249,12 @@ def _cmd_rank(args) -> int:
     rows = [(pos + 1, tid, scores[tid], labels[tid])
             for pos, tid in enumerate(rank_scores(scores))]
     if args.out:
-        with open(_out_file(args.out), "w", encoding="utf-8",
-                  newline="") as fh:
+        def write(fh):
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["rank", "tweet_id", "score", "label"])
             for rank, tid, score, label in rows:
                 writer.writerow([rank, tid, "%.10f" % score, label])
+        atomic_write(args.out, write, text=True)
         print(f"wrote {args.out}")
     else:
         for rank, tid, score, label in rows[:20]:
@@ -275,7 +269,7 @@ def _cmd_eval(args) -> int:
     report = run_topic(config, corpus, args.target, providers=providers)
     text = reports_to_json({args.target: report})
     if args.out:
-        _out_file(args.out).write_text(text + "\n", encoding="utf-8")
+        atomic_write(args.out, lambda fh: fh.write(text + "\n"), text=True)
         print(f"wrote {args.out}")
     print(f"{args.target}: MAP {report.map:.4f} "
           f"(AP_cw {report.ap_cw:.4f}, AP_ncw {report.ap_ncw:.4f}, "
@@ -291,9 +285,9 @@ def _cmd_augment(args) -> int:
     result = prepare_cell(config, Corpus.from_jsonl(args.corpus), args.target,
                           _providers_from(args)).augmentation
     out = args.out or "synthetic.jsonl"
-    with open(_out_file(out), "w", encoding="utf-8") as fh:
-        for sample in result.samples:
-            fh.write(json.dumps(asdict(sample), ensure_ascii=False) + "\n")
+    atomic_write(out, lambda fh: fh.writelines(
+        json.dumps(asdict(sample), ensure_ascii=False) + "\n"
+        for sample in result.samples), text=True)
     print(f"{config.strategy}: {len(result.samples)} synthetic, "
           f"{len(result.skips)} skipped, "
           f"{result.identical_count} identical to seed -> {out}")
@@ -312,10 +306,9 @@ def _cmd_similarity(args) -> int:
         raise ConfigError("similarity requires an embedder provider")
     matrix = similarity_matrix(corpus, providers.embedder)
     out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
     matrix_to_csv(matrix, out / "similarity.csv")
-    (out / "similarity.json").write_text(matrix_to_json(matrix) + "\n",
-                                         encoding="utf-8")
+    atomic_write(out / "similarity.json",
+                 lambda fh: fh.write(matrix_to_json(matrix) + "\n"), text=True)
     print(f"wrote {out / 'similarity.csv'}")
     print("most isolated topics first:")
     for topic_id, mean in difficulty_ranking(matrix):

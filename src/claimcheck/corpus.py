@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cache import stable_hash
+from .cache import atomic_write, stable_hash
 from .errors import CorpusError
 
 __all__ = [
@@ -33,6 +33,7 @@ __all__ = [
     "COVID_SOURCE_IDS",
     "DEFAULT_MERGE_TABLE",
     "parse_label",
+    "read_lines",
     "load_tsv",
     "merge_covid_topics",
     "dedupe_records",
@@ -64,6 +65,22 @@ def utf8_error(path) -> CorpusError:
                 return CorpusError(f"{path.name}:{lineno}: not UTF-8 text: "
                                    f"{exc.reason} at byte {exc.start + 1} of the line")
     return CorpusError(f"{path.name}: not UTF-8 text")
+
+
+def read_lines(path):
+    """Yield (line number, line) for each non-blank line of the UTF-8 text
+    file at `path`, lines numbered from 1 and kept with their newline. A
+    missing file is a CorpusError, a file that is not UTF-8 `utf8_error`'s."""
+    path = Path(path)
+    if not path.exists():
+        raise CorpusError(f"file not found: {path}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if line.strip():
+                    yield lineno, line
+    except UnicodeDecodeError:
+        raise utf8_error(path) from None
 
 
 def parse_label(value) -> str:
@@ -192,44 +209,35 @@ def load_tsv(path, schema: TsvSchema) -> list:
     unknown label strings, and on tweet ids duplicated within the file.
     """
     path = Path(path)
-    if not path.exists():
-        raise CorpusError(f"input file not found: {path}")
     records = []
     seen = set()
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if lineno == 1 and schema.has_header:
-                    continue
-                line = line.rstrip("\n").rstrip("\r")
-                if not line.strip():
-                    continue
-                cols = line.split("\t")
-                if len(cols) != schema.n_cols:
-                    raise CorpusError(
-                        f"{path.name}:{lineno}: expected {schema.n_cols} "
-                        f"columns, got {len(cols)}")
-                try:
-                    label = parse_label(cols[schema.label_col])
-                except CorpusError as exc:
-                    raise CorpusError(f"{path.name}:{lineno}: {exc}") from exc
-                tweet_id = cols[schema.id_col].strip()
-                if tweet_id in seen:
-                    raise CorpusError(
-                        f"{path.name}:{lineno}: duplicate tweet id {tweet_id}")
-                seen.add(tweet_id)
-                try:
-                    records.append(TweetRecord(
-                        tweet_id=tweet_id,
-                        topic_id=cols[schema.topic_col].strip(),
-                        text=cols[schema.text_col],
-                        label=label,
-                        source=schema.source,
-                    ))
-                except CorpusError as exc:
-                    raise CorpusError(f"{path.name}:{lineno}: {exc}") from exc
-    except UnicodeDecodeError:
-        raise utf8_error(path) from None
+    for lineno, line in read_lines(path):
+        if lineno == 1 and schema.has_header:
+            continue
+        cols = line.rstrip("\n").rstrip("\r").split("\t")
+        if len(cols) != schema.n_cols:
+            raise CorpusError(
+                f"{path.name}:{lineno}: expected {schema.n_cols} "
+                f"columns, got {len(cols)}")
+        try:
+            label = parse_label(cols[schema.label_col])
+        except CorpusError as exc:
+            raise CorpusError(f"{path.name}:{lineno}: {exc}") from exc
+        tweet_id = cols[schema.id_col].strip()
+        if tweet_id in seen:
+            raise CorpusError(
+                f"{path.name}:{lineno}: duplicate tweet id {tweet_id}")
+        seen.add(tweet_id)
+        try:
+            records.append(TweetRecord(
+                tweet_id=tweet_id,
+                topic_id=cols[schema.topic_col].strip(),
+                text=cols[schema.text_col],
+                label=label,
+                source=schema.source,
+            ))
+        except CorpusError as exc:
+            raise CorpusError(f"{path.name}:{lineno}: {exc}") from exc
     return records
 
 
@@ -377,28 +385,20 @@ class Corpus:
     def to_jsonl(self, path):
         # vars(), not asdict(): one line per record in field order, without
         # asdict's deep copy of every value
-        with open(path, "w", encoding="utf-8") as fh:
-            for rec in self._records:
-                fh.write(json.dumps(vars(rec), ensure_ascii=False) + "\n")
+        atomic_write(path, lambda fh: fh.writelines(
+            json.dumps(vars(rec), ensure_ascii=False) + "\n"
+            for rec in self._records), text=True)
 
     @classmethod
     def from_jsonl(cls, path) -> "Corpus":
         path = Path(path)
-        if not path.exists():
-            raise CorpusError(f"corpus file not found: {path}")
         records = []
-        try:
-            with open(path, encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    if not line.strip():
-                        continue
-                    try:
-                        records.append(TweetRecord.from_dict(json.loads(line)))
-                    except (json.JSONDecodeError, KeyError, CorpusError) as exc:
-                        raise CorpusError(
-                            f"{path.name}:{lineno}: bad record: {exc}") from exc
-        except UnicodeDecodeError:
-            raise utf8_error(path) from None
+        for lineno, line in read_lines(path):
+            try:
+                records.append(TweetRecord.from_dict(json.loads(line)))
+            except (json.JSONDecodeError, KeyError, CorpusError) as exc:
+                raise CorpusError(
+                    f"{path.name}:{lineno}: bad record: {exc}") from exc
         return cls(records)
 
 

@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from .cache import cached, stable_hash
+from .cache import atomic_write, cached, stable_hash
 from .corpus import CW, NCW
 from .errors import ModelError, ProviderError, is_int, is_number
 
@@ -557,12 +557,14 @@ class BaselineScorer:
         return (1.0 / (1.0 + np.exp(-z))).tolist()
 
     def save(self, path) -> None:
-        """Write the model to exactly `path` (a path or a binary file): an
-        npz zip deflated at level 1. Its `vocab` member is the tokens in
-        column order, newline-joined, as UTF-8 bytes; `_tokenize` never
-        yields a token holding a newline."""
+        """Write the model to exactly `path` (a path, through `atomic_write`,
+        or a binary file): an npz zip deflated at level 1. Its `vocab` member
+        is the tokens in column order, newline-joined, as UTF-8 bytes;
+        `_tokenize` never yields a token holding a newline."""
         if self.weights is None:
             raise ModelError("scorer is not trained")
+        if not hasattr(path, "write"):
+            return atomic_write(path, self.save)
         blob = "\n".join(self.vocab.tolist()).encode("utf-8")
         members = {
             "vocab": np.frombuffer(blob, dtype=np.uint8),

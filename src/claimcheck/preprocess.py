@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .cache import atomic_write
-from .corpus import utf8_error
+from .corpus import read_lines
 from .errors import CorpusError
 
 __all__ = ["NormalizedText", "normalize_tweet", "normalize_corpus_file",
@@ -234,11 +234,9 @@ def normalize_corpus_file(in_path, out_path) -> int:
     in_path = Path(in_path)
     count = 0
 
-    def write(src, dst):
+    def write(dst):
         nonlocal count
-        for lineno, line in enumerate(src, start=1):
-            if not line.strip():
-                continue
+        for lineno, line in read_lines(in_path):
             try:
                 record, raw = _record_and_raw_text(line)
             except ValueError as exc:
@@ -249,12 +247,8 @@ def normalize_corpus_file(in_path, out_path) -> int:
             if not record["text"]:
                 raise CorpusError(f"{in_path.name}:{lineno}: tweet "
                                   f"{record.get('tweet_id')} normalizes to empty text")
-            dst.write((json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8"))
+            dst.write(json.dumps(record, ensure_ascii=False) + "\n")
             count += 1
 
-    try:
-        with open(in_path, encoding="utf-8") as src:
-            atomic_write(out_path, lambda dst: write(src, dst))
-    except UnicodeDecodeError:
-        raise utf8_error(in_path) from None
+    atomic_write(out_path, write, text=True)
     return count

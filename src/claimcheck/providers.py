@@ -25,6 +25,7 @@ import hashlib
 import math
 import time
 from dataclasses import dataclass
+from urllib.parse import urlsplit
 
 from .errors import ProviderError
 
@@ -203,6 +204,14 @@ class HttpProvider:
     def __init__(self, base_url: str, role: str, retries: int = 3):
         if role not in HTTP_ROLES:
             raise ProviderError(f"unknown provider role {role!r}")
+        try:  # reading a port that is not a number raises ValueError
+            url = urlsplit(base_url)
+            url.port
+        except ValueError:
+            url = None
+        if not (url and url.scheme in ("http", "https") and url.hostname):
+            raise ProviderError(f"provider URL must be http(s)://<host>..., "
+                                f"got {base_url!r}")
         self.base_url = base_url.rstrip("/")
         self.role = role
         self.retries = retries

@@ -35,6 +35,7 @@ from pathlib import Path
 
 from .augment import (NONE, STRATEGIES, AugmentationResult, GenerationParams,
                       augment_training)
+from .cache import atomic_write
 from .corpus import Corpus
 from .errors import (AugmentError, ClaimCheckError, ConfigError, ModelError,
                      is_int, is_number)
@@ -346,7 +347,6 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
     configs = [replace(base_config, setting=setting, strategy=strategy,
                        shots=shots) for setting, strategy, shots in combos]
     out_dir = Path(out_dir if out_dir is not None else base_config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     cache_dir = out_dir / "cache"
 
     # drawn before any worker starts: a whole-topic pool warns here, once
@@ -498,13 +498,13 @@ def _render_report(record: RunRecord, reports, combos, suite: str) -> str:
 
 
 def _write_artifacts(record: RunRecord, reports, combos, out_dir: Path) -> None:
+    # all three are rendered first, so a render that fails writes none
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for row in record.cells:
         writer.writerow(_csv_row(row))
-    (out_dir / "cells.csv").write_text(buf.getvalue(), encoding="utf-8")
-    (out_dir / "run.json").write_text(record.to_json() + "\n", encoding="utf-8")
-    (out_dir / "report.md").write_text(
-        _render_report(record, reports, combos, record.suite), encoding="utf-8"
-    )
+    texts = {"cells.csv": buf.getvalue(), "run.json": record.to_json() + "\n",
+             "report.md": _render_report(record, reports, combos, record.suite)}
+    for name, text in texts.items():
+        atomic_write(out_dir / name, lambda fh: fh.write(text), text=True)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cache import atomic_write
 from .errors import SimilarityError
 
 __all__ = [
@@ -121,11 +122,12 @@ def difficulty_ranking(matrix: SimilarityMatrix) -> list:
 
 
 def matrix_to_csv(matrix: SimilarityMatrix, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    def write(fh):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["topic_id"] + list(matrix.topic_ids))
         for topic_id, row in zip(matrix.topic_ids, matrix.values):
             writer.writerow([topic_id] + ["%.10f" % v for v in row])
+    atomic_write(path, write, text=True)
 
 
 def matrix_to_json(matrix: SimilarityMatrix, recipe: str = "mean-pooled cosine") -> str:

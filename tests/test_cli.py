@@ -99,6 +99,15 @@ def test_normalize_reports_a_corpus_that_is_not_utf8_and_keeps_its_output(
         "corpus.jsonl", "normalized.jsonl"]
 
 
+def test_a_failed_normalize_makes_no_output_directory(tmp_path, capsys):
+    src = tmp_path / "bad.jsonl"
+    src.write_bytes(b'{"tweet_id": "1", "text": "\xff"}\n')
+    assert main(["normalize", str(src),
+                 str(tmp_path / "sub" / "dir" / "out.jsonl")]) == 2
+    _assert_not_utf8_error(capsys, "bad.jsonl:1")
+    assert list(tmp_path.iterdir()) == [src]
+
+
 def test_suite_reports_a_corpus_that_is_not_utf8(corpus_jsonl, tmp_path,
                                                  capsys):
     src = tmp_path / "corpus.jsonl"
@@ -534,6 +543,16 @@ def test_a_suite_without_http_providers_never_loads_requests(corpus_jsonl,
         env=env, capture_output=True, text=True, timeout=120,
         check=True).stdout
     assert json.loads(out.splitlines()[-1]) == [0, []]
+
+
+def test_a_provider_url_without_a_scheme_fails_before_any_cell(
+        corpus_jsonl, tmp_path, capsys):
+    rc = main(["suite", "table2", "--corpus", str(corpus_jsonl),
+               "--providers", "http:localhost:8000",
+               "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "error: provider URL must be http(s)://" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("flags", [

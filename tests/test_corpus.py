@@ -24,6 +24,7 @@ from claimcheck.corpus import (
     parse_label,
 )
 from claimcheck.errors import CorpusError
+from claimcheck.preprocess import normalize_corpus_file
 
 
 def _write_tsv(path, rows, header=None):
@@ -257,6 +258,19 @@ def test_from_jsonl_names_the_file_and_line_of_a_bad_record(tmp_path, line,
         Corpus.from_jsonl(path)
     assert str(err.value).startswith("corpus.jsonl:3: bad record: ")
     assert reason in str(err.value)
+
+
+@pytest.mark.parametrize("read", [
+    lambda path: load_tsv(path, SCHEMA_PRESETS["simple"]),
+    Corpus.from_jsonl,
+    lambda path: normalize_corpus_file(path, path.with_name("out.jsonl")),
+])
+def test_every_line_reader_reports_a_missing_file_alike(tmp_path, read):
+    path = tmp_path / "missing.jsonl"
+    with pytest.raises(CorpusError) as err:
+        read(path)
+    assert str(err.value) == f"file not found: {path}"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_validate_canonical(protocol_corpus_14, small_corpus):

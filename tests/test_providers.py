@@ -147,8 +147,10 @@ def test_reply_without_the_role_key_is_a_provider_error(stub, role):
 def test_unknown_role_and_spec_are_rejected():
     with pytest.raises(ProviderError):
         HttpProvider("http://127.0.0.1:1", "summarizer")
-    with pytest.raises(ProviderError):
-        make_providers("ftp://host")
+    for spec in ("ftp://host", "http:localhost:8000",
+                 {"translator": {"kind": "http", "url": "localhost:8000"}}):
+        with pytest.raises(ProviderError):
+            make_providers(spec)
     with pytest.raises(ProviderError):
         make_providers({"translator": {"kind": "grpc"}})
 

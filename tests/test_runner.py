@@ -431,6 +431,24 @@ def test_suite_writes_artifacts(suite_corpus, tmp_path):
     assert "total" in payload["wall_clock"]
 
 
+def test_a_render_that_fails_leaves_the_previous_artifacts_as_they_were(
+        suite_corpus, tmp_path, monkeypatch):
+    """Every artifact is rendered before any is written, so a warm rerun
+    whose report fails to render keeps all three of the first pass."""
+    config = ExperimentConfig(holdout_k=50)
+    run_suite("table2", suite_corpus, config, out_dir=tmp_path)
+    names = ("cells.csv", "run.json", "report.md")
+    before = {name: (tmp_path / name).read_bytes() for name in names}
+
+    def fail(*args):
+        raise RuntimeError("render failed")
+
+    monkeypatch.setattr(runner, "_render_report", fail)
+    with pytest.raises(RuntimeError, match="render failed"):
+        run_suite("table2", suite_corpus, config, out_dir=tmp_path)
+    assert {name: (tmp_path / name).read_bytes() for name in names} == before
+
+
 def test_suite_aggregates_average_topic_maps(suite_corpus, tmp_path):
     record = run_suite("table2", suite_corpus, ExperimentConfig(holdout_k=50),
                        out_dir=tmp_path)
