@@ -2,11 +2,11 @@
 substitution, and text generation.
 
 Each strategy turns every few-shot pool sample into at most one synthetic
-sample carrying the seed's label. Provider failures never abort a run: the
-sample is skipped and the skip recorded, so |synthetic| + |skips| always
-equals the pool size. All randomness is derived from the run seed plus the
-origin tweet id, so results are reproducible and independent of provider
-call order.
+sample carrying the seed's label. Provider failures never abort a run: a
+call that raises, or a reply that is empty or holds a lone surrogate, skips
+the sample and records the skip, so |synthetic| + |skips| always equals the
+pool size. All randomness is derived from the run seed plus the origin tweet
+id, so results are reproducible and independent of provider call order.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .cache import cached, stable_hash
-from .corpus import TweetRecord
+from .corpus import TweetRecord, has_lone_surrogate
 from .errors import AugmentError, is_int, is_number
 from .preprocess import PLACEHOLDERS
 from .providers import MASK_TOKEN, HttpProvider
@@ -108,7 +108,7 @@ def _augment(strategy, role, samples, call, finish=None):
     """One synthetic sample or one skip per seed record, in input order.
 
     `call(record)` asks the `role` provider for text, one record at a
-    time: an exception it raises or an empty text skips the record.
+    time: an exception, an empty text or a lone surrogate skips the record.
     `finish(record, text)` returns the sample text, or raises `_Skip` to
     skip the record.
     """
@@ -121,6 +121,8 @@ def _augment(strategy, role, samples, call, finish=None):
             return f"{role} failed: {exc}"
         if not text or not text.strip():
             return f"{role} returned empty text"
+        if has_lone_surrogate(text):
+            return f"{role} returned a lone surrogate"
         if finish is not None:
             try:
                 text = finish(record, text)

@@ -64,8 +64,8 @@ def _add_io(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=None, metavar="PATH",
                    help="output file, or directory for similarity and suite")
     p.add_argument("--providers", default=None,
-                   help='provider set: "mock", "none", or a base URL, '
-                        'given as "http(s)://..." or "http:<base-url>"')
+                   help='provider set: "mock", "none", or an '
+                        '"http(s)://<host>..." base URL')
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

@@ -3,12 +3,14 @@
 Reads the tab-separated shared-task files, maps their label conventions onto
 the binary CW/NCW scheme, folds the four COVID-related topics into one
 canonical topic, and exposes per-topic class statistics. A canonical corpus is
-immutable once built and serializes to JSON lines.
+immutable once built and serializes to JSON lines. `read_records` refuses a
+lone surrogate in them as `read_lines` refuses bytes that are not UTF-8.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -34,6 +36,8 @@ __all__ = [
     "DEFAULT_MERGE_TABLE",
     "parse_label",
     "read_lines",
+    "read_records",
+    "has_lone_surrogate",
     "load_tsv",
     "merge_covid_topics",
     "dedupe_records",
@@ -52,35 +56,67 @@ _LABEL_ALIASES = {
 }
 
 
-def utf8_error(path) -> CorpusError:
-    """The error for the file at `path`, which is not UTF-8 text: it names
-    the file and the first line that does not decode. Reading text fails
-    a buffer, not a line, at a time, so the file is read again as bytes."""
-    path = Path(path)
-    with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return CorpusError(f"{path.name}:{lineno}: not UTF-8 text: "
-                                   f"{exc.reason} at byte {exc.start + 1} of the line")
-    return CorpusError(f"{path.name}: not UTF-8 text")
-
-
 def read_lines(path):
     """Yield (line number, line) for each non-blank line of the UTF-8 text
-    file at `path`, lines numbered from 1 and kept with their newline. A
-    missing file is a CorpusError, a file that is not UTF-8 `utf8_error`'s."""
+    file at `path`, lines ending at "\\n", numbered from 1 and kept with
+    their ending. A missing file, or a line that is not UTF-8, is a
+    CorpusError naming it."""
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"file not found: {path}")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if line.strip():
-                    yield lineno, line
-    except UnicodeDecodeError:
-        raise utf8_error(path) from None
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise CorpusError(
+                    f"{path.name}:{lineno}: not UTF-8 text: {exc.reason} "
+                    f"at byte {exc.start + 1} of the line") from None
+            if line.strip():
+                yield lineno, line
+
+
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
+
+
+def has_lone_surrogate(value) -> bool:
+    """Whether `value`, a string or a JSON list or object, holds a lone
+    surrogate (json.loads joins an escaped pair), which UTF-8 cannot encode."""
+    if isinstance(value, dict):
+        value = [*value, *value.values()]
+    if isinstance(value, list):
+        return any(map(has_lone_surrogate, value))
+    return isinstance(value, str) and _SURROGATE_RE.search(value) is not None
+
+
+def read_records(path, make=None):
+    """Yield (line number, record) for each line `read_lines` reads: a JSON
+    object with a string `text`, string `raw_text` and `topic_id` if any and
+    no lone surrogate, or what `make` builds from it. A line that breaks a
+    rule, or that `make` rejects with a KeyError or CorpusError, is a
+    CorpusError `<file>:<line>: bad record: <reason>`."""
+    for lineno, line in read_lines(path):
+        try:
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise CorpusError(
+                    f"expected a JSON object, got {type(record).__name__}")
+            if "text" not in record:
+                raise CorpusError("no text")
+            for key in ("text", "raw_text", "topic_id"):
+                if not isinstance(record.get(key, ""), str):
+                    raise CorpusError(
+                        f"{key} must be a string, got {record[key]!r}")
+            if "\\" in line:  # JSON spells a surrogate only as a \u escape
+                for key, value in record.items():
+                    if has_lone_surrogate([key, value]):
+                        raise CorpusError(f"{key!r} holds a lone surrogate")
+            if make is not None:
+                record = make(record)
+        except (ValueError, KeyError, RecursionError, CorpusError) as exc:
+            raise CorpusError(
+                f"{Path(path).name}:{lineno}: bad record: {exc}") from exc
+        yield lineno, record
 
 
 def parse_label(value) -> str:
@@ -113,11 +149,6 @@ class TweetRecord:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TweetRecord":
-        if not isinstance(d, dict):
-            raise CorpusError(f"expected a JSON object, got {type(d).__name__}")
-        for key in ("topic_id", "text"):
-            if not isinstance(d.get(key, ""), str):
-                raise CorpusError(f"{key} must be a string, got {d[key]!r}")
         return cls(
             tweet_id=str(d["tweet_id"]),
             topic_id=d["topic_id"],
@@ -215,20 +246,15 @@ def load_tsv(path, schema: TsvSchema) -> list:
         if lineno == 1 and schema.has_header:
             continue
         cols = line.rstrip("\n").rstrip("\r").split("\t")
-        if len(cols) != schema.n_cols:
-            raise CorpusError(
-                f"{path.name}:{lineno}: expected {schema.n_cols} "
-                f"columns, got {len(cols)}")
         try:
+            if len(cols) != schema.n_cols:
+                raise CorpusError(
+                    f"expected {schema.n_cols} columns, got {len(cols)}")
             label = parse_label(cols[schema.label_col])
-        except CorpusError as exc:
-            raise CorpusError(f"{path.name}:{lineno}: {exc}") from exc
-        tweet_id = cols[schema.id_col].strip()
-        if tweet_id in seen:
-            raise CorpusError(
-                f"{path.name}:{lineno}: duplicate tweet id {tweet_id}")
-        seen.add(tweet_id)
-        try:
+            tweet_id = cols[schema.id_col].strip()
+            if tweet_id in seen:
+                raise CorpusError(f"duplicate tweet id {tweet_id}")
+            seen.add(tweet_id)
             records.append(TweetRecord(
                 tweet_id=tweet_id,
                 topic_id=cols[schema.topic_col].strip(),
@@ -263,14 +289,12 @@ def dedupe_records(records) -> tuple:
     Returns (records, dropped_count). A duplicate id within one source is an
     error; across sources the CT20 record wins.
     """
-    by_id = {}
-    order = []
+    by_id = {}  # a replaced copy keeps the first copy's place
     dropped = 0
     for rec in records:
         prev = by_id.get(rec.tweet_id)
         if prev is None:
             by_id[rec.tweet_id] = rec
-            order.append(rec.tweet_id)
             continue
         if prev.source == rec.source:
             raise CorpusError(
@@ -279,7 +303,7 @@ def dedupe_records(records) -> tuple:
         dropped += 1
         if prev.source != "CT20" and rec.source == "CT20":
             by_id[rec.tweet_id] = rec
-    return [by_id[i] for i in order], dropped
+    return list(by_id.values()), dropped
 
 
 class Corpus:
@@ -391,15 +415,7 @@ class Corpus:
 
     @classmethod
     def from_jsonl(cls, path) -> "Corpus":
-        path = Path(path)
-        records = []
-        for lineno, line in read_lines(path):
-            try:
-                records.append(TweetRecord.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, CorpusError) as exc:
-                raise CorpusError(
-                    f"{path.name}:{lineno}: bad record: {exc}") from exc
-        return cls(records)
+        return cls(rec for _, rec in read_records(path, TweetRecord.from_dict))
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,9 @@ A pass runs only when the segment holds a literal each of its matches needs:
 letter (script boundaries), one of ``()[]{}`` (bracket spacing). URL_RE's
 literal is never a letter, which IGNORECASE also matches in other forms
 (``ſ`` for ``s``).
+
+:func:`normalize_corpus_file` reads through ``corpus.read_records``, the
+record check ``Corpus.from_jsonl`` uses, so it writes only what UTF-8 can.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .cache import atomic_write
-from .corpus import read_lines
+from .corpus import read_records
 from .errors import CorpusError
 
 __all__ = ["NormalizedText", "normalize_tweet", "normalize_corpus_file",
@@ -207,42 +210,23 @@ def normalize_tweet(text: str) -> NormalizedText:
     return NormalizedText(" ".join("".join(result).split()), replacements)
 
 
-def _record_and_raw_text(line: str):
-    """A JSON-lines record and the text it normalizes from: `raw_text`
-    once normalized, else `text`. ValueError unless the line is a JSON
-    object whose `text`, and `raw_text` if present, are strings."""
-    record = json.loads(line)
-    if not isinstance(record, dict):
-        raise ValueError(f"expected a JSON object, got {type(record).__name__}")
-    if "text" not in record:
-        raise ValueError("no text")
-    for key in ("text", "raw_text"):
-        if not isinstance(record.get(key, ""), str):
-            raise ValueError(f"{key} must be a string, got {record[key]!r}")
-    return record, record.get("raw_text", record["text"])
-
-
 def normalize_corpus_file(in_path, out_path) -> int:
     """Rewrite a JSON-lines corpus with normalized text.
 
-    The original text is preserved under ``raw_text``. Returns the number of
-    records written. A line that is not a JSON object with a string
-    `text`, or a tweet whose text normalizes to nothing, raises CorpusError
-    naming its file and line, and leaves `out_path` as it was: the file is
-    replaced only once every record is normalized.
+    The original text is preserved under ``raw_text``, and a record that
+    has one is normalized from it. Returns the number of records written.
+    A line `corpus.read_records` refuses, or a tweet whose text normalizes
+    to nothing, raises CorpusError naming its file and line, and leaves
+    `out_path` as it was: the file is replaced only once every record is
+    normalized.
     """
     in_path = Path(in_path)
     count = 0
 
     def write(dst):
         nonlocal count
-        for lineno, line in read_lines(in_path):
-            try:
-                record, raw = _record_and_raw_text(line)
-            except ValueError as exc:
-                raise CorpusError(
-                    f"{in_path.name}:{lineno}: bad record: {exc}") from exc
-            record["raw_text"] = raw
+        for lineno, record in read_records(in_path):
+            raw = record.setdefault("raw_text", record["text"])
             record["text"] = normalize_tweet(raw).text
             if not record["text"]:
                 raise CorpusError(f"{in_path.name}:{lineno}: tweet "

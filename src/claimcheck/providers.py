@@ -234,7 +234,7 @@ def make_providers(spec) -> ProviderBundle:
     """Build a ProviderBundle from a spec string or config mapping.
 
     ``"mock"`` yields the deterministic in-package mocks; an
-    ``http://``/``https://`` URL or ``"http:<url>"`` points every role at
+    ``http://``/``https://`` base URL, taken as given, points every role at
     one service; ``"none"`` yields an empty bundle. A mapping may configure
     roles individually with ``{"kind": "mock"|"http", "url": ...}`` entries
     under the role names.
@@ -250,11 +250,9 @@ def make_providers(spec) -> ProviderBundle:
             encoder=MockEncoderProvider(),
             kind="mock",
         )
-    if isinstance(spec, str) and spec.startswith(("http:", "https://")):
-        base = (spec if spec.startswith(("http://", "https://"))
-                else spec[len("http:"):])
+    if isinstance(spec, str) and spec.startswith(("http:", "https:")):
         return ProviderBundle(kind=spec, **{
-            role: HttpProvider(base, role) for role in HTTP_ROLES})
+            role: HttpProvider(spec, role) for role in HTTP_ROLES})
     if isinstance(spec, dict):
         unknown = sorted(set(spec) - set(HTTP_ROLES))
         if unknown:

@@ -386,6 +386,26 @@ def test_augment_cache_round_trip(tmp_path):
     assert result2 == result1
 
 
+@pytest.mark.parametrize("strategy", [BT, CWE, TXTGEN])
+def test_a_reply_with_a_lone_surrogate_is_a_skip(tmp_path, strategy):
+    # half of an escaped emoji pair: no UTF-8 writer could cache or write it
+    def cut(text):
+        return "\ud83d" + text if "w1t" in text else text
+
+    bundle = _bundle(
+        translator=lambda text, src, tgt: cut(text),
+        filler=lambda masked: cut(MarkerFiller()(masked)),
+        generator=lambda prompt, params: cut(prompt))
+    train, pool = _select(_pool(4), 4)
+    out, result = augment_training(train, pool, strategy, bundle,
+                                   cache_dir=tmp_path)
+    role = {BT: "translator", CWE: "filler", TXTGEN: "generator"}[strategy]
+    assert result.skips == (("p001", f"{role} returned a lone surrogate"),)
+    assert len(result.samples) == 3 and len(out) == 4 + 3
+    (entry,) = tmp_path.iterdir()
+    entry.read_text(encoding="utf-8")  # the cached result is UTF-8
+
+
 def test_augment_cache_entry_bytes(tmp_path):
     def translator(text, src, tgt):
         if text.startswith("down"):

@@ -108,6 +108,36 @@ def test_a_failed_normalize_makes_no_output_directory(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [src]
 
 
+def test_normalize_refuses_a_lone_surrogate_without_a_traceback(tmp_path,
+                                                                capsys):
+    src = tmp_path / "lone.jsonl"
+    src.write_text('{"tweet_id": "1", "text": "abc \\ud800 def"}\n',
+                   encoding="utf-8")
+    assert main(["normalize", str(src),
+                 str(tmp_path / "sub" / "normalized.jsonl")]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: lone.jsonl:1: bad record: "
+                   "'text' holds a lone surrogate\n")
+    assert list(tmp_path.iterdir()) == [src]
+
+
+def test_suite_refuses_a_lone_surrogate_before_any_cell(corpus_jsonl,
+                                                        tmp_path, capsys):
+    # a tweet's emoji escape cut in half is refused on read, not after
+    # every cell has run, when the corpus hash cannot encode it
+    src = tmp_path / "corpus.jsonl"
+    src.write_bytes(corpus_jsonl.read_bytes() + b'{"tweet_id": "x", '
+                    b'"topic_id": "S-A", "text": "a \\ud83d", "label": "CW"}\n')
+    rc = main(["suite", "table2", "--corpus", str(src), "--holdout-k", "30",
+               "--out", str(tmp_path / "run")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: corpus.jsonl:361: bad record: "
+                          "'text' holds a lone surrogate")
+    assert "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_suite_reports_a_corpus_that_is_not_utf8(corpus_jsonl, tmp_path,
                                                  capsys):
     src = tmp_path / "corpus.jsonl"

@@ -19,9 +19,11 @@ from claimcheck.corpus import (
     build_corpus,
     corpus_stats,
     dedupe_records,
+    has_lone_surrogate,
     load_tsv,
     merge_covid_topics,
     parse_label,
+    read_lines,
 )
 from claimcheck.errors import CorpusError
 from claimcheck.preprocess import normalize_corpus_file
@@ -121,6 +123,29 @@ def test_load_tsv_missing_file():
         load_tsv("/nonexistent/file.tsv", SCHEMA_PRESETS["simple"])
 
 
+@pytest.mark.parametrize("row, message", [
+    (["T-1", "1", "x"], "g.tsv:2: expected 4 columns, got 3"),
+    (["T-1", "1", "x", "2"], "g.tsv:2: unknown check-worthiness label: '2'"),
+    (["T-1", "0", "x", "1"], "g.tsv:2: duplicate tweet id 0"),
+    (["T-1", "1", " ", "1"], "g.tsv:2: tweet 1 has empty text"),
+])
+def test_load_tsv_names_the_line_of_each_bad_row(tmp_path, row, message):
+    path = _write_tsv(tmp_path / "g.tsv", [["T-1", "0", "fine", "0"], row])
+    with pytest.raises(CorpusError) as err:
+        load_tsv(path, SCHEMA_PRESETS["simple"])
+    assert str(err.value) == message
+
+
+def test_lines_end_at_a_newline_only(tmp_path):
+    # a CR before the newline stays on the line; a CR elsewhere is text
+    path = tmp_path / "h.tsv"
+    path.write_bytes(b"T-1\t1\tone\rtwo\t1\r\n\r\nT-1\t2\tthree\t0\n")
+    assert list(read_lines(path)) == [(1, "T-1\t1\tone\rtwo\t1\r\n"),
+                                      (3, "T-1\t2\tthree\t0\n")]
+    records = load_tsv(path, SCHEMA_PRESETS["simple"])
+    assert [r.text for r in records] == ["one\rtwo", "three"]
+
+
 # ---- topic merge
 
 
@@ -159,6 +184,13 @@ def test_dedupe_keeps_ct20_copy():
         assert dropped == 1
         assert len(records) == 1
         assert records[0].source == "CT20"
+
+
+def test_dedupe_keeps_the_first_place_of_a_replaced_copy():
+    a = _rec("1", source="CT21", text="ct21 copy")
+    b = _rec("2", source="CT21")
+    c = _rec("1", source="CT20", text="ct20 copy")
+    assert dedupe_records([a, b, c]) == ([c, b], 1)
 
 
 def test_dedupe_same_source_duplicate_is_error():
@@ -247,8 +279,13 @@ _GOOD_LINE = json.dumps({"tweet_id": "1", "topic_id": "T", "text": "نص",
      "text must be a string, got 5"),
     ('{"tweet_id": "2", "topic_id": ["T"], "text": "x", "label": "CW"}',
      "topic_id must be a string"),
-    ('{"tweet_id": "2", "topic_id": "T", "label": "CW"}', "'text'"),
+    ('{"tweet_id": "2", "topic_id": "T", "label": "CW"}', "no text"),
     ('{"tweet_id": ', "Expecting value"),
+    # half of an escaped UTF-16 pair, which no UTF-8 writer can write back
+    ('{"tweet_id": "2", "topic_id": "T", "text": "a \\ud83d b", "label": "CW"}',
+     "'text' holds a lone surrogate"),
+    ('{"tweet_id": "2\\udc00", "topic_id": "T", "text": "x", "label": "CW"}',
+     "'tweet_id' holds a lone surrogate"),
 ])
 def test_from_jsonl_names_the_file_and_line_of_a_bad_record(tmp_path, line,
                                                             reason):
@@ -258,6 +295,25 @@ def test_from_jsonl_names_the_file_and_line_of_a_bad_record(tmp_path, line,
         Corpus.from_jsonl(path)
     assert str(err.value).startswith("corpus.jsonl:3: bad record: ")
     assert reason in str(err.value)
+
+
+def test_an_escaped_surrogate_pair_loads_as_one_code_point(tmp_path):
+    # a whole pair, and an escaped backslash before "ud800", are not lone
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"tweet_id": "1", "topic_id": "T", "text": '
+                    '"نص \\ud83d\\ude00 \\\\ud800", "label": "CW"}\n',
+                    encoding="utf-8")
+    (record,) = Corpus.from_jsonl(path)
+    assert record.text == "نص \U0001f600 \\ud800"
+
+
+@pytest.mark.parametrize("value, lone", [
+    ("\U0001f600", False), ("a\ud83d", True), ("\udfff", True),
+    (["x", {"k": [1, None, "\ud800"]}], True), ({"\ud800": 1}, True),
+    ({"k": ["x", 2.5, True]}, False), (7, False),
+])
+def test_has_lone_surrogate_looks_into_every_string(value, lone):
+    assert has_lone_surrogate(value) is lone
 
 
 @pytest.mark.parametrize("read", [

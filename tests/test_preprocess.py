@@ -198,6 +198,20 @@ def test_normalize_corpus_file(tmp_path, small_corpus):
     ('{"tweet_id": "1", "text": 7}', "text must be a string, got 7"),
     ('{"tweet_id": "1", "text": "a", "raw_text": null}',
      "raw_text must be a string, got None"),
+    ('{"tweet_id": "1", "text": "a", "topic_id": 3}',
+     "topic_id must be a string, got 3"),
+    # half of an escaped UTF-16 pair, anywhere in the record
+    ('{"tweet_id": "1", "text": "a \\ud800"}', "'text' holds a lone surrogate"),
+    ('{"tweet_id": "\\ude00", "text": "a"}',
+     "'tweet_id' holds a lone surrogate"),
+    ('{"tweet_id": "1", "text": "a", "raw_text": "\\ude00\\ud83d"}',
+     "'raw_text' holds a lone surrogate"),
+    ('{"tweet_id": "1", "text": "a", "meta": {"tags": ["\\udbff"]}}',
+     "'meta' holds a lone surrogate"),
+    ('{"tweet_id": "1", "text": "a", "\\ud800": 1}',
+     "'\\ud800' holds a lone surrogate"),
+    pytest.param('{"text": "a", "x": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                 "maximum recursion depth exceeded", id="nested-too-deep"),
 ])
 def test_normalize_corpus_file_reports_bad_lines(tmp_path, line, problem):
     src = tmp_path / "raw.jsonl"
@@ -208,6 +222,20 @@ def test_normalize_corpus_file_reports_bad_lines(tmp_path, line, problem):
         normalize_corpus_file(src, dst)
     assert problem in str(info.value)
     assert list(tmp_path.iterdir()) == [src]
+
+
+def test_normalize_writes_an_escaped_surrogate_pair_as_before(tmp_path):
+    # the pair is one emoji; an escaped backslash before "ud800" is text
+    src = tmp_path / "raw.jsonl"
+    src.write_text('{"tweet_id": "1", "topic_id": "T", "text": '
+                   '"نص \\ud83d\\ude00 ok \\\\ud800 @user", "label": "CW"}\n',
+                   encoding="utf-8")
+    dst = tmp_path / "norm.jsonl"
+    assert normalize_corpus_file(src, dst) == 1
+    assert dst.read_bytes() == (
+        '{"tweet_id": "1", "topic_id": "T", "text": "نص ok \\\\ud 800 [user]", '
+        '"label": "CW", "raw_text": "نص \U0001f600 ok \\\\ud800 @user"}\n'
+    ).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------

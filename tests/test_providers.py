@@ -98,10 +98,9 @@ def test_every_role_has_a_pinned_call():
     assert set(CALLS) == set(HTTP_ROLES)
 
 
-@pytest.mark.parametrize("form", ["url", "http-prefixed", "trailing-slash"])
+@pytest.mark.parametrize("form", ["url", "trailing-slash"])
 def test_http_spec_forms_pin_endpoints_and_bodies(stub, form):
-    spec = {"url": stub.url, "http-prefixed": f"http:{stub.url}",
-            "trailing-slash": stub.url + "/"}[form]
+    spec = {"url": stub.url, "trailing-slash": stub.url + "/"}[form]
     bundle = make_providers(spec)
     assert bundle.kind == spec
     assert call_every_role(bundle) == EXPECTED
@@ -147,7 +146,9 @@ def test_reply_without_the_role_key_is_a_provider_error(stub, role):
 def test_unknown_role_and_spec_are_rejected():
     with pytest.raises(ProviderError):
         HttpProvider("http://127.0.0.1:1", "summarizer")
+    # an http: spec is the base URL as given, with no "http:<url>" alias
     for spec in ("ftp://host", "http:localhost:8000",
+                 "http:http://127.0.0.1:8000", "https:models",
                  {"translator": {"kind": "http", "url": "localhost:8000"}}):
         with pytest.raises(ProviderError):
             make_providers(spec)

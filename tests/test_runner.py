@@ -504,6 +504,31 @@ def test_a_suite_reports_the_augmentation_skips_of_each_cell(
     assert run["skip_counts"] == record.skip_counts == skipped
 
 
+class SurrogateFiller(MarkerFiller):
+    """Cuts an emoji escape in half in the fills of some seeds."""
+
+    def __call__(self, masked_text: str) -> str:
+        filled = super().__call__(masked_text)
+        if int(stable_hash(masked_text), 16) % 3 == 0:
+            return filled.replace("XSUB", "X\ud83d", 1)
+        return filled
+
+
+def test_a_filler_reply_with_a_lone_surrogate_is_a_skip_not_a_failure(
+        suite_corpus, tmp_path):
+    providers = replace(mock_bundle(), filler=SurrogateFiller())
+    record = run_suite("table3", suite_corpus, few_shot_config(),
+                       providers=providers, out_dir=tmp_path)
+    assert record.failures == []
+    assert record.skip_counts
+    assert all(f"/{CWE}/" in name for name in record.skip_counts)
+    assert all(skips < 50 for skips in record.skip_counts.values())
+    for name in ("report.md", "cells.csv", "run.json"):
+        assert (tmp_path / name).exists()
+    run = json.loads((tmp_path / "run.json").read_text(encoding="utf-8"))
+    assert run["skip_counts"] == record.skip_counts
+
+
 def test_a_garbage_model_cache_entry_fails_only_its_cell(suite_corpus,
                                                          tmp_path):
     config = ExperimentConfig(holdout_k=50)
