@@ -36,7 +36,7 @@ from pathlib import Path
 from .augment import (NONE, STRATEGIES, AugmentationResult, GenerationParams,
                       augment_training)
 from .cache import atomic_write
-from .corpus import Corpus
+from .corpus import Corpus, has_lone_surrogate
 from .errors import (AugmentError, ClaimCheckError, ConfigError, ModelError,
                      is_int, is_number)
 from .evaluation import (
@@ -75,7 +75,8 @@ class ExperimentConfig:
     """Everything one experiment cell depends on, besides the corpus.
     Without a `setting` it is few-shot when it takes shots or a strategy,
     else zero-shot; `generation_params` may be given as a mapping.
-    `max_workers` is read by `run_suite` only."""
+    `max_workers` is read by `run_suite` only. No key or value may hold a
+    lone surrogate, which run.json could not encode."""
 
     setting: str = None
     strategy: str = NONE
@@ -99,6 +100,10 @@ class ExperimentConfig:
         if not isinstance(self.output_dir, (str, os.PathLike)):
             raise ConfigError(
                 f"output_dir must be a path, got {self.output_dir!r}")
+        for name, value in self.to_dict().items():
+            if has_lone_surrogate(value):
+                flag = " (--out)" if name == "output_dir" else ""
+                raise ConfigError(f"{name}{flag} holds a lone surrogate")
         if self.setting is None:
             few = self.shots or self.strategy != NONE
             object.__setattr__(self, "setting", FEW_SHOT if few else ZERO_SHOT)
@@ -498,7 +503,7 @@ def _render_report(record: RunRecord, reports, combos, suite: str) -> str:
 
 
 def _write_artifacts(record: RunRecord, reports, combos, out_dir: Path) -> None:
-    # all three are rendered first, so a render that fails writes none
+    # all three are rendered and encoded first, so a failure writes none
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
@@ -506,5 +511,6 @@ def _write_artifacts(record: RunRecord, reports, combos, out_dir: Path) -> None:
         writer.writerow(_csv_row(row))
     texts = {"cells.csv": buf.getvalue(), "run.json": record.to_json() + "\n",
              "report.md": _render_report(record, reports, combos, record.suite)}
-    for name, text in texts.items():
-        atomic_write(out_dir / name, lambda fh: fh.write(text), text=True)
+    blobs = {name: text.encode("utf-8") for name, text in texts.items()}
+    for name, blob in blobs.items():
+        atomic_write(out_dir / name, lambda fh: fh.write(blob))

@@ -620,6 +620,27 @@ def test_a_config_file_seed_or_output_dir_of_the_wrong_type_exits_two(
     assert list(tmp_path.iterdir()) == [config]
 
 
+@pytest.mark.parametrize("setting, out, name", [
+    ('{"pivot": "x\\udc00"}', "run", "pivot"),
+    ('{"backend_id": "encoder", "hyperparams": {"\\ud800": 1}}', "run",
+     "hyperparams"),
+    # argv decodes a byte that is not UTF-8 to a lone surrogate
+    ("{}", "bad\udcffdir", "output_dir (--out)"),
+])
+def test_a_lone_surrogate_in_the_config_or_out_exits_two_before_any_cell(
+        corpus_jsonl, tmp_path, capsys, setting, out, name):
+    """run.json could not encode it, so it is refused before any cell runs
+    rather than after every cell, when run.json is written."""
+    config = tmp_path / "config.json"
+    config.write_text(setting, encoding="utf-8")
+    rc = main(["suite", "table2", "--corpus", str(corpus_jsonl),
+               "--config", str(config), "--out", str(tmp_path / out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {name} holds a lone surrogate\n"
+    assert list(tmp_path.iterdir()) == [config]
+
+
 @pytest.mark.parametrize("command", ["eval", "train", "augment"])
 def test_workers_is_a_suite_flag(corpus_jsonl, capsys, command):
     """Only a suite runs cells at once; a single cell has nothing to

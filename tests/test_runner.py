@@ -449,6 +449,25 @@ def test_a_render_that_fails_leaves_the_previous_artifacts_as_they_were(
     assert {name: (tmp_path / name).read_bytes() for name in names} == before
 
 
+def test_an_artifact_that_cannot_be_encoded_leaves_the_previous_ones(
+        suite_corpus, tmp_path, monkeypatch):
+    """All three artifacts are encoded before any is written. Records built
+    through the API are not checked, so a topic id holding a lone surrogate
+    fails before any cell; a report holding one fails at its encoding."""
+    config = ExperimentConfig(holdout_k=50)
+    run_suite("table2", suite_corpus, config, out_dir=tmp_path)
+    names = ("cells.csv", "run.json", "report.md")
+    before = {name: (tmp_path / name).read_bytes() for name in names}
+    cut = Corpus([replace(r, topic_id=r.topic_id + "\ud800")
+                  for r in suite_corpus.records])
+    with pytest.raises(UnicodeEncodeError):
+        run_suite("table2", cut, config, out_dir=tmp_path)
+    monkeypatch.setattr(runner, "_render_report", lambda *args: "\ud800")
+    with pytest.raises(UnicodeEncodeError):
+        run_suite("table2", suite_corpus, config, out_dir=tmp_path)
+    assert {name: (tmp_path / name).read_bytes() for name in names} == before
+
+
 def test_suite_aggregates_average_topic_maps(suite_corpus, tmp_path):
     record = run_suite("table2", suite_corpus, ExperimentConfig(holdout_k=50),
                        out_dir=tmp_path)
