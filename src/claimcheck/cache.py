@@ -17,11 +17,22 @@ from pathlib import Path
 
 __all__ = ["stable_hash", "atomic_write", "cached"]
 
+_HASH_CHUNK = 256  # the items of a list `stable_hash` encodes at once
+
 
 def stable_hash(obj) -> str:
-    """sha256 hex digest of an object's canonical JSON form."""
-    blob = json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    """sha256 hex digest of an object's canonical JSON form. A list's is
+    encoded `_HASH_CHUNK` items at a time, so only their text is held."""
+    def canonical(value) -> bytes:
+        return json.dumps(value, sort_keys=True, ensure_ascii=False,
+                          separators=(",", ":")).encode("utf-8")
+    if not isinstance(obj, list):
+        return hashlib.sha256(canonical(obj)).hexdigest()
+    digest = hashlib.sha256(b"[")
+    for at in range(0, len(obj), _HASH_CHUNK):
+        digest.update(b"," * bool(at) + canonical(obj[at:at + _HASH_CHUNK])[1:-1])
+    digest.update(b"]")
+    return digest.hexdigest()
 
 
 def atomic_write(path, write, text=False) -> None:

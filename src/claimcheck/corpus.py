@@ -382,10 +382,20 @@ class Corpus:
 
     @cached_property
     def fingerprint(self) -> str:
-        """A hash of every record's fields, whatever the record order."""
-        return stable_hash(sorted(
-            (r.tweet_id, r.topic_id, r.text, r.label, r.source)
-            for r in self._records))
+        """A hash of every record's fields, whatever the record order. A
+        field holding a lone surrogate, which only a corpus built in Python
+        can hold, is a CorpusError naming the record and the field."""
+        try:
+            return stable_hash(sorted(
+                (r.tweet_id, r.topic_id, r.text, r.label, r.source)
+                for r in self._records))
+        except UnicodeEncodeError:
+            for r in self._records:
+                for name, value in vars(r).items():
+                    if has_lone_surrogate(value):
+                        raise CorpusError(f"tweet {ascii(r.tweet_id)}: {name} "
+                                          "holds a lone surrogate") from None
+            raise
 
     @cached_property
     def features(self):

@@ -64,6 +64,13 @@ GRADIENT_TOLERANCE = 1e-5
 # pure Jacobi. CG steps over the 56 fits of a cold bench table3 pass
 # (corpus seed 0): 0.01 -> 2,770, 0.1 -> 2,082, 1 -> 3,613.
 PRECONDITIONER_MIX = 0.1
+# A token array is fixed-width only up to this many times its text's size,
+# as one long token widens every slot. On bench seed 1's 29,603 tokens
+# (mean 5.5 characters), an object array with its strings takes 2.6 MiB,
+# the fixed-width one 1.0 MiB at its width of 9 and equal memory near width
+# 24 (4.4 times the text); at twice that it still searches about 0.13 ms
+# faster per 197 queries, and one 280-character token makes it 31.6 MiB.
+WIDTH_FACTOR = 8
 
 __all__ = [
     "BACKENDS",
@@ -127,9 +134,12 @@ def _tokenize(text: str) -> list:
 def _token_array(tokens: list) -> np.ndarray:
     """The sorted `tokens` as an array numpy orders the way Python orders
     str: fixed-width unicode, unless a token holds a NUL, which fixed-width
-    unicode cannot tell from its padding; then Python objects."""
-    return np.array(tokens,
-                    dtype=object if "\x00" in "".join(tokens) else str)
+    unicode cannot tell from its padding, or the array would be more than
+    `WIDTH_FACTOR` times the tokens' text; then Python objects."""
+    text = "".join(tokens)
+    width = max(map(len, tokens), default=0)
+    wide = len(tokens) * width > WIDTH_FACTOR * len(text)
+    return np.array(tokens, dtype=object if wide or "\x00" in text else str)
 
 
 def _locate(tokens: np.ndarray, queries: np.ndarray):
@@ -148,30 +158,29 @@ def count_matrix(texts):
     """Token counts of `texts` as a CSR matrix, one row per text, whose
     columns are the sorted set of the texts' tokens. Returns (tokens, x):
     the tokens as a sorted array, float64 counts and int32 column indices,
-    sorted within each row."""
+    sorted within each row. Each token occurrence is an int32 code, then a
+    1.0 in its column, which scipy's compiled `sum_duplicates` adds up in
+    place: at most 12 bytes an occurrence beyond the token index and result."""
     ids = {}  # token -> first-seen id, ranked below
-    codes, lengths = array("q"), array("q")
+    codes, indptr = array("i"), array("q", [0])
     for text in texts:
-        toks = _tokenize(text)
-        codes.extend([ids.setdefault(t, len(ids)) for t in toks])
-        lengths.append(len(toks))
-    n = len(lengths)
+        codes.extend([ids.setdefault(t, len(ids)) for t in _tokenize(text)])
+        indptr.append(len(codes))
     tokens = sorted(ids)
-    rank = np.empty(len(tokens), dtype=np.int64)
-    rank[[ids[t] for t in tokens]] = np.arange(len(tokens))
-    cols = rank[np.frombuffer(codes, dtype=np.int64)]
-    rows = np.repeat(np.arange(n), np.frombuffer(lengths, dtype=np.int64))
-    width = len(tokens)
-    stride = max(width, 1)
-    # one sorted key per (row, column) entry: sorts rows, then columns
-    cells, counts = np.unique(rows * stride + cols, return_counts=True)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(cells // stride, minlength=n), out=indptr[1:])
+    rank = np.empty(len(tokens), dtype=np.int32)
+    rank[[ids[t] for t in tokens]] = np.arange(len(tokens), dtype=np.int32)
+    tokens = _token_array(tokens)
+    del ids  # the first-seen strings, which the array does not need
+    cols = rank[np.frombuffer(codes, dtype=np.intc)]
+    del codes
     x = sparse.csr_matrix(
-        (counts.astype(np.float64), (cells % stride).astype(np.int32), indptr),
-        shape=(n, width),
-    )
-    return _token_array(tokens), x
+        (np.ones(cols.size), cols, np.frombuffer(indptr, dtype=np.int64)),
+        shape=(len(indptr) - 1, tokens.size))
+    x.sum_duplicates()
+    # keep only the prefix the sums fill, copied one array at a time
+    x.data = x.data.copy()
+    x.indices = x.indices.copy()
+    return tokens, x
 
 
 def record_digests(texts, labels) -> np.ndarray:

@@ -343,8 +343,9 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
     callers can exit nonzero. Its `notes` name each topic whose holdout
     pool is all of it. `wall_clock` holds each cell's seconds and, as
     `total`, the seconds from this call's start to the end of the last
-    cell: the holdouts, a first count of the corpus features and the
-    cells.
+    cell: a first hash of the corpus, the holdouts, a first count of the
+    corpus features and the cells. A record field holding a lone
+    surrogate is a CorpusError before anything is made.
     """
     suite_started = time.perf_counter()
     combos = _suite_cells(suite, base_config)
@@ -354,6 +355,9 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
     out_dir = Path(out_dir if out_dir is not None else base_config.output_dir)
     cache_dir = out_dir / "cache"
 
+    # hashed before anything is drawn or made: a field UTF-8 cannot encode
+    # is a CorpusError here, not after every cell has run
+    corpus.fingerprint
     # drawn before any worker starts: a whole-topic pool warns here, once
     holdouts = make_holdouts(corpus, base_config.holdout_k, base_config.seed)
     corpus.features  # counted on first use, so before any worker starts

@@ -1,13 +1,55 @@
 """`atomic_write`, the one path by which claimcheck writes a file: whole or
 not at all, with the same mode `open` gives, and any missing directories
-made only once the write has succeeded."""
+made only once the write has succeeded. `stable_hash`, which hashes a list
+a chunk at a time, gives the digest of the whole list's canonical JSON."""
 
+import hashlib
+import json
 import os
+import random
 import stat
+import tracemalloc
 
 import pytest
 
-from claimcheck.cache import atomic_write
+from claimcheck import cache
+from claimcheck.cache import atomic_write, stable_hash
+
+
+def _canonical(obj) -> bytes:
+    return json.dumps(obj, sort_keys=True, ensure_ascii=False,
+                      separators=(",", ":")).encode("utf-8")
+
+
+def _items(n, seed=0):
+    rng = random.Random(seed)
+    return [(f"{i:018d}", f"topic-{i % 14}",
+             " ".join(f"w{rng.randrange(900)}" for _ in range(12)),
+             {"z": i, "a": [rng.random(), None, "\U0001d4b3 é"]}, "CT21")
+            for i in range(n)]
+
+
+@pytest.mark.parametrize("obj", [
+    [], {"b": 1, "a": [2, {"d": 3, "c": "x"}]}, "text", 7, None,
+    [{"b": 1, "a": 2}, {"d": [], "c": {}}],
+    *(_items(cache._HASH_CHUNK * k + d) for k, d in
+      ((1, -1), (1, 0), (1, 1), (2, 1))),
+], ids=lambda obj: f"list of {len(obj)}" if isinstance(obj, list)
+    else type(obj).__name__)
+def test_stable_hash_is_the_digest_of_the_whole_canonical_json(obj):
+    assert stable_hash(obj) == hashlib.sha256(_canonical(obj)).hexdigest()
+
+
+def test_stable_hash_holds_a_chunk_of_a_list_not_its_json():
+    items = _items(20_000)
+    size = len(_canonical(items))
+    tracemalloc.start()
+    try:
+        stable_hash(items)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= size / 4, (peak, size)
 
 
 @pytest.mark.parametrize("umask", [None, 0o027])

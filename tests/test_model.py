@@ -10,12 +10,16 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 import zipfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 
 from claimcheck import model
@@ -37,6 +41,8 @@ from claimcheck.model import (
     train_scorer,
 )
 from claimcheck.providers import MockEncoderProvider, ProviderBundle
+
+import reference_counts
 
 
 def _rec(i, text, label, topic="T-A"):
@@ -807,6 +813,70 @@ def test_count_matrix_matches_per_text_counting():
     vocab = {t: j for j, t in enumerate(tokens.tolist())}
     assert x.has_sorted_indices
     assert np.array_equal(x.toarray(), _reference_counts(texts, vocab))
+
+
+# pieces of texts: repeats, NULs, a non-BMP letter, a token long enough to
+# make an object token array, and the whitespace str.split splits at
+TEXT_PIECES = ["a", "b", "ab", "\x00", "a\x00", "\U0001d4b3", "é", "z" * 60,
+               " ", " ", "\t", "\n", "\x1c"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(TEXT_PIECES), max_size=14).map(
+    "".join), max_size=12))
+def test_count_matrix_equals_the_reference_counting(texts):
+    tokens, x = model.count_matrix(texts)
+    want_tokens, want = reference_counts.count_matrix(texts)
+    assert tokens.dtype == want_tokens.dtype
+    assert tokens.tolist() == want_tokens.tolist()
+    assert x.shape == want.shape
+    for part in ("data", "indices", "indptr"):
+        got, expected = getattr(x, part), getattr(want, part)
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got, expected)
+    assert x.has_sorted_indices and want.has_sorted_indices
+
+
+def _traced_peak(call):
+    """`call()`'s result and the most memory tracemalloc saw it hold."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_count_matrix_holds_memory_in_proportion_to_its_result():
+    rng = random.Random(5)
+    texts = [" ".join(f"t{rng.randrange(6000)}"
+                      for _ in range(rng.randint(5, 40))) for _ in range(4000)]
+    (tokens, x), peak = _traced_peak(lambda: model.count_matrix(texts))
+    result = sum(a.nbytes for a in (tokens, x.data, x.indices, x.indptr))
+    assert peak <= 2 * result, (peak, result)
+
+
+@pytest.fixture(scope="module")
+def bench_texts():
+    """The normalized texts of the bench generator's seed-1 corpus."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+    try:
+        import corpusgen
+    finally:
+        sys.path.pop(0)
+    return [t.expected for t in corpusgen.make_tweets(1)[0]]
+
+
+def test_one_long_token_does_not_widen_every_token(bench_texts):
+    """A fixed-width token array is as wide as its longest token: one
+    280-character token would take the bench vocabulary from 1.0 to 31.6
+    MiB, so it becomes an array of the strings themselves."""
+    tokens, _ = model.count_matrix(bench_texts)
+    assert tokens.dtype == np.dtype("<U9")
+    tokens, x = model.count_matrix(bench_texts + ["long " + "#" * 280])
+    assert tokens.dtype == object and "#" * 280 in tokens.tolist()
+    assert tokens.nbytes <= 2 ** 20
+    assert x.shape == (len(bench_texts) + 1, tokens.size)
 
 
 @pytest.mark.parametrize("case", ["corpus", "corpus+synthetic", "edited-text",

@@ -18,8 +18,8 @@ from hypothesis import strategies as st
 from claimcheck import model, runner
 from claimcheck.augment import BT, CWE, NONE, STRATEGIES, GenerationParams
 from claimcheck.cache import stable_hash
-from claimcheck.errors import (AugmentError, ConfigError, ModelError,
-                               ProviderError)
+from claimcheck.errors import (AugmentError, ConfigError, CorpusError,
+                               ModelError, ProviderError)
 from claimcheck.providers import (
     MockEncoderProvider,
     ProviderBundle,
@@ -449,18 +449,37 @@ def test_a_render_that_fails_leaves_the_previous_artifacts_as_they_were(
     assert {name: (tmp_path / name).read_bytes() for name in names} == before
 
 
+@pytest.mark.parametrize("field", ["topic_id", "text"])
+def test_a_lone_surrogate_in_a_record_is_refused_before_any_cell(
+        field, suite_corpus, tmp_path):
+    """Records built in Python are not checked as a corpus file's lines
+    are. The corpus hash, taken first, refuses a field UTF-8 cannot encode:
+    no holdout is drawn, nothing counted and no `--out` or cache made."""
+    records = list(suite_corpus.records)
+    records[7] = replace(records[7],
+                         **{field: getattr(records[7], field) + "\ud800"})
+    cut = Corpus(records)
+    out = tmp_path / "run"
+    with pytest.raises(CorpusError, match=rf"tweet '{records[7].tweet_id}': "
+                                          rf"{field} holds a lone surrogate"):
+        run_suite("table2", cut, ExperimentConfig(holdout_k=50), out_dir=out)
+    assert not out.exists()
+    assert "features" not in vars(cut)
+    assert not cut.holdouts
+
+
 def test_an_artifact_that_cannot_be_encoded_leaves_the_previous_ones(
         suite_corpus, tmp_path, monkeypatch):
-    """All three artifacts are encoded before any is written. Records built
-    through the API are not checked, so a topic id holding a lone surrogate
-    fails before any cell; a report holding one fails at its encoding."""
+    """All three artifacts are encoded before any is written. A record
+    built in Python holding a lone surrogate fails before any cell; a
+    report holding one fails at its encoding."""
     config = ExperimentConfig(holdout_k=50)
     run_suite("table2", suite_corpus, config, out_dir=tmp_path)
     names = ("cells.csv", "run.json", "report.md")
     before = {name: (tmp_path / name).read_bytes() for name in names}
     cut = Corpus([replace(r, topic_id=r.topic_id + "\ud800")
                   for r in suite_corpus.records])
-    with pytest.raises(UnicodeEncodeError):
+    with pytest.raises(CorpusError):
         run_suite("table2", cut, config, out_dir=tmp_path)
     monkeypatch.setattr(runner, "_render_report", lambda *args: "\ud800")
     with pytest.raises(UnicodeEncodeError):
