@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -133,8 +134,17 @@ def parse_label(value) -> str:
     return _LABEL_ALIASES[text]
 
 
-@dataclass(frozen=True)
+def _interned(value):
+    """`value` interned if it is a str: a corpus repeats a few topic ids,
+    labels and sources over all its records, which then share one copy."""
+    return sys.intern(value) if type(value) is str else value
+
+
+@dataclass(frozen=True, slots=True)
 class TweetRecord:
+    """One labelled tweet. Slotted, so a record holds no `__dict__`; the
+    parsers (`from_dict`, `load_tsv`) intern its repeated fields."""
+
     tweet_id: str
     topic_id: str
     text: str
@@ -151,11 +161,17 @@ class TweetRecord:
     def from_dict(cls, d: dict) -> "TweetRecord":
         return cls(
             tweet_id=str(d["tweet_id"]),
-            topic_id=d["topic_id"],
+            topic_id=_interned(d["topic_id"]),
             text=d["text"],
-            label=d["label"],
-            source=d.get("source", "CT20"),
+            label=_interned(d["label"]),
+            source=_interned(d.get("source", "CT20")),
         )
+
+    def to_dict(self) -> dict:
+        """The fields by name, in declaration order, as `from_dict` reads
+        them."""
+        return {"tweet_id": self.tweet_id, "topic_id": self.topic_id,
+                "text": self.text, "label": self.label, "source": self.source}
 
 
 @dataclass(frozen=True)
@@ -257,7 +273,7 @@ def load_tsv(path, schema: TsvSchema) -> list:
             seen.add(tweet_id)
             records.append(TweetRecord(
                 tweet_id=tweet_id,
-                topic_id=cols[schema.topic_col].strip(),
+                topic_id=sys.intern(cols[schema.topic_col].strip()),
                 text=cols[schema.text_col],
                 label=label,
                 source=schema.source,
@@ -391,7 +407,7 @@ class Corpus:
                 for r in self._records))
         except UnicodeEncodeError:
             for r in self._records:
-                for name, value in vars(r).items():
+                for name, value in r.to_dict().items():
                     if has_lone_surrogate(value):
                         raise CorpusError(f"tweet {ascii(r.tweet_id)}: {name} "
                                           "holds a lone surrogate") from None
@@ -417,10 +433,8 @@ class Corpus:
         return self
 
     def to_jsonl(self, path):
-        # vars(), not asdict(): one line per record in field order, without
-        # asdict's deep copy of every value
         atomic_write(path, lambda fh: fh.writelines(
-            json.dumps(vars(rec), ensure_ascii=False) + "\n"
+            json.dumps(rec.to_dict(), ensure_ascii=False) + "\n"
             for rec in self._records), text=True)
 
     @classmethod

@@ -144,10 +144,20 @@ def _token_array(tokens: list) -> np.ndarray:
 
 def _locate(tokens: np.ndarray, queries: np.ndarray):
     """Where each of the `queries` goes in the sorted `tokens`: its
-    left insertion point, and whether it is there."""
+    left insertion point, and whether it is there. Fixed-width queries
+    wider than the tokens are searched clipped to the tokens' width, as
+    numpy would otherwise copy every token at the queries' width."""
     if tokens.dtype.kind != queries.dtype.kind:  # compare as Python does
         tokens, queries = tokens.astype(object), queries.astype(object)
-    at = np.searchsorted(tokens, queries)
+    if queries.dtype.kind == "U" and queries.itemsize > tokens.itemsize:
+        # a query longer than every token follows exactly the tokens up to
+        # and including its clipped prefix, and is never found
+        clipped = queries.astype(tokens.dtype)
+        at = np.searchsorted(tokens, clipped)
+        longer = np.char.str_len(queries) > tokens.itemsize // 4
+        at[longer] = np.searchsorted(tokens, clipped[longer], "right")
+    else:
+        at = np.searchsorted(tokens, queries)
     found = np.zeros(at.size, dtype=bool)
     inside = at < tokens.size
     found[inside] = tokens[at[inside]] == queries[inside]
@@ -207,15 +217,20 @@ class CorpusFeatures:
     """Token counts, labels and (text, label) digests of a corpus's
     records, computed once and gathered by position: row i is
     `records[i]`, and the columns are the corpus's sorted tokens.
-    `column_rows` counts the rows that use each column."""
+    `column_rows` counts the rows that use each column, as int32. The
+    counts are kept as float32, which holds every integer count below
+    2**24 exactly; a fit's `ColumnLayout.matrix` casts them to float64,
+    and a product with float64 weights upcasts them, so every number
+    computed from them is the one float64 counts give."""
 
     def __init__(self, records):
         self.records = tuple(records)
         texts = [r.text for r in self.records]
         labels = [r.label for r in self.records]
         self.tokens, self.matrix = count_matrix(texts)
-        self.column_rows = np.bincount(self.matrix.indices,
-                                       minlength=self.tokens.size)
+        self.matrix.data = self.matrix.data.astype(np.float32)
+        self.column_rows = np.bincount(
+            self.matrix.indices, minlength=self.tokens.size).astype(np.int32)
         self.labels = np.array(labels, dtype=object)
         self.digests = record_digests(texts, labels)
 
@@ -296,7 +311,8 @@ class ColumnLayout:
         parts = [(self.features.matrix[rows], remap)]
         if extra_x.shape[0]:
             parts.append((extra_x, self.extra_pos))
-        blocks = [sparse.csr_matrix((x.data, cols[x.indices], x.indptr),
+        blocks = [sparse.csr_matrix((x.data.astype(np.float64, copy=False),
+                                     cols[x.indices], x.indptr),
                                     shape=(x.shape[0], self.size))
                   for x, cols in parts]
         if len(blocks) == 1:

@@ -184,6 +184,7 @@ class RunRecord:
     aggregates: dict
     skip_counts: dict
     failures: list
+    setup_s: float
     wall_clock: dict
 
     def __post_init__(self):
@@ -341,11 +342,12 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
     corpus counted. Cells that fail are recorded with their error and
     excluded from rendered tables; the returned record lists them so
     callers can exit nonzero. Its `notes` name each topic whose holdout
-    pool is all of it. `wall_clock` holds each cell's seconds and, as
-    `total`, the seconds from this call's start to the end of the last
-    cell: a first hash of the corpus, the holdouts, a first count of the
-    corpus features and the cells. A record field holding a lone
-    surrogate is a CorpusError before anything is made.
+    pool is all of it. `setup_s` is the seconds from this call's start to
+    its first cell: a first hash of the corpus, the holdouts and a first
+    count of the corpus features. `wall_clock` holds each cell's seconds
+    and, as `total`, the seconds from this call's start to the end of the
+    last cell. A record field holding a lone surrogate is a CorpusError
+    before anything is made.
     """
     suite_started = time.perf_counter()
     combos = _suite_cells(suite, base_config)
@@ -361,6 +363,7 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
     # drawn before any worker starts: a whole-topic pool warns here, once
     holdouts = make_holdouts(corpus, base_config.holdout_k, base_config.seed)
     corpus.features  # counted on first use, so before any worker starts
+    setup_s = time.perf_counter() - suite_started
 
     jobs = [(config, topic) for config in configs
             for topic in corpus.topic_ids()]
@@ -435,6 +438,7 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
         aggregates=aggregates,
         skip_counts=skip_counts,
         failures=failures,
+        setup_s=round(setup_s, 6),
         wall_clock=wall_clock,
         notes=notes,
     )

@@ -26,7 +26,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .corpus import CW, Corpus
-from .errors import SplitError
+from .errors import CorpusError, SplitError
 
 __all__ = ["HoldoutTable", "TopicSplit", "make_holdouts", "zero_shot_split",
            "few_shot_split", "split_to_json"]
@@ -117,7 +117,9 @@ def make_holdouts(corpus: Corpus, k: int = 200, seed: int = 0) -> HoldoutTable:
     held out whole, which leaves an empty test set; that is flagged with a
     warning rather than an error when the table is drawn, and kept in its
     `notes`. Each `Corpus` object draws once per (k, seed) and keeps the
-    table (`Corpus.holdouts`), whose `per_topic` is read-only.
+    table (`Corpus.holdouts`), whose `per_topic` is read-only. A topic id
+    holding a lone surrogate, which only a corpus built in Python can hold,
+    cannot seed a draw: it is a CorpusError naming the topic.
     """
     if k < 1:
         raise SplitError(f"holdout size must be >= 1, got {k}")
@@ -126,7 +128,11 @@ def make_holdouts(corpus: Corpus, k: int = 200, seed: int = 0) -> HoldoutTable:
         per_topic, whole = {}, []
         for topic_id in corpus.topic_ids():
             records = corpus.records_for(topic_id)
-            rng = random.Random(f"{seed}|holdout|{topic_id}")
+            try:
+                rng = random.Random(f"{seed}|holdout|{topic_id}")
+            except UnicodeEncodeError:
+                raise CorpusError(f"topic {ascii(topic_id)} holds a lone "
+                                  "surrogate") from None
             pool = _stratified_pool(records, k, rng)
             if len(pool) >= len(records):
                 whole.append(f"topic {topic_id}: holdout of {k} covers all "

@@ -1,7 +1,10 @@
 """Corpus ingestion: TSV parsing, label mapping, topic merging, dedup, and
 round-trip serialization."""
 
+import copy
+import dataclasses
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -63,6 +66,48 @@ def test_record_requires_known_label_and_text():
         TweetRecord("1", "t", "text", "YES", "CT20")
     with pytest.raises(CorpusError):
         TweetRecord("1", "t", "", CW, "CT20")
+
+
+def test_a_record_is_a_slotted_frozen_value():
+    rec = _rec("7", text="هل هذا صحيح؟")
+    same = _rec("7", text="هل هذا صحيح؟")
+    assert not hasattr(rec, "__dict__")
+    assert rec == same and hash(rec) == hash(same) and rec is not same
+    assert {rec, same} == {rec}
+    for twin in (pickle.loads(pickle.dumps(rec)), copy.deepcopy(rec),
+                 copy.copy(rec), dataclasses.replace(rec)):
+        assert type(twin) is TweetRecord and twin == rec
+        assert hash(twin) == hash(rec)
+    assert dataclasses.replace(rec, label=NCW) == _rec("7", label=NCW,
+                                                       text="هل هذا صحيح؟")
+    assert dataclasses.asdict(rec) == rec.to_dict() == {
+        "tweet_id": "7", "topic_id": "CT20-AR-01", "text": "هل هذا صحيح؟",
+        "label": CW, "source": "CT20"}
+    assert TweetRecord.from_dict(rec.to_dict()) == rec
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.label = NCW
+    with pytest.raises((AttributeError, TypeError)):
+        rec.extra = 1
+    with pytest.raises(CorpusError, match="label must be one of"):
+        dataclasses.replace(rec, label="YES")
+
+
+def test_parsed_records_share_their_repeated_fields(tmp_path):
+    """`from_dict` and `load_tsv` intern topic ids, labels and sources, so
+    a corpus holds one copy of each, whatever its size."""
+    rows = [{"tweet_id": str(i), "topic_id": "T1", "text": f"نص {i}",
+             "label": CW, "source": "CT21"} for i in range(3)]
+    path = tmp_path / "corpus.jsonl"
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows),
+                    encoding="utf-8")
+    loaded = Corpus.from_jsonl(path).records
+    tsv = load_tsv(_write_tsv(tmp_path / "a.tsv", [
+        ["CT20-AR-01", str(i), "url", "نص", "1"] for i in range(3)],
+        header=["topic_id", "tweet_id", "url", "text", "cw"]),
+        SCHEMA_PRESETS["ct20"])
+    for records in (loaded, tsv):
+        for name in ("topic_id", "label", "source"):
+            assert len({id(getattr(r, name)) for r in records}) == 1, name
 
 
 # ---- TSV loading
@@ -258,10 +303,17 @@ def test_corpus_round_trip(tmp_path, small_corpus):
 
 def test_to_jsonl_writes_each_record_unescaped_in_field_order(tmp_path):
     path = tmp_path / "corpus.jsonl"
-    Corpus([_rec("7", text="هل هذا صحيح؟ #كورونا")]).to_jsonl(path)
-    assert path.read_text(encoding="utf-8") == (
+    Corpus([_rec("7", text="هل هذا صحيح؟ #كورونا"),
+            _rec("12", topic_id=COVID_TOPIC_ID, label=NCW, source="CT21",
+                 text='say "hi"\\ 😀'),
+            _rec("3", text="a\tb")]).to_jsonl(path)
+    assert path.read_bytes() == (
         '{"tweet_id": "7", "topic_id": "CT20-AR-01", '
-        '"text": "هل هذا صحيح؟ #كورونا", "label": "CW", "source": "CT20"}\n')
+        '"text": "هل هذا صحيح؟ #كورونا", "label": "CW", "source": "CT20"}\n'
+        '{"tweet_id": "12", "topic_id": "COVID-19", '
+        '"text": "say \\"hi\\"\\\\ 😀", "label": "NCW", "source": "CT21"}\n'
+        '{"tweet_id": "3", "topic_id": "CT20-AR-01", '
+        '"text": "a\\tb", "label": "CW", "source": "CT20"}\n').encode("utf-8")
 
 
 _GOOD_LINE = json.dumps({"tweet_id": "1", "topic_id": "T", "text": "نص",
@@ -272,6 +324,8 @@ _GOOD_LINE = json.dumps({"tweet_id": "1", "topic_id": "T", "text": "نص",
     ("[1]", "expected a JSON object, got list"),
     ("null", "expected a JSON object, got NoneType"),
     ('{"tweet_id": "2", "topic_id": "T", "text": "x", "label": "maybe"}',
+     "label must be one of"),
+    ('{"tweet_id": "2", "topic_id": "T", "text": "x", "label": ["CW"]}',
      "label must be one of"),
     ('{"tweet_id": "2", "topic_id": "T", "text": " ", "label": "CW"}',
      "tweet 2 has empty text"),

@@ -1,6 +1,8 @@
 """Scorer backends, and the ranking and decision rule applied to their
 scores."""
 
+import bisect
+import gc
 import hashlib
 import io
 import json
@@ -24,7 +26,7 @@ from scipy import sparse
 
 from claimcheck import model
 from claimcheck.cache import stable_hash
-from claimcheck.corpus import CW, NCW, TweetRecord
+from claimcheck.corpus import CW, NCW, Corpus, TweetRecord
 from claimcheck.errors import EvalError, ModelError, ProviderError
 from claimcheck.evaluation import classify, rank_scores
 from claimcheck.model import (
@@ -586,6 +588,36 @@ def test_corpus_column_row_counts_and_used_columns():
         assert np.array_equal(features.used_columns(rows), expected)
 
 
+_LOCATE_TOKENS = st.lists(st.text("abc", min_size=1, max_size=4), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tokens=_LOCATE_TOKENS, others=_LOCATE_TOKENS,
+       longer=st.lists(st.text("abc", min_size=5, max_size=8), max_size=4),
+       related=st.booleans(), nul=st.booleans())
+def test_locate_matches_a_bisect_reference(tokens, others, longer, related,
+                                           nul):
+    """Insertion points and hits of sorted unique queries, as `_locate`
+    gets them, against `bisect` over Python strings: queries longer than
+    every token, equal to one, prefixes of one, extensions of one and
+    others, at narrower, equal and wider fixed widths, and as objects when
+    a NUL is among them."""
+    vocab = sorted(set(tokens))
+    queries = set(others) | set(longer)
+    if related:
+        queries |= set(vocab) | {t[:-1] for t in vocab if len(t) > 1}
+        queries |= {t + "a" for t in vocab} | {t + "c" * 5 for t in vocab}
+    if nul:
+        queries.add("a\x00")
+    queries = sorted(queries)
+    at, found = model._locate(model._token_array(vocab),
+                              model._token_array(queries))
+    expected = [bisect.bisect_left(vocab, q) for q in queries]
+    assert at.tolist() == expected
+    assert found.tolist() == [i < len(vocab) and vocab[i] == q
+                              for i, q in zip(expected, queries)]
+
+
 def test_cache_entry_is_one_stored_theta_member(tmp_path):
     cfg = ScorerConfig(backend="baseline", hyperparams={"iterations": 20})
     scorer = train_scorer(planted_records(), cfg, cache_dir=tmp_path)
@@ -857,14 +889,59 @@ def test_count_matrix_holds_memory_in_proportion_to_its_result():
 
 
 @pytest.fixture(scope="module")
-def bench_texts():
-    """The normalized texts of the bench generator's seed-1 corpus."""
+def bench_tweets():
+    """The bench generator's seed-1 tweets, as its `Tweet`s."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
     try:
         import corpusgen
     finally:
         sys.path.pop(0)
-    return [t.expected for t in corpusgen.make_tweets(1)[0]]
+    return corpusgen.make_tweets(1)[0]
+
+
+@pytest.fixture(scope="module")
+def bench_texts(bench_tweets):
+    """The normalized texts of the bench generator's seed-1 corpus."""
+    return [t.expected for t in bench_tweets]
+
+
+def test_a_loaded_corpus_and_its_counts_hold_under_ten_mib(bench_tweets,
+                                                           tmp_path):
+    """What stays resident of the bench seed-1 corpus (10,790 records) once
+    loaded and counted: slotted records sharing their repeated fields, and
+    float32 counts. Records with a `__dict__` each and float64 counts held
+    12.4 MiB on CPython 3.11; the bound is 80% of that."""
+    path = tmp_path / "normalized.jsonl"
+    path.write_text("".join(json.dumps({
+        "tweet_id": t.tweet_id, "topic_id": t.topic, "text": t.expected,
+        "label": t.label, "source": t.source_topic[:4]}) + "\n"
+        for t in bench_tweets), encoding="utf-8")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        corpus = Corpus.from_jsonl(path)
+        features = corpus.features
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(corpus) == len(bench_tweets) == 10_790
+    assert held <= 0.8 * 12.4 * 2 ** 20, held / 2 ** 20
+    assert features.matrix.data.dtype == np.float32
+    assert features.column_rows.dtype == np.int32
+
+
+def test_locating_one_long_query_does_not_widen_the_vocabulary(bench_texts):
+    """numpy searches two fixed-width arrays at the wider one's width: one
+    280-character query would copy the 29,603 tokens at 1,120 bytes each."""
+    tokens, _ = model.count_matrix(bench_texts)
+    long = "#" * 280
+    queries = model._token_array(["#", long])
+    assert queries.dtype == np.dtype("<U280")
+    (at, found), peak = _traced_peak(lambda: model._locate(tokens, queries))
+    vocab = tokens.tolist()
+    assert at.tolist() == [bisect.bisect_left(vocab, q) for q in ("#", long)]
+    assert found.tolist() == ["#" in vocab, False]
+    assert peak <= 2 ** 16, peak
 
 
 def test_one_long_token_does_not_widen_every_token(bench_texts):

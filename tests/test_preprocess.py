@@ -178,7 +178,7 @@ def test_normalize_corpus_file(tmp_path, small_corpus):
     import json
     with open(src, "w", encoding="utf-8") as fh:
         for r in records:
-            row = dict(vars(r))
+            row = r.to_dict()
             row["text"] = row["text"] + " https://t.co/zz  extra   spaces"
             fh.write(json.dumps(row) + "\n")
     n = normalize_corpus_file(src, dst)

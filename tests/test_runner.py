@@ -3,6 +3,7 @@
 import csv
 import json
 import random
+import re
 import sys
 import tempfile
 import threading
@@ -425,7 +426,7 @@ def test_suite_writes_artifacts(suite_corpus, tmp_path):
     payload = json.loads((tmp_path / "run.json").read_text(encoding="utf-8"))
     assert list(payload) == [
         "suite", "tool_version", "config", "corpus_hash", "notes", "cells",
-        "aggregates", "skip_counts", "failures", "wall_clock"]
+        "aggregates", "skip_counts", "failures", "setup_s", "wall_clock"]
     assert payload["suite"] == "table2"
     assert payload["corpus_hash"] == suite_corpus.fingerprint
     assert "total" in payload["wall_clock"]
@@ -465,6 +466,20 @@ def test_a_lone_surrogate_in_a_record_is_refused_before_any_cell(
         run_suite("table2", cut, ExperimentConfig(holdout_k=50), out_dir=out)
     assert not out.exists()
     assert "features" not in vars(cut)
+    assert not cut.holdouts
+
+
+@pytest.mark.parametrize("entry", [prepare_cell, run_topic])
+def test_a_lone_surrogate_in_a_topic_id_is_a_corpus_error_in_one_cell(
+        entry, suite_corpus):
+    """A single-cell caller reads no corpus hash. The holdout draw, seeded
+    by the topic id, names the topic it cannot encode."""
+    cut = Corpus([replace(r, topic_id=r.topic_id + "\ud800")
+                  for r in suite_corpus.records])
+    target = cut.topic_ids()[0]
+    with pytest.raises(CorpusError, match=re.escape(
+            f"topic {ascii(target)} holds a lone surrogate")):
+        entry(ExperimentConfig(holdout_k=50), cut, target)
     assert not cut.holdouts
 
 
@@ -637,7 +652,8 @@ def test_wall_clock_total_covers_the_corpus_features_build(suite_corpus,
                                                            tmp_path,
                                                            monkeypatch):
     """`total` runs from the top of `run_suite`: a slow first build of the
-    corpus's features, which no cell times, falls inside it."""
+    corpus's features, which no cell times, falls inside it, and inside
+    `setup_s`, which is no `wall_clock` key."""
     delay = 0.3
 
     class SlowFeatures(CorpusFeatures):
@@ -655,6 +671,10 @@ def test_wall_clock_total_covers_the_corpus_features_build(suite_corpus,
     cells = sum(v for k, v in record.wall_clock.items() if k != "total")
     assert record.wall_clock["total"] >= cells + delay
     assert record.wall_clock["total"] <= elapsed
+    assert delay <= record.setup_s <= record.wall_clock["total"] - cells
+    assert "setup_s" not in record.wall_clock
+    run = json.loads((tmp_path / "run.json").read_text(encoding="utf-8"))
+    assert run["setup_s"] == record.setup_s
 
 
 class PatternedEncoder(MockEncoderProvider):
@@ -1014,6 +1034,7 @@ def test_run_record_rejects_seed_drift():
             aggregates={},
             skip_counts={},
             failures=[],
+            setup_s=0.0,
             wall_clock={},
         )
 
