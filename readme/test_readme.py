@@ -12,15 +12,13 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "src")]
+sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "src"), str(ROOT / "tests")]
 
 import corpusgen  # noqa: E402
 from claimcheck.cli import _COMMANDS  # noqa: E402
+from provider_stub import StubService  # noqa: E402
 
-NOT_RUN = {  # README lines that cannot run here, with the reason
-    "claimcheck suite table3 --corpus data/normalized.jsonl --shots 200 "
-    "--providers http://localhost:8901 --backend encoder --out runs/table3/":
-        "it needs an HTTP provider; waits for a local stub (ROADMAP item 7)"}
+STUB = "--providers http://localhost:8901"  # served by the mock-backed stub
 CORPUS = "--corpus data/normalized.jsonl"
 TABLE3 = f"claimcheck suite table3 {CORPUS} --shots 200 --providers mock"
 
@@ -74,15 +72,19 @@ def test_readme_step(workdir, monkeypatch, lineno, kind, text):
         namespace = {}
         exec(compile(text, "README.md", "exec"), namespace)
         assert not namespace["record"].failures, where
-    elif text in NOT_RUN:
-        pytest.skip(f"{where}`{text}` is not run: {NOT_RUN[text]}")
+    elif STUB in text:
+        stub = StubService(port=8901)
+        try:
+            run(workdir, text, where)
+        finally:
+            stub.close()
+        assert stub.calls["/encode"] > 0, where
     else:
         run(workdir, text, where)
 
 
 def test_the_readme_runs_every_subcommand():
-    ran = {text.split(" ")[1] for _, kind, text in STEPS
-           if kind == "sh" and text not in NOT_RUN}
+    ran = {text.split(" ")[1] for _, kind, text in STEPS if kind == "sh"}
     assert ran >= set(_COMMANDS)
 
 

@@ -92,10 +92,10 @@ def has_lone_surrogate(value) -> bool:
 
 def read_records(path, make=None):
     """Yield (line number, record) for each line `read_lines` reads: a JSON
-    object with a string `text`, string `raw_text` and `topic_id` if any and
-    no lone surrogate, or what `make` builds from it. A line that breaks a
-    rule, or that `make` rejects with a KeyError or CorpusError, is a
-    CorpusError `<file>:<line>: bad record: <reason>`."""
+    object with a string `text`, string `raw_text`, `topic_id`, `tweet_id`
+    and `source` if any and no lone surrogate, or what `make` builds from
+    it. A line that breaks a rule, or that `make` rejects with a KeyError or
+    CorpusError, is a CorpusError `<file>:<line>: bad record: <reason>`."""
     for lineno, line in read_lines(path):
         try:
             record = json.loads(line)
@@ -104,7 +104,7 @@ def read_records(path, make=None):
                     f"expected a JSON object, got {type(record).__name__}")
             if "text" not in record:
                 raise CorpusError("no text")
-            for key in ("text", "raw_text", "topic_id"):
+            for key in ("text", "raw_text", "topic_id", "tweet_id", "source"):
                 if not isinstance(record.get(key, ""), str):
                     raise CorpusError(
                         f"{key} must be a string, got {record[key]!r}")
@@ -160,7 +160,7 @@ class TweetRecord:
     @classmethod
     def from_dict(cls, d: dict) -> "TweetRecord":
         return cls(
-            tweet_id=str(d["tweet_id"]),
+            tweet_id=d["tweet_id"],
             topic_id=_interned(d["topic_id"]),
             text=d["text"],
             label=_interned(d["label"]),

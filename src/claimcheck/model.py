@@ -57,7 +57,7 @@ BASELINE_DEFAULTS = {"iterations": 300, "l2": 1e-4}
 # Part of every baseline model-cache key; bump it whenever the numbers
 # `BaselineScorer.fit_matrix` produces change, or what a cache entry holds
 # changes, so older entries are retrained rather than read.
-TRAINER_VERSION = 5
+TRAINER_VERSION = 6
 # The baseline solver stops once the gradient's 2-norm falls below this.
 GRADIENT_TOLERANCE = 1e-5
 # The weight of diag(H) in the solver's diagonal preconditioner; 1 would be
@@ -146,7 +146,13 @@ def _locate(tokens: np.ndarray, queries: np.ndarray):
     """Where each of the `queries` goes in the sorted `tokens`: its
     left insertion point, and whether it is there. Fixed-width queries
     wider than the tokens are searched clipped to the tokens' width, as
-    numpy would otherwise copy every token at the queries' width."""
+    numpy would otherwise copy every token at the queries' width; object
+    queries against fixed-width tokens are too, unless one holds a NUL,
+    which fixed-width unicode cannot hold, as casting every token to an
+    object would cost more."""
+    if (queries.dtype.kind == "O" and tokens.dtype.kind == "U"
+            and "\x00" not in "".join(queries)):
+        queries = queries.astype(str)
     if tokens.dtype.kind != queries.dtype.kind:  # compare as Python does
         tokens, queries = tokens.astype(object), queries.astype(object)
     if queries.dtype.kind == "U" and queries.itemsize > tokens.itemsize:
@@ -374,6 +380,12 @@ def _check_training(n: int, labels) -> None:
         raise ModelError("training data contains a single class")
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a·b summed in the order numpy's own loop fixes, on any host: a BLAS
+    `ddot`, which `a @ b` calls, splits a long sum over its threads."""
+    return float(np.einsum("i,i->", a, b))
+
+
 def _newton_cg(hessp, g, m, gnorm: float):
     """An inexact Newton step: minimize the model g·s + s·H·s/2 from s = 0
     by conjugate gradients preconditioned with the diagonal `m`, until the
@@ -386,20 +398,20 @@ def _newton_cg(hessp, g, m, gnorm: float):
     r = g
     z = r / m
     d = -z
-    rz = float(r @ z)
+    rz = _dot(r, z)
     steps = 0
     while True:
         hd = hessp(d)
         steps += 1
-        dhd = float(d @ hd)
+        dhd = _dot(d, hd)
         if dhd <= 0:
             return (s if steps > 1 else d), steps
         alpha = rz / dhd
         s, r = s + alpha * d, r + alpha * hd
-        if math.sqrt(float(r @ r)) < tol:
+        if math.sqrt(_dot(r, r)) < tol:
             return s, steps
         z = r / m
-        rz_next = float(r @ z)
+        rz_next = _dot(r, z)
         d = (rz_next / rz) * d - z
         rz = rz_next
 
@@ -439,7 +451,7 @@ def _fit_logistic(x, y, l2: float, max_iter: int):
         w = theta[:-1]
         z = x @ w + theta[-1]
         soft = np.logaddexp(0.0, z)
-        return float(np.mean(soft - y * z)) + 0.5 * l2 * float(w @ w), z, soft
+        return float(np.mean(soft - y * z)) + 0.5 * l2 * _dot(w, w), z, soft
 
     def gradient(theta, z, soft):
         """The gradient, and p(1 - p)/n per row, which weighs the Hessian."""
@@ -460,12 +472,12 @@ def _fit_logistic(x, y, l2: float, max_iter: int):
     f, z, soft = loss(theta)
     g, curvature = gradient(theta, z, soft)
     m = _preconditioner(xsq_t, curvature, l2)
-    gnorm = float(np.sqrt(g @ g))
+    gnorm = math.sqrt(_dot(g, g))
     done = cg_steps = 0
     while gnorm >= GRADIENT_TOLERANCE and done < max_iter:
         step, steps = _newton_cg(hessp, g, m, gnorm)
         cg_steps += steps
-        slope = float(g @ step)
+        slope = _dot(g, step)
         if slope >= 0:  # rounding has left no descent direction
             break
         while done < max_iter:
@@ -477,7 +489,7 @@ def _fit_logistic(x, y, l2: float, max_iter: int):
                 theta, f = trial, f_trial
                 g, curvature = gradient(theta, z, soft)
                 m = _preconditioner(xsq_t, curvature, l2)
-                gnorm = float(np.sqrt(g @ g))
+                gnorm = math.sqrt(_dot(g, g))
                 break
             # halving is exact, so slope stays g·step to the last bit
             step, slope = 0.5 * step, 0.5 * slope

@@ -22,6 +22,7 @@ external service.
 from __future__ import annotations
 
 import hashlib
+import json
 import math
 import time
 from dataclasses import dataclass
@@ -148,8 +149,11 @@ class MockEncoderProvider:
             scores = []
             for text in payload["texts"]:
                 tokens = text.split()
-                total = sum(lean.get(t, 0.0) for t in tokens)
-                scores.append(1.0 / (1.0 + math.exp(-total / max(len(tokens), 1))))
+                z = sum(lean.get(t, 0.0) for t in tokens) / max(len(tokens), 1)
+                try:
+                    scores.append(1.0 / (1.0 + math.exp(-z)))
+                except OverflowError:  # e^-z is past the largest float
+                    scores.append(0.0)
             return {"scores": scores}
         raise ProviderError(f"unknown encoder mode: {mode!r}")
 
@@ -158,27 +162,29 @@ class MockEncoderProvider:
 # HTTP transports
 
 def _post_json(url: str, payload: dict, retries: int = 3, timeout: float = 30.0) -> dict:
-    """POST `payload`, retrying timeouts, 5xx and malformed replies; a 4xx
-    is the request's own fault and is never retried. `requests` loads on
-    the first post, so a run without an HTTP provider never imports it."""
-    import requests
+    """POST `payload` as JSON, retrying timeouts, refused connections, 5xx
+    and malformed replies. A payload JSON cannot encode and any other reply
+    but a 2xx fail at once. `urllib.request` loads on the first post."""
+    import http.client
+    import urllib.request
 
+    try:  # a NaN, say, is never sent
+        body = json.dumps(payload, allow_nan=False).encode()
+    except (TypeError, ValueError) as exc:
+        raise ProviderError(f"cannot post {url} as JSON: {exc}") from None
+    request = urllib.request.Request(url, body, {"Content-Type": "application/json"})
     last = None
     for attempt in range(1, retries + 1):
         try:
-            resp = requests.post(url, json=payload, timeout=timeout)
-            if 400 <= resp.status_code < 500:
-                raise ProviderError(
-                    f"provider at {url} rejected the request: HTTP {resp.status_code}")
-            resp.raise_for_status()
-            return resp.json()
-        except (requests.RequestException, ValueError) as exc:
-            last = exc
-            if attempt < retries:
-                time.sleep(min(2.0 ** attempt, 10.0))
-    raise ProviderError(
-        f"provider at {url} failed after {retries} attempt(s): {last}"
-    )
+            return json.load(urllib.request.urlopen(request, timeout=timeout))
+        except (OSError, http.client.HTTPException, ValueError) as exc:
+            if isinstance(exc, urllib.request.HTTPError) and exc.code < 500:
+                raise ProviderError(  # a 4xx, or a 307 or 308 not followed
+                    f"provider at {url} rejected the request: HTTP {exc.code}") from None
+            last = str(exc)  # not the error, which holds its reply's socket
+        if attempt < retries:
+            time.sleep(min(2.0 ** attempt, 10.0))
+    raise ProviderError(f"provider at {url} failed after {retries} attempt(s): {last}")
 
 
 # role -> (endpoint, request builder, response key); the encoder's reply is

@@ -555,15 +555,15 @@ def test_a_config_file_corpus_key_is_an_unknown_key(corpus_jsonl, tmp_path,
 
 def test_a_suite_without_http_providers_never_loads_requests(corpus_jsonl,
                                                             tmp_path):
-    """`requests` (and `urllib3` under it) load only when an HTTP provider
-    posts, so a mock-provider suite runs without them."""
+    """`urllib.request` (and `http.client` under it) load only when an HTTP
+    provider posts, so a mock-provider suite runs without them."""
     probe = (
         "import json, sys\n"
         "from claimcheck.cli import main\n"
         "rc = main(['suite', 'table2', '--corpus', sys.argv[1], "
         "'--holdout-k', '30', '--providers', 'mock', '--out', sys.argv[2]])\n"
-        "print(json.dumps([rc, sorted(m for m in sys.modules if m.split('.')[0] "
-        "in ('requests', 'urllib3'))]))\n"
+        "print(json.dumps([rc, sorted(m for m in sys.modules "
+        "if m in ('urllib.request', 'http.client'))]))\n"
     )
     src = os.path.join(os.path.dirname(cli.__file__), os.pardir)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

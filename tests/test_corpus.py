@@ -334,6 +334,23 @@ _GOOD_LINE = json.dumps({"tweet_id": "1", "topic_id": "T", "text": "نص",
     ('{"tweet_id": "2", "topic_id": ["T"], "text": "x", "label": "CW"}',
      "topic_id must be a string"),
     ('{"tweet_id": "2", "topic_id": "T", "label": "CW"}', "no text"),
+    # an id or source is a string as written: no str() of a number or null
+    ('{"tweet_id": 2.0, "topic_id": "T", "text": "x", "label": "CW"}',
+     "tweet_id must be a string, got 2.0"),
+    ('{"tweet_id": 3, "topic_id": "T", "text": "x", "label": "CW"}',
+     "tweet_id must be a string, got 3"),
+    ('{"tweet_id": ["3"], "topic_id": "T", "text": "x", "label": "CW"}',
+     "tweet_id must be a string, got ['3']"),
+    ('{"tweet_id": null, "topic_id": "T", "text": "x", "label": "CW"}',
+     "tweet_id must be a string, got None"),
+    ('{"tweet_id": "2", "topic_id": "T", "text": "x", "label": "CW", '
+     '"source": 2.0}', "source must be a string, got 2.0"),
+    ('{"tweet_id": "2", "topic_id": "T", "text": "x", "label": "CW", '
+     '"source": 20}', "source must be a string, got 20"),
+    ('{"tweet_id": "2", "topic_id": "T", "text": "x", "label": "CW", '
+     '"source": ["CT20", 7]}', "source must be a string, got ['CT20', 7]"),
+    ('{"tweet_id": "2", "topic_id": "T", "text": "x", "label": "CW", '
+     '"source": null}', "source must be a string, got None"),
     ('{"tweet_id": ', "Expecting value"),
     # half of an escaped UTF-16 pair, which no UTF-8 writer can write back
     ('{"tweet_id": "2", "topic_id": "T", "text": "a \\ud83d b", "label": "CW"}',

@@ -227,9 +227,10 @@ def test_preconditioner_stays_positive_without_curvature_or_l2():
 def test_trainer_version_retrains_unpreconditioned_models():
     # version 2 models came from the unpreconditioned solver, version 3
     # entries held the vocabulary and config too, and version 4 came from
-    # the trust-region solver; their cache keys differ, so they are
-    # retrained once
-    assert model.TRAINER_VERSION == 5
+    # the trust-region solver, and version 5 summed the solver's dot
+    # products through BLAS, in an order its thread count set; their cache
+    # keys differ, so they are retrained once
+    assert model.TRAINER_VERSION == 6
 
 
 def test_baseline_iterations_cap_the_solver():
@@ -353,6 +354,36 @@ def test_importing_and_training_loads_no_scipy_solver_module():
                          capture_output=True, text=True, timeout=120,
                          check=True).stdout
     assert json.loads(out) == []
+
+
+def test_a_fit_has_the_same_bytes_on_one_and_two_blas_threads():
+    """OpenBLAS splits a dot product of more than 10,000 terms over its
+    threads, which changes its rounding; the solver's dots are numpy's own,
+    so 30,000 columns fit to the same theta either way. Each fit runs in a
+    fresh process, as OpenBLAS reads its thread count when numpy loads."""
+    probe = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from scipy import sparse\n"
+        "from claimcheck.model import _fit_logistic\n"
+        "rng = np.random.default_rng(8)\n"
+        "n, d, k = 400, 30_000, 50\n"
+        "cols = rng.integers(0, d, size=(n, k))\n"
+        "x = sparse.csr_matrix((np.ones(n * k), cols.ravel(),\n"
+        "                       np.arange(0, n * k + 1, k)), shape=(n, d))\n"
+        "x.sum_duplicates()\n"
+        "theta = _fit_logistic(x, (cols[:, 0] < d // 2) * 1.0, 1e-4, 300)[0]\n"
+        "print(hashlib.sha256(theta.tobytes()).hexdigest())\n"
+    )
+    src = os.path.join(os.path.dirname(model.__file__), os.pardir)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")]))}
+    digests = [subprocess.run([sys.executable, "-c", probe],
+                              env={**env, "OPENBLAS_NUM_THREADS": threads},
+                              capture_output=True, text=True, timeout=120,
+                              check=True).stdout
+               for threads in ("1", "2")]
+    assert digests[0] == digests[1]
 
 
 def test_baseline_rejects_single_class():
@@ -594,14 +625,14 @@ _LOCATE_TOKENS = st.lists(st.text("abc", min_size=1, max_size=4), max_size=12)
 @settings(max_examples=300, deadline=None)
 @given(tokens=_LOCATE_TOKENS, others=_LOCATE_TOKENS,
        longer=st.lists(st.text("abc", min_size=5, max_size=8), max_size=4),
-       related=st.booleans(), nul=st.booleans())
+       related=st.booleans(), nul=st.booleans(), objects=st.booleans())
 def test_locate_matches_a_bisect_reference(tokens, others, longer, related,
-                                           nul):
+                                           nul, objects):
     """Insertion points and hits of sorted unique queries, as `_locate`
     gets them, against `bisect` over Python strings: queries longer than
     every token, equal to one, prefixes of one, extensions of one and
     others, at narrower, equal and wider fixed widths, and as objects when
-    a NUL is among them."""
+    a NUL is among them or `objects` is drawn, long ones included."""
     vocab = sorted(set(tokens))
     queries = set(others) | set(longer)
     if related:
@@ -610,8 +641,10 @@ def test_locate_matches_a_bisect_reference(tokens, others, longer, related,
     if nul:
         queries.add("a\x00")
     queries = sorted(queries)
-    at, found = model._locate(model._token_array(vocab),
-                              model._token_array(queries))
+    query_array = model._token_array(queries)
+    if objects:  # as a cell's synthetic tokens are past WIDTH_FACTOR
+        query_array = query_array.astype(object)
+    at, found = model._locate(model._token_array(vocab), query_array)
     expected = [bisect.bisect_left(vocab, q) for q in queries]
     assert at.tolist() == expected
     assert found.tolist() == [i < len(vocab) and vocab[i] == q
@@ -718,21 +751,21 @@ def test_model_cache_key_is_equal_for_equal_rows_of_two_corpora():
 def test_model_cache_key_of_a_tiny_corpus_is_pinned():
     """Cache entries are named by this key, so gathering the digests another
     way must not rename one, with or without synthetic records; only a
-    `TRAINER_VERSION` bump (here, 5) may."""
+    `TRAINER_VERSION` bump (here, 6) may."""
     features = CorpusFeatures([
         _rec(0, "masks work", CW), _rec(1, "nice day", NCW),
         _rec(2, "vaccine 95% effective", CW), _rec(3, "نص عربي", NCW)])
     synthetic = [_rec(900, "masks work well ✅", CW)]
     cfg = ScorerConfig(backend="baseline")
     assert (model_cache_key(cfg, features.select([3, 0, 2]).digests())
-            == "78f0ee8b83fac954f88c7681d0cb8f03"
-               "a0ecd21856befcdfa802e0259b1cee73")
+            == "f5f29aa65127a4174ef41860d8885619"
+               "7f28998a7d305da7d1902c863fed12e1")
     assert (model_cache_key(cfg, features.select([3, 0, 2], synthetic).digests())
-            == "6e877884c615bd0a75419e2646a0c073"
-               "4028ac33d91e378c721cc6885cdb3700")
+            == "1404757328c84359f978df2208faf4e9"
+               "d3302cf2aaf6a6742bc04e7ef05af561")
     assert (model_cache_key(cfg, features.select([], synthetic).digests())
-            == "e2b907aed20785bae2a95c5232d0aad5"
-               "d84f4d93ea12cc6e0abc36c1543e7080")
+            == "2e7c3edfcb312e0b0a3ee4b169e88d57"
+               "86ee8ace1dcac3143cd52a59ff90fff7")
 
 
 def test_model_cache_key_changes_when_one_label_flips():
@@ -942,6 +975,23 @@ def test_locating_one_long_query_does_not_widen_the_vocabulary(bench_texts):
     assert at.tolist() == [bisect.bisect_left(vocab, q) for q in ("#", long)]
     assert found.tolist() == ["#" in vocab, False]
     assert peak <= 2 ** 16, peak
+
+
+def test_locating_object_queries_does_not_cast_the_vocabulary(bench_texts):
+    """One 280-character token makes a cell's 61 synthetic tokens an object
+    array; comparing them as objects would cast all 29,603 vocabulary
+    tokens to Python strings (a 2.6 MiB traced peak)."""
+    tokens, _ = model.count_matrix(bench_texts)
+    short = sorted(set(" ".join(bench_texts[:40]).split()))[:60]
+    queries = model._token_array(sorted(short + ["#" * 280]))
+    assert queries.dtype == object and queries.size == 61
+    (at, found), peak = _traced_peak(lambda: model._locate(tokens, queries))
+    vocab = tokens.tolist()
+    expected = [bisect.bisect_left(vocab, q) for q in queries]
+    assert at.tolist() == expected
+    assert found.tolist() == [i < len(vocab) and vocab[i] == q
+                              for i, q in zip(expected, queries)]
+    assert peak <= 2 ** 18, peak
 
 
 def test_one_long_token_does_not_widen_every_token(bench_texts):

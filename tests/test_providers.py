@@ -1,23 +1,31 @@
 """HTTP provider tests against a local stub service on 127.0.0.1.
 
-The stub replies 200 unless a test queues other status codes; timeout
-tests make `requests.post` raise before the request leaves, and retry tests
-replace the retry back-off sleep with a no-op. A reply given as bytes
-is sent as it is, so a test can send a body that is not JSON.
+The stub (`provider_stub.StubService`) replies 200 unless a test queues
+other status codes; timeout tests make `urllib.request.urlopen` raise
+before the request leaves, and retry tests replace the retry back-off sleep
+with a no-op. A reply given as bytes is sent as it is, so a test can send a
+body that is not JSON.
 """
 
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+import math
+import os
+import socket
+import subprocess
+import sys
+import urllib.request
+from pathlib import Path
 
 import pytest
-import requests
+from provider_stub import StubService
+from synth import tiny_corpus
 
 from claimcheck import providers as providers_mod
 from claimcheck.augment import GenerationParams
 from claimcheck.errors import ProviderError
 from claimcheck.model import EncoderScorer, ScorerConfig
 from claimcheck.providers import HTTP_ROLES, HttpProvider, make_providers
+from claimcheck.runner import FEW_SHOT, NONE, ExperimentConfig, run_suite
 
 # role -> (arguments of one call, expected path, expected JSON body, reply)
 CALLS = {
@@ -41,47 +49,9 @@ EXPECTED = {
 }
 
 
-class StubService:
-    """Records (path, JSON body) of every POST and answers from `replies`,
-    with the next status code in `statuses` (200 once it is empty)."""
-
-    def __init__(self):
-        self.requests = []
-        self.replies = {path: reply for _, path, _, reply in CALLS.values()}
-        self.statuses = []
-        stub = self
-
-        class Handler(BaseHTTPRequestHandler):
-            def do_POST(self):
-                body = self.rfile.read(int(self.headers["Content-Length"]))
-                stub.requests.append((self.path, json.loads(body)))
-                blob = stub.replies.get(self.path, {})
-                if not isinstance(blob, bytes):
-                    blob = json.dumps(blob).encode("utf-8")
-                self.send_response(stub.statuses.pop(0) if stub.statuses else 200)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(blob)))
-                self.end_headers()
-                self.wfile.write(blob)
-
-            def log_message(self, *args):
-                pass
-
-        self.server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self.url = f"http://127.0.0.1:{self.server.server_address[1]}"
-        self.thread = threading.Thread(target=self.server.serve_forever,
-                                       args=(0.05,), daemon=True)
-        self.thread.start()
-
-    def close(self):
-        self.server.shutdown()
-        self.server.server_close()
-        self.thread.join()
-
-
 @pytest.fixture()
 def stub():
-    service = StubService()
+    service = StubService({path: reply for _, path, _, reply in CALLS.values()})
     yield service
     service.close()
 
@@ -118,6 +88,12 @@ def test_role_mapping_spec_mixes_http_and_mock(stub):
                for role in HTTP_ROLES if role != "embedder"}
     assert results == {r: v for r, v in EXPECTED.items() if r != "embedder"}
     assert stub.requests == [r for r in expected_requests() if r[0] != "/embed"]
+
+
+def test_each_body_is_its_payload_as_json_with_its_content_type(stub):
+    call_every_role(make_providers(stub.url))
+    assert stub.raw == [("application/json", json.dumps(body).encode())
+                        for _, body in expected_requests()]
 
 
 def test_https_url_is_the_base_of_every_role(monkeypatch):
@@ -206,6 +182,68 @@ def test_encoder_train_request_is_sent_once(stub, no_sleep):
     assert stub.requests == [("/encode", train)]
 
 
+@pytest.mark.parametrize("payload", [
+    {"mode": "train", "texts": ["t"], "labels": ["CW"],
+     "hyperparams": {"lr": float("nan")}},
+    {"mode": "score", "texts": ["t"], "handle": "h",
+     "hyperparams": {"lr": float("inf")}},
+    {"mode": "score", "texts": ["t"], "handle": "h", "hyperparams": {1j: 0}},
+])
+def test_a_payload_json_cannot_encode_is_never_sent(stub, monkeypatch, payload):
+    slept = []
+    monkeypatch.setattr(providers_mod.time, "sleep", slept.append)
+    with pytest.raises(ProviderError, match="cannot post .*/encode as JSON"):
+        HttpProvider(stub.url, "encoder")(payload)
+    assert stub.calls == {} and slept == []
+
+
+@pytest.mark.parametrize("status", [307, 308])
+def test_a_redirect_that_keeps_the_post_is_not_followed(stub, no_sleep,
+                                                        status):
+    stub.statuses = [status]  # to the same path, where a 200 would wait
+    with pytest.raises(ProviderError, match=f"HTTP {status}"):
+        HttpProvider(stub.url, "translator")(*CALLS["translator"][0])
+    assert len(stub.requests) == 1
+
+
+def test_a_refused_connection_is_retried(monkeypatch):
+    slept = []
+    monkeypatch.setattr(providers_mod.time, "sleep", slept.append)
+    with socket.socket() as free:  # a port nothing listens on once closed
+        free.bind(("127.0.0.1", 0))
+        port = free.getsockname()[1]
+    with pytest.raises(ProviderError, match="3 attempt.*refused"):
+        HttpProvider(f"http://127.0.0.1:{port}", "embedder")("text")
+    assert slept == [2.0, 4.0]
+
+
+def test_https_verifies_against_the_trust_store_ssl_cert_file_names():
+    """The stub's certificate is self-signed, so a run verifies it only
+    when SSL_CERT_FILE names it. Each run is a fresh process, as the trust
+    store is read when the first HTTPS connection is made."""
+    pem = Path(__file__).with_name("stub-tls.pem")
+    service = StubService({"/embed": {"vector": [0.5]}}, certfile=pem)
+    probe = ("import sys\n"
+             "from claimcheck.providers import HttpProvider\n"
+             "print(HttpProvider(sys.argv[1], 'embedder', retries=1)('text'))\n")
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("SSL_CERT_FILE", "SSL_CERT_DIR")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(providers_mod.__file__).parent.parent),
+        env.get("PYTHONPATH")]))
+    try:
+        runs = [subprocess.run([sys.executable, "-c", probe, service.url],
+                               env=extra | env, capture_output=True,
+                               text=True, timeout=60)
+                for extra in ({}, {"SSL_CERT_FILE": str(pem)})]
+    finally:
+        service.close()
+    assert runs[0].returncode == 1
+    assert "CERTIFICATE_VERIFY_FAILED" in runs[0].stderr
+    assert (runs[1].returncode, runs[1].stdout) == (0, "[0.5]\n"), runs[1].stderr
+    assert service.calls == {"/embed": 1}
+
+
 def test_malformed_json_on_a_200_fails_after_three_attempts(stub, no_sleep):
     stub.replies["/fill"] = b'{"text": "a x'
     with pytest.raises(ProviderError, match="3 attempt"):
@@ -230,20 +268,20 @@ def test_encoder_score_outside_the_unit_interval_is_rejected(stub, no_sleep,
 
 
 class TimingOut:
-    """Stands in for `requests.post`: the first `n` calls time out before
-    anything is sent, later ones reach the stub. `attempts` holds the URL
-    of every call."""
+    """Stands in for `urllib.request.urlopen`: the first `n` calls time out
+    before anything is sent, later ones reach the stub. `attempts` holds
+    the URL of every call."""
 
     def __init__(self, n: int):
         self.n = n
         self.attempts = []
-        self.post = requests.post
+        self.urlopen = urllib.request.urlopen
 
-    def __call__(self, url, **kwargs):
-        self.attempts.append(url)
+    def __call__(self, request, **kwargs):
+        self.attempts.append(request.full_url)
         if len(self.attempts) <= self.n:
-            raise requests.Timeout(f"read timed out ({kwargs['timeout']} s)")
-        return self.post(url, **kwargs)
+            raise TimeoutError(f"read timed out ({kwargs['timeout']} s)")
+        return self.urlopen(request, **kwargs)
 
 
 @pytest.fixture()
@@ -251,7 +289,7 @@ def timeouts(monkeypatch):
     """`timeouts(n)` makes the next `n` POSTs time out."""
     def inject(n):
         fake = TimingOut(n)
-        monkeypatch.setattr(requests, "post", fake)
+        monkeypatch.setattr(urllib.request, "urlopen", fake)
         return fake.attempts
     return inject
 
@@ -281,3 +319,48 @@ def test_encoder_train_that_times_out_is_sent_once(stub, no_sleep, timeouts):
     with pytest.raises(ProviderError, match="timed out"):
         HttpProvider(stub.url, "encoder")(train)
     assert attempts == [f"{stub.url}/encode"]
+
+
+# ---------------------------------------------------------------------------
+# whole suites through the stub
+
+
+@pytest.fixture()
+def mock_stub():
+    service = StubService()
+    yield service
+    service.close()
+
+
+@pytest.mark.parametrize("backend", ["baseline", "encoder"])
+def test_suites_through_the_stub_write_the_mock_suites_cells(mock_stub,
+                                                             tmp_path, backend):
+    """The stub answers every role from the mock bundle, so a suite run
+    over HTTP writes the cells.csv of the same suite run in process."""
+    corpus = tiny_corpus(5, per_topic=120)
+    configs = {
+        "table2": ExperimentConfig(backend_id=backend, holdout_k=50),
+        "table3": ExperimentConfig(backend_id=backend, setting=FEW_SHOT,
+                                   strategy=NONE, shots=50, holdout_k=50)}
+    for suite, config in configs.items():
+        cells = []
+        for spec in ("mock", mock_stub.url):
+            out = tmp_path / suite / spec.partition(":")[0]
+            record = run_suite(suite, corpus, config,
+                               providers=make_providers(spec), out_dir=out)
+            assert record.failures == []
+            cells.append((out / "cells.csv").read_bytes())
+        assert cells[0] == cells[1]
+    # BT translates, CWE fills and TxtGen generates; only the encoder encodes
+    assert set(mock_stub.calls) == {"/translate", "/fill", "/generate"} | (
+        {"/encode"} if backend == "encoder" else set())
+
+
+def test_the_mock_encoder_scores_a_text_past_the_float_range():
+    """A mean lean below -709 puts e^-z past the largest float."""
+    encoder = make_providers("mock").encoder
+    handle = encoder({"mode": "train", "texts": ["a"] * 800 + ["b"],
+                      "labels": ["NCW"] * 800 + ["CW"]})["handle"]
+    scores = encoder({"mode": "score", "texts": ["a", "b"],
+                      "handle": handle})["scores"]
+    assert scores == [0.0, 1.0 / (1.0 + math.exp(-1.0))]
