@@ -108,13 +108,20 @@ def test_what_the_readme_commands_wrote(workdir):
         (workdir / "data/normalized.jsonl").read_bytes()
 
 
-@pytest.mark.parametrize("config", ["", "--config l2-zero.json"])
+# CG steps of the fits below under trainer 6, before intercept starts, trial
+# margins and the CG tolerance floor; a solver change may not add any
+TRAINER_6_CG_STEPS = {"": 38, "--config l2-zero.json": 31}
+
+
+@pytest.mark.parametrize("config", list(TRAINER_6_CG_STEPS))
 def test_a_fit_converges_well_inside_the_cap(workdir, config):
     """9,390 records, and with l2 = 0, where the line search matters most."""
     out = run(workdir, f"claimcheck train {CORPUS} --target COVID-19 "
               f"{config} --out models/fit.npz").stdout
-    found = re.search(r" (\d+) solver iterations .*norm (\S+)\)", out)
-    assert found and int(found[1]) < 300 and float(found[2]) < 1e-5, out
+    found = re.search(
+        r" (\d+) solver iterations and (\d+) CG steps .*norm (\S+)\)", out)
+    assert found and int(found[1]) < 300 and float(found[3]) < 1e-5, out
+    assert int(found[2]) <= TRAINER_6_CG_STEPS[config], out
 
 
 def test_an_unregularized_table2_runs_every_cell(workdir):

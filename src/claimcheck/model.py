@@ -57,9 +57,14 @@ BASELINE_DEFAULTS = {"iterations": 300, "l2": 1e-4}
 # Part of every baseline model-cache key; bump it whenever the numbers
 # `BaselineScorer.fit_matrix` produces change, or what a cache entry holds
 # changes, so older entries are retrained rather than read.
-TRAINER_VERSION = 6
+TRAINER_VERSION = 7
 # The baseline solver stops once the gradient's 2-norm falls below this.
 GRADIENT_TOLERANCE = 1e-5
+# No Newton step's conjugate gradients aim below this residual norm: a step
+# that starts near GRADIENT_TOLERANCE would otherwise be solved 10-100x past
+# what the stopping rule asks (oversolving; Eisenstat & Walker, SIAM J. Sci.
+# Comput. 1996).
+CG_TOLERANCE_FLOOR = 0.1 * GRADIENT_TOLERANCE
 # The weight of diag(H) in the solver's diagonal preconditioner; 1 would be
 # pure Jacobi. CG steps over the 56 fits of a cold bench table3 pass
 # (corpus seed 0): 0.01 -> 2,770, 0.1 -> 2,082, 1 -> 3,613.
@@ -310,20 +315,24 @@ class ColumnLayout:
     def matrix(self, rows, extra_x) -> sparse.csr_matrix:
         """The counts of a fit on the vocabulary's columns, as one CSR
         matrix: the corpus counts of `rows`, stacked over the extra
-        records' counts `extra_x`, whose columns are `extra_tokens`, when
-        it has any rows."""
+        records' counts `extra_x`, whose columns are `extra_tokens`. The
+        corpus rows are gathered once; their counts, cast to float64, and
+        their columns, remapped, are written straight into the result's
+        arrays, as are those of `extra_x`."""
         remap = np.zeros(self.features.tokens.size, dtype=np.int32)
         remap[self.cols] = self.col_pos
-        parts = [(self.features.matrix[rows], remap)]
-        if extra_x.shape[0]:
-            parts.append((extra_x, self.extra_pos))
-        blocks = [sparse.csr_matrix((x.data.astype(np.float64, copy=False),
-                                     cols[x.indices], x.indptr),
-                                    shape=(x.shape[0], self.size))
-                  for x, cols in parts]
-        if len(blocks) == 1:
-            return blocks[0]
-        return sparse.vstack(blocks, format="csr")
+        held = self.features.matrix[rows]
+        split = held.nnz
+        data = np.empty(split + extra_x.nnz)
+        indices = np.empty(data.size, dtype=np.int32)
+        data[:split], data[split:] = held.data, extra_x.data
+        # every column is in range; "clip" only spares the copy "raise" makes
+        np.take(remap, held.indices, out=indices[:split], mode="clip")
+        np.take(self.extra_pos, extra_x.indices, out=indices[split:],
+                mode="clip")
+        indptr = np.concatenate([held.indptr, extra_x.indptr[1:] + split])
+        return sparse.csr_matrix((data, indices, indptr),
+                                 shape=(indptr.size - 1, self.size))
 
     def on_corpus(self, weights: np.ndarray) -> np.ndarray:
         """`weights` of the vocabulary placed on the corpus's columns; a
@@ -354,9 +363,10 @@ class Rows:
     def extend(self, records) -> "Rows":
         return replace(self, extra=self.extra + tuple(records))
 
-    def labels(self) -> list:
-        return (self.features.labels[self.rows].tolist()
-                + [r.label for r in self.extra])
+    def labels(self) -> np.ndarray:
+        """Every record's label, in order, as an object array."""
+        return np.concatenate([self.features.labels[self.rows], np.array(
+            [r.label for r in self.extra], dtype=object)])
 
     def digests(self) -> np.ndarray:
         """The (text, label) digests of every record, in order."""
@@ -367,17 +377,21 @@ class Rows:
             [r.text for r in self.extra], [r.label for r in self.extra])])
 
 
-def _check_training(n: int, labels) -> None:
+def _check_training(n: int, labels) -> np.ndarray:
     """Reject training data a scorer cannot learn from: `n` examples need
-    as many labels, each CW or NCW, and both classes."""
-    if n != len(labels):
+    as many labels, each CW or NCW, and both classes. Returns y, 1.0 for
+    each CW label and 0.0 for each NCW one."""
+    labels = np.asarray(labels, dtype=object)
+    if labels.shape != (n,):
         raise ModelError("texts and labels must have the same length")
-    classes = set(labels)
-    if not classes <= {CW, NCW}:
-        unknown = ", ".join(sorted(map(repr, classes - {CW, NCW})))
-        raise ModelError(f"unknown labels: {unknown}")
-    if len(classes) < 2:
+    cw = labels == CW
+    unknown = labels[~(cw | (labels == NCW))]
+    if unknown.size:
+        names = ", ".join(sorted(map(repr, set(unknown.tolist()))))
+        raise ModelError(f"unknown labels: {names}")
+    if cw.all() or not cw.any():
         raise ModelError("training data contains a single class")
+    return cw.astype(np.float64)
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
@@ -389,27 +403,30 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 def _newton_cg(hessp, g, m, gnorm: float):
     """An inexact Newton step: minimize the model g·s + s·H·s/2 from s = 0
     by conjugate gradients preconditioned with the diagonal `m`, until the
-    model's gradient r = g + H·s has ||r|| < min(0.5, sqrt(||g||))·||g||.
-    A direction of curvature d·H·d <= 0 ends it with the step so far, or
-    with the first direction -g/m if there is none. Returns the step and
-    the number of CG steps (Hessian-vector products) taken."""
-    tol = min(0.5, math.sqrt(gnorm)) * gnorm
-    s = np.zeros_like(g)
+    model's gradient r = g + H·s has ||r|| < min(0.5, sqrt(||g||))·||g||,
+    or ||r|| < CG_TOLERANCE_FLOOR. `hessp(d)` returns H·d and d's margins
+    X·d_w + d_b, which the step's margins sum, so a trial point along the
+    step is priced without a product of its own. A direction of curvature
+    d·H·d <= 0 ends it with the step so far, or with the first direction
+    -g/m if there is none. Returns the step, its margins and the number of
+    CG steps (Hessian-vector products) taken."""
+    tol = max(min(0.5, math.sqrt(gnorm)) * gnorm, CG_TOLERANCE_FLOOR)
+    s, q = np.zeros_like(g), 0.0
     r = g
     z = r / m
     d = -z
     rz = _dot(r, z)
     steps = 0
     while True:
-        hd = hessp(d)
+        hd, xd = hessp(d)
         steps += 1
         dhd = _dot(d, hd)
         if dhd <= 0:
-            return (s if steps > 1 else d), steps
+            return (s, q, steps) if steps > 1 else (d, xd, steps)
         alpha = rz / dhd
-        s, r = s + alpha * d, r + alpha * hd
+        s, q, r = s + alpha * d, q + alpha * xd, r + alpha * hd
         if math.sqrt(_dot(r, r)) < tol:
-            return s, steps
+            return s, q, steps
         z = r / m
         rz_next = _dot(r, z)
         d = (rz_next / rz) * d - z
@@ -435,11 +452,18 @@ def _fit_logistic(x, y, l2: float, max_iter: int):
     theta = (w, b), the bias unregularized, by truncated Newton with a
     backtracking line search (Nocedal & Wright, Alg. 7.1): each step comes
     from `_newton_cg`, whose conjugate gradients are preconditioned by a
-    diagonal M rebuilt at every accepted iterate (Hsia, Chiang & Lin, ACML
-    2018), and is halved until the loss falls enough (Armijo). Starts at
-    zero and stops once ||gradient|| < GRADIENT_TOLERANCE, after `max_iter`
-    trial points, accepted or not, or at a step that does not descend.
-    Returns (theta, trial points, final gradient norm, CG steps)."""
+    diagonal M built at the start of each step (Hsia, Chiang & Lin, ACML
+    2018), and is halved until the loss falls enough (Armijo). `y` holds
+    both classes. Starts at the intercept-only optimum w = 0, b =
+    log(ybar / (1 - ybar)), whose margins are b everywhere, or at zero when
+    l2 = 0, as unregularized fits took more CG steps from the intercept
+    (2,879 against 1,978 over a cold bench table3 pass, corpus seed 1).
+    Stops once ||gradient|| < GRADIENT_TOLERANCE, after `max_iter` trial
+    points, accepted or not, or at a step that does not descend. The
+    margins z are carried along: a trial point's are z plus the step's
+    margins, which halve with it (Galli & Lin, IEEE TNNLS 2021), so only
+    the gradient, the preconditioner and CG multiply by x. Returns (theta,
+    trial points, final gradient norm, CG steps)."""
     n = x.shape[0]
     # CSC views of x and of its squared counts; a matvec with x.T is faster
     # than one with x.T.tocsr()
@@ -447,11 +471,10 @@ def _fit_logistic(x, y, l2: float, max_iter: int):
     xsq_t = sparse.csr_matrix((x.data ** 2, x.indices, x.indptr),
                               shape=x.shape).T
 
-    def loss(theta):
+    def loss(theta, z):
         w = theta[:-1]
-        z = x @ w + theta[-1]
         soft = np.logaddexp(0.0, z)
-        return float(np.mean(soft - y * z)) + 0.5 * l2 * _dot(w, w), z, soft
+        return float(np.mean(soft - y * z)) + 0.5 * l2 * _dot(w, w), soft
 
     def gradient(theta, z, soft):
         """The gradient, and p(1 - p)/n per row, which weighs the Hessian."""
@@ -462,37 +485,44 @@ def _fit_logistic(x, y, l2: float, max_iter: int):
         return g, np.exp(z - 2.0 * soft) / n
 
     def hessp(v):
-        t = curvature * (x @ v[:-1] + v[-1])
+        """H·v, and v's margins x·v_w + v_b."""
+        xv = x @ v[:-1] + v[-1]
+        t = curvature * xv
         hv = np.empty_like(v)
         hv[:-1] = xt @ t + l2 * v[:-1]
         hv[-1] = t.sum()
-        return hv
+        return hv, xv
 
     theta = np.zeros(x.shape[1] + 1)
-    f, z, soft = loss(theta)
+    if l2 > 0:
+        positives = int(np.count_nonzero(y))
+        # math.log, unlike np.log, gives the same bits on every CPU
+        theta[-1] = math.log(positives / (n - positives))
+    z = np.full(n, theta[-1])
+    f, soft = loss(theta, z)
     g, curvature = gradient(theta, z, soft)
-    m = _preconditioner(xsq_t, curvature, l2)
     gnorm = math.sqrt(_dot(g, g))
     done = cg_steps = 0
     while gnorm >= GRADIENT_TOLERANCE and done < max_iter:
-        step, steps = _newton_cg(hessp, g, m, gnorm)
+        m = _preconditioner(xsq_t, curvature, l2)
+        step, margins, steps = _newton_cg(hessp, g, m, gnorm)
         cg_steps += steps
         slope = _dot(g, step)
         if slope >= 0:  # rounding has left no descent direction
             break
         while done < max_iter:
             done += 1
-            trial = theta + step
-            f_trial, z, soft = loss(trial)
+            trial, z_trial = theta + step, z + margins
+            f_trial, soft = loss(trial, z_trial)
             # Armijo's sufficient decrease, with the usual constant 1e-4
             if f_trial <= f + 1e-4 * slope:
-                theta, f = trial, f_trial
+                theta, z, f = trial, z_trial, f_trial
                 g, curvature = gradient(theta, z, soft)
-                m = _preconditioner(xsq_t, curvature, l2)
                 gnorm = math.sqrt(_dot(g, g))
                 break
-            # halving is exact, so slope stays g·step to the last bit
-            step, slope = 0.5 * step, 0.5 * slope
+            # halving is exact, so slope stays g·step and the margins
+            # x·step_w + step_b to the last bit
+            step, margins, slope = 0.5 * step, 0.5 * margins, 0.5 * slope
     return theta, done, gnorm, cg_steps
 
 
@@ -516,12 +546,13 @@ class BaselineScorer:
     """Bag-of-words logistic regression.
 
     The vocabulary is the sorted set of training tokens, and the weights
-    are the minimizer of the regularized logistic loss, found from zero by
-    a line-search Newton solve, so training is deterministic and
-    insensitive to record order (up to float summation noise). `n_iter`,
-    `cg_steps` and `grad_norm` report the last fit's iterations (trial
-    points, accepted or not), Hessian-vector products and final gradient
-    norm; a loaded model has none of them.
+    are the minimizer of the regularized logistic loss, found from the
+    intercept-only optimum (from zero when l2 = 0) by a line-search Newton
+    solve, so training is deterministic and insensitive to record order
+    (up to float summation noise). `n_iter`, `cg_steps` and `grad_norm`
+    report the last fit's iterations (trial points, accepted or not),
+    Hessian-vector products and final gradient norm; a loaded model has
+    none of them.
     """
 
     def __init__(self, config: ScorerConfig):
@@ -559,9 +590,8 @@ class BaselineScorer:
         """Fit on counts `x` whose columns are `vocab`: the sorted tokens,
         as `count_matrix` returns them, or a `ColumnLayout`, whose
         `matrix` gives the counts."""
-        _check_training(x.shape[0], labels)
+        y = _check_training(x.shape[0], labels)
         params = self.config.resolved_hyperparams()
-        y = np.array([1.0 if lab == CW else 0.0 for lab in labels])
         theta, self.n_iter, self.grad_norm, self.cg_steps = _fit_logistic(
             x, y, float(params["l2"]), params["iterations"])
         return self._set(vocab, theta)

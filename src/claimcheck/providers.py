@@ -25,6 +25,7 @@ import hashlib
 import json
 import math
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from urllib.parse import urlsplit
 
@@ -112,20 +113,31 @@ class HashEmbedder:
         return vec
 
 
+class RecentModels(OrderedDict):
+    """The mock encoder's last `KEEP` trained models, by handle. A suite
+    scores each cell's model right after training it, so this serves up to
+    `KEEP` workers; one model holds about 4 MB on the bench corpus."""
+
+    KEEP = 8
+
+    def __setitem__(self, handle, model):
+        super().__setitem__(handle, model)
+        while len(self) > self.KEEP:
+            self.popitem(last=False)
+
+
 class MockEncoderProvider:
     """In-memory stand-in for a sequence-classification service.
 
     Training just records which tokens lean CW; scoring returns the
     sigmoid-squashed lean of a text's tokens. Deterministic, stateless
-    between handles.
+    between handles. It keeps no payload, and only its `RecentModels`.
     """
 
     def __init__(self):
-        self._models = {}
-        self.requests = []
+        self._models = RecentModels()
 
     def __call__(self, payload: dict) -> dict:
-        self.requests.append(payload)
         mode = payload.get("mode")
         if mode == "train":
             texts, labels = payload["texts"], payload["labels"]

@@ -22,7 +22,7 @@ import json
 import ssl
 import sys
 import threading
-from collections import Counter, OrderedDict, deque
+from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -33,25 +33,10 @@ from claimcheck.errors import ClaimCheckError  # noqa: E402
 from claimcheck.providers import make_providers  # noqa: E402
 
 
-class RecentModels(OrderedDict):
-    """The mock encoder's last `KEEP` trained models, by handle. A suite
-    scores each cell's model right after training it, so this serves up to
-    `KEEP` workers; one model holds about 4 MB on the bench corpus."""
-
-    KEEP = 8
-
-    def __setitem__(self, handle, model):
-        super().__setitem__(handle, model)
-        while len(self) > self.KEEP:
-            self.popitem(last=False)
-
-
 def mock_answers() -> dict:
-    """path -> the reply to a request body, from one fresh "mock" bundle
-    that keeps no request and only its recent models."""
+    """path -> the reply to a request body, from one fresh "mock" bundle,
+    whose encoder keeps no request and only its recent models."""
     mock = make_providers("mock")
-    mock.encoder.requests = deque(maxlen=0)
-    mock.encoder._models = RecentModels()
 
     def generate(body):
         prompt = body.pop("prompt")

@@ -306,7 +306,14 @@ def test_train_and_rank_create_the_out_directory(corpus_jsonl, tmp_path,
 
 def test_train_refuses_the_encoder_backend_before_any_provider_call(
         corpus_jsonl, tmp_path, capsys, monkeypatch):
-    bundle = make_providers("mock")
+    bundle, requests = make_providers("mock"), []
+    encoder = bundle.encoder
+
+    def recording(payload):
+        requests.append(payload)
+        return encoder(payload)
+
+    bundle.encoder = recording
     monkeypatch.setattr(cli, "make_providers", lambda spec: bundle)
     model = tmp_path / "model.npz"
     rc = main(["train", "--corpus", str(corpus_jsonl), "--target", "S-B",
@@ -314,7 +321,7 @@ def test_train_refuses_the_encoder_backend_before_any_provider_call(
                "--providers", "mock", "--out", str(model)])
     assert rc == 2
     assert "baseline" in capsys.readouterr().err
-    assert bundle.encoder.requests == []
+    assert requests == []
     assert not model.exists()
 
 

@@ -6,6 +6,7 @@ import gc
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -227,10 +228,11 @@ def test_preconditioner_stays_positive_without_curvature_or_l2():
 def test_trainer_version_retrains_unpreconditioned_models():
     # version 2 models came from the unpreconditioned solver, version 3
     # entries held the vocabulary and config too, and version 4 came from
-    # the trust-region solver, and version 5 summed the solver's dot
-    # products through BLAS, in an order its thread count set; their cache
-    # keys differ, so they are retrained once
-    assert model.TRAINER_VERSION == 6
+    # the trust-region solver, version 5 summed the solver's dot products
+    # through BLAS, in an order its thread count set, and version 6 started
+    # every fit at zero and solved its last Newton step past the stopping
+    # rule; their cache keys differ, so they are retrained once
+    assert model.TRAINER_VERSION == 7
 
 
 def test_baseline_iterations_cap_the_solver():
@@ -266,12 +268,13 @@ def _planted_fit(config=ScorerConfig()):
 
 
 def _scaled_steps(monkeypatch, factor: float) -> None:
-    """Make every Newton step the solver tries `factor` times as long."""
+    """Make every Newton step the solver tries, and so its margins,
+    `factor` times as long."""
     newton_cg = model._newton_cg
 
     def scaled(*args):
-        step, steps = newton_cg(*args)
-        return factor * step, steps
+        step, margins, steps = newton_cg(*args)
+        return factor * step, factor * margins, steps
 
     monkeypatch.setattr(model, "_newton_cg", scaled)
 
@@ -296,28 +299,53 @@ def test_a_too_long_newton_step_is_backtracked_and_still_converges(
     assert any(after == before for before, after in zip(losses, losses[1:]))
 
 
-def test_a_rejected_trial_at_the_iteration_cap_keeps_theta_at_zero(
+def _intercept_start(records) -> float:
+    """The bias a regularized fit starts from: the log-odds of CW in
+    `records`, with every weight zero."""
+    positives = sum(r.label == CW for r in records)
+    return math.log(positives / (len(records) - positives))
+
+
+def test_a_rejected_trial_at_the_iteration_cap_keeps_the_start_point(
         monkeypatch):
     _scaled_steps(monkeypatch, 100.0)
     scorer = _planted_fit(ScorerConfig(hyperparams={"iterations": 1}))
     assert scorer.n_iter == 1
-    assert not scorer.weights.any() and scorer.bias == 0.0
+    assert not scorer.weights.any()
+    assert scorer.bias == _intercept_start(planted_records())
+    # the start point is the intercept-only optimum: its bias gradient
+    # vanishes, so only the weights' part remains
+    _, x, y = _dense_problem(planted_records())
+    _, grad = _dense_loss_and_gradient(x, y, BASELINE_DEFAULTS["l2"],
+                                       scorer.weights, scorer.bias)
+    assert abs(grad[-1]) < 1e-12
+    assert scorer.grad_norm == pytest.approx(np.linalg.norm(grad), rel=1e-9)
 
 
-def test_a_step_that_does_not_descend_stops_the_fit_at_zero(monkeypatch):
+@pytest.mark.parametrize("l2", [BASELINE_DEFAULTS["l2"], 0])
+def test_a_step_that_does_not_descend_stops_the_fit_at_the_start_point(
+        monkeypatch, l2):
+    """An unregularized fit starts at zero, any other at the intercept."""
     _scaled_steps(monkeypatch, -1.0)
-    scorer = _planted_fit()
+    scorer = _planted_fit(ScorerConfig(hyperparams={"l2": l2}))
     assert scorer.n_iter == 0 and scorer.cg_steps >= 1
-    assert not scorer.weights.any() and scorer.bias == 0.0
+    assert not scorer.weights.any()
+    assert scorer.bias == (_intercept_start(planted_records()) if l2 else 0.0)
     assert scorer.grad_norm > GRADIENT_TOLERANCE
 
 
 def test_newton_cg_without_curvature_steps_along_the_preconditioned_gradient():
     g, m = np.array([0.3, -1.2, 0.5]), np.array([2.0, 0.5, 4.0])
-    step, steps = model._newton_cg(np.zeros_like, g, m,
-                                   float(np.linalg.norm(g)))
+    margins = np.array([7.0, -8.0])
+
+    def hessp(d):
+        return np.zeros_like(d), margins
+
+    step, step_margins, steps = model._newton_cg(hessp, g, m,
+                                                 float(np.linalg.norm(g)))
     assert steps == 1
     assert np.array_equal(step, -g / m)
+    assert step_margins is margins
 
 
 def test_newton_cg_keeps_its_step_when_curvature_vanishes_later():
@@ -326,13 +354,95 @@ def test_newton_cg_keeps_its_step_when_curvature_vanishes_later():
 
     def hessp(d):  # the diagonal h on the first direction, then none
         calls.append(d)
-        return h * d if len(calls) == 1 else np.zeros_like(d)
+        margins = np.array([d.sum(), d[0]])  # of a made-up 2 x 2 x
+        return (h * d if len(calls) == 1 else np.zeros_like(d)), margins
 
-    step, steps = model._newton_cg(hessp, g, np.ones(3),
-                                   float(np.linalg.norm(g)))
+    step, margins, steps = model._newton_cg(hessp, g, np.ones(3),
+                                            float(np.linalg.norm(g)))
     assert steps == 2
     assert step == pytest.approx(-g * (g @ g) / (g @ (h * g)), rel=1e-12)
+    assert margins == pytest.approx([step.sum(), step[0]], rel=1e-12)
 
+
+
+def _planted_problem():
+    records = planted_records()
+    _, x = count_matrix([r.text for r in records])
+    return x, np.array([1.0 if r.label == CW else 0.0 for r in records])
+
+
+def _recorded_newton_steps(monkeypatch) -> list:
+    """What each `_newton_cg` call of the fits that follow returns."""
+    seen, newton_cg = [], model._newton_cg
+
+    def recording(*args):
+        seen.append(newton_cg(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(model, "_newton_cg", recording)
+    return seen
+
+
+def test_a_fit_multiplies_by_x_only_in_cg_gradients_and_preconditioners(
+        monkeypatch):
+    """Each CG step takes x·d and x.T·t, each iterate one x.T product for
+    its gradient and each Newton step one for its preconditioner; the
+    start point's margins and every trial point's come without one."""
+    x, y = _planted_problem()
+    products = []
+    for cls in (sparse.csr_matrix, sparse.csc_matrix):
+        def counted(a, b, matmul=cls.__matmul__):
+            products.append(type(a))
+            return matmul(a, b)
+        monkeypatch.setattr(cls, "__matmul__", counted)
+    newton_steps = _recorded_newton_steps(monkeypatch)
+    _, trials, gnorm, cg_steps = model._fit_logistic(
+        x, y, BASELINE_DEFAULTS["l2"], BASELINE_DEFAULTS["iterations"])
+    # a converged fit accepted a trial point after each of its Newton steps
+    assert gnorm < GRADIENT_TOLERANCE and trials >= len(newton_steps) > 1
+    iterates = len(newton_steps) + 1  # the start point, then one per step
+    assert len(products) == 2 * cg_steps + iterates + len(newton_steps)
+    assert cg_steps == sum(steps for _, _, steps in newton_steps)
+
+
+def test_newton_cg_margins_are_those_of_its_step(monkeypatch):
+    x, y = _planted_problem()
+    newton_steps = _recorded_newton_steps(monkeypatch)
+    model._fit_logistic(x, y, BASELINE_DEFAULTS["l2"],
+                        BASELINE_DEFAULTS["iterations"])
+    assert len(newton_steps) > 1
+    for step, margins, _ in newton_steps:
+        direct = x @ step[:-1] + step[-1]
+        assert np.abs(margins - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
+def test_the_tolerance_floor_ends_cg_once_the_residual_is_below_it():
+    """A gradient near GRADIENT_TOLERANCE asks CG for a residual far below
+    it; the floor stops at the first CG step whose residual is under
+    CG_TOLERANCE_FLOOR. Plain CG on a diagonal H = diag(h) gives the
+    residuals."""
+    h = np.linspace(1.0, 30.0, 16)
+    g = np.random.default_rng(3).normal(size=h.size)
+    g *= 2 * GRADIENT_TOLERANCE / np.linalg.norm(g)
+    gnorm = float(np.linalg.norm(g))
+    unfloored = min(0.5, math.sqrt(gnorm)) * gnorm
+    residuals, r = [], g
+    d = -r
+    while not residuals or residuals[-1] >= unfloored:
+        r_next = r + (r @ r) / (d @ (h * d)) * h * d
+        residuals.append(float(np.linalg.norm(r_next)))
+        d = (r_next @ r_next) / (r @ r) * d - r_next
+        r = r_next
+    floor = model.CG_TOLERANCE_FLOOR
+    assert floor == 0.1 * GRADIENT_TOLERANCE
+    below = [k + 1 for k, res in enumerate(residuals) if res < floor]
+    assert not any(0.9 < res / floor < 1.1 for res in residuals)
+    assert below[0] < len(residuals)  # the unfloored rule would go on
+
+    step, _, steps = model._newton_cg(lambda d: (h * d, d[:2]), g,
+                                      np.ones_like(g), gnorm)
+    assert steps == below[0]
+    assert np.linalg.norm(g + h * step) < floor
 
 def test_importing_and_training_loads_no_scipy_solver_module():
     """scipy.optimize or scipy.sparse.linalg would add memory and start-up
@@ -751,21 +861,21 @@ def test_model_cache_key_is_equal_for_equal_rows_of_two_corpora():
 def test_model_cache_key_of_a_tiny_corpus_is_pinned():
     """Cache entries are named by this key, so gathering the digests another
     way must not rename one, with or without synthetic records; only a
-    `TRAINER_VERSION` bump (here, 6) may."""
+    `TRAINER_VERSION` bump (here, 7) may."""
     features = CorpusFeatures([
         _rec(0, "masks work", CW), _rec(1, "nice day", NCW),
         _rec(2, "vaccine 95% effective", CW), _rec(3, "نص عربي", NCW)])
     synthetic = [_rec(900, "masks work well ✅", CW)]
     cfg = ScorerConfig(backend="baseline")
     assert (model_cache_key(cfg, features.select([3, 0, 2]).digests())
-            == "f5f29aa65127a4174ef41860d8885619"
-               "7f28998a7d305da7d1902c863fed12e1")
+            == "a5c2723f8c0260a29cf4f5f42d25a086"
+               "270be8506379c372c68843fd61822e87")
     assert (model_cache_key(cfg, features.select([3, 0, 2], synthetic).digests())
-            == "1404757328c84359f978df2208faf4e9"
-               "d3302cf2aaf6a6742bc04e7ef05af561")
+            == "e3e6814d8dba96ee3553669b24331de6"
+               "ffc862df41aaf27abbbed07f7e96c024")
     assert (model_cache_key(cfg, features.select([], synthetic).digests())
-            == "2e7c3edfcb312e0b0a3ee4b169e88d57"
-               "86ee8ace1dcac3143cd52a59ff90fff7")
+            == "46f167e0e4c032b8d1fe7ce3cbb2a728"
+               "0cd6b24d80ba3c3dd3c924bbaf58bffd")
 
 
 def test_model_cache_key_changes_when_one_label_flips():
@@ -1039,6 +1149,49 @@ def test_corpus_matrix_fit_equals_text_fit(case):
             == from_text._weights_on(features.tokens).tobytes())
 
 
+
+def _stacked_blocks(layout, rows, extra_x):
+    """A fit's counts built block by block, as they once were: the corpus
+    rows sliced, cast to float64 and remapped, then stacked over the extra
+    records' counts, remapped too."""
+    remap = np.zeros(layout.features.tokens.size, dtype=np.int32)
+    remap[layout.cols] = layout.col_pos
+    parts = [(layout.features.matrix[rows], remap)]
+    if extra_x.shape[0]:
+        parts.append((extra_x, layout.extra_pos))
+    blocks = [sparse.csr_matrix((x.data.astype(np.float64), cols[x.indices],
+                                 x.indptr), shape=(x.shape[0], layout.size))
+              for x, cols in parts]
+    return blocks[0] if len(blocks) == 1 else sparse.vstack(blocks, "csr")
+
+
+@pytest.mark.parametrize("case", ["corpus", "corpus+synthetic", "edited-text",
+                                  "interleaved"])
+def test_a_fit_gets_the_arrays_the_stacked_blocks_gave(case, monkeypatch):
+    corpus, cases = _matrix_path_cases()
+    rows, extra = cases[case]
+    features = CorpusFeatures(corpus)
+    fits = []
+
+    def no_solve(x, y, l2, max_iter):
+        fits.append((x, y))
+        return np.zeros(x.shape[1] + 1), 0, 0.0, 0
+
+    monkeypatch.setattr(model, "_fit_logistic", no_solve)
+    train_scorer(features.select(rows, extra), ScorerConfig())
+    [(x, y)] = fits
+    extra_tokens, extra_x = count_matrix([r.text for r in extra])
+    rows = np.asarray(rows)
+    stacked = _stacked_blocks(features.columns(rows, extra_tokens), rows,
+                              extra_x)
+    for part in ("data", "indices", "indptr"):
+        got, want = getattr(x, part), getattr(stacked, part)
+        assert got.dtype == want.dtype and np.array_equal(got, want), part
+    assert x.shape == stacked.shape
+    labels = [corpus[i].label for i in rows] + [r.label for r in extra]
+    want_y = np.array([1.0 if lab == CW else 0.0 for lab in labels])
+    assert y.dtype == want_y.dtype and np.array_equal(y, want_y)
+
 def test_train_scorer_fits_through_corpus_features():
     records = planted_records()
     cfg = ScorerConfig(backend="baseline", hyperparams={"iterations": 30})
@@ -1201,14 +1354,19 @@ def test_encoder_round_trip_with_mock_provider():
 
 
 def test_encoder_requests_carry_contract_fields():
-    provider = MockEncoderProvider()
-    bundle = ProviderBundle(encoder=provider, kind="mock")
+    provider, requests = MockEncoderProvider(), []
+
+    def recording(payload):
+        requests.append(payload)
+        return provider(payload)
+
+    bundle = ProviderBundle(encoder=recording, kind="mock")
     records = planted_records(n=12)
     scorer = train_scorer(records, ScorerConfig(backend="encoder", seed=7),
                           providers=bundle)
     scorer.score_many(["probe text"])
 
-    train_req = provider.requests[0]
+    train_req = requests[0]
     assert train_req["mode"] == "train"
     assert train_req["texts"] == [r.text for r in records]
     assert train_req["labels"] == [r.label for r in records]
@@ -1216,7 +1374,7 @@ def test_encoder_requests_carry_contract_fields():
         "epochs": 3, "batch_size": 32, "max_seq_len": 128, "seed": 7,
     }
 
-    score_req = provider.requests[1]
+    score_req = requests[1]
     assert score_req["mode"] == "score"
     assert score_req["texts"] == ["probe text"]
     assert score_req["handle"] == scorer.handle

@@ -364,3 +364,17 @@ def test_the_mock_encoder_scores_a_text_past_the_float_range():
     scores = encoder({"mode": "score", "texts": ["a", "b"],
                       "handle": handle})["scores"]
     assert scores == [0.0, 1.0 / (1.0 + math.exp(-1.0))]
+
+
+def test_the_mock_encoder_keeps_only_its_recent_models():
+    encoder = make_providers("mock").encoder
+    keep = providers_mod.RecentModels.KEEP
+    handles = [encoder({"mode": "train", "texts": [f"t{i}", "u"],
+                        "labels": ["CW", "NCW"]})["handle"]
+               for i in range(keep + 1)]
+    assert len(set(handles)) == keep + 1
+    assert list(encoder._models) == handles[1:]
+    for handle in handles[1:]:
+        encoder({"mode": "score", "texts": ["u"], "handle": handle})
+    with pytest.raises(ProviderError, match="unknown training handle"):
+        encoder({"mode": "score", "texts": ["u"], "handle": handles[0]})

@@ -996,7 +996,7 @@ def test_prepare_cell_matches_the_id_based_reference(seed, sizes, cell,
     assert list(prepared.train.extra) == synthetic
     assert list(prepared.train) == held + synthetic
     assert list(prepared.test) == [corpus.record(i) for i in test_ids]
-    assert prepared.test.labels() == [corpus.record(i).label for i in test_ids]
+    assert prepared.test.labels().tolist() == [corpus.record(i).label for i in test_ids]
 
 
 def test_improvement_rendering_names_the_base(suite_corpus, tmp_path):
