@@ -354,7 +354,7 @@ def test_newton_cg_keeps_its_step_when_curvature_vanishes_later():
 
     def hessp(d):  # the diagonal h on the first direction, then none
         calls.append(d)
-        margins = np.array([d.sum(), d[0]])  # of a made-up 2 x 2 x
+        margins = np.array([d.sum(), d[0]])  # linear in d, as margins are
         return (h * d if len(calls) == 1 else np.zeros_like(d)), margins
 
     step, margins, steps = model._newton_cg(hessp, g, np.ones(3),
