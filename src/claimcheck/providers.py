@@ -24,8 +24,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import threading
 import time
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from urllib.parse import urlsplit
 
@@ -113,17 +114,47 @@ class HashEmbedder:
         return vec
 
 
-class RecentModels(OrderedDict):
-    """The mock encoder's last `KEEP` trained models, by handle. A suite
-    scores each cell's model right after training it, so this serves up to
-    `KEEP` workers; one model holds about 4 MB on the bench corpus."""
+class RecentModels:
+    """The mock encoder's trained models, by handle. A model stays until it
+    has been scored once for each time it was trained, so no cell loses
+    its model to other cells, however many run at once; after that it
+    stays only while it is among the last `KEEP` models used. A suite
+    scores each cell's model once, so it holds about its worker count plus
+    `KEEP` models; one model holds about 4 MB on the bench corpus."""
 
     KEEP = 8
 
-    def __setitem__(self, handle, model):
-        super().__setitem__(handle, model)
-        while len(self) > self.KEEP:
-            self.popitem(last=False)
+    def __init__(self):
+        self._models = OrderedDict()  # least recently used first
+        self._unscored = Counter()  # handle -> trains not scored yet
+        self._lock = threading.Lock()  # suites call from several threads
+
+    def __iter__(self):
+        return iter(list(self._models))
+
+    def train(self, handle, model) -> None:
+        with self._lock:
+            self._models[handle] = model
+            self._models.move_to_end(handle)
+            self._unscored[handle] += 1
+            self._trim()
+
+    def score(self, handle):
+        with self._lock:
+            if handle not in self._models:
+                raise ProviderError(f"unknown training handle: {handle!r}")
+            self._models.move_to_end(handle)
+            if self._unscored[handle] > 1:
+                self._unscored[handle] -= 1
+            else:
+                self._unscored.pop(handle, None)
+            self._trim()
+            return self._models[handle]
+
+    def _trim(self) -> None:
+        scored = [h for h in self._models if h not in self._unscored]
+        for handle in scored[:-self.KEEP]:
+            del self._models[handle]
 
 
 class MockEncoderProvider:
@@ -151,13 +182,10 @@ class MockEncoderProvider:
             handle = hashlib.sha256(
                 repr(sorted(lean.items())).encode("utf-8")
             ).hexdigest()[:16]
-            self._models[handle] = lean
+            self._models.train(handle, lean)
             return {"handle": handle}
         if mode == "score":
-            handle = payload.get("handle")
-            if handle not in self._models:
-                raise ProviderError(f"unknown training handle: {handle!r}")
-            lean = self._models[handle]
+            lean = self._models.score(payload.get("handle"))
             scores = []
             for text in payload["texts"]:
                 tokens = text.split()

@@ -35,7 +35,8 @@ from claimcheck.providers import make_providers  # noqa: E402
 
 def mock_answers() -> dict:
     """path -> the reply to a request body, from one fresh "mock" bundle,
-    whose encoder keeps no request and only its recent models."""
+    whose encoder keeps no request, and of its models only those not yet
+    scored and those it used last."""
     mock = make_providers("mock")
 
     def generate(body):

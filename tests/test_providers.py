@@ -366,15 +366,27 @@ def test_the_mock_encoder_scores_a_text_past_the_float_range():
     assert scores == [0.0, 1.0 / (1.0 + math.exp(-1.0))]
 
 
-def test_the_mock_encoder_keeps_only_its_recent_models():
+def test_the_mock_encoder_keeps_its_unscored_and_recent_models():
+    """A model stays until it is scored as often as it was trained, and
+    then while it is among the last KEEP used."""
     encoder = make_providers("mock").encoder
     keep = providers_mod.RecentModels.KEEP
-    handles = [encoder({"mode": "train", "texts": [f"t{i}", "u"],
+
+    def train(i):
+        return encoder({"mode": "train", "texts": [f"t{i}", "u"],
                         "labels": ["CW", "NCW"]})["handle"]
-               for i in range(keep + 1)]
-    assert len(set(handles)) == keep + 1
-    assert list(encoder._models) == handles[1:]
-    for handle in handles[1:]:
-        encoder({"mode": "score", "texts": ["u"], "handle": handle})
+
+    def score(handle):
+        return encoder({"mode": "score", "texts": ["u"], "handle": handle})
+
+    handles = [train(i) for i in range(keep + 2)]
+    assert len(set(handles)) == keep + 2
+    assert list(encoder._models) == handles
+    assert train(0) == handles[0]  # trained twice, so scored twice to go
+    for handle in handles:
+        score(handle)
+    assert list(encoder._models) == [handles[0]] + handles[2:]
     with pytest.raises(ProviderError, match="unknown training handle"):
-        encoder({"mode": "score", "texts": ["u"], "handle": handles[0]})
+        score(handles[1])
+    score(handles[0])  # its second score makes it the last used
+    assert list(encoder._models) == handles[3:] + [handles[0]]

@@ -24,6 +24,7 @@ from claimcheck.errors import (AugmentError, ConfigError, CorpusError,
 from claimcheck.providers import (
     MockEncoderProvider,
     ProviderBundle,
+    RecentModels,
     identity_translator,
 )
 from claimcheck.runner import (
@@ -646,6 +647,36 @@ def test_wall_clock_total_is_wall_time_with_parallel_cells(suite_corpus,
     assert len(cell_times) == 12
     # two workers overlap cells that mostly wait on the encoder
     assert record.wall_clock["total"] < 0.75 * sum(cell_times)
+
+
+class GatedScoreEncoder(MockEncoderProvider):
+    """Holds every score call until `cells` of them have arrived, so each
+    cell trains before any cell scores."""
+
+    def __init__(self, cells: int):
+        super().__init__()
+        self.gate = threading.Barrier(cells, timeout=30)
+
+    def __call__(self, payload):
+        if payload["mode"] == "score":
+            self.gate.wait()
+        return super().__call__(payload)
+
+
+def test_more_workers_than_kept_encoder_models_lose_no_model(suite_corpus,
+                                                             tmp_path):
+    """All 12 cells of a table3 train, KEEP + 4 models, before the first
+    scores; the mock encoder still scores each cell's own model."""
+    record = run_suite("table3", suite_corpus,
+                       few_shot_config(backend_id="encoder",
+                                       max_workers=RecentModels.KEEP + 4),
+                       providers=ProviderBundle(translator=identity_translator,
+                                                filler=MarkerFiller(),
+                                                generator=lambda p, g: "text",
+                                                encoder=GatedScoreEncoder(12)),
+                       out_dir=tmp_path)
+    assert len(record.cells) == 12
+    assert record.failures == []
 
 
 def test_wall_clock_total_covers_the_corpus_features_build(suite_corpus,
