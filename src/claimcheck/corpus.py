@@ -32,6 +32,7 @@ __all__ = [
     "TsvSchema",
     "SCHEMA_PRESETS",
     "CANONICAL_TOPICS",
+    "CANONICAL_TOPIC_IDS",
     "COVID_TOPIC_ID",
     "COVID_SOURCE_IDS",
     "DEFAULT_MERGE_TABLE",

@@ -3,6 +3,12 @@ every config check uses: a bool is neither an integer nor a number here."""
 
 import numbers
 
+__all__ = [
+    "ClaimCheckError", "CorpusError", "SplitError", "ModelError",
+    "AugmentError", "EvalError", "SimilarityError", "ProviderError",
+    "ConfigError", "is_int", "is_number",
+]
+
 
 def is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)

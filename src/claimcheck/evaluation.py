@@ -29,7 +29,6 @@ __all__ = [
     "classify",
     "average_precision",
     "mean_average_precision",
-    "precision_recall_f1",
     "evaluate_scores",
     "column_means",
     "improvement_table",
@@ -198,15 +197,6 @@ def mean_average_precision(scores: dict, labels: dict, n: int | None = None,
     values, is_cw = _scored_and_labelled(scores, labels)
     ap_cw, ap_ncw = _class_aps(values, is_cw, n)
     return ap_cw, ap_ncw, _combine_aps(ap_cw, ap_ncw, cw_only)
-
-
-def precision_recall_f1(predictions: dict, labels: dict, positive: str = CW):
-    """Standard P/R/F1 against the positive class; 0/0 cases map to 0."""
-    if predictions.keys() != labels.keys():
-        raise EvalError("predictions and labels cover different ids")
-    ids = list(predictions)
-    predicted = np.array([predictions[i] == positive for i in ids], dtype=bool)
-    return _prf(predicted, _classes(ids, labels) == positive)
 
 
 def evaluate_scores(target_topic_id: str, scores: dict, labels: dict,

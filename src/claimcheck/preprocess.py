@@ -127,11 +127,9 @@ def _substitute(segment: str) -> tuple:
 
 
 def _unescape_entities(text: str) -> str:
-    # &amp;amp; style double escaping unescapes to a fixed point
-    for _ in range(10):
-        unescaped = html.unescape(text)
-        if unescaped == text:
-            return text
+    # &amp;amp; style escaping, nested to any depth, unescapes to a fixed
+    # point; each round that changes the text shortens it, so this ends
+    while (unescaped := html.unescape(text)) != text:
         text = unescaped
     return text
 

@@ -36,7 +36,7 @@ from pathlib import Path
 from .augment import (NONE, STRATEGIES, AugmentationResult, GenerationParams,
                       augment_training)
 from .cache import atomic_write
-from .corpus import Corpus, has_lone_surrogate
+from .corpus import Corpus
 from .errors import (AugmentError, ClaimCheckError, ConfigError, ModelError,
                      is_int, is_number)
 from .evaluation import (
@@ -75,8 +75,8 @@ class ExperimentConfig:
     """Everything one experiment cell depends on, besides the corpus.
     Without a `setting` it is few-shot when it takes shots or a strategy,
     else zero-shot; `generation_params` may be given as a mapping.
-    `max_workers` is read by `run_suite` only. No key or value may hold a
-    lone surrogate, which run.json could not encode."""
+    `max_workers` is read by `run_suite` only. Each field must be one that
+    run.json can write: JSON values, with no lone surrogate in a string."""
 
     setting: str = None
     strategy: str = NONE
@@ -101,9 +101,15 @@ class ExperimentConfig:
             raise ConfigError(
                 f"output_dir must be a path, got {self.output_dir!r}")
         for name, value in self.to_dict().items():
-            if has_lone_surrogate(value):
+            try:  # each field as run.json will write it
+                json.dumps(value, ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError:
                 flag = " (--out)" if name == "output_dir" else ""
-                raise ConfigError(f"{name}{flag} holds a lone surrogate")
+                raise ConfigError(
+                    f"{name}{flag} holds a lone surrogate") from None
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(
+                    f"{name} cannot be written to run.json: {exc}") from None
         if self.setting is None:
             few = self.shots or self.strategy != NONE
             object.__setattr__(self, "setting", FEW_SHOT if few else ZERO_SHOT)
@@ -186,13 +192,6 @@ class RunRecord:
     failures: list
     setup_s: float
     wall_clock: dict
-
-    def __post_init__(self):
-        for cell in self.cells:
-            if cell.get("seed") != self.config.get("seed"):
-                raise ConfigError(
-                    f"cell {cell.get('topic_id')} seed does not match the run config"
-                )
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, ensure_ascii=False)
@@ -336,25 +335,28 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
 
     Up to the config's `max_workers` cells run at once, each calling its
     providers one at a time. Writes report.md, cells.csv, and run.json
-    under `out_dir` (defaults to the config's output_dir). A column whose
-    config is invalid, such as one with more shots than `holdout_k`,
-    raises ConfigError before `out_dir` is made, the holdouts drawn or the
-    corpus counted. Cells that fail are recorded with their error and
-    excluded from rendered tables; the returned record lists them so
-    callers can exit nonzero. Its `notes` name each topic whose holdout
-    pool is all of it. `setup_s` is the seconds from this call's start to
-    its first cell: a first hash of the corpus, the holdouts and a first
-    count of the corpus features. `wall_clock` holds each cell's seconds
-    and, as `total`, the seconds from this call's start to the end of the
-    last cell. A record field holding a lone surrogate is a CorpusError
-    before anything is made.
+    under `out_dir`, which stands for the config's output_dir, so run.json
+    names the directory written (the config's own when `out_dir` is None).
+    An `out_dir` or a column config that is invalid, such as one with more
+    shots than `holdout_k`, raises ConfigError before `out_dir` is made,
+    the holdouts drawn or the corpus counted. Cells that fail are recorded
+    with their error and excluded from rendered tables; the returned
+    record lists them so callers can exit nonzero. Its `notes` name each
+    topic whose holdout pool is all of it. `setup_s` is the seconds from
+    this call's start to its first cell: a first hash of the corpus, the
+    holdouts and a first count of the corpus features. `wall_clock` holds
+    each cell's seconds and, as `total`, the seconds from this call's
+    start to the end of the last cell. A corpus record field holding a
+    lone surrogate is a CorpusError before anything is made.
     """
     suite_started = time.perf_counter()
     combos = _suite_cells(suite, base_config)
+    if out_dir is not None:  # run.json names the directory written
+        base_config = replace(base_config, output_dir=out_dir)
     # a bad column config is reported before anything is made or counted
     configs = [replace(base_config, setting=setting, strategy=strategy,
                        shots=shots) for setting, strategy, shots in combos]
-    out_dir = Path(out_dir if out_dir is not None else base_config.output_dir)
+    out_dir = Path(base_config.output_dir)
     cache_dir = out_dir / "cache"
 
     # hashed before anything is drawn or made: a field UTF-8 cannot encode

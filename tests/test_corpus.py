@@ -4,12 +4,16 @@ round-trip serialization."""
 import copy
 import dataclasses
 import json
+import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import claimcheck
 from claimcheck.corpus import (
     CANONICAL_TOPIC_IDS,
     COVID_SOURCE_IDS,
@@ -468,3 +472,24 @@ def test_build_corpus_canonical_check_can_be_disabled(tmp_path):
     corpus, _ = build_corpus([(path, SCHEMA_PRESETS["simple"])],
                              require_canonical=False)
     assert corpus.topic_ids() == ["T-ODD"]
+
+
+def test_importing_corpus_or_preprocess_loads_no_scipy_model_or_runner():
+    """The package is its modules: importing `claimcheck.corpus` or
+    `claimcheck.preprocess` loads neither `scipy` nor the model or runner,
+    and the package itself lists none of their names."""
+    probe = (
+        "import json, sys\n"
+        "import claimcheck.corpus, claimcheck.preprocess\n"
+        "print(json.dumps({'loaded': sorted(m for m in sys.modules if m in ("
+        "'scipy', 'claimcheck.model', 'claimcheck.runner') "
+        "or m.startswith('scipy.')), "
+        "'run_suite': hasattr(sys.modules['claimcheck'], 'run_suite')}))\n"
+    )
+    src = os.path.join(os.path.dirname(claimcheck.__file__), os.pardir)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=120,
+                         check=True).stdout
+    assert json.loads(out) == {"loaded": [], "run_suite": False}

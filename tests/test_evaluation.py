@@ -24,7 +24,6 @@ from claimcheck.evaluation import (
     format_delta,
     improvement_table,
     mean_average_precision,
-    precision_recall_f1,
     rank_scores,
     render_improvement_table,
 )
@@ -122,31 +121,6 @@ def test_map_symmetric_in_classes():
     assert f_map == map_
 
 
-def test_prf_all_correct():
-    labels = {"a": CW, "b": NCW}
-    assert precision_recall_f1(dict(labels), labels) == (1.0, 1.0, 1.0)
-
-
-def test_prf_all_predicted_positive_low_base_rate():
-    labels = {f"t{i}": (CW if i < 24 else NCW) for i in range(100)}
-    predictions = {i: CW for i in labels}
-    p, r, f1 = precision_recall_f1(predictions, labels)
-    assert p == pytest.approx(0.24)
-    assert r == 1.0
-    assert f1 == pytest.approx(2 * 0.24 / 1.24)
-
-
-def test_prf_nothing_predicted_positive():
-    labels = {"a": CW, "b": NCW}
-    predictions = {"a": NCW, "b": NCW}
-    assert precision_recall_f1(predictions, labels) == (0.0, 0.0, 0.0)
-
-
-def test_prf_id_mismatch_errors():
-    with pytest.raises(EvalError):
-        precision_recall_f1({"a": CW}, {"a": CW, "b": NCW})
-
-
 def test_evaluate_scores_builds_consistent_report():
     scores = {"a": 0.9, "b": 0.6, "c": 0.4, "d": 0.1}
     labels = {"a": CW, "b": NCW, "c": CW, "d": NCW}
@@ -171,6 +145,21 @@ def test_evaluate_scores_labels_through_classify():
         evaluate_scores("t", {**scores, "b": float("nan")}, labels)
 
 
+def test_evaluate_scores_maps_zero_over_zero_to_zero():
+    labels = {"a": CW, "b": NCW}
+    # nothing clears the threshold: no true and no false positive
+    report = evaluate_scores("t", {"a": 0.2, "b": 0.1}, labels)
+    assert (report.precision, report.recall, report.f1) == (0.0, 0.0, 0.0)
+    # no CW to recall, and the one predicted CW is wrong
+    report = evaluate_scores("t", {"a": 0.9, "b": 0.1}, {"a": NCW, "b": NCW})
+    assert (report.precision, report.recall, report.f1) == (0.0, 0.0, 0.0)
+
+
+def test_evaluate_scores_rejects_an_id_mismatch():
+    with pytest.raises(EvalError, match="different ids"):
+        evaluate_scores("t", {"a": 0.5}, {"a": CW, "b": NCW})
+
+
 def test_unknown_labels_are_rejected_by_name():
     scores = {"a": 0.9, "b": 0.1, "c": 0.5}
     labels = {"a": CW, "b": "maybe", "c": NCW}
@@ -178,8 +167,6 @@ def test_unknown_labels_are_rejected_by_name():
         evaluate_scores("T", scores, labels)
     with pytest.raises(EvalError, match="'maybe'"):
         mean_average_precision(scores, labels)
-    with pytest.raises(EvalError, match="'maybe'"):
-        precision_recall_f1({"a": CW, "b": NCW, "c": NCW}, labels)
 
 
 def test_ap_prefix_must_be_none_or_a_positive_integer():
@@ -234,9 +221,6 @@ def test_array_metrics_are_bit_equal_to_the_per_item_reference(
     exact = brute_force_map(scores, labels, n)
     for value, oracle in zip(got_map[:2], exact):
         assert abs(value - float(oracle)) < 1e-12
-    predictions = {i: reference.classify(s, threshold) for i, s in scores.items()}
-    assert (precision_recall_f1(predictions, labels)
-            == reference.precision_recall_f1(predictions, labels))
 
 
 def test_a_bad_score_is_named_as_the_per_item_reference_names_it():

@@ -148,10 +148,22 @@ _URL_FRAGMENTS = ["t.co/", "bit.ly/", "is.gd/", "buff.ly/", "http://",
                   "[url]", "\U0001F600", "aaa"]
 
 
+# "&amp;amp;…": an entity escaped again and again, to any depth
+_NESTED_ENTITIES = st.integers(1, 24).map(lambda depth: "&" + "amp;" * depth)
+
+
 @settings(max_examples=500, deadline=None)
-@given(st.lists(st.sampled_from(_URL_FRAGMENTS), max_size=8).map("".join))
+@given(st.lists(st.one_of(st.sampled_from(_URL_FRAGMENTS), _NESTED_ENTITIES),
+                max_size=8).map("".join))
 def test_idempotence_on_url_and_markup_fragments(text):
     once = normalize_tweet(text).text
+    assert normalize_tweet(once).text == once
+
+
+@pytest.mark.parametrize("depth", [1, 2, 10, 11, 12, 20])
+def test_an_entity_nested_to_any_depth_unescapes_in_one_pass(depth):
+    once = normalize_tweet("&" + "amp;" * depth + "x").text
+    assert once == "&x"
     assert normalize_tweet(once).text == once
 
 

@@ -12,6 +12,7 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,7 +33,6 @@ from claimcheck.runner import (
     SHOT_CHOICES,
     ZERO_SHOT,
     ExperimentConfig,
-    RunRecord,
     config_from_mapping,
     prepare_cell,
     run_suite,
@@ -431,6 +431,49 @@ def test_suite_writes_artifacts(suite_corpus, tmp_path):
     assert payload["suite"] == "table2"
     assert payload["corpus_hash"] == suite_corpus.fingerprint
     assert "total" in payload["wall_clock"]
+
+
+def test_run_json_names_the_directory_the_suite_wrote(suite_corpus, tmp_path):
+    out = tmp_path / "written" / "t2"
+    record = run_suite("table2", suite_corpus, ExperimentConfig(holdout_k=50),
+                       out_dir=out)
+    payload = json.loads((out / "run.json").read_text(encoding="utf-8"))
+    assert payload["config"]["output_dir"] == str(out)
+    assert record.config["output_dir"] == str(out)
+
+
+def test_an_out_dir_holding_a_lone_surrogate_is_refused_before_any_work(
+        tmp_path):
+    corpus = tiny_corpus(3, per_topic=120)
+    out = tmp_path / "run\udc80"
+    with pytest.raises(ConfigError,
+                       match=re.escape("output_dir (--out) holds a lone "
+                                       "surrogate")):
+        run_suite("table2", corpus, ExperimentConfig(holdout_k=50),
+                  out_dir=out)
+    assert list(tmp_path.iterdir()) == []
+    assert "features" not in vars(corpus)
+    assert not corpus.holdouts
+
+
+@pytest.mark.parametrize("name, kwargs", [
+    ("seed", {"seed": np.int64(1)}),
+    ("hyperparams", {"hyperparams": {"iterations": np.int64(50)}}),
+    ("generation_params",
+     {"shots": 50, "strategy": "TxtGen",
+      "generation_params": {"num_beams": np.int64(4)}}),
+    ("generation_params",
+     {"shots": 50, "strategy": "TxtGen",
+      "generation_params": GenerationParams(num_beams=np.int64(4))}),
+])
+def test_a_config_value_run_json_cannot_hold_is_refused(name, kwargs):
+    """A numpy integer passes the integer checks, but run.json (and the
+    model-cache key) cannot encode it; it is refused when the config is
+    built, not after every cell."""
+    with pytest.raises(ConfigError, match=re.escape(
+            f"{name} cannot be written to run.json: Object of type int64 "
+            "is not JSON serializable")):
+        ExperimentConfig(**kwargs)
 
 
 def test_a_render_that_fails_leaves_the_previous_artifacts_as_they_were(
@@ -1053,21 +1096,6 @@ def test_table3_renders_against_zero_shot(suite_corpus, tmp_path):
 
 # ---------------------------------------------------------------------------
 # run record and fingerprint
-
-
-def test_run_record_rejects_seed_drift():
-    with pytest.raises(ConfigError):
-        RunRecord(
-            suite="table2",
-            config={"seed": 0},
-            corpus_hash="x",
-            cells=[{"topic_id": "T", "seed": 1}],
-            aggregates={},
-            skip_counts={},
-            failures=[],
-            setup_s=0.0,
-            wall_clock={},
-        )
 
 
 def test_fingerprint_ignores_record_order():
