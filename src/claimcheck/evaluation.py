@@ -2,8 +2,9 @@
 
 The task is scored as a ranking problem: each test set gets one average
 precision per class (AP over the ranking ordered for that class), the mean of
-the two is the MAP, and predictions thresholded by `classify` additionally
-yield precision/recall/F1 for the positive class. A test set is kept as
+the two is the MAP, and scores at or above the threshold count as CW and
+additionally yield precision/recall/F1 for the positive class;
+`evaluate_scores` is the one route to all of them. A test set is kept as
 arrays in ascending-id order, and `_rank`, one stable argsort, is the one
 rank order, for metrics and the `rank` command (`rank_scores`) alike.
 Improvement tables compare MAP columns of two experiment variants topic by
@@ -19,22 +20,20 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .corpus import CW, NCW
-from .errors import EvalError, is_int
+from .errors import EvalError
 
 __all__ = [
     "EvalReport",
     "ImprovementCell",
     "ImprovementTable",
     "rank_scores",
-    "classify",
-    "average_precision",
-    "mean_average_precision",
     "evaluate_scores",
     "column_means",
     "improvement_table",
     "delta_percent",
     "render_report_table",
     "render_improvement_table",
+    "reports_to_json",
 ]
 
 
@@ -121,12 +120,6 @@ def _rank(values: np.ndarray, positive: str) -> np.ndarray:
     return np.argsort(-values if positive == CW else values, kind="stable")
 
 
-def _check_prefix(n) -> None:
-    """A ranking prefix length is None (all items) or an integer >= 1."""
-    if n is not None and not (is_int(n) and n >= 1):
-        raise EvalError(f"n must be None or an integer >= 1, got {n!r}")
-
-
 def _ap(hits: np.ndarray) -> float:
     """AP of a ranking whose positive items are `hits`, in rank order:
     hits / rank at each positive item, summed by Python in rank order."""
@@ -136,10 +129,9 @@ def _ap(hits: np.ndarray) -> float:
     return sum((np.arange(1, at.size + 1) / (at + 1)).tolist()) / at.size
 
 
-def _class_aps(values: np.ndarray, is_cw: np.ndarray, n=None) -> tuple:
-    """(AP_cw, AP_ncw) of each class's ranking, within its top `n`."""
-    return (_ap(is_cw[_rank(values, CW)][:n]),
-            _ap(~is_cw[_rank(values, NCW)][:n]))
+def _class_aps(values: np.ndarray, is_cw: np.ndarray) -> tuple:
+    """(AP_cw, AP_ncw) of each class's ranking."""
+    return _ap(is_cw[_rank(values, CW)]), _ap(~is_cw[_rank(values, NCW)])
 
 
 def _prf(predicted: np.ndarray, actual: np.ndarray) -> tuple:
@@ -154,54 +146,21 @@ def _prf(predicted: np.ndarray, actual: np.ndarray) -> tuple:
 
 
 def rank_scores(scores: dict, positive: str = CW) -> list:
-    """Ids of `scores` (id -> P(CW)) best first for `positive`: descending
-    P(positive), ties broken by ascending id."""
+    """Ids of `scores` (id -> P(CW)) best first for `positive`, CW or NCW:
+    descending P(positive), ties broken by ascending id."""
+    if positive not in (CW, NCW):
+        raise EvalError(f"cannot rank for the class {positive!r}; "
+                        f"expected {CW!r} or {NCW!r}")
     ids, values = _scored(scores)
     return [ids[j] for j in _rank(values, positive).tolist()]
 
 
-def classify(score: float, threshold: float = 0.5) -> str:
-    """Threshold a P(CW) into CW/NCW; the boundary counts as CW."""
-    return CW if _unit(score) >= _unit(threshold, "threshold") else NCW
-
-
-def average_precision(ranked_ids, labels: dict, positive: str, n: int | None = None) -> float:
-    """AP of a ranking: mean of precision@rank over the positive items.
-
-    `ranked_ids` must already be ordered for the positive class (best first).
-    Only the top `n` items are considered (all of them when n is None).
-    Returns 0.0 when no positive item appears in the considered prefix.
-    """
-    _check_prefix(n)
-    ranked_ids = list(ranked_ids)
-    if not ranked_ids:
-        raise EvalError("cannot compute average precision of an empty ranking")
-    missing = [i for i in ranked_ids if i not in labels]
-    if missing:
-        raise EvalError(f"ranked ids without a label: {missing[:5]}")
-    return _ap(np.array([labels[i] == positive for i in ranked_ids[:n]],
-                        dtype=bool))
-
-
-def mean_average_precision(scores: dict, labels: dict, n: int | None = None,
-                           cw_only: bool = False):
-    """Per-class APs and their mean for one scored test set.
-
-    `scores` maps id -> P(CW); each class's AP is taken over its
-    `rank_scores` ranking. With `cw_only` the MAP collapses to the
-    positive-class AP (the common shared-task convention).
-
-    Returns (ap_cw, ap_ncw, map).
-    """
-    _check_prefix(n)
-    values, is_cw = _scored_and_labelled(scores, labels)
-    ap_cw, ap_ncw = _class_aps(values, is_cw, n)
-    return ap_cw, ap_ncw, _combine_aps(ap_cw, ap_ncw, cw_only)
-
-
 def evaluate_scores(target_topic_id: str, scores: dict, labels: dict,
                     threshold: float = 0.5, cw_only: bool = False) -> EvalReport:
-    """Build the full EvalReport for one scored test set."""
+    """The full EvalReport for one scored test set: each class's AP over
+    its `rank_scores` ranking, their MAP (the CW AP alone with `cw_only`,
+    the common shared-task convention), and P/R/F1 of CW predicted for
+    every P(CW) at or above `threshold`."""
     values, is_cw = _scored_and_labelled(scores, labels)
     ap_cw, ap_ncw = _class_aps(values, is_cw)
     p, r, f1 = _prf(values >= _unit(threshold, "threshold"), is_cw)
@@ -212,6 +171,8 @@ def evaluate_scores(target_topic_id: str, scores: dict, labels: dict,
 
 def _mean(values) -> float:
     """The column-average rule: the full-precision mean, summed in order."""
+    if not values:
+        raise EvalError("cannot average an empty column")
     return sum(values) / len(values)
 
 

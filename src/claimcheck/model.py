@@ -112,8 +112,14 @@ class ScorerConfig:
         if not isinstance(self.hyperparams, dict):
             raise ModelError(
                 f"hyperparams must be a mapping, got {self.hyperparams!r}")
+        for name in ("hyperparams", "seed"):
+            try:  # each field as the model cache key hashes it
+                json.dumps(getattr(self, name))
+            except (TypeError, ValueError) as exc:
+                raise ModelError(
+                    f"{name} cannot be written as JSON: {exc}") from None
         if self.backend != "baseline":
-            return  # encoder hyperparameters go to the provider unchecked
+            return  # the provider takes encoder values without a range check
         unknown = sorted(set(self.hyperparams) - set(BASELINE_DEFAULTS))
         if unknown:
             raise ModelError(f"unknown baseline hyperparameters {unknown}; "

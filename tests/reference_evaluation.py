@@ -2,8 +2,8 @@
 each id ranked by a `sorted` key, each AP summed one rank at a time and
 P/R/F1 counted over a dict of predictions, as they were computed before
 the array path. It accepts what that code accepted (a label outside
-CW/NCW is a negative, a negative `n` drops items); callers compare it
-only on inputs the production code accepts."""
+CW/NCW is a negative); callers compare it only on inputs the production
+code accepts."""
 
 from claimcheck.corpus import CW, NCW
 from claimcheck.errors import EvalError
@@ -27,15 +27,7 @@ def classify(score, threshold=0.5):
     return CW if _unit(score) >= _unit(threshold, "threshold") else NCW
 
 
-def average_precision(ranked_ids, labels, positive, n=None):
-    ranked_ids = list(ranked_ids)
-    if not ranked_ids:
-        raise EvalError("cannot compute average precision of an empty ranking")
-    missing = [i for i in ranked_ids if i not in labels]
-    if missing:
-        raise EvalError(f"ranked ids without a label: {missing[:5]}")
-    if n is not None:
-        ranked_ids = ranked_ids[:n]
+def average_precision(ranked_ids, labels, positive):
     hits = 0
     precisions = []
     for rank, item_id in enumerate(ranked_ids, start=1):
@@ -47,14 +39,14 @@ def average_precision(ranked_ids, labels, positive, n=None):
     return sum(precisions) / len(precisions)
 
 
-def mean_average_precision(scores, labels, n=None, cw_only=False):
+def mean_average_precision(scores, labels, cw_only=False):
     if set(scores) != set(labels):
         raise EvalError(
             f"scores and labels cover different ids "
             f"({len(scores)} scored vs {len(labels)} labelled)"
         )
-    ap_cw = average_precision(rank_scores(scores, CW), labels, CW, n=n)
-    ap_ncw = average_precision(rank_scores(scores, NCW), labels, NCW, n=n)
+    ap_cw = average_precision(rank_scores(scores, CW), labels, CW)
+    ap_ncw = average_precision(rank_scores(scores, NCW), labels, NCW)
     return ap_cw, ap_ncw, ap_cw if cw_only else (ap_cw + ap_ncw) / 2.0
 
 

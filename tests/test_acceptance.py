@@ -33,9 +33,9 @@ from claimcheck.augment import (
 )
 from claimcheck.corpus import CW, Corpus, NCW, TweetRecord
 from claimcheck.evaluation import (
-    average_precision,
+    evaluate_scores,
     improvement_table,
-    mean_average_precision,
+    rank_scores,
 )
 from claimcheck.preprocess import normalize_tweet
 from claimcheck.providers import (
@@ -80,13 +80,15 @@ def test_1_metric_oracle_equivalence(capsys):
                 if cases % 2:
                     # coarse scores force ties, stressing the tie rule
                     scores = {i: round(s, 1) for i, s in scores.items()}
-                ap_cw, ap_ncw, map_value = mean_average_precision(scores, labels)
+                report = evaluate_scores("T", scores, labels)
                 oracle_cw, oracle_ncw, oracle_map = brute_force_map(scores, labels)
-                assert abs(ap_cw - oracle_cw) <= 1e-9
-                assert abs(ap_ncw - oracle_ncw) <= 1e-9
-                assert abs(map_value - oracle_map) <= 1e-9
+                assert abs(report.ap_cw - oracle_cw) <= 1e-9
+                assert abs(report.ap_ncw - oracle_ncw) <= 1e-9
+                assert abs(report.map - oracle_map) <= 1e-9
                 ranking = sorted(scores, key=lambda i: (-scores[i], i))
-                assert abs(average_precision(ranking, labels, CW) - oracle_cw) <= 1e-9
+                assert rank_scores(scores, CW) == ranking
+                assert rank_scores(scores, NCW) == sorted(
+                    scores, key=lambda i: (scores[i], i))
                 cases += 1
         assert cases == 8190  # every label pattern of length 1..12
         assert cases >= 1000

@@ -1,5 +1,6 @@
-"""Metric correctness: AP/MAP against a brute-force oracle, the classifier
-metrics, and the integer-delta improvement tables."""
+"""Metric correctness of `evaluate_scores`: AP/MAP against a brute-force
+oracle, the threshold and its P/R/F1, and the integer-delta improvement
+tables."""
 
 import json
 import math
@@ -18,48 +19,51 @@ from claimcheck.errors import EvalError
 from claimcheck.evaluation import (
     EvalReport,
     ImprovementCell,
-    average_precision,
+    column_means,
     delta_percent,
     evaluate_scores,
     format_delta,
     improvement_table,
-    mean_average_precision,
     rank_scores,
     render_improvement_table,
 )
 
 
+def _aps(scores, labels) -> tuple:
+    """(AP_cw, AP_ncw, MAP) of `evaluate_scores` for one test set."""
+    report = evaluate_scores("T", scores, labels)
+    return report.ap_cw, report.ap_ncw, report.map
+
+
+def _ranked(ranking) -> dict:
+    """Scores that rank `ranking` best first for CW, as given."""
+    return {i: 1 - k / len(ranking) for k, i in enumerate(ranking)}
+
+
 def test_ap_all_positives_ranked_first():
     labels = {"a": CW, "b": CW, "c": NCW}
-    assert average_precision(["a", "b", "c"], labels, CW) == 1.0
+    assert _aps(_ranked(["a", "b", "c"]), labels)[0] == 1.0
 
 
 def test_ap_single_positive_at_rank_two():
     labels = {"a": NCW, "b": CW}
-    assert average_precision(["a", "b"], labels, CW) == 0.5
+    assert _aps(_ranked(["a", "b"]), labels)[0] == 0.5
 
 
 def test_ap_no_positive_items_is_zero():
     labels = {"a": NCW, "b": NCW}
-    assert average_precision(["a", "b"], labels, CW) == 0.0
+    assert _aps(_ranked(["a", "b"]), labels)[0] == 0.0
 
 
 def test_ap_empty_ranking_errors():
-    with pytest.raises(EvalError):
-        average_precision([], {}, CW)
+    with pytest.raises(EvalError, match="empty score table"):
+        evaluate_scores("t", {}, {})
 
 
-def test_ap_unlabeled_id_errors():
-    with pytest.raises(EvalError):
-        average_precision(["a", "b"], {"a": CW}, CW)
-
-
-def test_ap_truncation():
+def test_ap_averages_precision_at_each_positive():
     labels = {"a": CW, "b": NCW, "c": CW, "d": NCW}
-    ranking = ["a", "b", "c", "d"]
-    assert average_precision(ranking, labels, CW, n=2) == 1.0
-    full = average_precision(ranking, labels, CW)
-    assert abs(full - (1.0 + 2.0 / 3.0) / 2.0) < 1e-12
+    ap_cw = _aps(_ranked(["a", "b", "c", "d"]), labels)[0]
+    assert abs(ap_cw - (1.0 + 2.0 / 3.0) / 2.0) < 1e-12
 
 
 def test_ap_matches_oracle_on_random_rankings():
@@ -69,32 +73,25 @@ def test_ap_matches_oracle_on_random_rankings():
         ids = [f"t{i}" for i in range(n)]
         labels = {i: rng.choice([CW, NCW]) for i in ids}
         rng.shuffle(ids)
-        cutoff = rng.choice([None, rng.randint(1, n)])
-        got = average_precision(ids, labels, CW, n=cutoff)
-        want = brute_force_ap(ids, labels, CW, n=cutoff)
+        got = _aps(_ranked(ids), labels)[0]
+        want = brute_force_ap(ids, labels, CW)
         assert abs(got - float(want)) < 1e-9
 
 
 def test_map_perfect_separation():
     scores = {"a": 0.9, "b": 0.8, "c": 0.2, "d": 0.1}
     labels = {"a": CW, "b": CW, "c": NCW, "d": NCW}
-    ap_cw, ap_ncw, map_ = mean_average_precision(scores, labels)
-    assert (ap_cw, ap_ncw, map_) == (1.0, 1.0, 1.0)
+    assert _aps(scores, labels) == (1.0, 1.0, 1.0)
 
 
 def test_map_identical_scores_uses_id_tie_rule():
     ids = [f"t{i}" for i in range(8)]
     scores = {i: 0.5 for i in ids}
     labels = {i: (CW if k % 2 == 0 else NCW) for k, i in enumerate(ids)}
-    got = mean_average_precision(scores, labels)
+    got = _aps(scores, labels)
     want = brute_force_map(scores, labels)
     for g, w in zip(got, want):
         assert abs(g - float(w)) < 1e-9
-
-
-def test_map_id_mismatch_errors():
-    with pytest.raises(EvalError):
-        mean_average_precision({"a": 0.5}, {"b": CW})
 
 
 def test_map_invariant_under_monotone_score_transforms():
@@ -102,10 +99,10 @@ def test_map_invariant_under_monotone_score_transforms():
     ids = [f"t{i}" for i in range(20)]
     scores = {i: rng.random() for i in ids}
     labels = {i: rng.choice([CW, NCW]) for i in ids}
-    base = mean_average_precision(scores, labels)
+    base = _aps(scores, labels)
     for transform in (lambda s: s / 2 + 0.25, lambda s: 1 - math.exp(-3 * s)):
         moved = {i: transform(s) for i, s in scores.items()}
-        assert mean_average_precision(moved, labels) == base
+        assert _aps(moved, labels) == base
 
 
 def test_map_symmetric_in_classes():
@@ -113,10 +110,10 @@ def test_map_symmetric_in_classes():
     ids = [f"t{i}" for i in range(30)]
     scores = {i: rng.choice([0.1, 0.3, 0.5, 0.7]) for i in ids}
     labels = {i: rng.choice([CW, NCW]) for i in ids}
-    ap_cw, ap_ncw, map_ = mean_average_precision(scores, labels)
+    ap_cw, ap_ncw, map_ = _aps(scores, labels)
     flipped_scores = {i: 1.0 - s for i, s in scores.items()}
     flipped_labels = {i: (NCW if lab == CW else CW) for i, lab in labels.items()}
-    f_cw, f_ncw, f_map = mean_average_precision(flipped_scores, flipped_labels)
+    f_cw, f_ncw, f_map = _aps(flipped_scores, flipped_labels)
     assert (f_cw, f_ncw) == (ap_ncw, ap_cw)
     assert f_map == map_
 
@@ -133,16 +130,21 @@ def test_evaluate_scores_builds_consistent_report():
     assert report.recall == pytest.approx(0.5)
 
 
-def test_evaluate_scores_labels_through_classify():
+def test_evaluate_scores_counts_the_threshold_as_cw():
     scores = {"a": 0.25, "b": 0.2, "c": 0.9}
     labels = {"a": CW, "b": NCW, "c": NCW}
     # a sits on the threshold, which counts as CW
     report = evaluate_scores("t", scores, labels, threshold=0.25)
     assert (report.precision, report.recall) == (0.5, 1.0)
+    # at the default 0.5, 0.7 and 0.5 are CW and 0.49 is not
+    report = evaluate_scores("t", {"a": 0.7, "b": 0.5, "c": 0.49},
+                             {"a": CW, "b": CW, "c": CW})
+    assert report.recall == 2 / 3
     with pytest.raises(EvalError, match="threshold"):
         evaluate_scores("t", scores, labels, threshold=1.5)
-    with pytest.raises(EvalError, match="outside"):
-        evaluate_scores("t", {**scores, "b": float("nan")}, labels)
+    for bad in (1.2, -0.1, float("nan")):
+        with pytest.raises(EvalError, match="outside"):
+            evaluate_scores("t", {**scores, "b": bad}, labels)
 
 
 def test_evaluate_scores_maps_zero_over_zero_to_zero():
@@ -156,8 +158,12 @@ def test_evaluate_scores_maps_zero_over_zero_to_zero():
 
 
 def test_evaluate_scores_rejects_an_id_mismatch():
-    with pytest.raises(EvalError, match="different ids"):
-        evaluate_scores("t", {"a": 0.5}, {"a": CW, "b": NCW})
+    # an unscored label, an unlabelled score, and other ids altogether
+    for scores, labels in (({"a": 0.5}, {"a": CW, "b": NCW}),
+                           ({"a": 0.9, "b": 0.1}, {"a": CW}),
+                           ({"a": 0.5}, {"b": CW})):
+        with pytest.raises(EvalError, match="different ids"):
+            evaluate_scores("t", scores, labels)
 
 
 def test_unknown_labels_are_rejected_by_name():
@@ -165,21 +171,6 @@ def test_unknown_labels_are_rejected_by_name():
     labels = {"a": CW, "b": "maybe", "c": NCW}
     with pytest.raises(EvalError, match="unknown labels: 'maybe'"):
         evaluate_scores("T", scores, labels)
-    with pytest.raises(EvalError, match="'maybe'"):
-        mean_average_precision(scores, labels)
-
-
-def test_ap_prefix_must_be_none_or_a_positive_integer():
-    ranking, labels = ["a", "b", "c"], {"a": NCW, "b": NCW, "c": CW}
-    assert average_precision(ranking, labels, CW) == 1 / 3
-    assert average_precision(ranking, labels, CW, n=3) == 1 / 3
-    assert average_precision(ranking, labels, CW, n=9) == 1 / 3
-    for bad in (-1, 0, 1.5, True, "2"):
-        with pytest.raises(EvalError, match="n must be None"):
-            average_precision(ranking, labels, CW, n=bad)
-        with pytest.raises(EvalError, match="n must be None"):
-            mean_average_precision({"a": 0.9, "b": 0.5, "c": 0.1}, labels,
-                                   n=bad)
 
 
 def _bits(report) -> tuple:
@@ -202,24 +193,18 @@ def _scored_tables(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(_scored_tables(), st.sampled_from(_VALUES), st.booleans(),
-       st.one_of(st.none(), st.integers(1, 16)))
+@given(_scored_tables(), st.sampled_from(_VALUES), st.booleans())
 def test_array_metrics_are_bit_equal_to_the_per_item_reference(
-        table, threshold, cw_only, n):
+        table, threshold, cw_only):
     scores, labels = table
     got = evaluate_scores("T", scores, labels, threshold, cw_only)
     want = reference.evaluate_scores("T", scores, labels, threshold, cw_only)
     assert _bits(got) == _bits(want)
     for positive in (CW, NCW):
-        ranking = rank_scores(scores, positive)
-        assert ranking == reference.rank_scores(scores, positive)
-        assert (average_precision(ranking, labels, positive, n).hex()
-                == reference.average_precision(ranking, labels, positive, n).hex())
-    got_map = mean_average_precision(scores, labels, n, cw_only)
-    assert ([v.hex() for v in got_map] == [v.hex() for v in
-            reference.mean_average_precision(scores, labels, n, cw_only)])
-    exact = brute_force_map(scores, labels, n)
-    for value, oracle in zip(got_map[:2], exact):
+        assert rank_scores(scores, positive) == reference.rank_scores(
+            scores, positive)
+    exact = brute_force_map(scores, labels)
+    for value, oracle in zip((got.ap_cw, got.ap_ncw), exact):
         assert abs(value - float(oracle)) < 1e-12
 
 
@@ -261,8 +246,6 @@ def test_cw_only_map_keeps_the_true_ncw_ap():
     assert default.ap_ncw != default.ap_cw
     assert (cw_only.ap_cw, cw_only.ap_ncw) == (default.ap_cw, default.ap_ncw)
     assert cw_only.map == cw_only.ap_cw
-    assert mean_average_precision(scores, labels, cw_only=True) == (
-        default.ap_cw, default.ap_ncw, default.ap_cw)
     assert cw_only.to_dict()["cw_only"] is True
     assert "cw_only" not in default.to_dict()
 
@@ -329,6 +312,13 @@ def test_improvement_table_cells_and_average():
 def test_improvement_table_topic_mismatch_errors():
     with pytest.raises(EvalError):
         improvement_table({"t1": 0.4}, {"v": {"t2": 0.5}})
+
+
+def test_an_empty_column_has_no_average():
+    with pytest.raises(EvalError, match="empty column"):
+        column_means({})
+    with pytest.raises(EvalError, match="empty column"):
+        improvement_table({}, {"x": {}})
 
 
 def test_improvement_table_accepts_reports(small_corpus):

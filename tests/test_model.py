@@ -29,7 +29,7 @@ from claimcheck import model
 from claimcheck.cache import stable_hash
 from claimcheck.corpus import CW, NCW, Corpus, TweetRecord
 from claimcheck.errors import EvalError, ModelError, ProviderError
-from claimcheck.evaluation import classify, rank_scores
+from claimcheck.evaluation import rank_scores
 from claimcheck.model import (
     BASELINE_DEFAULTS,
     ENCODER_DEFAULTS,
@@ -97,6 +97,19 @@ def test_config_overrides_merge_with_defaults():
     cfg = ScorerConfig(backend="baseline", hyperparams={"iterations": 10})
     resolved = cfg.resolved_hyperparams()
     assert resolved == {**BASELINE_DEFAULTS, "iterations": 10}
+
+
+@pytest.mark.parametrize("name,fields", [
+    ("hyperparams", {"hyperparams": {"iterations": np.int64(50)}}),
+    ("hyperparams", {"hyperparams": {"l2": np.float32(1e-4)}}),
+    ("seed", {"seed": np.int64(3)}),
+])
+def test_config_refuses_what_the_model_cache_key_cannot_hash(
+        tmp_path, name, fields):
+    with pytest.raises(ModelError, match=f"^{name} cannot be written as JSON"):
+        train_scorer(planted_records(), ScorerConfig(**fields),
+                     cache_dir=tmp_path)
+    assert not list(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------
@@ -1302,30 +1315,10 @@ def test_ranking_rejects_inconsistent_tables():
             rank_scores({"a": 0.5, "b": bad})
 
 
-# ---------------------------------------------------------------------------
-# decision rule (claimcheck.evaluation.classify)
-
-
-def test_classify_threshold_is_inclusive():
-    assert classify(0.7) == CW
-    assert classify(0.5) == CW
-    assert classify(0.49) == NCW
-
-
-def test_classify_honours_custom_threshold():
-    assert classify(0.3, threshold=0.25) == CW
-    assert classify(0.2, threshold=0.25) == NCW
-
-
-def test_classify_rejects_out_of_range_values():
-    with pytest.raises(EvalError):
-        classify(1.2)
-    with pytest.raises(EvalError):
-        classify(-0.1)
-    with pytest.raises(EvalError):
-        classify(float("nan"))
-    with pytest.raises(EvalError):
-        classify(0.5, threshold=1.5)
+def test_ranking_is_only_for_cw_or_ncw():
+    for positive in ("maybe", "cw", None):
+        with pytest.raises(EvalError, match=f"class {positive!r}"):
+            rank_scores({"a": 0.9, "b": 0.1}, positive)
 
 
 # ---------------------------------------------------------------------------
