@@ -152,8 +152,8 @@ def test_a_rerun_reads_every_model_from_the_cache(workdir, line):
 
 def test_a_refused_config_is_one_error_line_and_exit_code_2(workdir):
     """The config is built before the corpus is read, so none is needed."""
-    (workdir / "cut.json").write_text('{"pivot": "x\\udc00"}')
+    (workdir / "cut.json").write_text('{"backend_id": "x\\udc00"}')
     done = run(workdir, "claimcheck suite table2 --corpus missing.jsonl "
                "--config cut.json --out runs/refused/", code=2)
-    assert done.stderr == "error: pivot holds a lone surrogate\n"
+    assert done.stderr == "error: backend_id holds a lone surrogate\n"
     assert not (workdir / "runs/refused").exists()

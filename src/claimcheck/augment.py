@@ -21,7 +21,7 @@ import numpy as np
 
 from .cache import cached, stable_hash
 from .corpus import TweetRecord, has_lone_surrogate
-from .errors import AugmentError, is_int, is_number
+from .errors import AugmentError
 from .preprocess import PLACEHOLDERS
 from .providers import MASK_TOKEN, HttpProvider
 
@@ -32,9 +32,12 @@ NONE = "none"
 STRATEGIES = (BT, CWE, TXTGEN)
 _ROLES = {BT: "translator", CWE: "filler", TXTGEN: "generator"}
 SYNTHETIC_SOURCE = "synthetic"
+PIVOT = "en"  # back translation's pivot language
+RATIO = 0.3  # the share of word positions CWE substitutes
 
 __all__ = [
     "BT", "CWE", "TXTGEN", "NONE", "STRATEGIES", "SYNTHETIC_SOURCE",
+    "PIVOT", "RATIO",
     "AugmentedSample", "GenerationParams", "AugmentationResult",
     "back_translate", "contextual_substitute", "generate_samples",
     "augment_training", "synthetic_record",
@@ -57,26 +60,14 @@ class AugmentedSample:
 
 @dataclass(frozen=True)
 class GenerationParams:
+    """The text generator's parameters, as the generator role receives
+    them; TxtGen always uses these values."""
+
     num_beams: int = 5
     max_length: int = 200
     top_p: float = 0.75
     repetition_penalty: float = 3
     no_repeat_ngram_size: int = 3
-
-    def __post_init__(self):
-        for name, low in (("num_beams", 1), ("max_length", 1),
-                          ("no_repeat_ngram_size", 0)):
-            value = getattr(self, name)
-            if not (is_int(value) and value >= low):
-                raise AugmentError(
-                    f"{name} must be an integer >= {low}, got {value!r}")
-        if not (is_number(self.top_p) and 0 < self.top_p <= 1):
-            raise AugmentError(
-                f"top_p must be a number in (0, 1], got {self.top_p!r}")
-        if not (is_number(self.repetition_penalty)
-                and self.repetition_penalty > 0):
-            raise AugmentError(f"repetition_penalty must be a number > 0, "
-                               f"got {self.repetition_penalty!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -142,13 +133,13 @@ def _augment(strategy, role, samples, call, finish=None):
                               identical)
 
 
-def back_translate(samples, translator, pivot: str = "en") -> AugmentationResult:
-    """Round-trip each sample through a pivot language."""
+def back_translate(samples, translator) -> AugmentationResult:
+    """Round-trip each sample through the pivot language."""
     if translator is None:
         raise AugmentError("back translation requires a translator provider")
     return _augment(
         BT, "translator", samples,
-        lambda r: translator(translator(r.text, "ar", pivot), pivot, "ar"))
+        lambda r: translator(translator(r.text, "ar", PIVOT), PIVOT, "ar"))
 
 
 def substitution_count(n_tokens: int, ratio: float) -> int:
@@ -156,9 +147,8 @@ def substitution_count(n_tokens: int, ratio: float) -> int:
     return int(math.floor(ratio * n_tokens + 0.5))
 
 
-def contextual_substitute(samples, filler, ratio: float = 0.3,
-                          seed: int = 0) -> AugmentationResult:
-    """Mask a seed-chosen fraction of word positions and let the filler
+def contextual_substitute(samples, filler, seed: int = 0) -> AugmentationResult:
+    """Mask a seed-chosen `RATIO` of word positions and let the filler
     rewrite them in place.
 
     The position count comes from the full token count, but placeholder
@@ -168,13 +158,11 @@ def contextual_substitute(samples, filler, ratio: float = 0.3,
     """
     if filler is None:
         raise AugmentError("contextual substitution requires a filler provider")
-    if not 0.0 < ratio <= 1.0:
-        raise AugmentError(f"ratio {ratio} outside (0, 1]")
 
     def fill(record):
         tokens = record.text.split()
         eligible = [i for i, t in enumerate(tokens) if t not in PLACEHOLDERS]
-        count = min(substitution_count(len(tokens), ratio), len(eligible))
+        count = min(substitution_count(len(tokens), RATIO), len(eligible))
         if count == 0:
             return record.text
         rng = random.Random(f"{seed}|cwe|{record.tweet_id}")
@@ -192,17 +180,15 @@ def contextual_substitute(samples, filler, ratio: float = 0.3,
     return _augment(CWE, "filler", samples, fill, check_count)
 
 
-def generate_samples(samples, generator,
-                     params: GenerationParams = None) -> AugmentationResult:
+def generate_samples(samples, generator) -> AugmentationResult:
     """Generate one new text per seed, prompting with the seed's text.
 
-    Generation parameters are forwarded to the provider verbatim; outputs
-    longer than max_length tokens are truncated to it.
+    `GenerationParams()` is forwarded to the provider verbatim; outputs
+    longer than its max_length tokens are truncated to it.
     """
     if generator is None:
         raise AugmentError("text generation requires a generator provider")
-    if params is None:
-        params = GenerationParams()
+    params = GenerationParams()
 
     def truncate(record, text):
         tokens = text.split()
@@ -253,8 +239,7 @@ def _load_result(path) -> AugmentationResult:
 
 
 def augment_training(train, pool, strategy: str, providers, seed: int = 0,
-                     params: GenerationParams = None, ratio: float = 0.3,
-                     pivot: str = "en", cache_dir=None):
+                     cache_dir=None):
     """Extend training rows with synthetic variants of their few-shot pool.
 
     `train` and `pool` are `claimcheck.model.Rows` of one `CorpusFeatures`.
@@ -262,8 +247,8 @@ def augment_training(train, pool, strategy: str, providers, seed: int = 0,
     or (train, None) for strategy ``none``. Only pool samples ever seed
     augmentation, and every pool row must already be a training row. When
     a cache directory is given, results are reused across runs keyed by
-    strategy, the identity of the provider it calls, parameters, pool
-    content, and seed.
+    strategy, the identity of the provider it calls, the strategies'
+    constants, pool content, and seed.
     """
     if strategy == NONE:
         return train, None
@@ -276,25 +261,23 @@ def augment_training(train, pool, strategy: str, providers, seed: int = 0,
             f"augmentation seeds outside the training set: {named}")
     pool_records = list(pool)
 
-    if params is None:
-        params = GenerationParams()
     provider = getattr(providers, _ROLES[strategy], None)
 
     def run():
         if strategy == BT:
-            return back_translate(pool_records, provider, pivot)
+            return back_translate(pool_records, provider)
         if strategy == CWE:
-            return contextual_substitute(pool_records, provider, ratio, seed)
-        return generate_samples(pool_records, provider, params)
+            return contextual_substitute(pool_records, provider, seed)
+        return generate_samples(pool_records, provider)
 
     path = None
     if cache_dir is not None:
         key = stable_hash({
             "strategy": strategy,
             "provider": _provider_identity(provider),
-            "params": params.to_dict(),
-            "ratio": ratio,
-            "pivot": pivot,
+            "params": GenerationParams().to_dict(),
+            "ratio": RATIO,
+            "pivot": PIVOT,
             "pool": [(r.tweet_id, r.text, r.label) for r in pool_records],
             "seed": seed,
         })

@@ -2,7 +2,7 @@
 
 The task is scored as a ranking problem: each test set gets one average
 precision per class (AP over the ranking ordered for that class), the mean of
-the two is the MAP, and scores at or above the threshold count as CW and
+the two is the MAP, and scores at or above `THRESHOLD` count as CW and
 additionally yield precision/recall/F1 for the positive class;
 `evaluate_scores` is the one route to all of them. A test set is kept as
 arrays in ascending-id order, and `_rank`, one stable argsort, is the one
@@ -34,20 +34,16 @@ __all__ = [
     "render_report_table",
     "render_improvement_table",
     "reports_to_json",
+    "THRESHOLD",
 ]
 
-
-def _combine_aps(ap_cw: float, ap_ncw: float, cw_only: bool) -> float:
-    """The MAP rule: mean of the class APs, or the CW AP alone."""
-    return ap_cw if cw_only else (ap_cw + ap_ncw) / 2.0
+THRESHOLD = 0.5  # the least P(CW) that counts as CW
 
 
 @dataclass(frozen=True)
 class EvalReport:
-    """All evaluation numbers for one experiment cell (one target topic).
-
-    With `cw_only` the MAP is the CW AP alone; AP_ncw is still reported.
-    """
+    """All evaluation numbers for one experiment cell (one target topic);
+    the MAP is the mean of the class APs."""
 
     target_topic_id: str
     ap_cw: float
@@ -57,25 +53,18 @@ class EvalReport:
     recall: float
     f1: float
     n_test: int
-    cw_only: bool = False
 
     def __post_init__(self):
-        if abs(self.map - _combine_aps(self.ap_cw, self.ap_ncw, self.cw_only)) > 1e-9:
-            rule = "the CW AP" if self.cw_only else "the mean of the class APs"
-            raise EvalError(f"map must be {rule}, got {self.map!r}")
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        if not self.cw_only:
-            del out["cw_only"]
-        return out
+        if abs(self.map - (self.ap_cw + self.ap_ncw) / 2.0) > 1e-9:
+            raise EvalError(
+                f"map must be the mean of the class APs, got {self.map!r}")
 
 
-def _unit(value: float, name: str = "score") -> float:
-    """`value` itself, once it lies in [0, 1] as a P(CW) or a threshold
-    must; NaN does not."""
+def _unit(value: float) -> float:
+    """`value` itself, once it lies in [0, 1] as a P(CW) must; NaN does
+    not."""
     if not 0.0 <= value <= 1.0:
-        raise EvalError(f"{name} {value} outside [0, 1]")
+        raise EvalError(f"score {value} outside [0, 1]")
     return value
 
 
@@ -155,18 +144,16 @@ def rank_scores(scores: dict, positive: str = CW) -> list:
     return [ids[j] for j in _rank(values, positive).tolist()]
 
 
-def evaluate_scores(target_topic_id: str, scores: dict, labels: dict,
-                    threshold: float = 0.5, cw_only: bool = False) -> EvalReport:
+def evaluate_scores(target_topic_id: str, scores: dict,
+                    labels: dict) -> EvalReport:
     """The full EvalReport for one scored test set: each class's AP over
-    its `rank_scores` ranking, their MAP (the CW AP alone with `cw_only`,
-    the common shared-task convention), and P/R/F1 of CW predicted for
-    every P(CW) at or above `threshold`."""
+    its `rank_scores` ranking, their mean as the MAP, and P/R/F1 of CW
+    predicted for every P(CW) at or above `THRESHOLD`."""
     values, is_cw = _scored_and_labelled(scores, labels)
     ap_cw, ap_ncw = _class_aps(values, is_cw)
-    p, r, f1 = _prf(values >= _unit(threshold, "threshold"), is_cw)
-    return EvalReport(target_topic_id, ap_cw, ap_ncw,
-                      _combine_aps(ap_cw, ap_ncw, cw_only), p, r, f1,
-                      len(labels), cw_only)
+    p, r, f1 = _prf(values >= THRESHOLD, is_cw)
+    return EvalReport(target_topic_id, ap_cw, ap_ncw, (ap_cw + ap_ncw) / 2.0,
+                      p, r, f1, len(labels))
 
 
 def _mean(values) -> float:
@@ -297,5 +284,5 @@ def render_improvement_table(table: ImprovementTable, base_name: str = "base",
 
 
 def reports_to_json(reports: dict) -> str:
-    return json.dumps({t: r.to_dict() for t, r in sorted(reports.items())},
+    return json.dumps({t: asdict(r) for t, r in sorted(reports.items())},
                       indent=2, sort_keys=True)

@@ -4,7 +4,7 @@ Provider roles and call shapes:
 
 - translator(text, src, tgt) -> text
 - filler(masked_text) -> text        (fills ``[MASK]`` slots)
-- generator(prompt, params) -> text  (params is a GenerationParams-like object)
+- generator(prompt, params) -> text  (params: the fixed GenerationParams())
 - embedder(text) -> list of floats
 - encoder(payload dict) -> dict      (sequence-classification backend)
 
@@ -57,7 +57,6 @@ class ProviderBundle:
     generator: object = None
     embedder: object = None
     encoder: object = None
-    kind: str = "none"
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +285,7 @@ def make_providers(spec) -> ProviderBundle:
     under the role names.
     """
     if spec is None or spec == "none":
-        return ProviderBundle(kind="none")
+        return ProviderBundle()
     if spec == "mock":
         return ProviderBundle(
             translator=identity_translator,
@@ -294,10 +293,9 @@ def make_providers(spec) -> ProviderBundle:
             generator=DistinctTokenGenerator(),
             embedder=HashEmbedder(),
             encoder=MockEncoderProvider(),
-            kind="mock",
         )
     if isinstance(spec, str) and spec.startswith(("http:", "https:")):
-        return ProviderBundle(kind=spec, **{
+        return ProviderBundle(**{
             role: HttpProvider(spec, role) for role in HTTP_ROLES})
     if isinstance(spec, dict):
         unknown = sorted(set(spec) - set(HTTP_ROLES))
@@ -305,7 +303,7 @@ def make_providers(spec) -> ProviderBundle:
             raise ProviderError(f"unknown provider roles {unknown}; "
                                 f"expected some of {list(HTTP_ROLES)}")
         mock = make_providers("mock")
-        bundle = ProviderBundle(kind="custom")
+        bundle = ProviderBundle()
         for role, conf in spec.items():
             if conf is None:
                 continue

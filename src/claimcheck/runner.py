@@ -33,12 +33,10 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
-from .augment import (NONE, STRATEGIES, AugmentationResult, GenerationParams,
-                      augment_training)
+from .augment import NONE, STRATEGIES, AugmentationResult, augment_training
 from .cache import atomic_write
 from .corpus import Corpus
-from .errors import (AugmentError, ClaimCheckError, ConfigError, ModelError,
-                     is_int, is_number)
+from .errors import ClaimCheckError, ConfigError, ModelError, is_int
 from .evaluation import (
     EvalReport,
     column_means,
@@ -74,23 +72,18 @@ __all__ = [
 class ExperimentConfig:
     """Everything one experiment cell depends on, besides the corpus.
     Without a `setting` it is few-shot when it takes shots or a strategy,
-    else zero-shot; `generation_params` may be given as a mapping.
-    `max_workers` is read by `run_suite` only. Each field must be one that
-    run.json can write: JSON values, with no lone surrogate in a string."""
+    else zero-shot. `max_workers` is read by `run_suite` only. Each field
+    must be one that run.json can write: JSON values, with no lone
+    surrogate in a string."""
 
     setting: str = None
     strategy: str = NONE
     shots: int = 0
     backend_id: str = "baseline"
     seed: int = 0
-    generation_params: GenerationParams = field(default_factory=GenerationParams)
     output_dir: str = "runs"
     holdout_k: int = 200
     hyperparams: dict = field(default_factory=dict)
-    ratio: float = 0.3
-    pivot: str = "en"
-    threshold: float = 0.5
-    cw_only_map: bool = False
     max_workers: int = 0
 
     def __post_init__(self):
@@ -121,9 +114,6 @@ class ExperimentConfig:
         if not (is_int(self.max_workers) and self.max_workers >= 0):
             raise ConfigError(f"max_workers (--workers) must be an integer "
                               f">= 0, got {self.max_workers!r}")
-        if not isinstance(self.cw_only_map, bool):
-            raise ConfigError(
-                f"cw_only_map must be true or false, got {self.cw_only_map!r}")
         if self.strategy not in (NONE,) + STRATEGIES:
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.setting == ZERO_SHOT:
@@ -140,19 +130,6 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"shots ({self.shots}) exceed the holdout size ({self.holdout_k})"
                 )
-        if not (is_number(self.threshold) and 0.0 <= self.threshold <= 1.0):
-            raise ConfigError(
-                f"threshold must be a number in [0, 1], got {self.threshold!r}")
-        if not (is_number(self.ratio) and 0.0 < self.ratio <= 1.0):
-            raise ConfigError(
-                f"ratio must be a number in (0, 1], got {self.ratio!r}")
-        gp = self.generation_params
-        if not isinstance(gp, GenerationParams):
-            try:  # GenerationParams owns the checks of its values
-                gp = GenerationParams(**({} if gp is None else gp))
-            except (TypeError, AugmentError) as exc:
-                raise ConfigError(f"bad generation_params: {exc}") from None
-            object.__setattr__(self, "generation_params", gp)
         try:  # ScorerConfig owns the backend and hyperparameter checks
             self.scorer_config()
         except ModelError as exc:
@@ -248,8 +225,6 @@ def prepare_cell(config: ExperimentConfig, corpus: Corpus, target: str,
             train, aug_result = augment_training(
                 train, corpus.features.select(split.shots), config.strategy,
                 providers, config.seed,
-                params=config.generation_params, ratio=config.ratio,
-                pivot=config.pivot,
                 cache_dir=(Path(cache_dir) / "augment"
                            if cache_dir is not None else None),
             )
@@ -278,9 +253,7 @@ def run_topic(config: ExperimentConfig, corpus: Corpus, target: str,
         test_ids = cell.split.test_ids()
         scores = dict(zip(test_ids, score_values))
         labels = dict(zip(test_ids, cell.test.labels()))
-        report = evaluate_scores(target, scores, labels,
-                                 threshold=config.threshold,
-                                 cw_only=config.cw_only_map)
+        report = evaluate_scores(target, scores, labels)
 
     if details is not None:
         aug = cell.augmentation

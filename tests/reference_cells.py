@@ -7,7 +7,7 @@ from claimcheck.augment import (BT, CWE, back_translate, contextual_substitute,
 
 
 def reference_cell(corpus, holdouts, target, shots, strategy=None,
-                   providers=None, ratio=0.3, seed=0, params=None):
+                   providers=None, seed=0):
     """(train ids, test ids, synthetic records) of one cell: train and test
     ids sorted, the synthetic records in pool order."""
     pool = holdouts.pool(target)
@@ -20,10 +20,9 @@ def reference_cell(corpus, holdouts, target, shots, strategy=None,
         if strategy == BT:
             result = back_translate(seeds, providers.translator)
         elif strategy == CWE:
-            result = contextual_substitute(seeds, providers.filler, ratio,
-                                           seed)
+            result = contextual_substitute(seeds, providers.filler, seed)
         else:
-            result = generate_samples(seeds, providers.generator, params)
+            result = generate_samples(seeds, providers.generator)
         by_id = {r.tweet_id: r for r in seeds}
         synthetic = [synthetic_record(s, by_id[s.origin_tweet_id])
                      for s in result.samples]

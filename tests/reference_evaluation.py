@@ -62,10 +62,9 @@ def precision_recall_f1(predictions, labels, positive=CW):
     return precision, recall, f1
 
 
-def evaluate_scores(target_topic_id, scores, labels, threshold=0.5,
-                    cw_only=False):
-    ap_cw, ap_ncw, map_ = mean_average_precision(scores, labels, cw_only=cw_only)
-    predictions = {i: classify(s, threshold) for i, s in scores.items()}
+def evaluate_scores(target_topic_id, scores, labels):
+    ap_cw, ap_ncw, map_ = mean_average_precision(scores, labels)
+    predictions = {i: classify(s) for i, s in scores.items()}
     p, r, f1 = precision_recall_f1(predictions, labels, positive=CW)
     return EvalReport(target_topic_id, ap_cw, ap_ncw, map_, p, r, f1,
-                      len(labels), cw_only)
+                      len(labels))

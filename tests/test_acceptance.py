@@ -178,7 +178,7 @@ def test_5_augmentation_invariants(capsys):
         assert [s.text for s in bt.samples] == [r.text for r in pool]
 
         filler = MarkerFiller()
-        cwe = contextual_substitute(pool, filler, ratio=0.3, seed=5)
+        cwe = contextual_substitute(pool, filler, seed=5)
         assert cwe.skips == ()
         for record, sample in zip(pool, cwe.samples):
             tokens = sample.text.split()

@@ -628,7 +628,7 @@ def test_a_config_file_seed_or_output_dir_of_the_wrong_type_exits_two(
 
 
 @pytest.mark.parametrize("setting, out, name", [
-    ('{"pivot": "x\\udc00"}', "run", "pivot"),
+    ('{"backend_id": "x\\udc00"}', "run", "backend_id"),
     ('{"backend_id": "encoder", "hyperparams": {"\\ud800": 1}}', "run",
      "hyperparams"),
     # argv decodes a byte that is not UTF-8 to a lone surrogate

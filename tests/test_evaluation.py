@@ -2,11 +2,10 @@
 oracle, the threshold and its P/R/F1, and the integer-delta improvement
 tables."""
 
-import json
 import math
 import random
 import re
-from dataclasses import astuple
+from dataclasses import asdict, astuple
 
 import pytest
 import reference_evaluation as reference
@@ -131,17 +130,15 @@ def test_evaluate_scores_builds_consistent_report():
 
 
 def test_evaluate_scores_counts_the_threshold_as_cw():
-    scores = {"a": 0.25, "b": 0.2, "c": 0.9}
+    scores = {"a": 0.5, "b": 0.4, "c": 0.9}
     labels = {"a": CW, "b": NCW, "c": NCW}
     # a sits on the threshold, which counts as CW
-    report = evaluate_scores("t", scores, labels, threshold=0.25)
+    report = evaluate_scores("t", scores, labels)
     assert (report.precision, report.recall) == (0.5, 1.0)
-    # at the default 0.5, 0.7 and 0.5 are CW and 0.49 is not
+    # 0.7 and 0.5 are CW and 0.49 is not
     report = evaluate_scores("t", {"a": 0.7, "b": 0.5, "c": 0.49},
                              {"a": CW, "b": CW, "c": CW})
     assert report.recall == 2 / 3
-    with pytest.raises(EvalError, match="threshold"):
-        evaluate_scores("t", scores, labels, threshold=1.5)
     for bad in (1.2, -0.1, float("nan")):
         with pytest.raises(EvalError, match="outside"):
             evaluate_scores("t", {**scores, "b": bad}, labels)
@@ -177,8 +174,8 @@ def _bits(report) -> tuple:
     return tuple(v.hex() if isinstance(v, float) else v for v in astuple(report))
 
 
-# scores from a small set, so ties are common and a threshold can equal one;
-# the ints 0 and 1 are scores too
+# scores from a small set, so ties are common and a score can equal the
+# threshold; the ints 0 and 1 are scores too
 _VALUES = (0.0, 1.0, 0.5, 0.25, 0.1, 0.3, 1 / 3, 0.7, 0.75, 0, 1)
 
 
@@ -193,12 +190,11 @@ def _scored_tables(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(_scored_tables(), st.sampled_from(_VALUES), st.booleans())
-def test_array_metrics_are_bit_equal_to_the_per_item_reference(
-        table, threshold, cw_only):
+@given(_scored_tables())
+def test_array_metrics_are_bit_equal_to_the_per_item_reference(table):
     scores, labels = table
-    got = evaluate_scores("T", scores, labels, threshold, cw_only)
-    want = reference.evaluate_scores("T", scores, labels, threshold, cw_only)
+    got = evaluate_scores("T", scores, labels)
+    want = reference.evaluate_scores("T", scores, labels)
     assert _bits(got) == _bits(want)
     for positive in (CW, NCW):
         assert rank_scores(scores, positive) == reference.rank_scores(
@@ -222,49 +218,22 @@ def test_a_bad_score_is_named_as_the_per_item_reference_names_it():
             rank_scores(scores)
 
 
-def test_report_dict_is_golden_with_and_without_cw_only():
+def test_report_dict_is_golden():
     fields = dict(target_topic_id="t", ap_cw=0.75, ap_ncw=0.25, map=0.5,
                   precision=0.5, recall=1.0, f1=2 / 3, n_test=5)
-    default = EvalReport(**fields).to_dict()
-    assert default == fields
-    assert list(default) == ["target_topic_id", "ap_cw", "ap_ncw", "map",
-                             "precision", "recall", "f1", "n_test"]
-    cw_only = EvalReport(**{**fields, "map": 0.75}, cw_only=True).to_dict()
-    assert cw_only == {**fields, "map": 0.75, "cw_only": True}
-    assert list(cw_only) == list(default) + ["cw_only"]
-    assert json.dumps(cw_only) == (
-        '{"target_topic_id": "t", "ap_cw": 0.75, "ap_ncw": 0.25, '
-        '"map": 0.75, "precision": 0.5, "recall": 1.0, '
-        '"f1": 0.6666666666666666, "n_test": 5, "cw_only": true}')
-
-
-def test_cw_only_map_keeps_the_true_ncw_ap():
-    scores = {"a": 0.9, "b": 0.8, "c": 0.6, "d": 0.4, "e": 0.1}
-    labels = {"a": CW, "b": CW, "c": NCW, "d": CW, "e": NCW}
-    default = evaluate_scores("t", scores, labels)
-    cw_only = evaluate_scores("t", scores, labels, cw_only=True)
-    assert default.ap_ncw != default.ap_cw
-    assert (cw_only.ap_cw, cw_only.ap_ncw) == (default.ap_cw, default.ap_ncw)
-    assert cw_only.map == cw_only.ap_cw
-    assert cw_only.to_dict()["cw_only"] is True
-    assert "cw_only" not in default.to_dict()
-
-
-def test_eval_report_checks_map_against_its_mode():
-    fields = dict(target_topic_id="t", ap_cw=1.0, ap_ncw=0.5,
-                  precision=0.0, recall=0.0, f1=0.0, n_test=1)
-    EvalReport(map=1.0, cw_only=True, **fields)
-    EvalReport(map=0.75, **fields)
-    with pytest.raises(EvalError):
-        EvalReport(map=0.75, cw_only=True, **fields)
-    with pytest.raises(EvalError):
-        EvalReport(map=1.0, **fields)
+    report = asdict(EvalReport(**fields))
+    assert report == fields
+    assert list(report) == ["target_topic_id", "ap_cw", "ap_ncw", "map",
+                            "precision", "recall", "f1", "n_test"]
 
 
 def test_eval_report_rejects_inconsistent_map():
-    with pytest.raises(EvalError):
-        EvalReport(target_topic_id="t", ap_cw=1.0, ap_ncw=0.0, map=0.9,
-                   precision=0.0, recall=0.0, f1=0.0, n_test=1)
+    fields = dict(target_topic_id="t", ap_cw=1.0, ap_ncw=0.5,
+                  precision=0.0, recall=0.0, f1=0.0, n_test=1)
+    EvalReport(map=0.75, **fields)
+    for wrong in (1.0, 0.9):
+        with pytest.raises(EvalError, match="mean of the class APs"):
+            EvalReport(map=wrong, **fields)
 
 
 @pytest.mark.parametrize("base,new,expected", [

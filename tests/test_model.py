@@ -1336,7 +1336,7 @@ def test_encoder_requires_provider():
 
 def test_encoder_round_trip_with_mock_provider():
     provider = MockEncoderProvider()
-    bundle = ProviderBundle(encoder=provider, kind="mock")
+    bundle = ProviderBundle(encoder=provider)
     records = planted_records()
     scorer = train_scorer(records, ScorerConfig(backend="encoder", seed=2),
                           providers=bundle)
@@ -1353,7 +1353,7 @@ def test_encoder_requests_carry_contract_fields():
         requests.append(payload)
         return provider(payload)
 
-    bundle = ProviderBundle(encoder=recording, kind="mock")
+    bundle = ProviderBundle(encoder=recording)
     records = planted_records(n=12)
     scorer = train_scorer(records, ScorerConfig(backend="encoder", seed=7),
                           providers=bundle)

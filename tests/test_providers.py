@@ -72,7 +72,6 @@ def test_every_role_has_a_pinned_call():
 def test_http_spec_forms_pin_endpoints_and_bodies(stub, form):
     spec = {"url": stub.url, "trailing-slash": stub.url + "/"}[form]
     bundle = make_providers(spec)
-    assert bundle.kind == spec
     assert call_every_role(bundle) == EXPECTED
     assert stub.requests == expected_requests()
 
@@ -81,7 +80,6 @@ def test_role_mapping_spec_mixes_http_and_mock(stub):
     spec = {role: {"kind": "http", "url": stub.url} for role in HTTP_ROLES}
     spec["embedder"] = {"kind": "mock"}
     bundle = make_providers(spec)
-    assert bundle.kind == "custom"
     assert isinstance(bundle.translator, HttpProvider)
     assert not isinstance(bundle.embedder, HttpProvider)
     results = {role: getattr(bundle, role)(*CALLS[role][0])
@@ -105,7 +103,6 @@ def test_https_url_is_the_base_of_every_role(monkeypatch):
 
     monkeypatch.setattr(providers_mod, "_post_json", fake_post)
     bundle = make_providers("https://models.example:8443/api/")
-    assert bundle.kind == "https://models.example:8443/api/"
     call_every_role(bundle)
     assert posted == [f"https://models.example:8443/api{path}"
                       for path, _ in expected_requests()]

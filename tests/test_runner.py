@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from claimcheck import model, runner
-from claimcheck.augment import BT, CWE, NONE, STRATEGIES, GenerationParams
+from claimcheck.augment import BT, CWE, NONE, STRATEGIES
 from claimcheck.cache import stable_hash
 from claimcheck.errors import (AugmentError, ConfigError, CorpusError,
                                ModelError, ProviderError)
@@ -55,8 +55,7 @@ def few_shot_config(**kwargs):
 
 def mock_bundle():
     return ProviderBundle(translator=identity_translator, filler=MarkerFiller(),
-                          generator=lambda prompt, params: "synthetic text",
-                          kind="mock")
+                          generator=lambda prompt, params: "synthetic text")
 
 
 # ---------------------------------------------------------------------------
@@ -125,36 +124,14 @@ def test_an_explicit_setting_that_contradicts_the_shots_still_fails():
         ExperimentConfig(setting=FEW_SHOT, shots=0)
 
 
-@pytest.mark.parametrize("params", [
-    {"max_length": -3}, {"max_length": 0}, {"max_length": "x"},
-    {"max_length": 64.0}, {"max_length": True}, {"num_beams": 0},
-    {"num_beams": 2.5}, {"no_repeat_ngram_size": -1},
-    {"no_repeat_ngram_size": False}, {"top_p": 0}, {"top_p": 1.5},
-    {"top_p": float("nan")}, {"top_p": "0.5"}, {"top_p": True},
-    {"repetition_penalty": 0}, {"repetition_penalty": -1.0},
-    {"repetition_penalty": None},
-])
-def test_config_rejects_generation_params_that_would_skip_every_sample(
-        params):
-    name = next(iter(params))
-    with pytest.raises(AugmentError, match=name):
-        GenerationParams(**params)
-    with pytest.raises(ConfigError, match=name):
-        config_from_mapping({"generation_params": params})
-    with pytest.raises(ConfigError, match=name):
-        ExperimentConfig(generation_params=params)
-
-
-def test_generation_params_accept_their_boundary_values():
-    params = {"num_beams": 1, "max_length": 1, "no_repeat_ngram_size": 0,
-              "top_p": 1, "repetition_penalty": 0.5}
-    assert config_from_mapping({"generation_params": params}) \
-        .generation_params == GenerationParams(**params)
-
-
-def test_config_from_mapping_rejects_unknown_keys():
-    with pytest.raises(ConfigError, match="learning_rate"):
-        config_from_mapping({"seed": 1, "learning_rate": 0.1})
+# the baseline's old learning rate, and the fixed experiment constants
+@pytest.mark.parametrize("key", ["learning_rate", "ratio", "pivot",
+                                 "threshold", "cw_only_map",
+                                 "generation_params"])
+def test_config_from_mapping_rejects_unknown_keys(key):
+    with pytest.raises(ConfigError,
+                       match=re.escape(f"unknown config keys: ['{key}']")):
+        config_from_mapping({"seed": 1, key: 0.1})
 
 
 @pytest.mark.parametrize("seed", [True, "7", 1.5, None])
@@ -173,57 +150,21 @@ def test_config_from_mapping_rejects_an_output_dir_that_is_not_a_path(
         .to_dict()["output_dir"] == "runs"
 
 
-def test_config_from_mapping_builds_generation_params():
-    cfg = config_from_mapping({
-        "setting": FEW_SHOT,
-        "shots": 200,
-        "generation_params": {"num_beams": 2, "max_length": 64},
-    })
-    assert cfg.generation_params == GenerationParams(num_beams=2, max_length=64)
-    assert cfg.generation_params.top_p == 0.75
-
-
-def test_config_from_mapping_rejects_bad_generation_params():
-    with pytest.raises(ConfigError):
-        config_from_mapping({"generation_params": {"beam_width": 2}})
-    with pytest.raises(ConfigError):
-        config_from_mapping({"generation_params": 5})
-
-
-@pytest.mark.parametrize("threshold", [1.5, -3, float("nan"), "0.5"])
-def test_config_rejects_a_threshold_outside_the_unit_interval(threshold):
-    with pytest.raises(ConfigError, match="threshold"):
-        config_from_mapping({"threshold": threshold})
-
-
-def test_config_accepts_the_unit_interval_ends_as_threshold():
-    assert config_from_mapping({"threshold": 0}).threshold == 0
-    assert config_from_mapping({"threshold": 1.0}).threshold == 1.0
-
-
-@pytest.mark.parametrize("ratio", [0, 1.5])
-def test_config_rejects_a_ratio_outside_zero_to_one(ratio):
-    with pytest.raises(ConfigError, match="ratio"):
-        config_from_mapping({"ratio": ratio})
-
-
 @pytest.mark.parametrize("mapping", [
     {"max_workers": "2"}, {"max_workers": -1}, {"max_workers": 1.5},
     {"max_workers": True}, {"max_workers": None}, {"holdout_k": "5"},
     {"holdout_k": 0}, {"holdout_k": 5.0}, {"holdout_k": True},
-    {"cw_only_map": "no"}, {"cw_only_map": 1}, {"cw_only_map": None},
-    {"threshold": True}, {"ratio": True}, {"shots": 50.0}, {"shots": 0.0},
-    {"shots": "50"}, {"shots": True}, {"shots": None},
+    {"shots": 50.0}, {"shots": 0.0}, {"shots": "50"}, {"shots": True},
+    {"shots": None},
 ])
 def test_config_rejects_a_value_of_the_wrong_type(mapping):
     with pytest.raises(ConfigError, match=next(iter(mapping))):
         config_from_mapping(mapping)
 
 
-def test_config_accepts_real_bools_and_integer_counts():
-    cfg = config_from_mapping({"cw_only_map": True, "max_workers": 0,
-                               "holdout_k": 1})
-    assert (cfg.cw_only_map, cfg.max_workers, cfg.holdout_k) == (True, 0, 1)
+def test_config_accepts_integer_counts():
+    cfg = config_from_mapping({"max_workers": 0, "holdout_k": 1})
+    assert (cfg.max_workers, cfg.holdout_k) == (0, 1)
 
 
 def test_config_rejects_an_unknown_backend():
@@ -277,7 +218,7 @@ def test_config_builds_the_scorer_config():
 
 
 def test_config_round_trips_through_mapping():
-    cfg = few_shot_config(seed=3, strategy=CWE, ratio=0.4)
+    cfg = few_shot_config(seed=3, strategy=CWE)
     assert config_from_mapping(cfg.to_dict()) == cfg
 
 
@@ -459,12 +400,6 @@ def test_an_out_dir_holding_a_lone_surrogate_is_refused_before_any_work(
 @pytest.mark.parametrize("name, kwargs", [
     ("seed", {"seed": np.int64(1)}),
     ("hyperparams", {"hyperparams": {"iterations": np.int64(50)}}),
-    ("generation_params",
-     {"shots": 50, "strategy": "TxtGen",
-      "generation_params": {"num_beams": np.int64(4)}}),
-    ("generation_params",
-     {"shots": 50, "strategy": "TxtGen",
-      "generation_params": GenerationParams(num_beams=np.int64(4))}),
 ])
 def test_a_config_value_run_json_cannot_hold_is_refused(name, kwargs):
     """A numpy integer passes the integer checks, but run.json (and the
@@ -926,7 +861,7 @@ def test_a_pooled_pass_keeps_provider_calls_within_its_workers(tmp_path):
     workers never have more than two calls in flight."""
     counter = InFlightCounter(lambda text, *rest: text)
     providers = ProviderBundle(translator=counter, filler=counter,
-                               generator=counter, kind="mock")
+                               generator=counter)
     record = run_suite("table3", tiny_corpus(2, per_topic=120),
                        few_shot_config(max_workers=2), providers=providers,
                        out_dir=tmp_path)
@@ -941,7 +876,7 @@ def test_a_single_cell_calls_its_provider_one_at_a_time(strategy):
     never has two provider calls in flight."""
     counter = InFlightCounter(lambda text, *rest: text)
     providers = ProviderBundle(translator=counter, filler=counter,
-                               generator=counter, kind="mock")
+                               generator=counter)
     details = {}
     run_topic(few_shot_config(strategy=strategy, max_workers=4),
               tiny_corpus(2, per_topic=120), "S-A", providers=providers,
@@ -1061,8 +996,7 @@ def test_prepare_cell_matches_the_id_based_reference(seed, sizes, cell,
         holdouts = make_holdouts(corpus, config.holdout_k, config.seed)
     train_ids, test_ids, synthetic = reference_cell(
         corpus, holdouts, target, config.shots,
-        None if strategy == NONE else strategy, providers, config.ratio,
-        config.seed, config.generation_params)
+        None if strategy == NONE else strategy, providers, config.seed)
     assert prepared.split.train_ids() == train_ids
     assert prepared.split.test_ids() == test_ids
     held = list(prepared.train)[:len(train_ids)]
@@ -1085,8 +1019,7 @@ def test_table3_renders_against_zero_shot(suite_corpus, tmp_path):
     run_suite("table3", suite_corpus, few_shot_config(),
               providers=ProviderBundle(translator=identity_translator,
                                        filler=MarkerFiller(),
-                                       generator=lambda p, g: "synthetic text",
-                                       kind="mock"),
+                                       generator=lambda p, g: "synthetic text"),
               out_dir=tmp_path)
     report = (tmp_path / "report.md").read_text(encoding="utf-8")
     assert "zero-shot" in report
