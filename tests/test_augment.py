@@ -110,6 +110,17 @@ def test_bt_pivot_leg_changes_reach_the_output():
     assert result.identical_count == 0
 
 
+def test_bt_pivots_through_english():
+    calls = []
+
+    def translator(text, src, tgt):
+        calls.append((src, tgt))
+        return text
+
+    back_translate(_pool(2), translator)
+    assert calls == [("ar", "en"), ("en", "ar")] * 2
+
+
 def test_bt_skips_failing_samples_and_continues():
     def translator(text, src, tgt):
         if "w2t0" in text:
@@ -163,6 +174,24 @@ def test_cwe_substitutes_exact_position_count():
     assert len(tokens) == 10
     assert tokens.count(filler.marker) == 3
     assert result.samples[0].label == pool[0].label
+
+
+# 30% of the word positions, half rounding up
+@pytest.mark.parametrize("n_tokens, expected", [
+    (1, 0), (2, 1), (3, 1), (4, 1), (5, 2), (6, 2), (7, 2), (8, 2), (9, 3),
+    (10, 3), (11, 3), (12, 4),
+])
+def test_cwe_masks_thirty_percent_of_the_word_positions(n_tokens, expected):
+    masked = []
+
+    def filler(text):
+        masked.append(text)
+        return text
+
+    pool = [_rec(0, " ".join(f"tok{j}" for j in range(n_tokens)))]
+    contextual_substitute(pool, filler, seed=2)
+    assert [text.split().count(MASK_TOKEN) for text in masked] == (
+        [expected] if expected else [])
 
 
 def test_cwe_never_masks_placeholders():
@@ -448,6 +477,25 @@ def test_augment_cache_keys_on_the_provider(tmp_path):
     assert len(list(tmp_path.iterdir())) == 2
     assert len(hashed.samples) == 4
     assert added.samples == () and len(added.skips) == 4
+
+
+# entry names written when pivot, ratio and generation parameters were
+# settings; as constants they hash to the same names
+@pytest.mark.parametrize("strategy, seed, name", [
+    (BT, 0, "d3a77b31c65c315546146021074a69d14bc9e90d0a1a748ced79193f2fd8d193"),
+    (BT, 7, "21240b244718b867dda4b5ee48bd90b0088b6c81e1f3009daba3ad192a3bd0fd"),
+    (CWE, 0, "6d86dd0322832ecf1cce80f5f44e887d9bcc6389eae2b5b24c22522528bbb26a"),
+    (CWE, 7, "e87e522d6dff55090611f215d25604c6ce75bc15d794605122152889b6faa5ff"),
+    (TXTGEN, 0,
+     "3f024727fa602d76c6ea4b274da5c5b3791c1588942deed820e20926a8d0fc06"),
+    (TXTGEN, 7,
+     "e0175355dace5482f4fdfaa631c64ca99df7ad460dc0e6a8f9f2d1c64ba5dd11"),
+])
+def test_augment_cache_entry_names_are_golden(tmp_path, strategy, seed, name):
+    train, pool = _select(_pool(6), 4)
+    augment_training(train, pool, strategy, _bundle(), seed=seed,
+                     cache_dir=tmp_path)
+    assert [p.name for p in tmp_path.iterdir()] == [f"{name}.json"]
 
 
 def test_provider_identity_is_the_url_or_the_qualified_name():

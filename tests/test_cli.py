@@ -560,6 +560,37 @@ def test_a_config_file_corpus_key_is_an_unknown_key(corpus_jsonl, tmp_path,
     assert not (tmp_path / "run").exists()
 
 
+# each retired experiment setting, at the value every experiment used
+_RETIRED_SETTINGS = [
+    ("pivot", "en"), ("ratio", 0.3), ("threshold", 0.5),
+    ("cw_only_map", False),
+    ("generation_params", {"num_beams": 5, "max_length": 200, "top_p": 0.75,
+                           "repetition_penalty": 3,
+                           "no_repeat_ngram_size": 3}),
+]
+
+
+@pytest.mark.parametrize("command", [
+    ["suite", "table2"], ["eval", "--target", "S-C"],
+])
+@pytest.mark.parametrize("key, value", _RETIRED_SETTINGS)
+def test_a_config_file_holding_a_retired_setting_exits_two(
+        corpus_jsonl, tmp_path, capsys, command, key, value):
+    """The fixed experiment settings are constants: a config file that
+    still sets one, even to the constant's value, is refused as an
+    unknown key before any cell runs."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 1, key: value}), encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main([*command, "--corpus", str(corpus_jsonl), "--holdout-k", "30",
+               "--config", str(config), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"unknown config keys: ['{key}']" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_a_suite_without_http_providers_never_loads_requests(corpus_jsonl,
                                                             tmp_path):
     """`urllib.request` (and `http.client` under it) load only when an HTTP

@@ -144,6 +144,19 @@ def test_evaluate_scores_counts_the_threshold_as_cw():
             evaluate_scores("t", {**scores, "b": bad}, labels)
 
 
+# a CW item's score and whether the fixed 0.5 threshold predicts it CW
+@pytest.mark.parametrize("score, predicted_cw", [
+    (0.5, True), (math.nextafter(0.5, 0), False),
+    (math.nextafter(0.5, 1), True), (0.0, False), (1.0, True), (0, False),
+    (1, True),
+])
+def test_the_cw_threshold_is_one_half(score, predicted_cw):
+    report = evaluate_scores("t", {"a": score, "b": 0.0},
+                             {"a": CW, "b": NCW})
+    assert (report.precision, report.recall, report.f1) == (
+        (1.0, 1.0, 1.0) if predicted_cw else (0.0, 0.0, 0.0))
+
+
 def test_evaluate_scores_maps_zero_over_zero_to_zero():
     labels = {"a": CW, "b": NCW}
     # nothing clears the threshold: no true and no false positive

@@ -134,6 +134,15 @@ def test_config_from_mapping_rejects_unknown_keys(key):
         config_from_mapping({"seed": 1, key: 0.1})
 
 
+@pytest.mark.parametrize("key", ["ratio", "pivot", "threshold",
+                                 "cw_only_map", "generation_params"])
+def test_experiment_config_takes_no_retired_setting(key):
+    """A caller that still passes a fixed setting fails loudly rather
+    than having it ignored."""
+    with pytest.raises(TypeError, match=key):
+        ExperimentConfig(**{key: None})
+
+
 @pytest.mark.parametrize("seed", [True, "7", 1.5, None])
 def test_config_from_mapping_rejects_a_seed_that_is_not_an_integer(seed):
     with pytest.raises(ConfigError, match="seed must be an integer"):
