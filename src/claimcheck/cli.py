@@ -32,7 +32,6 @@ from .runner import (
     FEW_SHOT,
     SHOT_CHOICES,
     SUITES,
-    ZERO_SHOT,
     config_from_mapping,
     prepare_cell,
     run_suite,
@@ -317,9 +316,7 @@ def _cmd_similarity(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    forced = ({"setting": ZERO_SHOT, "strategy": NONE, "shots": 0}
-              if args.suite == "table2" else {})
-    config = _experiment_config(args, **forced)
+    config = _experiment_config(args)
     corpus = Corpus.from_jsonl(args.corpus)
     providers = _providers_from(args)
     record = run_suite(args.suite, corpus, config, providers=providers)

@@ -16,7 +16,8 @@ returns ``{"scores": [...]}`` with one probability in [0, 1] per text.
 
 The mocks here are the ``"mock"`` bundle of `make_providers`: one
 deterministic provider per role, so experiment suites can run without any
-external service.
+external service. None keeps state between calls: the mock encoder's
+handle carries the token leans it trained, as JSON.
 """
 
 from __future__ import annotations
@@ -24,9 +25,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import threading
 import time
-from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from urllib.parse import urlsplit
 
@@ -113,59 +112,14 @@ class HashEmbedder:
         return vec
 
 
-class RecentModels:
-    """The mock encoder's trained models, by handle. A model stays until it
-    has been scored once for each time it was trained, so no cell loses
-    its model to other cells, however many run at once; after that it
-    stays only while it is among the last `KEEP` models used. A suite
-    scores each cell's model once, so it holds about its worker count plus
-    `KEEP` models; one model holds about 4 MB on the bench corpus."""
-
-    KEEP = 8
-
-    def __init__(self):
-        self._models = OrderedDict()  # least recently used first
-        self._unscored = Counter()  # handle -> trains not scored yet
-        self._lock = threading.Lock()  # suites call from several threads
-
-    def __iter__(self):
-        return iter(list(self._models))
-
-    def train(self, handle, model) -> None:
-        with self._lock:
-            self._models[handle] = model
-            self._models.move_to_end(handle)
-            self._unscored[handle] += 1
-            self._trim()
-
-    def score(self, handle):
-        with self._lock:
-            if handle not in self._models:
-                raise ProviderError(f"unknown training handle: {handle!r}")
-            self._models.move_to_end(handle)
-            if self._unscored[handle] > 1:
-                self._unscored[handle] -= 1
-            else:
-                self._unscored.pop(handle, None)
-            self._trim()
-            return self._models[handle]
-
-    def _trim(self) -> None:
-        scored = [h for h in self._models if h not in self._unscored]
-        for handle in scored[:-self.KEEP]:
-            del self._models[handle]
-
-
 class MockEncoderProvider:
     """In-memory stand-in for a sequence-classification service.
 
     Training just records which tokens lean CW; scoring returns the
-    sigmoid-squashed lean of a text's tokens. Deterministic, stateless
-    between handles. It keeps no payload, and only its `RecentModels`.
+    sigmoid-squashed lean of a text's tokens. It keeps no model: the
+    handle a train returns is the token -> lean mapping as JSON, and a
+    score reads the leans back from the handle it is given.
     """
-
-    def __init__(self):
-        self._models = RecentModels()
 
     def __call__(self, payload: dict) -> dict:
         mode = payload.get("mode")
@@ -178,13 +132,15 @@ class MockEncoderProvider:
                 delta = 1.0 if label == "CW" else -1.0
                 for tok in text.split():
                     lean[tok] = lean.get(tok, 0.0) + delta
-            handle = hashlib.sha256(
-                repr(sorted(lean.items())).encode("utf-8")
-            ).hexdigest()[:16]
-            self._models.train(handle, lean)
-            return {"handle": handle}
+            return {"handle": json.dumps(lean, ensure_ascii=False)}
         if mode == "score":
-            lean = self._models.score(payload.get("handle"))
+            handle = payload.get("handle")
+            try:
+                lean = json.loads(handle)
+            except (TypeError, ValueError):
+                lean = None
+            if not isinstance(lean, dict):
+                raise ProviderError(f"unknown training handle: {handle!r}")
             scores = []
             for text in payload["texts"]:
                 tokens = text.split()

@@ -265,7 +265,17 @@ def run_topic(config: ExperimentConfig, corpus: Corpus, target: str,
 
 
 def _suite_cells(suite: str, base: ExperimentConfig) -> list:
-    """The (setting, strategy, shots) combinations a suite runs."""
+    """The (setting, strategy, shots) combinations a suite runs. A suite
+    picks its own strategies, so a base config naming one is refused, and
+    table2, which runs zero-shot only, refuses a few-shot base config."""
+    if suite not in SUITES:
+        raise ConfigError(f"unknown suite {suite!r}; expected one of {SUITES}")
+    if base.strategy != NONE:
+        raise ConfigError(f"suite {suite} runs its own strategies; "
+                          f"got strategy {base.strategy!r}")
+    if suite == "table2" and base.setting != ZERO_SHOT:
+        raise ConfigError(f"suite table2 runs zero_shot only; got "
+                          f"{base.setting} at {base.shots} shots")
     shots = base.shots or 200
     if suite == "table2":
         return [(ZERO_SHOT, NONE, 0)]
@@ -273,9 +283,7 @@ def _suite_cells(suite: str, base: ExperimentConfig) -> list:
         return [(ZERO_SHOT, NONE, 0)] + [(FEW_SHOT, s, shots) for s in STRATEGIES]
     if suite == "table4":
         return [(FEW_SHOT, NONE, shots), (FEW_SHOT, "CWE", shots)]
-    if suite == "fig4":
-        return [(FEW_SHOT, NONE, s) for s in SHOT_CHOICES]
-    raise ConfigError(f"unknown suite {suite!r}; expected one of {SUITES}")
+    return [(FEW_SHOT, NONE, s) for s in SHOT_CHOICES]
 
 
 def _cell_key(setting: str, strategy: str, shots: int) -> str:
@@ -311,7 +319,8 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
     under `out_dir`, which stands for the config's output_dir, so run.json
     names the directory written (the config's own when `out_dir` is None).
     An `out_dir` or a column config that is invalid, such as one with more
-    shots than `holdout_k`, raises ConfigError before `out_dir` is made,
+    shots than `holdout_k`, and a base config naming a strategy, or a
+    few-shot one for table2, raise ConfigError before `out_dir` is made,
     the holdouts drawn or the corpus counted. Cells that fail are recorded
     with their error and excluded from rendered tables; the returned
     record lists them so callers can exit nonzero. Its `notes` name each

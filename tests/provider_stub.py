@@ -35,8 +35,8 @@ from claimcheck.providers import make_providers  # noqa: E402
 
 def mock_answers() -> dict:
     """path -> the reply to a request body, from one fresh "mock" bundle,
-    whose encoder keeps no request, and of its models only those not yet
-    scored and those it used last."""
+    which keeps no request and no model: its encoder's handle carries the
+    model."""
     mock = make_providers("mock")
 
     def generate(body):
@@ -61,7 +61,7 @@ class StubService:
         self.raw = []
         self.calls = Counter()
         self.answers = mock_answers() if replies is None else None
-        self.lock = threading.Lock()  # one reply at a time: the mocks share state
+        self.lock = threading.Lock()  # guards the stub's own counts and lists
         stub = self
 
         class Handler(BaseHTTPRequestHandler):

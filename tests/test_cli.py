@@ -591,6 +591,40 @@ def test_a_config_file_holding_a_retired_setting_exits_two(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting, message", [
+    ({"strategy": "BT", "shots": 200, "setting": "few_shot"},
+     "suite table2 runs its own strategies; got strategy 'BT'"),
+    ({"shots": 200},
+     "suite table2 runs zero_shot only; got few_shot at 200 shots"),
+], ids=["few_shot-BT-200", "shots-200"])
+def test_suite_table2_refuses_a_few_shot_config_file(
+        corpus_jsonl, tmp_path, capsys, setting, message):
+    """table2 runs zero-shot cells only, so a config file asking for
+    another setting exits 2 rather than running zero-shot in silence."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(setting), encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main(["suite", "table2", "--corpus", str(corpus_jsonl),
+               "--config", str(config), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("suite", ["table2", "table3", "table4", "fig4"])
+def test_a_suite_given_a_strategy_exits_two(corpus_jsonl, tmp_path, capsys,
+                                            suite):
+    """A suite picks its own strategies; `--strategy` is refused before
+    `--out` is made, not dropped while run.json records it."""
+    out = tmp_path / "out"
+    rc = main(["suite", suite, "--corpus", str(corpus_jsonl), "--shots",
+               "200", "--strategy", "CWE", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: suite {suite} runs its own strategies; got strategy 'CWE'\n")
+    assert not out.exists()
+
+
 def test_a_suite_without_http_providers_never_loads_requests(corpus_jsonl,
                                                             tmp_path):
     """`urllib.request` (and `http.client` under it) load only when an HTTP

@@ -10,10 +10,13 @@ body that is not JSON.
 import json
 import math
 import os
+import random
 import socket
 import subprocess
 import sys
 import urllib.request
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -21,6 +24,7 @@ from provider_stub import StubService
 from synth import tiny_corpus
 
 from claimcheck import providers as providers_mod
+from claimcheck import runner
 from claimcheck.augment import GenerationParams
 from claimcheck.errors import ProviderError
 from claimcheck.model import EncoderScorer, ScorerConfig
@@ -353,6 +357,165 @@ def test_suites_through_the_stub_write_the_mock_suites_cells(mock_stub,
         {"/encode"} if backend == "encoder" else set())
 
 
+class FaultyStub(StubService):
+    """The mock-backed stub, but the cell `cell` names (see
+    `track_cells`) gets the fault `schedule` gives it: `(target, fault)`,
+    where the target is the cell's augmentation calls ("aug"), its encoder
+    "train" or its "score", and `FAULT_REPLIES[fault]` gives how many of
+    the target's POSTs it spoils and the status sent instead. `posts`
+    counts each cell's POSTs to each target."""
+
+    def __init__(self, schedule):
+        super().__init__()
+        self.schedule = schedule
+        self.cell = None
+        self.posts = Counter()
+
+    def answer(self, path, content_type, raw):
+        status, reply = super().answer(path, content_type, raw)
+        body = json.loads(raw)
+        target = body["mode"] if path == "/encode" else "aug"
+        self.posts[self.cell, target] += 1
+        scheduled, fault = self.schedule.get(self.cell, (None, None))
+        spoiled, fault_status = FAULT_REPLIES.get(fault, (0, 200))
+        if target != scheduled or self.posts[self.cell, target] > spoiled:
+            return status, reply
+        if fault == "no-key":
+            return 200, {}
+        if fault == "surrogate":  # half a UTF-16 pair, sent as the escape \ud800
+            half = "\ud800"
+            return 200, {"aug": {"text": half}, "train": {"handle": half},
+                         "score": {"scores": [half] * len(body.get("texts", ()))},
+                         }[target]
+        return fault_status, {"error": "injected"}
+
+
+# fault -> (POSTs of its target it spoils, the status they get)
+FAULT_REPLIES = {"503x1": (1, 503), "503x2": (2, 503), "503x3": (3, 503),
+                 "no-key": (1, 200), "surrogate": (1, 200)}
+AUG_ENDPOINTS = {"BT": ("translator", "translate"), "CWE": ("filler", "fill"),
+                 "TxtGen": ("generator", "generate")}
+
+
+def expected_outcome(url, strategy, target, fault):
+    """(status, the start of the failed cell's error or the augmented
+    cell's one skip reason, POSTs to the target) that a cell shows after
+    `fault`."""
+    gave_up = {f"503x{n}": f"failed after {n} attempt(s): HTTP Error 503: "
+               f"Service Unavailable" for n in (1, 3)}
+    if target == "aug":
+        role, endpoint = AUG_ENDPOINTS[strategy]
+        at = f"{url}/{endpoint}"
+        # one call a shot, two for BT, whose second leg a failed first skips
+        legs = 2 if strategy == "BT" else 1
+        calls = legs * 50
+        return {
+            "503x1": ("ok", None, calls + 1), "503x2": ("ok", None, calls + 2),
+            "503x3": ("ok", f"{role} failed: provider at {at} "
+                            f"{gave_up['503x3']}", calls + 3 - legs),
+            "no-key": ("ok", f"{role} failed: {role} reply from {at} lacks "
+                             f"'text'", calls + 1 - legs),
+            "surrogate": ("ok", f"{role} returned a lone surrogate", calls),
+        }[fault]
+    at = f"{url}/encode"
+
+    def failed(stage, error, posts):
+        return ("failed", f"ProviderError: stage {stage} failed for this "
+                          f"run: {error}", posts)
+
+    return {
+        ("train", "503x1"): failed(
+            "train", f"provider at {at} {gave_up['503x1']}", 1),
+        ("train", "no-key"): failed(
+            "train", "encoder train response missing handle: {}", 1),
+        ("train", "surrogate"): failed(  # the mock cannot read the handle
+            "score", f"provider at {at} rejected the request: HTTP 422", 1),
+        ("score", "503x2"): ("ok", None, 3),
+        ("score", "503x3"): failed(
+            "score", f"provider at {at} {gave_up['503x3']}", 3),
+        ("score", "no-key"): failed(
+            "score", "encoder returned 0 scores for", 1),
+        ("score", "surrogate"): (
+            "failed", "ValueError: could not convert string to float: "
+                      "'\\ud800'", 1),
+    }[target, fault]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_a_suite_through_the_stub_keeps_each_provider_fault_in_its_cell(
+        monkeypatch, no_sleep, tmp_path, seed):
+    """Each of table3's 12 encoder cells gets one fault, drawn by `seed`:
+    503s within and beyond the retry budget, a reply without the role's
+    key, and one holding a lone surrogate. A fault within the budget
+    leaves the cell as a clean run writes it, an augmentation fault is a
+    skip, an encoder fault fails its cell only (a train is sent once), and
+    the suite writes all three artifacts."""
+    corpus = tiny_corpus(3, per_topic=120)
+    config = ExperimentConfig(backend_id="encoder", setting=FEW_SHOT,
+                              strategy=NONE, shots=50, holdout_k=50)
+    clean = run_suite("table3", corpus, config, providers=make_providers("mock"),
+                      out_dir=tmp_path / "clean")
+    names = [f"{c['setting']}/{c['strategy']}/{c['shots']}/{c['topic_id']}"
+             for c in clean.cells]
+    augmented = [n for n in names if not n.startswith("zero_shot/")]
+    rng = random.Random(seed)
+    rng.shuffle(augmented)
+    aug_faults = ["503x1", "503x2", "503x3", "no-key", "surrogate"]
+    encoder_faults = [("train", "503x1"), ("train", "no-key"),
+                      ("train", "surrogate"), ("score", "503x2"),
+                      ("score", "503x3"), ("score", "no-key"),
+                      ("score", "surrogate")]
+    rng.shuffle(encoder_faults)
+    schedule = {**{n: ("aug", f) for n, f in zip(augmented, aug_faults)},
+                **dict(zip([n for n in names if n not in augmented[:5]],
+                           encoder_faults))}
+    assert len(schedule) == 12
+
+    stub, skips = FaultyStub(schedule), {}
+    run_topic = runner.run_topic
+
+    def track_cells(config, corpus, topic, providers, cache_dir, details):
+        stub.cell = (f"{config.setting}/{config.strategy}/{config.shots}/"
+                     f"{topic}")
+        try:
+            return run_topic(config, corpus, topic, providers, cache_dir,
+                             details)
+        finally:
+            skips[stub.cell] = details.get("aug_skips", [])
+
+    monkeypatch.setattr(runner, "run_topic", track_cells)
+    out = tmp_path / "faulty"
+    try:
+        record = run_suite("table3", corpus, config,
+                           providers=make_providers(stub.url), out_dir=out)
+    finally:
+        stub.close()
+
+    failed = set()
+    for name, row, want in zip(names, record.cells, clean.cells):
+        status, message, posts = expected_outcome(
+            stub.url, row["strategy"], *schedule[name])
+        assert stub.posts[name, schedule[name][0]] == posts, name
+        assert stub.posts[name, "train"] == 1, name  # never re-sent
+        if status == "failed":
+            failed.add(name)
+            assert row["status"] == "failed", name
+            assert row["error"].startswith(message), (name, row["error"])
+            if "stage train" in message:
+                assert stub.posts[name, "score"] == 0, name
+        elif message is None:  # as if no fault had happened
+            assert row == {**want, "stage_s": row["stage_s"]}, name
+        else:
+            assert row["status"] == "ok", name
+            assert [reason for _, reason in skips[name]] == [message], name
+            assert (row["aug_samples"], row["aug_skips"]) == (
+                want["aug_samples"] - 1, 1), name
+    assert len(failed) == 6
+    assert {f["cell"] for f in record.failures} == failed
+    for name in ("cells.csv", "report.md", "run.json"):
+        assert (out / name).exists()
+
+
 def test_the_mock_encoder_scores_a_text_past_the_float_range():
     """A mean lean below -709 puts e^-z past the largest float."""
     encoder = make_providers("mock").encoder
@@ -363,27 +526,32 @@ def test_the_mock_encoder_scores_a_text_past_the_float_range():
     assert scores == [0.0, 1.0 / (1.0 + math.exp(-1.0))]
 
 
-def test_the_mock_encoder_keeps_its_unscored_and_recent_models():
-    """A model stays until it is scored as often as it was trained, and
-    then while it is among the last KEEP used."""
+def test_a_mock_encoder_handle_scores_anywhere_and_any_number_of_times():
+    """The handle is the model: it scores the same after 10 other trains,
+    a second time, from another thread and in a second mock bundle."""
     encoder = make_providers("mock").encoder
-    keep = providers_mod.RecentModels.KEEP
 
     def train(i):
-        return encoder({"mode": "train", "texts": [f"t{i}", "u"],
+        return encoder({"mode": "train", "texts": [f"t{i} u", "u v"],
                         "labels": ["CW", "NCW"]})["handle"]
 
-    def score(handle):
-        return encoder({"mode": "score", "texts": ["u"], "handle": handle})
+    def score(provider, handle):
+        return provider({"mode": "score", "texts": ["t0 u", "u v", "w"],
+                         "handle": handle})["scores"]
 
-    handles = [train(i) for i in range(keep + 2)]
-    assert len(set(handles)) == keep + 2
-    assert list(encoder._models) == handles
-    assert train(0) == handles[0]  # trained twice, so scored twice to go
-    for handle in handles:
-        score(handle)
-    assert list(encoder._models) == [handles[0]] + handles[2:]
+    handle = train(0)
+    expected = [1.0 / (1.0 + math.exp(-z)) for z in (0.5, -0.5, 0.0)]
+    others = [train(i) for i in range(1, 11)]
+    assert len({handle, *others}) == 11
+    assert score(encoder, handle) == expected
+    assert score(encoder, handle) == expected
+    with ThreadPoolExecutor(1) as pool:
+        assert pool.submit(score, encoder, handle).result() == expected
+    assert score(make_providers("mock").encoder, handle) == expected
+
+
+@pytest.mark.parametrize("handle", ["h", "1", "[]", None])
+def test_a_mock_encoder_handle_that_is_no_model_is_unknown(handle):
+    encoder = make_providers("mock").encoder
     with pytest.raises(ProviderError, match="unknown training handle"):
-        score(handles[1])
-    score(handles[0])  # its second score makes it the last used
-    assert list(encoder._models) == handles[3:] + [handles[0]]
+        encoder({"mode": "score", "texts": ["t"], "handle": handle})

@@ -25,7 +25,6 @@ from claimcheck.errors import (AugmentError, ConfigError, CorpusError,
 from claimcheck.providers import (
     MockEncoderProvider,
     ProviderBundle,
-    RecentModels,
     identity_translator,
 )
 from claimcheck.runner import (
@@ -51,6 +50,13 @@ def few_shot_config(**kwargs):
     base = dict(setting=FEW_SHOT, strategy=NONE, shots=50, holdout_k=50)
     base.update(kwargs)
     return ExperimentConfig(**base)
+
+
+def suite_config(suite, **kwargs):
+    """A base config `suite` takes: zero-shot for table2, else few-shot."""
+    if suite == "table2":
+        return ExperimentConfig(holdout_k=50, **kwargs)
+    return few_shot_config(**kwargs)
 
 
 def mock_bundle():
@@ -345,13 +351,31 @@ def test_a_bad_column_config_is_rejected_before_any_work(suite, shots,
     assert not corpus.holdouts
 
 
+@pytest.mark.parametrize("suite, config, message", [
+    ("table2", few_shot_config(), "table2 runs zero_shot only"),
+    *[(suite, few_shot_config(strategy=CWE), "runs its own strategies")
+      for suite in ("table3", "table4", "fig4")],
+], ids=["table2-few_shot", "table3-CWE", "table4-CWE", "fig4-CWE"])
+def test_a_suite_refuses_a_base_config_it_would_not_run(suite, config, message,
+                                                        tmp_path):
+    """A suite picks its own settings: a request it would drop is refused
+    before anything is made, drawn or counted."""
+    corpus = tiny_corpus(3, per_topic=120)
+    out = tmp_path / "run"
+    with pytest.raises(ConfigError, match=message):
+        run_suite(suite, corpus, config, out_dir=out)
+    assert not out.exists()
+    assert "features" not in vars(corpus)
+    assert not corpus.holdouts
+
+
 @pytest.mark.parametrize("suite, columns", [
     ("table2", 1),
     ("table3", 4),
     ("table4", 2),
 ])
 def test_suite_cell_counts(suite_corpus, tmp_path, suite, columns):
-    record = run_suite(suite, suite_corpus, few_shot_config(),
+    record = run_suite(suite, suite_corpus, suite_config(suite),
                        providers=mock_bundle(), out_dir=tmp_path / suite)
     assert len(record.cells) == columns * 3
     assert record.failures == []
@@ -650,20 +674,26 @@ class GatedScoreEncoder(MockEncoderProvider):
         return super().__call__(payload)
 
 
-def test_more_workers_than_kept_encoder_models_lose_no_model(suite_corpus,
-                                                             tmp_path):
-    """All 12 cells of a table3 train, KEEP + 4 models, before the first
-    scores; the mock encoder still scores each cell's own model."""
+def test_twelve_workers_that_all_train_before_any_scores_lose_no_model(
+        suite_corpus, tmp_path):
+    """All 12 cells of a table3 train before the first scores; each cell
+    still scores its own model, so cells.csv is the serial run's."""
+    def bundle(encoder):
+        return ProviderBundle(translator=identity_translator,
+                              filler=MarkerFiller(),
+                              generator=lambda p, g: "text", encoder=encoder)
+
     record = run_suite("table3", suite_corpus,
-                       few_shot_config(backend_id="encoder",
-                                       max_workers=RecentModels.KEEP + 4),
-                       providers=ProviderBundle(translator=identity_translator,
-                                                filler=MarkerFiller(),
-                                                generator=lambda p, g: "text",
-                                                encoder=GatedScoreEncoder(12)),
-                       out_dir=tmp_path)
+                       few_shot_config(backend_id="encoder", max_workers=12),
+                       providers=bundle(GatedScoreEncoder(12)),
+                       out_dir=tmp_path / "parallel")
     assert len(record.cells) == 12
     assert record.failures == []
+    run_suite("table3", suite_corpus, few_shot_config(backend_id="encoder"),
+              providers=bundle(MockEncoderProvider()),
+              out_dir=tmp_path / "serial")
+    assert ((tmp_path / "parallel" / "cells.csv").read_bytes()
+            == (tmp_path / "serial" / "cells.csv").read_bytes())
 
 
 def test_wall_clock_total_covers_the_corpus_features_build(suite_corpus,
@@ -741,7 +771,7 @@ def test_suite_always_finishes_and_marks_every_failed_cell(suite_corpus, seed,
                                filler=MarkerFiller(),
                                generator=lambda prompt, params: "text",
                                encoder=encoder)
-    config = few_shot_config(backend_id="encoder", max_workers=workers)
+    config = suite_config(suite, backend_id="encoder", max_workers=workers)
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         record = run_suite(suite, suite_corpus, config, providers=providers,
