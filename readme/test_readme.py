@@ -15,7 +15,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "src"), str(ROOT / "tests")]
 
 import corpusgen  # noqa: E402
-from claimcheck.cli import _COMMANDS  # noqa: E402
+from claimcheck.cli import _COMMANDS, build_parser  # noqa: E402
 from provider_stub import StubService  # noqa: E402
 
 STUB = "--providers http://localhost:8901"  # served by the mock-backed stub
@@ -86,6 +86,21 @@ def test_readme_step(workdir, monkeypatch, lineno, kind, text):
 def test_the_readme_runs_every_subcommand():
     ran = {text.split(" ")[1] for _, kind, text in STEPS if kind == "sh"}
     assert ran >= set(_COMMANDS)
+
+
+def test_the_readme_lists_the_options_each_command_takes():
+    """One `- `<command>`: ...` line per command, after the sentence that
+    introduces them, naming the options build_parser() gives it."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    listing = re.search(r"takes only the options it reads;.*?\n\n(.*?)\n\n",
+                        text, re.S)
+    assert listing, "README lost its per-command option list"
+    listed = {line[3:line.index("`:")]: re.findall(r"`(--[\w-]+)`", line)
+              for line in listing[1].splitlines()}
+    commands = build_parser()._subparsers._group_actions[0].choices
+    assert listed == {name: [o for a in p._actions if a.dest != "help"
+                             for o in a.option_strings]
+                      for name, p in commands.items()}
 
 
 def test_what_the_readme_commands_wrote(workdir):

@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands cover the pipeline stages (load, normalize, split, train, rank,
-eval, augment, similarity) plus the reporting suites. A JSON config file
-can seed any experiment flags; explicit command-line flags win over file
-values.
+eval, augment, similarity) plus the reporting suites. Each takes only the
+options it reads. A JSON config file can seed any experiment flags;
+explicit command-line flags win over file values, and a file value that
+contradicts what a command runs is refused, never overridden.
 """
 
 from __future__ import annotations
@@ -12,30 +13,26 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .augment import NONE, STRATEGIES
 from .cache import atomic_write
-from .corpus import (
-    SCHEMA_PRESETS,
-    Corpus,
-    build_corpus,
-    corpus_stats,
-)
+from .corpus import SCHEMA_PRESETS, Corpus, build_corpus, corpus_stats
 from .errors import ClaimCheckError, ConfigError
 from .evaluation import rank_scores, reports_to_json
 from .model import BaselineScorer, train_scorer
 from .preprocess import normalize_corpus_file
 from .providers import make_providers
 from .runner import (
-    FEW_SHOT,
     SHOT_CHOICES,
     SUITES,
+    ExperimentConfig,
     config_from_mapping,
     prepare_cell,
     run_suite,
     run_topic,
+    suite_cells,
 )
 from .splits import split_to_json
 
@@ -55,30 +52,63 @@ def _config_file(path) -> dict:
     return loaded
 
 
-def _add_io(p: argparse.ArgumentParser) -> None:
-    """The settings, providers and output flags that `similarity` shares
-    with the experiment commands."""
-    p.add_argument("--config", type=_config_file, default=None, metavar="FILE",
-                   help="JSON file of experiment settings; flags override it")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="output file, or directory for similarity and suite")
-    p.add_argument("--providers", default=None,
-                   help='provider set: "mock", "none", or an '
-                        '"http(s)://<host>..." base URL')
+# Every argument of the experiment commands, as `add_argument` keywords.
+# An option that sets an ExperimentConfig field stores to that field's name.
+_ARGUMENTS = {
+    "suite": dict(choices=SUITES),
+    "--corpus": dict(required=True),
+    "--target": dict(required=True),
+    "--model": dict(required=True, help="saved baseline model (.npz)"),
+    "--config": dict(type=_config_file, metavar="FILE",
+                     help="JSON file of experiment settings; flags override it"),
+    "--out": dict(dest="output_dir", metavar="PATH",
+                  help="output file, or directory for similarity and suite"),
+    "--providers": dict(help='provider set: "mock", "none", or an '
+                             '"http(s)://<host>..." base URL'),
+    "--seed": dict(type=int, help="master random seed"),
+    "--backend": dict(dest="backend_id", choices=("baseline", "encoder"),
+                      help="scorer backend"),
+    "--shots": dict(type=int,
+                    help=f"few-shot pool prefix size, one of {SHOT_CHOICES}"),
+    "--strategy": dict(choices=(NONE,) + STRATEGIES,
+                       help="augmentation strategy"),
+    "--holdout-k": dict(type=int, help="per-topic holdout pool size"),
+    "--workers": dict(dest="max_workers", type=int, metavar="N",
+                      help="cells to run at once"),
+}
+_CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
 
+# Each experiment command's help and the arguments it reads, in order
+_EXPERIMENT_COMMANDS = {
+    "split": ("emit a leave-one-topic-out split",
+              "--corpus --target --config --out --seed --shots --holdout-k"),
+    "train": ("train a baseline scorer on a split",
+              "--corpus --target --config --out --providers --seed --shots "
+              "--strategy --holdout-k"),
+    "rank": ("rank a topic's test records by P(CW)",
+             "--corpus --target --model --config --out --seed --shots "
+             "--holdout-k"),
+    "eval": ("run one experiment cell end to end",
+             "--corpus --target --config --out --providers --seed --backend "
+             "--shots --strategy --holdout-k"),
+    "augment": ("generate synthetic samples for a pool",
+                "--corpus --target --config --out --providers --seed --shots "
+                "--strategy --holdout-k"),
+    "similarity": ("pairwise topic similarity matrix",
+                   "--corpus --config --out --providers"),
+    "suite": ("run a reporting suite",
+              "suite --corpus --config --out --providers --seed --backend "
+              "--shots --holdout-k --workers"),
+}
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    """The flags of every command that runs or prepares experiment cells."""
-    _add_io(p)
-    p.add_argument("--seed", type=int, default=None, help="master random seed")
-    p.add_argument("--backend", default=None, choices=("baseline", "encoder"),
-                   help="scorer backend")
-    p.add_argument("--shots", type=int, default=None,
-                   help=f"few-shot pool prefix size, one of {SHOT_CHOICES}")
-    p.add_argument("--strategy", default=None,
-                   choices=(NONE,) + STRATEGIES, help="augmentation strategy")
-    p.add_argument("--holdout-k", type=int, default=None,
-                   help="per-topic holdout pool size")
+# (commands, field, the one value they run, why). A config file is shared
+# between commands, so a field a command does not read is left alone.
+_ONE_VALUE = [
+    (("split", "rank"), "strategy", NONE, "never augments"),
+    (("train", "rank"), "backend_id", "baseline",
+     "runs the baseline backend only, since encoder models live with "
+     "their provider"),
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,64 +131,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("src", help="corpus JSONL to read")
     p.add_argument("dst", help="normalized JSONL to write")
 
-    p = sub.add_parser("split", help="emit a leave-one-topic-out split")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--target", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("train", help="train a scorer on a split")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--target", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("rank", help="rank a topic's test records by P(CW)")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--target", required=True)
-    p.add_argument("--model", required=True, help="saved baseline model (.npz)")
-    _add_common(p)
-
-    p = sub.add_parser("eval", help="run one experiment cell end to end")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--target", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("augment", help="generate synthetic samples for a pool")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--target", required=True)
-    _add_common(p)
-
-    p = sub.add_parser("similarity", help="pairwise topic similarity matrix")
-    p.add_argument("--corpus", required=True)
-    _add_io(p)
-
-    p = sub.add_parser("suite", help="run a reporting suite")
-    p.add_argument("suite", choices=SUITES)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--workers", type=int, default=None,
-                   help="cells to run at once")
-    _add_common(p)
-
+    for command, (help_text, arguments) in _EXPERIMENT_COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for argument in arguments.split():
+            p.add_argument(argument, **_ARGUMENTS[argument])
     return parser
 
 
-def _experiment_config(args, **forced):
-    """Merge config file values with explicit flags, then the `forced`
-    fields, into an ExperimentConfig."""
+def _experiment_config(args) -> ExperimentConfig:
+    """Merge config file values with the flags given into an
+    ExperimentConfig. A value that contradicts what the command runs is a
+    ConfigError; no value is overridden."""
     data = {key: value for key, value in (args.config or {}).items()
             if key != "providers"}
-    overrides = {
-        "seed": getattr(args, "seed", None),
-        "backend_id": getattr(args, "backend", None),
-        "shots": getattr(args, "shots", None),
-        "strategy": getattr(args, "strategy", None),
-        "holdout_k": getattr(args, "holdout_k", None),
-        "max_workers": getattr(args, "workers", None),
-        "output_dir": getattr(args, "out", None),
-        **forced,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            data[key] = value
+    data.update((key, value) for key, value in vars(args).items()
+                if key in _CONFIG_FIELDS and value is not None)
+    for commands, key, value, why in _ONE_VALUE:
+        if args.command in commands and data.get(key, value) != value:
+            raise ConfigError(f"{args.command} {why}; got {key} {data[key]!r}")
+    if args.command == "augment" and data.get("strategy", NONE) == NONE:
+        raise ConfigError("augment requires --strategy BT, CWE, or TxtGen")
     return config_from_mapping(data)
 
 
@@ -207,28 +199,29 @@ def _cmd_normalize(args) -> int:
     return 0
 
 
+def _cell(args):
+    """The config and the cell of `split`, `train`, `rank` or `augment`,
+    whose corpus is read only once the config has passed every check."""
+    config = _experiment_config(args)
+    providers = _providers_from(args) if "providers" in args else None
+    return config, prepare_cell(config, Corpus.from_jsonl(args.corpus),
+                                args.target, providers)
+
+
 def _cmd_split(args) -> int:
-    config = _experiment_config(args, strategy=NONE)
-    cell = prepare_cell(config, Corpus.from_jsonl(args.corpus), args.target)
-    text = split_to_json(cell.split)
-    if args.out:
-        atomic_write(args.out, lambda fh: fh.write(text + "\n"), text=True)
-        print(f"wrote {args.out}")
+    text = split_to_json(_cell(args)[1].split)
+    if args.output_dir:
+        atomic_write(args.output_dir, lambda fh: fh.write(text + "\n"),
+                     text=True)
+        print(f"wrote {args.output_dir}")
     else:
         print(text)
     return 0
 
 
 def _cmd_train(args) -> int:
-    config = _experiment_config(args)
-    if config.backend_id != "baseline":
-        raise ConfigError(
-            "only the baseline backend produces a saveable model; "
-            "encoder models live with their provider"
-        )
-    cell = prepare_cell(config, Corpus.from_jsonl(args.corpus), args.target,
-                        _providers_from(args))
-    out = args.out or "model.npz"
+    config, cell = _cell(args)
+    out = args.output_dir or "model.npz"
     scorer = train_scorer(cell.train, config.scorer_config())
     scorer.save(out)
     print(f"trained on {len(cell.train)} records in {scorer.n_iter} "
@@ -238,23 +231,21 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    config = _experiment_config(args, strategy=NONE)
-    corpus = Corpus.from_jsonl(args.corpus)
+    cell = _cell(args)[1]
     scorer = BaselineScorer.load(args.model)
-    cell = prepare_cell(config, corpus, args.target)
     test_ids = cell.split.test_ids()
     scores = dict(zip(test_ids, scorer.score_many(cell.test)))
     labels = dict(zip(test_ids, cell.test.labels()))
     rows = [(pos + 1, tid, scores[tid], labels[tid])
             for pos, tid in enumerate(rank_scores(scores))]
-    if args.out:
+    if args.output_dir:
         def write(fh):
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["rank", "tweet_id", "score", "label"])
             for rank, tid, score, label in rows:
                 writer.writerow([rank, tid, "%.10f" % score, label])
-        atomic_write(args.out, write, text=True)
-        print(f"wrote {args.out}")
+        atomic_write(args.output_dir, write, text=True)
+        print(f"wrote {args.output_dir}")
     else:
         for rank, tid, score, label in rows[:20]:
             print(f"{rank:4d}  {score:.4f}  {label:3s}  {tid}")
@@ -267,9 +258,10 @@ def _cmd_eval(args) -> int:
     providers = _providers_from(args)
     report = run_topic(config, corpus, args.target, providers=providers)
     text = reports_to_json({args.target: report})
-    if args.out:
-        atomic_write(args.out, lambda fh: fh.write(text + "\n"), text=True)
-        print(f"wrote {args.out}")
+    if args.output_dir:
+        atomic_write(args.output_dir, lambda fh: fh.write(text + "\n"),
+                     text=True)
+        print(f"wrote {args.output_dir}")
     print(f"{args.target}: MAP {report.map:.4f} "
           f"(AP_cw {report.ap_cw:.4f}, AP_ncw {report.ap_ncw:.4f}, "
           f"P {report.precision:.2f}, R {report.recall:.2f}, "
@@ -278,12 +270,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_augment(args) -> int:
-    config = _experiment_config(args, setting=FEW_SHOT)
-    if config.strategy == NONE:
-        raise ConfigError("augment requires --strategy BT, CWE, or TxtGen")
-    result = prepare_cell(config, Corpus.from_jsonl(args.corpus), args.target,
-                          _providers_from(args)).augmentation
-    out = args.out or "synthetic.jsonl"
+    config, cell = _cell(args)
+    result = cell.augmentation
+    out = args.output_dir or "synthetic.jsonl"
     atomic_write(out, lambda fh: fh.writelines(
         json.dumps(asdict(sample), ensure_ascii=False) + "\n"
         for sample in result.samples), text=True)
@@ -304,7 +293,7 @@ def _cmd_similarity(args) -> int:
     if providers.embedder is None:
         raise ConfigError("similarity requires an embedder provider")
     matrix = similarity_matrix(corpus, providers.embedder)
-    out = Path(args.out or ".")
+    out = Path(args.output_dir or ".")
     matrix_to_csv(matrix, out / "similarity.csv")
     atomic_write(out / "similarity.json",
                  lambda fh: fh.write(matrix_to_json(matrix) + "\n"), text=True)
@@ -317,6 +306,7 @@ def _cmd_similarity(args) -> int:
 
 def _cmd_suite(args) -> int:
     config = _experiment_config(args)
+    suite_cells(args.suite, config)  # refused before the corpus is read
     corpus = Corpus.from_jsonl(args.corpus)
     providers = _providers_from(args)
     record = run_suite(args.suite, corpus, config, providers=providers)

@@ -64,7 +64,7 @@ SUITES = ("table2", "table3", "table4", "fig4")
 __all__ = [
     "ZERO_SHOT", "FEW_SHOT", "SETTINGS", "SHOT_CHOICES", "SUITES",
     "ExperimentConfig", "RunRecord", "config_from_mapping", "PreparedCell",
-    "prepare_cell", "run_topic", "run_suite",
+    "prepare_cell", "run_topic", "suite_cells", "run_suite",
 ]
 
 
@@ -264,10 +264,10 @@ def run_topic(config: ExperimentConfig, corpus: Corpus, target: str,
     return report
 
 
-def _suite_cells(suite: str, base: ExperimentConfig) -> list:
+def suite_cells(suite: str, base: ExperimentConfig) -> list:
     """The (setting, strategy, shots) combinations a suite runs. A suite
-    picks its own strategies, so a base config naming one is refused, and
-    table2, which runs zero-shot only, refuses a few-shot base config."""
+    refuses a base config it would not run: one naming a strategy, a
+    few-shot one for table2, and one for fig4 at shots other than 200."""
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; expected one of {SUITES}")
     if base.strategy != NONE:
@@ -276,6 +276,9 @@ def _suite_cells(suite: str, base: ExperimentConfig) -> list:
     if suite == "table2" and base.setting != ZERO_SHOT:
         raise ConfigError(f"suite table2 runs zero_shot only; got "
                           f"{base.setting} at {base.shots} shots")
+    if suite == "fig4" and base.shots not in (0, 200):
+        raise ConfigError(f"suite fig4 runs shots {SHOT_CHOICES} itself; "
+                          f"got {base.shots} shots")
     shots = base.shots or 200
     if suite == "table2":
         return [(ZERO_SHOT, NONE, 0)]
@@ -319,20 +322,20 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
     under `out_dir`, which stands for the config's output_dir, so run.json
     names the directory written (the config's own when `out_dir` is None).
     An `out_dir` or a column config that is invalid, such as one with more
-    shots than `holdout_k`, and a base config naming a strategy, or a
-    few-shot one for table2, raise ConfigError before `out_dir` is made,
-    the holdouts drawn or the corpus counted. Cells that fail are recorded
-    with their error and excluded from rendered tables; the returned
-    record lists them so callers can exit nonzero. Its `notes` name each
-    topic whose holdout pool is all of it. `setup_s` is the seconds from
-    this call's start to its first cell: a first hash of the corpus, the
-    holdouts and a first count of the corpus features. `wall_clock` holds
-    each cell's seconds and, as `total`, the seconds from this call's
-    start to the end of the last cell. A corpus record field holding a
-    lone surrogate is a CorpusError before anything is made.
+    shots than `holdout_k`, and a base config `suite_cells` refuses raise
+    ConfigError before `out_dir` is made, the holdouts drawn or the corpus
+    counted. Cells that fail are recorded with their error and excluded
+    from rendered tables; the returned record lists them so callers can
+    exit nonzero. Its `notes` name each topic whose holdout pool is all of
+    it. `setup_s` is the seconds from this call's start to its first cell:
+    a first hash of the corpus, the holdouts and a first count of the
+    corpus features. `wall_clock` holds each cell's seconds and, as
+    `total`, the seconds from this call's start to the end of the last
+    cell. A corpus record field holding a lone surrogate is a CorpusError
+    before anything is made.
     """
     suite_started = time.perf_counter()
-    combos = _suite_cells(suite, base_config)
+    combos = suite_cells(suite, base_config)
     if out_dir is not None:  # run.json names the directory written
         base_config = replace(base_config, output_dir=out_dir)
     # a bad column config is reported before anything is made or counted

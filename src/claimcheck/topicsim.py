@@ -26,6 +26,8 @@ __all__ = [
     "matrix_to_json",
 ]
 
+RECIPE = "mean-pooled cosine"
+
 
 @dataclass(frozen=True)
 class SimilarityMatrix:
@@ -130,10 +132,10 @@ def matrix_to_csv(matrix: SimilarityMatrix, path) -> None:
     atomic_write(path, write, text=True)
 
 
-def matrix_to_json(matrix: SimilarityMatrix, recipe: str = "mean-pooled cosine") -> str:
+def matrix_to_json(matrix: SimilarityMatrix) -> str:
     ranking = difficulty_ranking(matrix)
     return json.dumps({
-        "recipe": recipe,
+        "recipe": RECIPE,
         "topic_ids": list(matrix.topic_ids),
         "values": [list(row) for row in matrix.values],
         "difficulty_ranking": [

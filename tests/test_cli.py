@@ -217,31 +217,6 @@ def test_split_few_shot_adds_pool_prefix(corpus_jsonl, tmp_path):
     assert len(target_train) == 50
 
 
-@pytest.mark.parametrize("strategy", ["CWE", "BT"])
-def test_split_ignores_the_strategy(corpus_jsonl, tmp_path, capsys, strategy):
-    """A split never augments, so a strategy without shots neither makes
-    it few-shot nor changes its bytes."""
-    plain, flagged = tmp_path / "plain.json", tmp_path / "flagged.json"
-    command = ["split", "--corpus", str(corpus_jsonl), "--target", "S-A",
-               "--holdout-k", "30", "--out"]
-    assert main(command + [str(plain)]) == 0
-    assert main(command + [str(flagged), "--strategy", strategy]) == 0
-    assert flagged.read_bytes() == plain.read_bytes()
-
-
-@pytest.mark.parametrize("strategy", ["CWE", "BT"])
-def test_rank_ignores_the_strategy(corpus_jsonl, tmp_path, capsys, strategy):
-    model = tmp_path / "model.npz"
-    assert main(["train", "--corpus", str(corpus_jsonl), "--target", "S-B",
-                 "--holdout-k", "30", "--out", str(model)]) == 0
-    plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"
-    command = ["rank", "--corpus", str(corpus_jsonl), "--target", "S-B",
-               "--model", str(model), "--holdout-k", "30", "--out"]
-    assert main(command + [str(plain)]) == 0
-    assert main(command + [str(flagged), "--strategy", strategy]) == 0
-    assert flagged.read_bytes() == plain.read_bytes()
-
-
 def test_train_rank_round_trip(corpus_jsonl, tmp_path, capsys):
     model = tmp_path / "model.npz"
     rc = main(["train", "--corpus", str(corpus_jsonl), "--target", "S-B",
@@ -315,9 +290,11 @@ def test_train_refuses_the_encoder_backend_before_any_provider_call(
 
     bundle.encoder = recording
     monkeypatch.setattr(cli, "make_providers", lambda spec: bundle)
+    config = tmp_path / "config.json"
+    config.write_text('{"backend_id": "encoder"}', encoding="utf-8")
     model = tmp_path / "model.npz"
     rc = main(["train", "--corpus", str(corpus_jsonl), "--target", "S-B",
-               "--holdout-k", "30", "--backend", "encoder",
+               "--holdout-k", "30", "--config", str(config),
                "--providers", "mock", "--out", str(model)])
     assert rc == 2
     assert "baseline" in capsys.readouterr().err
@@ -439,19 +416,90 @@ def test_similarity_writes_matrix(corpus_jsonl, tmp_path, capsys):
     assert (tmp_path / "similarity.csv").exists()
 
 
-@pytest.mark.parametrize("flag", [
-    ["--seed", "3"], ["--backend", "encoder"], ["--shots", "50"],
-    ["--strategy", "CWE"], ["--holdout-k", "50"],
-])
-def test_similarity_rejects_the_experiment_flags_it_would_ignore(
-        corpus_jsonl, tmp_path, capsys, flag):
+# each command, run as it would run, and a flag it does not read
+_FLAG_CASES = [
+    *[("similarity", flag) for flag in (
+        ["--seed", "3"], ["--backend", "encoder"], ["--shots", "50"],
+        ["--strategy", "CWE"], ["--holdout-k", "50"])],
+    ("split", ["--strategy", "CWE"]), ("split", ["--backend", "encoder"]),
+    ("split", ["--providers", "none"]),
+    ("rank", ["--strategy", "BT"]), ("rank", ["--backend", "encoder"]),
+    ("rank", ["--providers", "none"]),
+    ("train", ["--backend", "encoder"]),
+    ("augment", ["--backend", "encoder"]),
+    ("suite", ["--strategy", "CWE"]),
+]
+
+
+@pytest.mark.parametrize("command, flag", _FLAG_CASES,
+                         ids=[f"{c}{f[0]}" for c, f in _FLAG_CASES])
+def test_a_command_rejects_the_flags_it_would_ignore(
+        corpus_jsonl, tmp_path, capsys, command, flag):
+    """A command takes only the flags it reads; argparse refuses the
+    others before anything is read or written."""
+    out = tmp_path / "out"
+    argv = {
+        "similarity": ["similarity", "--providers", "mock"],
+        "split": ["split", "--target", "S-A"],
+        "rank": ["rank", "--target", "S-A", "--model",
+                 str(tmp_path / "model.npz")],
+        "train": ["train", "--target", "S-A"],
+        "augment": ["augment", "--target", "S-A", "--strategy", "CWE",
+                    "--shots", "50", "--holdout-k", "50",
+                    "--providers", "mock"],
+        "suite": ["suite", "table2"],
+    }[command]
     with pytest.raises(SystemExit) as exited:
-        main(["similarity", "--corpus", str(corpus_jsonl), "--providers",
-              "mock", "--out", str(tmp_path), *flag])
+        main([*argv, "--corpus", str(corpus_jsonl), "--out", str(out), *flag])
     assert exited.value.code == 2
     assert (f"unrecognized arguments: {' '.join(flag)}"
             in capsys.readouterr().err)
-    assert not (tmp_path / "similarity.csv").exists()
+    assert not out.exists()
+
+
+# a command whose config file holds a value it would contradict, the
+# value, and the one error line it prints
+_CONTRADICTIONS = [
+    (["split", "--target", "S-A"], {"strategy": "CWE"},
+     "split never augments; got strategy 'CWE'"),
+    (["rank", "--target", "S-A", "--model", "model.npz"],
+     {"strategy": "BT", "shots": 50},
+     "rank never augments; got strategy 'BT'"),
+    (["rank", "--target", "S-A", "--model", "model.npz"],
+     {"backend_id": "encoder"},
+     "rank runs the baseline backend only, since encoder models live with "
+     "their provider; got backend_id 'encoder'"),
+    (["train", "--target", "S-A", "--providers", "mock"],
+     {"backend_id": "encoder"},
+     "train runs the baseline backend only, since encoder models live with "
+     "their provider; got backend_id 'encoder'"),
+    (["augment", "--target", "S-A", "--strategy", "CWE", "--shots", "50",
+      "--providers", "mock"],
+     {"setting": "zero_shot"}, "zero_shot runs cannot use augmentation"),
+    (["suite", "fig4", "--providers", "mock"], {"shots": 50},
+     "suite fig4 runs shots (50, 100, 150, 200) itself; got 50 shots"),
+]
+
+
+@pytest.mark.parametrize("command, setting, message", _CONTRADICTIONS,
+                         ids=[f"{c[0]}-{next(iter(s))}"
+                              for c, s, _ in _CONTRADICTIONS])
+def test_a_config_value_the_command_would_contradict_exits_two(
+        tmp_path, monkeypatch, capsys, command, setting, message):
+    """No command overrides a config value: one that contradicts what the
+    command runs is refused before the corpus is read or anything is
+    written."""
+    monkeypatch.chdir(tmp_path)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(setting), encoding="utf-8")
+    opened = []
+    monkeypatch.setattr(cli.Corpus, "from_jsonl", opened.append)
+    rc = main([*command, "--corpus", "corpus.jsonl", "--config", str(config),
+               "--out", "out"])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert opened == []
+    assert list(tmp_path.iterdir()) == [config]
 
 
 def test_similarity_requires_embedder(corpus_jsonl, capsys):
@@ -485,6 +533,36 @@ def test_suite_exits_nonzero_on_failed_cells(corpus_jsonl, tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # configuration plumbing
+
+
+# each command's options, in the order build_parser() adds them
+PINNED_OPTIONS = {
+    "load": "--input --allow-noncanonical --out",
+    "normalize": "",
+    "split": "--corpus --target --config --out --seed --shots --holdout-k",
+    "train": "--corpus --target --config --out --providers --seed --shots "
+             "--strategy --holdout-k",
+    "rank": "--corpus --target --model --config --out --seed --shots "
+            "--holdout-k",
+    "eval": "--corpus --target --config --out --providers --seed --backend "
+            "--shots --strategy --holdout-k",
+    "augment": "--corpus --target --config --out --providers --seed --shots "
+               "--strategy --holdout-k",
+    "similarity": "--corpus --config --out --providers",
+    "suite": "--corpus --config --out --providers --seed --backend --shots "
+             "--holdout-k --workers",
+}
+
+
+def test_each_command_takes_exactly_its_pinned_options():
+    """A new option takes an edit here; 44 of them are not required."""
+    commands = build_parser()._subparsers._group_actions[0].choices
+    actions = {name: [a for a in p._actions if a.dest != "help"]
+               for name, p in commands.items()}
+    assert {name: " ".join(o for a in acts for o in a.option_strings)
+            for name, acts in actions.items()} == PINNED_OPTIONS
+    assert sum(bool(a.option_strings) and not a.required
+               for acts in actions.values() for a in acts) == 44
 
 
 def test_config_file_feeds_experiment_settings(corpus_jsonl, tmp_path):
@@ -614,11 +692,14 @@ def test_suite_table2_refuses_a_few_shot_config_file(
 @pytest.mark.parametrize("suite", ["table2", "table3", "table4", "fig4"])
 def test_a_suite_given_a_strategy_exits_two(corpus_jsonl, tmp_path, capsys,
                                             suite):
-    """A suite picks its own strategies; `--strategy` is refused before
-    `--out` is made, not dropped while run.json records it."""
+    """A suite picks its own strategies; a config file's `strategy` is
+    refused before `--out` is made, not dropped while run.json records
+    it."""
+    config = tmp_path / "config.json"
+    config.write_text('{"strategy": "CWE"}', encoding="utf-8")
     out = tmp_path / "out"
     rc = main(["suite", suite, "--corpus", str(corpus_jsonl), "--shots",
-               "200", "--strategy", "CWE", "--out", str(out)])
+               "200", "--config", str(config), "--out", str(out)])
     assert rc == 2
     assert capsys.readouterr().err == (
         f"error: suite {suite} runs its own strategies; got strategy 'CWE'\n")

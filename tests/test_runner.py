@@ -355,7 +355,8 @@ def test_a_bad_column_config_is_rejected_before_any_work(suite, shots,
     ("table2", few_shot_config(), "table2 runs zero_shot only"),
     *[(suite, few_shot_config(strategy=CWE), "runs its own strategies")
       for suite in ("table3", "table4", "fig4")],
-], ids=["table2-few_shot", "table3-CWE", "table4-CWE", "fig4-CWE"])
+    ("fig4", few_shot_config(), "fig4 runs shots .* itself; got 50 shots"),
+], ids=["table2-few_shot", "table3-CWE", "table4-CWE", "fig4-CWE", "fig4-50"])
 def test_a_suite_refuses_a_base_config_it_would_not_run(suite, config, message,
                                                         tmp_path):
     """A suite picks its own settings: a request it would drop is refused

@@ -216,7 +216,7 @@ def test_matrix_json_includes_ranking():
     assert blob["topic_ids"] == ["T-A", "T-B"]
     assert blob["values"][0][1] == 0.25
     assert [r["topic_id"] for r in blob["difficulty_ranking"]] == ["T-A", "T-B"]
-    assert "recipe" in blob
+    assert blob["recipe"] == "mean-pooled cosine"
 
 
 def test_matrix_round_trips_through_numpy():
