@@ -6,3 +6,4 @@ check-worthiness predictions with mean average precision.
 """
 
 __version__ = "0.1.0"
+__all__ = ["__version__"]

@@ -4,7 +4,9 @@ Subcommands cover the pipeline stages (load, normalize, split, train, rank,
 eval, augment, similarity) plus the reporting suites. Each takes only the
 options it reads. A JSON config file can seed any experiment flags;
 explicit command-line flags win over file values, and a file value that
-contradicts what a command runs is refused, never overridden.
+contradicts what a command runs is refused, never overridden. Every
+command taking `--config` checks it and builds its providers before it
+reads `--corpus`.
 """
 
 from __future__ import annotations
@@ -138,12 +140,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _experiment_config(args) -> ExperimentConfig:
-    """Merge config file values with the flags given into an
-    ExperimentConfig. A value that contradicts what the command runs is a
-    ConfigError; no value is overridden."""
-    data = {key: value for key, value in (args.config or {}).items()
-            if key != "providers"}
+def _settings(args):
+    """The checked config of an experiment command and, for one taking
+    `--providers`, its providers, built before any input is read. Flags win
+    over `--config` values; a value that contradicts what the command runs
+    is a ConfigError, and no value is overridden."""
+    data = dict(args.config or {})
+    spec = data.pop("providers", None)
     data.update((key, value) for key, value in vars(args).items()
                 if key in _CONFIG_FIELDS and value is not None)
     for commands, key, value, why in _ONE_VALUE:
@@ -151,14 +154,16 @@ def _experiment_config(args) -> ExperimentConfig:
             raise ConfigError(f"{args.command} {why}; got {key} {data[key]!r}")
     if args.command == "augment" and data.get("strategy", NONE) == NONE:
         raise ConfigError("augment requires --strategy BT, CWE, or TxtGen")
-    return config_from_mapping(data)
-
-
-def _providers_from(args):
-    spec = args.providers
-    if spec is None:
-        spec = (args.config or {}).get("providers")
-    return make_providers(spec)
+    config = config_from_mapping(data)
+    if args.command == "suite":
+        suite_cells(args.suite, config)
+    if "providers" not in args:
+        return config, None
+    providers = make_providers(spec if args.providers is None
+                               else args.providers)
+    if args.command == "similarity" and providers.embedder is None:
+        raise ConfigError("similarity requires an embedder provider")
+    return config, providers
 
 
 def _cmd_load(args) -> int:
@@ -200,10 +205,8 @@ def _cmd_normalize(args) -> int:
 
 
 def _cell(args):
-    """The config and the cell of `split`, `train`, `rank` or `augment`,
-    whose corpus is read only once the config has passed every check."""
-    config = _experiment_config(args)
-    providers = _providers_from(args) if "providers" in args else None
+    """The config and the cell of `split`, `train`, `rank` or `augment`."""
+    config, providers = _settings(args)
     return config, prepare_cell(config, Corpus.from_jsonl(args.corpus),
                                 args.target, providers)
 
@@ -253,10 +256,9 @@ def _cmd_rank(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    config = _experiment_config(args)
-    corpus = Corpus.from_jsonl(args.corpus)
-    providers = _providers_from(args)
-    report = run_topic(config, corpus, args.target, providers=providers)
+    config, providers = _settings(args)
+    report = run_topic(config, Corpus.from_jsonl(args.corpus), args.target,
+                       providers=providers)
     text = reports_to_json({args.target: report})
     if args.output_dir:
         atomic_write(args.output_dir, lambda fh: fh.write(text + "\n"),
@@ -288,11 +290,8 @@ def _cmd_similarity(args) -> int:
     from .topicsim import difficulty_ranking, matrix_to_csv, matrix_to_json, \
         similarity_matrix
 
-    corpus = Corpus.from_jsonl(args.corpus)
-    providers = _providers_from(args)
-    if providers.embedder is None:
-        raise ConfigError("similarity requires an embedder provider")
-    matrix = similarity_matrix(corpus, providers.embedder)
+    embedder = _settings(args)[1].embedder
+    matrix = similarity_matrix(Corpus.from_jsonl(args.corpus), embedder)
     out = Path(args.output_dir or ".")
     matrix_to_csv(matrix, out / "similarity.csv")
     atomic_write(out / "similarity.json",
@@ -305,11 +304,9 @@ def _cmd_similarity(args) -> int:
 
 
 def _cmd_suite(args) -> int:
-    config = _experiment_config(args)
-    suite_cells(args.suite, config)  # refused before the corpus is read
-    corpus = Corpus.from_jsonl(args.corpus)
-    providers = _providers_from(args)
-    record = run_suite(args.suite, corpus, config, providers=providers)
+    config, providers = _settings(args)
+    record = run_suite(args.suite, Corpus.from_jsonl(args.corpus), config,
+                       providers=providers)
     out = Path(config.output_dir)
     ok = len(record.cells) - len(record.failures)
     print(f"suite {args.suite}: {ok}/{len(record.cells)} cells ok")

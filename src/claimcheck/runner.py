@@ -27,12 +27,17 @@ import csv
 import io
 import json
 import os
+import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
+import numpy
+import scipy
+
+from . import __version__
 from .augment import NONE, STRATEGIES, AugmentationResult, augment_training
 from .cache import atomic_write
 from .corpus import Corpus
@@ -45,15 +50,9 @@ from .evaluation import (
     render_improvement_table,
     render_report_table,
 )
-from .model import Rows, ScorerConfig, train_scorer
+from .model import TRAINER_VERSION, Rows, ScorerConfig, train_scorer
 from .splits import (TopicSplit, few_shot_split, make_holdouts,
                      zero_shot_split)
-
-try:
-    from importlib.metadata import PackageNotFoundError, version
-    TOOL_VERSION = version("claimcheck")
-except PackageNotFoundError:
-    TOOL_VERSION = "0+unknown"
 
 ZERO_SHOT = "zero_shot"
 FEW_SHOT = "few_shot"
@@ -153,13 +152,34 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
     return ExperimentConfig(**data)
 
 
+def _environment() -> dict:
+    """What a run's numbers depend on besides its inputs: the Python, numpy
+    and scipy versions, numpy's SIMD extensions (which follow
+    NPY_ENABLE_CPU_FEATURES; None on a numpy before 1.25), the BLAS thread
+    variables as set, and the trainer version."""
+    try:
+        simd = numpy.show_config(mode="dicts")["SIMD Extensions"]
+    except (TypeError, KeyError):
+        simd = None
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "simd_extensions": simd,
+        **{name: os.environ.get(name) for name in (
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+        "trainer_version": TRAINER_VERSION,
+    }
+
+
 @dataclass
 class RunRecord:
     """Everything a finished suite run leaves behind, minus the artifacts;
     the fields are declared in run.json's key order."""
 
     suite: str
-    tool_version: str = field(default=TOOL_VERSION, kw_only=True)
+    tool_version: str = field(default=__version__, kw_only=True)
+    environment: dict = field(default_factory=_environment, kw_only=True)
     config: dict
     corpus_hash: str
     notes: list = field(default_factory=list, kw_only=True)
@@ -237,9 +257,10 @@ def run_topic(config: ExperimentConfig, corpus: Corpus, target: str,
     """Run one leave-one-topic-out experiment and evaluate on the holdout
     complement of the target topic.
 
-    When a `details` dict is supplied it is filled with split sizes,
-    augmentation skip information, the trained-on record count, and
-    `stage_s`, the seconds each stage took (also when a stage fails).
+    When a `details` dict is supplied it is filled with the trained-on
+    record count (synthetic records included), augmentation skip
+    information, and `stage_s`, the seconds each stage took (also when a
+    stage fails).
     """
     stage_s = details.setdefault("stage_s", {}) if details is not None else {}
     cell = prepare_cell(config, corpus, target, providers, cache_dir, stage_s)
@@ -258,7 +279,6 @@ def run_topic(config: ExperimentConfig, corpus: Corpus, target: str,
     if details is not None:
         aug = cell.augmentation
         details["train_size"] = len(cell.train)
-        details["test_size"] = len(cell.test)
         details["aug_samples"] = len(aug.samples) if aug else 0
         details["aug_skips"] = list(aug.skips) if aug else []
     return report
@@ -371,7 +391,8 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
             row.update(status="failed", error=f"{type(exc).__name__}: {exc}")
         else:
             row.update(
-                n_test=report.n_test, ap_cw=report.ap_cw, ap_ncw=report.ap_ncw,
+                n_test=report.n_test, train_size=details["train_size"],
+                ap_cw=report.ap_cw, ap_ncw=report.ap_ncw,
                 map=report.map, precision=report.precision,
                 recall=report.recall, f1=report.f1,
                 aug_samples=details["aug_samples"],

@@ -34,8 +34,9 @@ def test_package_imports_name_only_listed_names(path):
     unlisted = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
-            listed = importlib.import_module(
-                f"claimcheck.{node.module}").__all__
+            listed = importlib.import_module(  # `from . import` the package
+                f"claimcheck.{node.module}" if node.module
+                else "claimcheck").__all__
             unlisted += [f"{node.module}.{a.name}" for a in node.names
                          if a.name not in listed]
     assert unlisted == []

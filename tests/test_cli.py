@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from claimcheck import cli
-from claimcheck.cli import build_parser, main, _experiment_config
+from claimcheck.cli import build_parser, main, _settings
 from claimcheck.corpus import Corpus
 from claimcheck.model import BASELINE_DEFAULTS, GRADIENT_TOLERANCE
 from claimcheck.providers import make_providers
@@ -400,13 +400,6 @@ def test_augment_creates_the_out_directory(corpus_jsonl, tmp_path, capsys):
     assert len(out.read_text(encoding="utf-8").splitlines()) == 50
 
 
-def test_augment_requires_a_strategy(corpus_jsonl, capsys):
-    rc = main(["augment", "--corpus", str(corpus_jsonl), "--target", "S-A",
-               "--shots", "50", "--holdout-k", "50", "--providers", "mock"])
-    assert rc == 2
-    assert "strategy" in capsys.readouterr().err
-
-
 def test_similarity_writes_matrix(corpus_jsonl, tmp_path, capsys):
     rc = main(["similarity", "--corpus", str(corpus_jsonl),
                "--providers", "mock", "--out", str(tmp_path)])
@@ -416,7 +409,19 @@ def test_similarity_writes_matrix(corpus_jsonl, tmp_path, capsys):
     assert (tmp_path / "similarity.csv").exists()
 
 
-# each command, run as it would run, and a flag it does not read
+# each experiment command, as it would run on the tiny corpus
+_RUNNABLE = {
+    "split": ["split", "--target", "S-A"],
+    "train": ["train", "--target", "S-A"],
+    "rank": ["rank", "--target", "S-A", "--model", "model.npz"],
+    "eval": ["eval", "--target", "S-A"],
+    "augment": ["augment", "--target", "S-A", "--strategy", "CWE",
+                "--shots", "50", "--providers", "mock"],
+    "similarity": ["similarity", "--providers", "mock"],
+    "suite": ["suite", "table2"],
+}
+
+# each command and a flag it does not read
 _FLAG_CASES = [
     *[("similarity", flag) for flag in (
         ["--seed", "3"], ["--backend", "encoder"], ["--shots", "50"],
@@ -438,75 +443,72 @@ def test_a_command_rejects_the_flags_it_would_ignore(
     """A command takes only the flags it reads; argparse refuses the
     others before anything is read or written."""
     out = tmp_path / "out"
-    argv = {
-        "similarity": ["similarity", "--providers", "mock"],
-        "split": ["split", "--target", "S-A"],
-        "rank": ["rank", "--target", "S-A", "--model",
-                 str(tmp_path / "model.npz")],
-        "train": ["train", "--target", "S-A"],
-        "augment": ["augment", "--target", "S-A", "--strategy", "CWE",
-                    "--shots", "50", "--holdout-k", "50",
-                    "--providers", "mock"],
-        "suite": ["suite", "table2"],
-    }[command]
     with pytest.raises(SystemExit) as exited:
-        main([*argv, "--corpus", str(corpus_jsonl), "--out", str(out), *flag])
+        main([*_RUNNABLE[command], "--corpus", str(corpus_jsonl),
+              "--out", str(out), *flag])
     assert exited.value.code == 2
     assert (f"unrecognized arguments: {' '.join(flag)}"
             in capsys.readouterr().err)
     assert not out.exists()
 
 
-# a command whose config file holds a value it would contradict, the
-# value, and the one error line it prints
-_CONTRADICTIONS = [
-    (["split", "--target", "S-A"], {"strategy": "CWE"},
+_URL_ERROR = ("provider URL must be http(s)://<host>..., "
+              "got 'http:localhost:8000'")
+# a case name, a command line, its config file and the one error line it
+# prints instead of reading its corpus
+_REFUSALS = [
+    *[(f"{command}-bad-key", argv, {"sede": 1},
+       "unknown config keys: ['sede']") for command, argv in _RUNNABLE.items()],
+    *[(f"{command}-bad-seed", argv, {"seed": "x"},
+       "seed must be an integer, got 'x'")
+      for command, argv in _RUNNABLE.items()],
+    ("split-strategy", _RUNNABLE["split"], {"strategy": "CWE"},
      "split never augments; got strategy 'CWE'"),
-    (["rank", "--target", "S-A", "--model", "model.npz"],
-     {"strategy": "BT", "shots": 50},
+    ("rank-strategy", _RUNNABLE["rank"], {"strategy": "BT", "shots": 50},
      "rank never augments; got strategy 'BT'"),
-    (["rank", "--target", "S-A", "--model", "model.npz"],
-     {"backend_id": "encoder"},
+    ("rank-backend_id", _RUNNABLE["rank"], {"backend_id": "encoder"},
      "rank runs the baseline backend only, since encoder models live with "
      "their provider; got backend_id 'encoder'"),
-    (["train", "--target", "S-A", "--providers", "mock"],
+    ("train-backend_id", _RUNNABLE["train"] + ["--providers", "mock"],
      {"backend_id": "encoder"},
      "train runs the baseline backend only, since encoder models live with "
      "their provider; got backend_id 'encoder'"),
-    (["augment", "--target", "S-A", "--strategy", "CWE", "--shots", "50",
-      "--providers", "mock"],
-     {"setting": "zero_shot"}, "zero_shot runs cannot use augmentation"),
-    (["suite", "fig4", "--providers", "mock"], {"shots": 50},
+    ("augment-setting", _RUNNABLE["augment"], {"setting": "zero_shot"},
+     "zero_shot runs cannot use augmentation"),
+    ("augment-no-strategy", ["augment", "--target", "S-A", "--shots", "50",
+                             "--providers", "mock"],
+     {}, "augment requires --strategy BT, CWE, or TxtGen"),
+    ("suite-table2-shots", ["suite", "table2", "--shots", "50"], {},
+     "suite table2 runs zero_shot only; got few_shot at 50 shots"),
+    ("suite-shots", ["suite", "fig4", "--providers", "mock"], {"shots": 50},
      "suite fig4 runs shots (50, 100, 150, 200) itself; got 50 shots"),
+    *[(f"{command}-bad-url", _RUNNABLE[command] + [
+        "--providers", "http:localhost:8000"], {}, _URL_ERROR)
+      for command in ("train", "eval", "augment", "similarity", "suite")],
+    ("similarity-no-embedder", ["similarity", "--providers", "none"], {},
+     "similarity requires an embedder provider"),
+    ("similarity-config-no-embedder", ["similarity"], {"providers": "none"},
+     "similarity requires an embedder provider"),
 ]
 
 
-@pytest.mark.parametrize("command, setting, message", _CONTRADICTIONS,
-                         ids=[f"{c[0]}-{next(iter(s))}"
-                              for c, s, _ in _CONTRADICTIONS])
-def test_a_config_value_the_command_would_contradict_exits_two(
+@pytest.mark.parametrize("command, setting, message",
+                         [case[1:] for case in _REFUSALS],
+                         ids=[case[0] for case in _REFUSALS])
+def test_every_command_checks_its_settings_before_reading_the_corpus(
         tmp_path, monkeypatch, capsys, command, setting, message):
-    """No command overrides a config value: one that contradicts what the
-    command runs is refused before the corpus is read or anything is
-    written."""
+    """Config, flags and providers pass one check before `--corpus` is
+    read, so a missing corpus does not hide a bad setting. No command
+    overrides a config value: one that contradicts what the command runs
+    is refused, and nothing is written."""
     monkeypatch.chdir(tmp_path)
     config = tmp_path / "config.json"
     config.write_text(json.dumps(setting), encoding="utf-8")
-    opened = []
-    monkeypatch.setattr(cli.Corpus, "from_jsonl", opened.append)
-    rc = main([*command, "--corpus", "corpus.jsonl", "--config", str(config),
-               "--out", "out"])
+    rc = main([*command, "--corpus", "missing.jsonl", "--config",
+               str(config), "--out", "out"])
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert opened == []
     assert list(tmp_path.iterdir()) == [config]
-
-
-def test_similarity_requires_embedder(corpus_jsonl, capsys):
-    rc = main(["similarity", "--corpus", str(corpus_jsonl),
-               "--providers", "none"])
-    assert rc == 2
-    assert "embedder" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +575,7 @@ def test_config_file_feeds_experiment_settings(corpus_jsonl, tmp_path):
     args = build_parser().parse_args(
         ["split", "--corpus", str(corpus_jsonl), "--target", "S-A",
          "--config", str(config)])
-    cfg = _experiment_config(args)
+    cfg = _settings(args)[0]
     assert cfg.setting == FEW_SHOT
     assert cfg.shots == 50
     assert cfg.seed == 5
@@ -587,7 +589,7 @@ def test_flags_override_config_file(corpus_jsonl, tmp_path):
     args = build_parser().parse_args(
         ["split", "--corpus", str(corpus_jsonl), "--target", "S-A",
          "--config", str(config), "--seed", "9", "--shots", "100"])
-    cfg = _experiment_config(args)
+    cfg = _settings(args)[0]
     assert cfg.seed == 9
     assert cfg.shots == 100
 
@@ -595,11 +597,11 @@ def test_flags_override_config_file(corpus_jsonl, tmp_path):
 def test_setting_inferred_from_flags(corpus_jsonl):
     args = build_parser().parse_args(
         ["split", "--corpus", str(corpus_jsonl), "--target", "S-A"])
-    assert _experiment_config(args).setting == ZERO_SHOT
+    assert _settings(args)[0].setting == ZERO_SHOT
     args = build_parser().parse_args(
         ["split", "--corpus", str(corpus_jsonl), "--target", "S-A",
          "--shots", "50", "--holdout-k", "50"])
-    assert _experiment_config(args).setting == FEW_SHOT
+    assert _settings(args)[0].setting == FEW_SHOT
 
 
 def test_providers_spec_from_config_file(corpus_jsonl, tmp_path):
@@ -728,16 +730,6 @@ def test_a_suite_without_http_providers_never_loads_requests(corpus_jsonl,
     assert json.loads(out.splitlines()[-1]) == [0, []]
 
 
-def test_a_provider_url_without_a_scheme_fails_before_any_cell(
-        corpus_jsonl, tmp_path, capsys):
-    rc = main(["suite", "table2", "--corpus", str(corpus_jsonl),
-               "--providers", "http:localhost:8000",
-               "--out", str(tmp_path / "run")])
-    assert rc == 2
-    assert "error: provider URL must be http(s)://" in capsys.readouterr().err
-    assert not (tmp_path / "run").exists()
-
-
 @pytest.mark.parametrize("flags", [
     ["--config", '{"max_workers": "2"}'], ["--config", '{"holdout_k": "5"}'],
     ["--workers", "-1"],
@@ -809,7 +801,7 @@ def test_workers_is_a_suite_flag(corpus_jsonl, capsys, command):
 def test_suite_takes_workers(corpus_jsonl):
     args = build_parser().parse_args(
         ["suite", "table3", "--corpus", str(corpus_jsonl), "--workers", "2"])
-    assert _experiment_config(args).max_workers == 2
+    assert _settings(args)[0].max_workers == 2
 
 
 @pytest.mark.parametrize("command", [

@@ -2,8 +2,11 @@
 
 import csv
 import json
+import os
+import platform
 import random
 import re
+import subprocess
 import sys
 import tempfile
 import threading
@@ -14,9 +17,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import claimcheck
 from claimcheck import model, runner
 from claimcheck.augment import BT, CWE, NONE, STRATEGIES
 from claimcheck.cache import stable_hash
@@ -289,11 +294,11 @@ def test_prepare_cell_caches_augmentation_under_the_cache_dir(tmp_path):
 def test_few_shot_training_set_grows_by_shots():
     corpus = tiny_corpus(1, per_topic=120)
     zero_details, few_details = {}, {}
-    run_topic(ExperimentConfig(holdout_k=50), corpus, "S-A",
-              details=zero_details)
-    run_topic(few_shot_config(), corpus, "S-A", details=few_details)
+    zero = run_topic(ExperimentConfig(holdout_k=50), corpus, "S-A",
+                     details=zero_details)
+    few = run_topic(few_shot_config(), corpus, "S-A", details=few_details)
     assert few_details["train_size"] == zero_details["train_size"] + 50
-    assert few_details["test_size"] == zero_details["test_size"]
+    assert few.n_test == zero.n_test
 
 
 def test_augmented_run_adds_synthetic_records():
@@ -401,11 +406,101 @@ def test_suite_writes_artifacts(suite_corpus, tmp_path):
     assert (tmp_path / "report.md").exists()
     payload = json.loads((tmp_path / "run.json").read_text(encoding="utf-8"))
     assert list(payload) == [
-        "suite", "tool_version", "config", "corpus_hash", "notes", "cells",
-        "aggregates", "skip_counts", "failures", "setup_s", "wall_clock"]
+        "suite", "tool_version", "environment", "config", "corpus_hash",
+        "notes", "cells", "aggregates", "skip_counts", "failures", "setup_s",
+        "wall_clock"]
     assert payload["suite"] == "table2"
     assert payload["corpus_hash"] == suite_corpus.fingerprint
     assert "total" in payload["wall_clock"]
+
+
+def test_run_json_and_report_name_the_package_version(suite_corpus,
+                                                      tmp_path):
+    """The tool version is the package's own, also in a checkout that was
+    never installed."""
+    record = run_suite("table2", suite_corpus, ExperimentConfig(holdout_k=50),
+                       out_dir=tmp_path)
+    assert record.tool_version == claimcheck.__version__
+    assert (f"- tool version: {claimcheck.__version__}\n"
+            in (tmp_path / "report.md").read_text(encoding="utf-8"))
+
+
+def test_run_json_names_the_environment_its_numbers_depend_on(
+        suite_corpus, tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    run_suite("table2", suite_corpus, ExperimentConfig(holdout_k=50),
+              out_dir=tmp_path)
+    payload = json.loads((tmp_path / "run.json").read_text(encoding="utf-8"))
+    environment = payload["environment"]
+    assert list(environment) == [
+        "python", "numpy", "scipy", "simd_extensions", "OPENBLAS_NUM_THREADS",
+        "OMP_NUM_THREADS", "MKL_NUM_THREADS", "trainer_version"]
+    assert environment["python"] == platform.python_version()
+    assert environment["numpy"] == np.__version__
+    assert environment["scipy"] == scipy.__version__
+    assert environment["OPENBLAS_NUM_THREADS"] == "1"
+    assert environment["OMP_NUM_THREADS"] is None
+    assert environment["trainer_version"] == model.TRAINER_VERSION
+    for name in ("report.md", "cells.csv"):
+        text = (tmp_path / name).read_text(encoding="utf-8")
+        assert np.__version__ not in text and "SIMD" not in text
+
+
+def _x86_levels():
+    """The X86_V levels this numpy dispatches by, found or not."""
+    try:
+        simd = np.show_config(mode="dicts")["SIMD Extensions"]
+    except (TypeError, KeyError):
+        return []
+    return simd.get("found", []) + simd.get("not found", [])
+
+
+@pytest.mark.skipif(
+    platform.machine().lower() not in ("x86_64", "amd64")
+    or "X86_V3" not in _x86_levels(),
+    reason="needs an x86-64 numpy that dispatches by X86_V levels")
+def test_run_json_records_the_simd_extensions_numpy_was_limited_to(
+        tmp_path):
+    """NPY_ENABLE_CPU_FEATURES changes which kernels numpy runs, so it
+    changes what run.json records."""
+    probe = (
+        "import json, sys\n"
+        "from claimcheck.runner import ExperimentConfig, run_suite\n"
+        "from synth import tiny_corpus\n"
+        "record = run_suite('table2', tiny_corpus(3, per_topic=120), "
+        "ExperimentConfig(holdout_k=50), out_dir=sys.argv[1])\n"
+        "print(json.dumps(record.environment['simd_extensions']))\n"
+    )
+    paths = [str(Path(claimcheck.__file__).parent.parent),
+             str(Path(__file__).parent)]
+    env = {**os.environ, "NPY_ENABLE_CPU_FEATURES": "X86_V2",
+           "PYTHONPATH": os.pathsep.join(paths)}
+    out = subprocess.run([sys.executable, "-c", probe, str(tmp_path)],
+                         env=env, capture_output=True, text=True,
+                         timeout=120, check=True).stdout
+    simd = json.loads(out.splitlines()[-1])
+    assert isinstance(simd, dict)
+    assert "X86_V3" not in simd.get("found", [])
+
+
+def test_each_run_json_cell_carries_its_training_size(suite_corpus,
+                                                      tmp_path):
+    """`train_size` counts the records a cell trained on, synthetic ones
+    included; cells.csv keeps its columns."""
+    run_suite("table4", suite_corpus, few_shot_config(),
+              providers=mock_bundle(), out_dir=tmp_path)
+    payload = json.loads((tmp_path / "run.json").read_text(encoding="utf-8"))
+    cells = {(c["strategy"], c["topic_id"]): c for c in payload["cells"]}
+    for topic in suite_corpus.topic_ids():
+        plain, cwe = cells[NONE, topic], cells[CWE, topic]
+        assert plain["train_size"] == len(
+            prepare_cell(few_shot_config(), suite_corpus, topic).train)
+        assert cwe["aug_samples"] > 0
+        assert cwe["train_size"] == plain["train_size"] + cwe["aug_samples"]
+    with open(tmp_path / "cells.csv", encoding="utf-8") as fh:
+        assert next(csv.reader(fh)) == runner.CSV_COLUMNS
+    assert "train_size" not in runner.CSV_COLUMNS
 
 
 def test_run_json_names_the_directory_the_suite_wrote(suite_corpus, tmp_path):
