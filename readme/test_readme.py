@@ -83,6 +83,19 @@ def test_readme_step(workdir, monkeypatch, lineno, kind, text):
         run(workdir, text, where)
 
 
+def test_the_readme_install_lines_are_the_ones_ci_runs():
+    """Each `pip install` line of README's Install block is a `run:` step
+    of the CI workflow, verbatim."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Install\n\n```sh\n(.*?)^```", text, re.M | re.S)
+    assert block, "README lost its Install block"
+    installs = [line for line in block[1].splitlines()
+                if line.startswith("pip install")]
+    workflow = (ROOT / ".github/workflows/tests.yml").read_text("utf-8")
+    steps = {step.strip() for step in re.findall(r"run: (.+)", workflow)}
+    assert installs and [line for line in installs if line not in steps] == []
+
+
 def test_the_readme_runs_every_subcommand():
     ran = {text.split(" ")[1] for _, kind, text in STEPS if kind == "sh"}
     assert ran >= set(_COMMANDS)

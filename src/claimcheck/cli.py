@@ -2,8 +2,8 @@
 
 Subcommands cover the pipeline stages (load, normalize, split, train, rank,
 eval, augment, similarity) plus the reporting suites. Each takes only the
-options it reads. A JSON config file can seed any experiment flags;
-explicit command-line flags win over file values, and a file value that
+options it reads. A JSON config file can seed the experiment settings,
+not `--out`; explicit flags win over file values, and a file value that
 contradicts what a command runs is refused, never overridden. Every
 command taking `--config` checks it and builds its providers before it
 reads `--corpus`.
@@ -30,6 +30,7 @@ from .runner import (
     SHOT_CHOICES,
     SUITES,
     ExperimentConfig,
+    checked_path,
     config_from_mapping,
     prepare_cell,
     run_suite,
@@ -63,7 +64,7 @@ _ARGUMENTS = {
     "--model": dict(required=True, help="saved baseline model (.npz)"),
     "--config": dict(type=_config_file, metavar="FILE",
                      help="JSON file of experiment settings; flags override it"),
-    "--out": dict(dest="output_dir", metavar="PATH",
+    "--out": dict(metavar="PATH", type=lambda out: checked_path(out, "--out"),
                   help="output file, or directory for similarity and suite"),
     "--providers": dict(help='provider set: "mock", "none", or an '
                              '"http(s)://<host>..." base URL'),
@@ -80,25 +81,25 @@ _ARGUMENTS = {
 }
 _CONFIG_FIELDS = {f.name for f in fields(ExperimentConfig)}
 
-# Each experiment command's help and the arguments it reads, in order
+# Each experiment command's help, `--out` default (None prints) and arguments
 _EXPERIMENT_COMMANDS = {
-    "split": ("emit a leave-one-topic-out split",
+    "split": ("emit a leave-one-topic-out split", None,
               "--corpus --target --config --out --seed --shots --holdout-k"),
-    "train": ("train a baseline scorer on a split",
+    "train": ("train a baseline scorer on a split", "model.npz",
               "--corpus --target --config --out --providers --seed --shots "
               "--strategy --holdout-k"),
-    "rank": ("rank a topic's test records by P(CW)",
+    "rank": ("rank a topic's test records by P(CW)", None,
              "--corpus --target --model --config --out --seed --shots "
              "--holdout-k"),
-    "eval": ("run one experiment cell end to end",
+    "eval": ("run one experiment cell end to end", None,
              "--corpus --target --config --out --providers --seed --backend "
              "--shots --strategy --holdout-k"),
-    "augment": ("generate synthetic samples for a pool",
+    "augment": ("generate synthetic samples for a pool", "synthetic.jsonl",
                 "--corpus --target --config --out --providers --seed --shots "
                 "--strategy --holdout-k"),
-    "similarity": ("pairwise topic similarity matrix",
+    "similarity": ("pairwise topic similarity matrix", ".",
                    "--corpus --config --out --providers"),
-    "suite": ("run a reporting suite",
+    "suite": ("run a reporting suite", "runs",
               "suite --corpus --config --out --providers --seed --backend "
               "--shots --holdout-k --workers"),
 }
@@ -133,10 +134,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("src", help="corpus JSONL to read")
     p.add_argument("dst", help="normalized JSONL to write")
 
-    for command, (help_text, arguments) in _EXPERIMENT_COMMANDS.items():
+    for command, (help_text, out, arguments) in _EXPERIMENT_COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         for argument in arguments.split():
             p.add_argument(argument, **_ARGUMENTS[argument])
+        p.set_defaults(out=out)
     return parser
 
 
@@ -213,10 +215,9 @@ def _cell(args):
 
 def _cmd_split(args) -> int:
     text = split_to_json(_cell(args)[1].split)
-    if args.output_dir:
-        atomic_write(args.output_dir, lambda fh: fh.write(text + "\n"),
-                     text=True)
-        print(f"wrote {args.output_dir}")
+    if args.out:
+        atomic_write(args.out, lambda fh: fh.write(text + "\n"), text=True)
+        print(f"wrote {args.out}")
     else:
         print(text)
     return 0
@@ -224,12 +225,11 @@ def _cmd_split(args) -> int:
 
 def _cmd_train(args) -> int:
     config, cell = _cell(args)
-    out = args.output_dir or "model.npz"
     scorer = train_scorer(cell.train, config.scorer_config())
-    scorer.save(out)
+    scorer.save(args.out)
     print(f"trained on {len(cell.train)} records in {scorer.n_iter} "
           f"solver iterations and {scorer.cg_steps} CG steps "
-          f"(gradient norm {scorer.grad_norm:.2g}) -> {out}")
+          f"(gradient norm {scorer.grad_norm:.2g}) -> {args.out}")
     return 0
 
 
@@ -241,14 +241,14 @@ def _cmd_rank(args) -> int:
     labels = dict(zip(test_ids, cell.test.labels()))
     rows = [(pos + 1, tid, scores[tid], labels[tid])
             for pos, tid in enumerate(rank_scores(scores))]
-    if args.output_dir:
+    if args.out:
         def write(fh):
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["rank", "tweet_id", "score", "label"])
             for rank, tid, score, label in rows:
                 writer.writerow([rank, tid, "%.10f" % score, label])
-        atomic_write(args.output_dir, write, text=True)
-        print(f"wrote {args.output_dir}")
+        atomic_write(args.out, write, text=True)
+        print(f"wrote {args.out}")
     else:
         for rank, tid, score, label in rows[:20]:
             print(f"{rank:4d}  {score:.4f}  {label:3s}  {tid}")
@@ -260,10 +260,9 @@ def _cmd_eval(args) -> int:
     report = run_topic(config, Corpus.from_jsonl(args.corpus), args.target,
                        providers=providers)
     text = reports_to_json({args.target: report})
-    if args.output_dir:
-        atomic_write(args.output_dir, lambda fh: fh.write(text + "\n"),
-                     text=True)
-        print(f"wrote {args.output_dir}")
+    if args.out:
+        atomic_write(args.out, lambda fh: fh.write(text + "\n"), text=True)
+        print(f"wrote {args.out}")
     print(f"{args.target}: MAP {report.map:.4f} "
           f"(AP_cw {report.ap_cw:.4f}, AP_ncw {report.ap_ncw:.4f}, "
           f"P {report.precision:.2f}, R {report.recall:.2f}, "
@@ -274,13 +273,12 @@ def _cmd_eval(args) -> int:
 def _cmd_augment(args) -> int:
     config, cell = _cell(args)
     result = cell.augmentation
-    out = args.output_dir or "synthetic.jsonl"
-    atomic_write(out, lambda fh: fh.writelines(
+    atomic_write(args.out, lambda fh: fh.writelines(
         json.dumps(asdict(sample), ensure_ascii=False) + "\n"
         for sample in result.samples), text=True)
     print(f"{config.strategy}: {len(result.samples)} synthetic, "
           f"{len(result.skips)} skipped, "
-          f"{result.identical_count} identical to seed -> {out}")
+          f"{result.identical_count} identical to seed -> {args.out}")
     for origin, reason in result.skips:
         print(f"  skipped {origin}: {reason}")
     return 0
@@ -292,7 +290,7 @@ def _cmd_similarity(args) -> int:
 
     embedder = _settings(args)[1].embedder
     matrix = similarity_matrix(Corpus.from_jsonl(args.corpus), embedder)
-    out = Path(args.output_dir or ".")
+    out = Path(args.out)
     matrix_to_csv(matrix, out / "similarity.csv")
     atomic_write(out / "similarity.json",
                  lambda fh: fh.write(matrix_to_json(matrix) + "\n"), text=True)
@@ -306,8 +304,8 @@ def _cmd_similarity(args) -> int:
 def _cmd_suite(args) -> int:
     config, providers = _settings(args)
     record = run_suite(args.suite, Corpus.from_jsonl(args.corpus), config,
-                       providers=providers)
-    out = Path(config.output_dir)
+                       providers=providers, out_dir=args.out)
+    out = Path(args.out)
     ok = len(record.cells) - len(record.failures)
     print(f"suite {args.suite}: {ok}/{len(record.cells)} cells ok")
     for key in sorted(record.aggregates):

@@ -743,18 +743,16 @@ class EncoderScorer:
             "hyperparams": self._hyperparams(),
         })
         scores = response.get("scores") if isinstance(response, dict) else None
-        if scores is None or len(scores) != len(texts):
+        if not isinstance(scores, list) or len(scores) != len(texts):
+            count = len(scores) if isinstance(scores, list) else 0
             raise ProviderError(
-                f"encoder returned {0 if scores is None else len(scores)} scores "
-                f"for {len(texts)} texts"
-            )
-        out = []
+                f"encoder returned {count} scores for {len(texts)} texts")
         for s in scores:
-            s = float(s)
+            if not is_number(s):
+                raise ProviderError(f"encoder score {s!r} is not a number")
             if not 0.0 <= s <= 1.0:
                 raise ProviderError(f"encoder score {s} outside [0, 1]")
-            out.append(s)
-        return out
+        return [float(s) for s in scores]
 
 
 def model_cache_key(config: ScorerConfig, digests) -> str:

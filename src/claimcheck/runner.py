@@ -62,8 +62,8 @@ SUITES = ("table2", "table3", "table4", "fig4")
 
 __all__ = [
     "ZERO_SHOT", "FEW_SHOT", "SETTINGS", "SHOT_CHOICES", "SUITES",
-    "ExperimentConfig", "RunRecord", "config_from_mapping", "PreparedCell",
-    "prepare_cell", "run_topic", "suite_cells", "run_suite",
+    "ExperimentConfig", "RunRecord", "config_from_mapping", "checked_path",
+    "PreparedCell", "prepare_cell", "run_topic", "suite_cells", "run_suite",
 ]
 
 
@@ -80,7 +80,6 @@ class ExperimentConfig:
     shots: int = 0
     backend_id: str = "baseline"
     seed: int = 0
-    output_dir: str = "runs"
     holdout_k: int = 200
     hyperparams: dict = field(default_factory=dict)
     max_workers: int = 0
@@ -89,16 +88,11 @@ class ExperimentConfig:
         for name in ("shots", "seed"):
             if not is_int(value := getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if not isinstance(self.output_dir, (str, os.PathLike)):
-            raise ConfigError(
-                f"output_dir must be a path, got {self.output_dir!r}")
-        for name, value in self.to_dict().items():
+        for name, value in asdict(self).items():
             try:  # each field as run.json will write it
                 json.dumps(value, ensure_ascii=False).encode("utf-8")
             except UnicodeEncodeError:
-                flag = " (--out)" if name == "output_dir" else ""
-                raise ConfigError(
-                    f"{name}{flag} holds a lone surrogate") from None
+                raise ConfigError(f"{name} holds a lone surrogate") from None
             except (TypeError, ValueError) as exc:
                 raise ConfigError(
                     f"{name} cannot be written to run.json: {exc}") from None
@@ -138,9 +132,6 @@ class ExperimentConfig:
         return ScorerConfig(backend=self.backend_id,
                             hyperparams=self.hyperparams, seed=self.seed)
 
-    def to_dict(self) -> dict:
-        return {**asdict(self), "output_dir": str(self.output_dir)}
-
 
 def config_from_mapping(data: dict) -> ExperimentConfig:
     """Build a config from a parsed key-value document."""
@@ -150,6 +141,17 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {unknown}")
     return ExperimentConfig(**data)
+
+
+def checked_path(value, name: str) -> str:
+    """`value` as the path string run.json names; a ConfigError naming
+    `name` if it is no path or holds a lone surrogate, which UTF-8 lacks."""
+    path = os.fspath(value) if isinstance(value, (str, os.PathLike)) else None
+    if not isinstance(path, str):
+        raise ConfigError(f"{name} must be a path, got {value!r}")
+    if path.encode("utf-8", "replace").decode("utf-8") != path:
+        raise ConfigError(f"{name} holds a lone surrogate")
+    return path
 
 
 def _environment() -> dict:
@@ -181,11 +183,11 @@ class RunRecord:
     tool_version: str = field(default=__version__, kw_only=True)
     environment: dict = field(default_factory=_environment, kw_only=True)
     config: dict
+    out_dir: str
     corpus_hash: str
     notes: list = field(default_factory=list, kw_only=True)
     cells: list
     aggregates: dict
-    skip_counts: dict
     failures: list
     setup_s: float
     wall_clock: dict
@@ -334,34 +336,36 @@ def _csv_row(row: dict) -> list:
 
 
 def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
-              providers=None, out_dir=None) -> RunRecord:
-    """Run one reporting suite over every topic and write its artifacts.
+              providers=None, *, out_dir) -> RunRecord:
+    """Run one reporting suite over every topic and write report.md,
+    cells.csv and run.json under `out_dir`, which run.json names as given.
 
     Up to the config's `max_workers` cells run at once, each calling its
-    providers one at a time. Writes report.md, cells.csv, and run.json
-    under `out_dir`, which stands for the config's output_dir, so run.json
-    names the directory written (the config's own when `out_dir` is None).
-    An `out_dir` or a column config that is invalid, such as one with more
-    shots than `holdout_k`, and a base config `suite_cells` refuses raise
-    ConfigError before `out_dir` is made, the holdouts drawn or the corpus
-    counted. Cells that fail are recorded with their error and excluded
-    from rendered tables; the returned record lists them so callers can
-    exit nonzero. Its `notes` name each topic whose holdout pool is all of
-    it. `setup_s` is the seconds from this call's start to its first cell:
-    a first hash of the corpus, the holdouts and a first count of the
-    corpus features. `wall_clock` holds each cell's seconds and, as
-    `total`, the seconds from this call's start to the end of the last
-    cell. A corpus record field holding a lone surrogate is a CorpusError
-    before anything is made.
+    providers one at a time. An `out_dir` that is no path, holds a lone
+    surrogate or lies under a file, a column config that is invalid (say,
+    more shots than `holdout_k`) and a base config `suite_cells` refuses
+    are a ConfigError, and a corpus record field holding a lone surrogate
+    a CorpusError, before `out_dir` is made, the holdouts drawn or the
+    corpus counted. A cell that fails is listed in `failures` with its
+    error, so callers can exit nonzero, and left out of the rendered
+    tables. `notes` name each topic whose holdout pool is all of it.
+    `setup_s` is the seconds from this call's start to its first cell: a
+    first hash of the corpus, the holdouts and a first count of the corpus
+    features. `wall_clock` holds each cell's seconds and, as `total`, the
+    seconds from this call's start to the end of the last cell.
     """
     suite_started = time.perf_counter()
     combos = suite_cells(suite, base_config)
-    if out_dir is not None:  # run.json names the directory written
-        base_config = replace(base_config, output_dir=out_dir)
     # a bad column config is reported before anything is made or counted
     configs = [replace(base_config, setting=setting, strategy=strategy,
                        shots=shots) for setting, strategy, shots in combos]
-    out_dir = Path(base_config.output_dir)
+    out_path = checked_path(out_dir, "out_dir")
+    out_dir = Path(out_path)
+    # a file in the way would fail each cell on its first cache write
+    nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"out_dir {out_path!r} cannot be made: "
+                          f"{nearest} is not a directory")
     cache_dir = out_dir / "cache"
 
     # hashed before anything is drawn or made: a field UTF-8 cannot encode
@@ -412,7 +416,7 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
         outcomes = [run_cell(job) for job in jobs]
     suite_elapsed = time.perf_counter() - suite_started
 
-    failures, skip_counts, wall_clock = [], {}, {}
+    failures, wall_clock = [], {}
     reports = {}  # (setting, strategy, shots) -> topic -> EvalReport
     for row, report, seconds in outcomes:
         combo = (row["setting"], row["strategy"], row["shots"])
@@ -422,8 +426,6 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
             failures.append({"cell": name, "error": row["error"]})
             continue
         reports.setdefault(combo, {})[row["topic_id"]] = report
-        if row["aug_skips"]:
-            skip_counts[name] = row["aug_skips"]
     wall_clock["total"] = round(suite_elapsed, 6)
     cells = sorted((row for row, _, _ in outcomes),
                    key=lambda r: (r["setting"], r["strategy"], r["shots"],
@@ -440,11 +442,11 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
     notes.extend(holdouts.notes)
     record = RunRecord(
         suite=suite,
-        config=base_config.to_dict(),
+        config=asdict(base_config),
+        out_dir=out_path,
         corpus_hash=corpus.fingerprint,
         cells=cells,
         aggregates=aggregates,
-        skip_counts=skip_counts,
         failures=failures,
         setup_s=round(setup_s, 6),
         wall_clock=wall_clock,

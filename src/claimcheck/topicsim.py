@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cache import atomic_write
-from .errors import SimilarityError
+from .errors import SimilarityError, is_number
 
 __all__ = [
     "SimilarityMatrix",
@@ -70,11 +70,16 @@ def topic_embedding(records, embedder) -> np.ndarray:
     vectors = []
     dim = None
     for record in records:
-        vec = np.asarray(embedder(record.text), dtype=float)
+        vec = np.asarray(embedder(record.text), dtype=object)
         if vec.ndim != 1:
             raise SimilarityError(
                 f"embedder returned a non-vector for {record.tweet_id}"
             )
+        for value in vec:
+            if not is_number(value):
+                raise SimilarityError(f"embedder returned {value!r}, not a "
+                                      f"number, for {record.tweet_id}")
+        vec = vec.astype(float)
         if dim is None:
             dim = vec.shape[0]
         elif vec.shape[0] != dim:

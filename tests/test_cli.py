@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -12,7 +13,7 @@ from claimcheck import cli
 from claimcheck.cli import build_parser, main, _settings
 from claimcheck.corpus import Corpus
 from claimcheck.model import BASELINE_DEFAULTS, GRADIENT_TOLERANCE
-from claimcheck.providers import make_providers
+from claimcheck.providers import MockEncoderProvider, make_providers
 from claimcheck.runner import FEW_SHOT, ZERO_SHOT, ExperimentConfig, prepare_cell
 
 from synth import tiny_corpus
@@ -462,6 +463,10 @@ _REFUSALS = [
     *[(f"{command}-bad-seed", argv, {"seed": "x"},
        "seed must be an integer, got 'x'")
       for command, argv in _RUNNABLE.items()],
+    # `--out` alone names where a command writes
+    *[(f"{command}-output_dir", argv, {"output_dir": "x"},
+       "unknown config keys: ['output_dir']")
+      for command, argv in _RUNNABLE.items()],
     ("split-strategy", _RUNNABLE["split"], {"strategy": "CWE"},
      "split never augments; got strategy 'CWE'"),
     ("rank-strategy", _RUNNABLE["rank"], {"strategy": "BT", "shots": 50},
@@ -509,6 +514,88 @@ def test_every_command_checks_its_settings_before_reading_the_corpus(
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert list(tmp_path.iterdir()) == [config]
+
+
+@pytest.mark.parametrize("command", list(_RUNNABLE))
+def test_an_out_holding_a_lone_surrogate_exits_two_before_the_corpus_is_read(
+        tmp_path, monkeypatch, capsys, command):
+    """argv decodes a byte that is not UTF-8 to a lone surrogate; every
+    experiment command refuses such an `--out` before `--corpus` is read."""
+    monkeypatch.chdir(tmp_path)
+    rc = main([*_RUNNABLE[command], "--corpus", "missing.jsonl",
+               "--out", "bad\udcffout"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --out holds a lone surrogate\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+# where each command writes without `--out`; split, rank and eval print
+_DEFAULT_OUTPUTS = {"split": None, "train": "model.npz", "rank": None,
+                    "eval": None, "augment": "synthetic.jsonl",
+                    "similarity": ".", "suite": "runs"}
+
+
+def test_each_command_writes_to_its_parser_default_without_out(
+        corpus_jsonl, tmp_path, monkeypatch, capsys):
+    """train writes the model rank then reads, in the working directory."""
+    monkeypatch.chdir(tmp_path)
+    for command, argv in _RUNNABLE.items():
+        argv = [*argv, "--corpus", str(corpus_jsonl)]
+        if command != "similarity":
+            argv += ["--holdout-k", "50"]
+        assert build_parser().parse_args(argv).out == \
+            _DEFAULT_OUTPUTS[command], command
+        assert main(argv) == 0, command
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "model.npz", "runs", "similarity.csv", "similarity.json",
+        "synthetic.jsonl"]
+    assert sorted(p.name for p in (tmp_path / "runs").iterdir()) == [
+        "cache", "cells.csv", "report.md", "run.json"]
+
+
+def test_a_suite_whose_out_is_a_file_exits_two_and_keeps_the_file(
+        corpus_jsonl, tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_bytes(b"keep me")
+    rc = main(["suite", "table2", "--corpus", str(corpus_jsonl),
+               "--holdout-k", "30", "--out", str(afile)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: out_dir {str(afile)!r} cannot be made: {afile} is not a "
+        "directory\n")
+    assert afile.read_bytes() == b"keep me"
+    assert list(tmp_path.iterdir()) == [afile]
+
+
+class NullScoreEncoder(MockEncoderProvider):
+    """Trains as the mock does, then scores every text `null`."""
+
+    def __call__(self, payload):
+        reply = super().__call__(payload)
+        if payload["mode"] == "score":
+            reply = {"scores": [None] * len(payload["texts"])}
+        return reply
+
+
+@pytest.mark.parametrize("command, role, provider, message", [
+    (["eval", "--target", "S-A", "--backend", "encoder", "--holdout-k", "30"],
+     "encoder", NullScoreEncoder(),
+     "stage score failed for this run: encoder score None is not a number"),
+    (["similarity"], "embedder", lambda text: ["0.5", "0.1"],
+     "embedder returned '0.5', not a number, for S-A-"),
+], ids=["eval-null-score", "similarity-string-vector"])
+def test_a_provider_reply_that_is_not_numbers_exits_two(
+        corpus_jsonl, tmp_path, monkeypatch, capsys, command, role, provider,
+        message):
+    bundle = replace(make_providers("mock"), **{role: provider})
+    monkeypatch.setattr(cli, "make_providers", lambda spec: bundle)
+    out = tmp_path / "out"
+    rc = main([*command, "--corpus", str(corpus_jsonl), "--providers",
+               "mock", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -749,9 +836,8 @@ def test_suite_with_a_bad_count_fails_before_any_cell(corpus_jsonl, tmp_path,
 
 @pytest.mark.parametrize("setting", [
     '{"seed": true}', '{"seed": "7"}', '{"seed": 1.5}', '{"seed": null}',
-    '{"output_dir": 5}',
 ])
-def test_a_config_file_seed_or_output_dir_of_the_wrong_type_exits_two(
+def test_a_config_file_seed_of_the_wrong_type_exits_two(
         corpus_jsonl, tmp_path, monkeypatch, capsys, setting):
     monkeypatch.chdir(tmp_path)
     config = tmp_path / "config.json"
@@ -770,7 +856,7 @@ def test_a_config_file_seed_or_output_dir_of_the_wrong_type_exits_two(
     ('{"backend_id": "encoder", "hyperparams": {"\\ud800": 1}}', "run",
      "hyperparams"),
     # argv decodes a byte that is not UTF-8 to a lone surrogate
-    ("{}", "bad\udcffdir", "output_dir (--out)"),
+    ("{}", "bad\udcffdir", "--out"),
 ])
 def test_a_lone_surrogate_in_the_config_or_out_exits_two_before_any_cell(
         corpus_jsonl, tmp_path, capsys, setting, out, name):

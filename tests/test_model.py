@@ -9,6 +9,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -1405,6 +1406,39 @@ def test_encoder_rejects_out_of_range_scores():
     scorer.fit(["a", "b"], [CW, NCW])
     with pytest.raises(ProviderError):
         scorer.score_many(["x"])
+
+
+@pytest.mark.parametrize("scores, message", [
+    ([True, False], "encoder score True is not a number"),
+    (["0.25", "1"], "encoder score '0.25' is not a number"),
+    ([0.5, None], "encoder score None is not a number"),
+    ("ab", "encoder returned 0 scores for 2 texts"),
+])
+def test_encoder_scores_must_be_json_numbers(scores, message):
+    """A bool, a numeric string or a null is a provider error, not a
+    score."""
+    def replying(payload):
+        if payload["mode"] == "train":
+            return {"handle": "h1"}
+        return {"scores": scores}
+
+    scorer = EncoderScorer(ScorerConfig(backend="encoder"), replying)
+    scorer.fit(["a", "b"], [CW, NCW])
+    with pytest.raises(ProviderError, match=f"^{re.escape(message)}$"):
+        scorer.score_many(["x", "y"])
+
+
+def test_encoder_scores_are_floats_of_the_numbers_sent():
+    def replying(payload):
+        if payload["mode"] == "train":
+            return {"handle": "h1"}
+        return {"scores": [0, 1, 0.25, np.float32(0.5)]}
+
+    scorer = EncoderScorer(ScorerConfig(backend="encoder"), replying)
+    scorer.fit(["a", "b"], [CW, NCW])
+    scores = scorer.score_many(["w", "x", "y", "z"])
+    assert scores == [0.0, 1.0, 0.25, 0.5]
+    assert all(type(score) is float for score in scores)
 
 
 def test_encoder_rejects_single_class_and_bad_labels():

@@ -435,9 +435,8 @@ def expected_outcome(url, strategy, target, fault):
             "score", f"provider at {at} {gave_up['503x3']}", 3),
         ("score", "no-key"): failed(
             "score", "encoder returned 0 scores for", 1),
-        ("score", "surrogate"): (
-            "failed", "ValueError: could not convert string to float: "
-                      "'\\ud800'", 1),
+        ("score", "surrogate"): failed(
+            "score", "encoder score '\\ud800' is not a number", 1),
     }[target, fault]
 
 

@@ -3,6 +3,7 @@
 import csv
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,24 @@ def test_topic_embedding_rejects_non_vector():
 
     with pytest.raises(SimilarityError):
         topic_embedding([_rec("T", 0, "a")], Matrixy())
+
+
+@pytest.mark.parametrize("vector, entry", [
+    (["x", 1.0], "'x'"), (["0.5", "0.1"], "'0.5'"), ([True, 0.0], "True"),
+    ([0.5, None], "None"),
+])
+def test_topic_embedding_rejects_entries_that_are_not_numbers(vector, entry):
+    records = [_rec("T", 0, "a"), _rec("T", 1, "b")]
+    with pytest.raises(SimilarityError, match=re.escape(
+            f"embedder returned {entry}, not a number, for T-000")):
+        topic_embedding(records, ConstantEmbedder(vector))
+
+
+def test_topic_embedding_takes_any_real_numbers():
+    emb = topic_embedding([_rec("T", 0, "a")],
+                          ConstantEmbedder([1, np.float32(0.5), -2.0]))
+    assert emb.tolist() == [1.0, 0.5, -2.0]
+    assert emb.dtype == np.float64
 
 
 # ---------------------------------------------------------------------------
