@@ -36,6 +36,7 @@ from .runner import (
     run_suite,
     run_topic,
     suite_cells,
+    writable,
 )
 from .splits import split_to_json
 
@@ -144,9 +145,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _settings(args):
     """The checked config of an experiment command and, for one taking
-    `--providers`, its providers, built before any input is read. Flags win
-    over `--config` values; a value that contradicts what the command runs
-    is a ConfigError, and no value is overridden."""
+    `--providers`, its providers, built after `--out` is found writable and
+    before any input is read. Flags win over `--config` values; a value
+    that contradicts what the command runs is a ConfigError."""
+    if args.out is not None:
+        writable(args.out, "--out", args.command in ("similarity", "suite"))
     data = dict(args.config or {})
     spec = data.pop("providers", None)
     data.update((key, value) for key, value in vars(args).items()
@@ -178,10 +181,10 @@ def _cmd_load(args) -> int:
                 f"{sorted(SCHEMA_PRESETS)}, got {item!r}"
             )
         inputs.append((path, SCHEMA_PRESETS[preset]))
+    out = Path(writable(args.out, "--out"))
     corpus, report = build_corpus(
         inputs, require_canonical=not args.allow_noncanonical
     )
-    out = Path(args.out)
     corpus.to_jsonl(out / "corpus.jsonl")
     stats = corpus_stats(corpus)
     text = json.dumps({
@@ -227,9 +230,9 @@ def _cmd_train(args) -> int:
     config, cell = _cell(args)
     scorer = train_scorer(cell.train, config.scorer_config())
     scorer.save(args.out)
-    print(f"trained on {len(cell.train)} records in {scorer.n_iter} "
-          f"solver iterations and {scorer.cg_steps} CG steps "
-          f"(gradient norm {scorer.grad_norm:.2g}) -> {args.out}")
+    print(f"trained on {len(cell.train)} records in {scorer.stats.trials} "
+          f"solver iterations and {scorer.stats.cg_steps} CG steps "
+          f"(gradient norm {scorer.stats.grad_norm:.2g}) -> {args.out}")
     return 0
 
 

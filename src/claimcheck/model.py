@@ -2,12 +2,11 @@
 
 Both backends map any text to P(CW) in [0, 1] through `score_many`, and
 `train_scorer` is the one way to fit either. The baseline is a bag-of-words
-logistic regression fit to convergence by truncated Newton (preconditioned
-conjugate gradients) with a backtracking line search, fully deterministic
-given its inputs; it is fit from token counts sliced out of
-`CorpusFeatures`, never from texts. A cell's records travel as `Rows`:
-positions in one `CorpusFeatures` plus any synthetic records. Its counts,
-labels and model-cache key are gathered by position.
+logistic regression, fit by `solver.fit` on the problem `fit_problem`
+builds from token counts sliced out of `CorpusFeatures`, never from texts.
+A cell's records travel as `Rows`: positions in one `CorpusFeatures` plus
+any synthetic records. Its counts, labels and model-cache key are gathered
+by position.
 
 A fit's vocabulary is the sorted union of the corpus tokens its rows use
 and its synthetic records' tokens. `ColumnLayout` places each used corpus
@@ -47,6 +46,7 @@ from scipy import sparse
 from .cache import atomic_write, cached, stable_hash
 from .corpus import CW, NCW
 from .errors import ModelError, ProviderError, is_int, is_number
+from .solver import fit
 
 BACKENDS = ("baseline", "encoder")
 
@@ -55,20 +55,9 @@ ENCODER_DEFAULTS = {"epochs": 3, "batch_size": 32, "max_seq_len": 128}
 # ||w||^2 / 2
 BASELINE_DEFAULTS = {"iterations": 300, "l2": 1e-4}
 # Part of every baseline model-cache key; bump it whenever the numbers
-# `BaselineScorer.fit_matrix` produces change, or what a cache entry holds
-# changes, so older entries are retrained rather than read.
+# `solver.fit` produces change, or what a cache entry holds changes, so
+# older entries are retrained rather than read.
 TRAINER_VERSION = 7
-# The baseline solver stops once the gradient's 2-norm falls below this.
-GRADIENT_TOLERANCE = 1e-5
-# No Newton step's conjugate gradients aim below this residual norm: a step
-# that starts near GRADIENT_TOLERANCE would otherwise be solved 10-100x past
-# what the stopping rule asks (oversolving; Eisenstat & Walker, SIAM J. Sci.
-# Comput. 1996).
-CG_TOLERANCE_FLOOR = 0.1 * GRADIENT_TOLERANCE
-# The weight of diag(H) in the solver's diagonal preconditioner; 1 would be
-# pure Jacobi. CG steps over the 56 fits of a cold bench table3 pass
-# (corpus seed 0): 0.01 -> 2,770, 0.1 -> 2,082, 1 -> 3,613.
-PRECONDITIONER_MIX = 0.1
 # A token array is fixed-width only up to this many times its text's size,
 # as one long token widens every slot. On bench seed 1's 29,603 tokens
 # (mean 5.5 characters), an object array with its strings takes 2.6 MiB,
@@ -82,13 +71,13 @@ __all__ = [
     "ENCODER_DEFAULTS",
     "BASELINE_DEFAULTS",
     "TRAINER_VERSION",
-    "GRADIENT_TOLERANCE",
     "ScorerConfig",
     "count_matrix",
     "record_digests",
     "CorpusFeatures",
     "ColumnLayout",
     "Rows",
+    "fit_problem",
     "BaselineScorer",
     "EncoderScorer",
     "model_cache_key",
@@ -400,136 +389,13 @@ def _check_training(n: int, labels) -> np.ndarray:
     return cw.astype(np.float64)
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """a·b summed in the order numpy's own loop fixes, on any host: a BLAS
-    `ddot`, which `a @ b` calls, splits a long sum over its threads."""
-    return float(np.einsum("i,i->", a, b))
-
-
-def _newton_cg(hessp, g, m, gnorm: float):
-    """An inexact Newton step: minimize the model g·s + s·H·s/2 from s = 0
-    by conjugate gradients preconditioned with the diagonal `m`, until the
-    model's gradient r = g + H·s has ||r|| < min(0.5, sqrt(||g||))·||g||,
-    or ||r|| < CG_TOLERANCE_FLOOR. `hessp(d)` returns H·d and d's margins
-    X·d_w + d_b, which the step's margins sum, so a trial point along the
-    step is priced without a product of its own. A direction of curvature
-    d·H·d <= 0 ends it with the step so far, or with the first direction
-    -g/m if there is none. Returns the step, its margins and the number of
-    CG steps (Hessian-vector products) taken."""
-    tol = max(min(0.5, math.sqrt(gnorm)) * gnorm, CG_TOLERANCE_FLOOR)
-    s, q = np.zeros_like(g), 0.0
-    r = g
-    z = r / m
-    d = -z
-    rz = _dot(r, z)
-    steps = 0
-    while True:
-        hd, xd = hessp(d)
-        steps += 1
-        dhd = _dot(d, hd)
-        if dhd <= 0:
-            return (s, q, steps) if steps > 1 else (d, xd, steps)
-        alpha = rz / dhd
-        s, q, r = s + alpha * d, q + alpha * xd, r + alpha * hd
-        if math.sqrt(_dot(r, r)) < tol:
-            return s, q, steps
-        z = r / m
-        rz_next = _dot(r, z)
-        d = (rz_next / rz) * d - z
-        rz = rz_next
-
-
-def _preconditioner(xsq_t, curvature, l2: float):
-    """The diagonal (1 - a)·l2 + a·diag(H) of Hsia, Chiang & Lin (ACML
-    2018), a = PRECONDITIONER_MIX, in this module's mean-loss scaling:
-    diag(H) is sum_i x_ij^2·c_i + l2 for a weight and sum_i c_i for the
-    bias, c the Hessian's row weights p(1 - p)/n and `xsq_t` the
-    transposed squared counts. Floored at machine epsilon, so a curvature
-    that underflows to 0 at l2 = 0 divides nothing by zero."""
-    m = np.empty(xsq_t.shape[0] + 1)
-    m[:-1] = PRECONDITIONER_MIX * (xsq_t @ curvature) + l2
-    m[-1] = (PRECONDITIONER_MIX * curvature.sum()
-             + (1.0 - PRECONDITIONER_MIX) * l2)
-    return np.maximum(m, np.finfo(float).eps, out=m)
-
-
-def _fit_logistic(x, y, l2: float, max_iter: int):
-    """Minimize mean(log(1 + e^z) - y·z) + l2/2·||w||^2, z = x·w + b, over
-    theta = (w, b), the bias unregularized, by truncated Newton with a
-    backtracking line search (Nocedal & Wright, Alg. 7.1): each step comes
-    from `_newton_cg`, whose conjugate gradients are preconditioned by a
-    diagonal M built at the start of each step (Hsia, Chiang & Lin, ACML
-    2018), and is halved until the loss falls enough (Armijo). `y` holds
-    both classes. Starts at the intercept-only optimum w = 0, b =
-    log(ybar / (1 - ybar)), whose margins are b everywhere, or at zero when
-    l2 = 0, as unregularized fits took more CG steps from the intercept
-    (2,879 against 1,978 over a cold bench table3 pass, corpus seed 1).
-    Stops once ||gradient|| < GRADIENT_TOLERANCE, after `max_iter` trial
-    points, accepted or not, or at a step that does not descend. The
-    margins z are carried along: a trial point's are z plus the step's
-    margins, which halve with it (Galli & Lin, IEEE TNNLS 2021), so only
-    the gradient, the preconditioner and CG multiply by x. Returns (theta,
-    trial points, final gradient norm, CG steps)."""
-    n = x.shape[0]
-    # CSC views of x and of its squared counts; a matvec with x.T is faster
-    # than one with x.T.tocsr()
-    xt = x.T
-    xsq_t = sparse.csr_matrix((x.data ** 2, x.indices, x.indptr),
-                              shape=x.shape).T
-
-    def loss(theta, z):
-        w = theta[:-1]
-        soft = np.logaddexp(0.0, z)
-        return float(np.mean(soft - y * z)) + 0.5 * l2 * _dot(w, w), soft
-
-    def gradient(theta, z, soft):
-        """The gradient, and p(1 - p)/n per row, which weighs the Hessian."""
-        err = (np.exp(z - soft) - y) / n  # exp(z - soft) is p, overflow-free
-        g = np.empty_like(theta)
-        g[:-1] = xt @ err + l2 * theta[:-1]
-        g[-1] = err.sum()
-        return g, np.exp(z - 2.0 * soft) / n
-
-    def hessp(v):
-        """H·v, and v's margins x·v_w + v_b."""
-        xv = x @ v[:-1] + v[-1]
-        t = curvature * xv
-        hv = np.empty_like(v)
-        hv[:-1] = xt @ t + l2 * v[:-1]
-        hv[-1] = t.sum()
-        return hv, xv
-
-    theta = np.zeros(x.shape[1] + 1)
-    if l2 > 0:
-        positives = int(np.count_nonzero(y))
-        # math.log, unlike np.log, gives the same bits on every CPU
-        theta[-1] = math.log(positives / (n - positives))
-    z = np.full(n, theta[-1])
-    f, soft = loss(theta, z)
-    g, curvature = gradient(theta, z, soft)
-    gnorm = math.sqrt(_dot(g, g))
-    done = cg_steps = 0
-    while gnorm >= GRADIENT_TOLERANCE and done < max_iter:
-        m = _preconditioner(xsq_t, curvature, l2)
-        step, margins, steps = _newton_cg(hessp, g, m, gnorm)
-        cg_steps += steps
-        slope = _dot(g, step)
-        if slope >= 0:  # rounding has left no descent direction
-            break
-        while done < max_iter:
-            done += 1
-            trial, z_trial = theta + step, z + margins
-            f_trial, soft = loss(trial, z_trial)
-            # Armijo's sufficient decrease, with the usual constant 1e-4
-            if f_trial <= f + 1e-4 * slope:
-                theta, z, f = trial, z_trial, f_trial
-                g, curvature = gradient(theta, z, soft)
-                gnorm = math.sqrt(_dot(g, g))
-                break
-            # halving is exact, so slope stays g·step and the margins
-            # x·step_w + step_b to the last bit
-            step, margins, slope = 0.5 * step, 0.5 * margins, 0.5 * slope
-    return theta, done, gnorm, cg_steps
+def fit_problem(train: Rows):
+    """`train`'s baseline fit problem for `solver.fit`: its `ColumnLayout`,
+    its float64 CSR counts x on the layout's columns, and y (1.0 for CW)."""
+    extra_tokens, extra_x = count_matrix([r.text for r in train.extra])
+    layout = train.features.columns(train.rows, extra_tokens)
+    x = layout.matrix(train.rows, extra_x)
+    return layout, x, _check_training(x.shape[0], train.labels())
 
 
 # what reading a file that is not the npz its reader expects can raise
@@ -549,26 +415,18 @@ def _npz_members(path, names) -> list:
 
 
 class BaselineScorer:
-    """Bag-of-words logistic regression.
-
-    The vocabulary is the sorted set of training tokens, and the weights
-    are the minimizer of the regularized logistic loss, found from the
-    intercept-only optimum (from zero when l2 = 0) by a line-search Newton
-    solve, so training is deterministic and insensitive to record order
-    (up to float summation noise). `n_iter`, `cg_steps` and `grad_norm`
-    report the last fit's iterations (trial points, accepted or not),
-    Hessian-vector products and final gradient norm; a loaded model has
-    none of them.
-    """
+    """Bag-of-words logistic regression: the vocabulary is the sorted set
+    of training tokens, and `solver.fit` gives the weights, so training is
+    deterministic and insensitive to record order (up to float summation
+    noise). `stats` is the `solver.FitStats` of the fit that set the
+    weights; a cache hit or a loaded model has None."""
 
     def __init__(self, config: ScorerConfig):
         self.config = config
         self._vocab = _token_array([])
         self.weights = None
         self.bias = 0.0
-        self.n_iter = None
-        self.cg_steps = None
-        self.grad_norm = None
+        self.stats = None
         self._placed = None  # (CorpusFeatures, the weights on its columns)
 
     @property
@@ -580,27 +438,17 @@ class BaselineScorer:
             self._vocab = self._vocab.vocab()
         return self._vocab
 
-    def _set(self, vocab, theta: np.ndarray) -> "BaselineScorer":
+    def _set(self, vocab, theta: np.ndarray, stats=None) -> "BaselineScorer":
         """Take the coefficients theta = (weights, bias) over `vocab`: the
         sorted tokens, or the `ColumnLayout` that lays them out, whose
         corpus columns the weights are placed on now, for `score_many` of
-        that corpus's `Rows`."""
-        self._vocab = vocab
+        that corpus's `Rows`; `stats` are those of the fit that gave them."""
+        self._vocab, self.stats = vocab, stats
         self.weights = theta[:-1]
         self.bias = float(theta[-1])
         self._placed = ((vocab.features, vocab.on_corpus(self.weights))
                         if isinstance(vocab, ColumnLayout) else None)
         return self
-
-    def fit_matrix(self, vocab, x, labels) -> "BaselineScorer":
-        """Fit on counts `x` whose columns are `vocab`: the sorted tokens,
-        as `count_matrix` returns them, or a `ColumnLayout`, whose
-        `matrix` gives the counts."""
-        y = _check_training(x.shape[0], labels)
-        params = self.config.resolved_hyperparams()
-        theta, self.n_iter, self.grad_norm, self.cg_steps = _fit_logistic(
-            x, y, float(params["l2"]), params["iterations"])
-        return self._set(vocab, theta)
 
     def _weights_on(self, tokens: np.ndarray) -> np.ndarray:
         """The weights placed on the columns of the sorted `tokens`; a
@@ -796,21 +644,19 @@ def train_scorer(train, config: ScorerConfig, providers=None, cache_dir=None):
             [r.text for r in records], [r.label for r in records])
     if not isinstance(train, Rows):
         train = CorpusFeatures(train).select()
-    features = train.features
-    extra_texts = [r.text for r in train.extra]
 
-    def fit():
-        extra_tokens, extra_x = count_matrix(extra_texts)
-        layout = features.columns(train.rows, extra_tokens)
-        return BaselineScorer(config).fit_matrix(
-            layout, layout.matrix(train.rows, extra_x), train.labels())
+    def solve():
+        layout, x, y = fit_problem(train)
+        params = config.resolved_hyperparams()
+        return BaselineScorer(config)._set(layout, *fit(
+            x, y, float(params["l2"]), params["iterations"]))
 
     def read(entry):
         # the extra texts' unique tokens give the layout their counts would
-        layout = features.columns(train.rows, _unique_tokens(extra_texts))
-        return _read_entry(entry, config, layout)
+        return _read_entry(entry, config, train.features.columns(
+            train.rows, _unique_tokens([r.text for r in train.extra])))
 
     path = None
     if cache_dir is not None:
         path = Path(cache_dir) / f"{model_cache_key(config, train.digests())}.npz"
-    return cached(path, fit, _write_entry, read)
+    return cached(path, solve, _write_entry, read)

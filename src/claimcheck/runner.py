@@ -61,8 +61,8 @@ SHOT_CHOICES = (50, 100, 150, 200)
 SUITES = ("table2", "table3", "table4", "fig4")
 
 __all__ = [
-    "ZERO_SHOT", "FEW_SHOT", "SETTINGS", "SHOT_CHOICES", "SUITES",
-    "ExperimentConfig", "RunRecord", "config_from_mapping", "checked_path",
+    "ZERO_SHOT", "FEW_SHOT", "SETTINGS", "SHOT_CHOICES", "SUITES", "RunRecord",
+    "ExperimentConfig", "config_from_mapping", "checked_path", "writable",
     "PreparedCell", "prepare_cell", "run_topic", "suite_cells", "run_suite",
 ]
 
@@ -145,12 +145,23 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
 
 def checked_path(value, name: str) -> str:
     """`value` as the path string run.json names; a ConfigError naming
-    `name` if it is no path or holds a lone surrogate, which UTF-8 lacks."""
+    `name` if it is empty, no path or holds a lone surrogate, not UTF-8."""
     path = os.fspath(value) if isinstance(value, (str, os.PathLike)) else None
-    if not isinstance(path, str):
+    if not isinstance(path, str) or not path:
         raise ConfigError(f"{name} must be a path, got {value!r}")
     if path.encode("utf-8", "replace").decode("utf-8") != path:
         raise ConfigError(f"{name} holds a lone surrogate")
+    return path
+
+
+def writable(path: str, name: str, directory: bool = True) -> str:
+    """`path`, if the nearest existing one of it (its directory, if not a
+    `directory`) and their ancestors is a directory; else a ConfigError."""
+    start = Path(path) if directory else Path(path).parent
+    nearest = next(p for p in (start, *start.parents) if p.exists())
+    if not nearest.is_dir():
+        raise ConfigError(f"{name} {path!r} cannot be made: "
+                          f"{nearest} is not a directory")
     return path
 
 
@@ -359,13 +370,9 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
     # a bad column config is reported before anything is made or counted
     configs = [replace(base_config, setting=setting, strategy=strategy,
                        shots=shots) for setting, strategy, shots in combos]
-    out_path = checked_path(out_dir, "out_dir")
-    out_dir = Path(out_path)
     # a file in the way would fail each cell on its first cache write
-    nearest = next(p for p in (out_dir, *out_dir.parents) if p.exists())
-    if not nearest.is_dir():
-        raise ConfigError(f"out_dir {out_path!r} cannot be made: "
-                          f"{nearest} is not a directory")
+    out_path = writable(checked_path(out_dir, "out_dir"), "out_dir")
+    out_dir = Path(out_path)
     cache_dir = out_dir / "cache"
 
     # hashed before anything is drawn or made: a field UTF-8 cannot encode

@@ -5,16 +5,21 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
 from claimcheck import cli
 from claimcheck.cli import build_parser, main, _settings
 from claimcheck.corpus import Corpus
-from claimcheck.model import BASELINE_DEFAULTS, GRADIENT_TOLERANCE
-from claimcheck.providers import MockEncoderProvider, make_providers
+from claimcheck.model import BASELINE_DEFAULTS
+from claimcheck.providers import (
+    MockEncoderProvider,
+    ProviderBundle,
+    make_providers,
+)
 from claimcheck.runner import FEW_SHOT, ZERO_SHOT, ExperimentConfig, prepare_cell
+from claimcheck.solver import GRADIENT_TOLERANCE
 
 from synth import tiny_corpus
 
@@ -553,18 +558,41 @@ def test_each_command_writes_to_its_parser_default_without_out(
         "cache", "cells.csv", "report.md", "run.json"]
 
 
-def test_a_suite_whose_out_is_a_file_exits_two_and_keeps_the_file(
-        corpus_jsonl, tmp_path, capsys):
-    afile = tmp_path / "afile"
-    afile.write_bytes(b"keep me")
-    rc = main(["suite", "table2", "--corpus", str(corpus_jsonl),
-               "--holdout-k", "30", "--out", str(afile)])
+def _no_work(*args, **kwargs):
+    raise AssertionError("the command worked before it checked --out")
+
+
+# a case name, a command line and its `--out`, which cannot be written:
+# "afile" is a file, and "" no path
+_UNWRITABLE = [
+    *[(f"{command}-under-a-file", argv, "afile/out")
+      for command, argv in _RUNNABLE.items()],
+    ("similarity-a-file", _RUNNABLE["similarity"], "afile"),
+    ("suite-a-file", _RUNNABLE["suite"], "afile"),
+    *[(f"{command}-empty", _RUNNABLE[command], "")
+      for command in ("split", "train", "augment", "similarity")],
+]
+
+
+@pytest.mark.parametrize("command, out", [case[1:] for case in _UNWRITABLE],
+                         ids=[case[0] for case in _UNWRITABLE])
+def test_an_out_that_cannot_be_written_exits_two_before_any_work(
+        corpus_jsonl, tmp_path, monkeypatch, capsys, command, out):
+    """Every experiment command finds that `--out` cannot be written
+    before it fits, embeds or calls any provider, and keeps the file in
+    the way."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_bytes(b"keep me")
+    monkeypatch.setattr("claimcheck.model.fit", _no_work)
+    monkeypatch.setattr(cli, "make_providers", lambda spec: ProviderBundle(
+        *[_no_work] * len(fields(ProviderBundle))))
+    rc = main([*command, "--corpus", str(corpus_jsonl), "--out", out])
     assert rc == 2
     assert capsys.readouterr().err == (
-        f"error: out_dir {str(afile)!r} cannot be made: {afile} is not a "
-        "directory\n")
-    assert afile.read_bytes() == b"keep me"
-    assert list(tmp_path.iterdir()) == [afile]
+        "error: --out must be a path, got ''\n" if not out else
+        f"error: --out {out!r} cannot be made: afile is not a directory\n")
+    assert (tmp_path / "afile").read_bytes() == b"keep me"
+    assert list(tmp_path.iterdir()) == [tmp_path / "afile"]
 
 
 class NullScoreEncoder(MockEncoderProvider):

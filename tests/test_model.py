@@ -6,7 +6,6 @@ import gc
 import hashlib
 import io
 import json
-import math
 import os
 import random
 import re
@@ -26,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
-from claimcheck import model
+from claimcheck import model, solver
 from claimcheck.cache import stable_hash
 from claimcheck.corpus import CW, NCW, Corpus, TweetRecord
 from claimcheck.errors import EvalError, ModelError, ProviderError
@@ -34,7 +33,6 @@ from claimcheck.evaluation import rank_scores
 from claimcheck.model import (
     BASELINE_DEFAULTS,
     ENCODER_DEFAULTS,
-    GRADIENT_TOLERANCE,
     BaselineScorer,
     CorpusFeatures,
     EncoderScorer,
@@ -45,6 +43,7 @@ from claimcheck.model import (
     train_scorer,
 )
 from claimcheck.providers import MockEncoderProvider, ProviderBundle
+from claimcheck.solver import GRADIENT_TOLERANCE
 
 import reference_counts
 
@@ -55,8 +54,13 @@ def _rec(i, text, label, topic="T-A"):
 
 
 def fit_texts(config, texts, labels):
-    """A baseline fit on the counts of `texts`, without a corpus."""
-    return BaselineScorer(config).fit_matrix(*count_matrix(texts), labels)
+    """A baseline fit on the counts of `texts`, without a corpus:
+    `solver.fit` on `count_matrix(texts)`."""
+    vocab, x = count_matrix(texts)
+    y = model._check_training(len(texts), labels)
+    params = config.resolved_hyperparams()
+    return BaselineScorer(config)._set(vocab, *solver.fit(
+        x, y, float(params["l2"]), params["iterations"]))
 
 
 def planted_records(n=60, seed=5):
@@ -154,91 +158,6 @@ def test_baseline_order_independent_within_tolerance():
                                                  abs=1e-6)
 
 
-def _dense_problem(records):
-    vocab, x = count_matrix([r.text for r in records])
-    y = np.array([1.0 if r.label == CW else 0.0 for r in records])
-    return vocab, x.toarray(), y
-
-
-def _dense_loss_and_gradient(x, y, l2, w, b):
-    """The regularized mean logistic loss and its gradient, written
-    directly from their definitions over a dense matrix."""
-    z = x @ w + b
-    p = 1.0 / (1.0 + np.exp(-z))
-    loss = np.mean(np.log1p(np.exp(-np.abs(z))) + np.maximum(z, 0) - y * z)
-    loss += 0.5 * l2 * (w @ w)
-    return loss, np.append(x.T @ (p - y) / len(y) + l2 * w, np.mean(p - y))
-
-
-def test_baseline_fit_reaches_the_regularized_optimum():
-    records = planted_records(n=80)
-    vocab, x, y = _dense_problem(records)
-    l2 = BASELINE_DEFAULTS["l2"]
-    scorer = fit_texts(ScorerConfig(), [r.text for r in records],
-                       [r.label for r in records])
-    loss, grad = _dense_loss_and_gradient(x, y, l2, scorer.weights,
-                                          scorer.bias)
-    assert np.linalg.norm(grad) < GRADIENT_TOLERANCE
-    assert scorer.grad_norm == pytest.approx(np.linalg.norm(grad), rel=1e-6)
-    assert 1 <= scorer.n_iter < BASELINE_DEFAULTS["iterations"]
-
-    optimize = pytest.importorskip("scipy.optimize")
-    reference = optimize.minimize(
-        lambda theta: _dense_loss_and_gradient(x, y, l2, theta[:-1],
-                                               theta[-1]),
-        np.zeros(len(vocab) + 1), jac=True, method="L-BFGS-B",
-        options={"gtol": 1e-12, "ftol": 1e-15, "maxiter": 10_000})
-    assert loss == pytest.approx(reference.fun, abs=1e-8)
-
-
-def test_baseline_fit_converges_on_badly_scaled_columns():
-    """Count columns differing in scale by orders of magnitude, as a
-    preconditioner is there to handle: one token repeated 30 times in a
-    few texts, and one token in every text."""
-    records = planted_records(n=80)
-    texts = [("R " * 30 if i % 13 == 0 else "") + r.text + " E"
-             for i, r in enumerate(records)]
-    labels = [r.label for r in records]
-    assert len({lab for i, lab in enumerate(labels) if i % 13 == 0}) == 2
-    vocab, x = count_matrix(texts)
-    x, y = x.toarray(), np.array([1.0 if lab == CW else 0.0 for lab in labels])
-    l2 = BASELINE_DEFAULTS["l2"]
-    scorer = fit_texts(ScorerConfig(), texts, labels)
-    loss, grad = _dense_loss_and_gradient(x, y, l2, scorer.weights,
-                                          scorer.bias)
-    assert np.linalg.norm(grad) < GRADIENT_TOLERANCE
-    assert scorer.n_iter <= scorer.cg_steps
-
-    optimize = pytest.importorskip("scipy.optimize")
-    reference = optimize.minimize(
-        lambda theta: _dense_loss_and_gradient(x, y, l2, theta[:-1],
-                                               theta[-1]),
-        np.zeros(len(vocab) + 1), jac=True, method="L-BFGS-B",
-        options={"gtol": 1e-12, "ftol": 1e-15, "maxiter": 10_000})
-    assert loss == pytest.approx(reference.fun, abs=1e-8)
-
-
-def test_preconditioner_mixes_l2_and_the_hessian_diagonal():
-    _, x = count_matrix(["a b", "b c c", "a", "c c c c"])
-    curvature = np.array([0.1, 0.2, 0.05, 0.3])
-    l2, mix = 0.5, model.PRECONDITIONER_MIX
-    xb = np.hstack([x.toarray(), np.ones((4, 1))])  # the bias column
-    hessian = xb.T @ (curvature[:, None] * xb) + np.diag([l2] * 3 + [0.0])
-    m = model._preconditioner(x.multiply(x).T, curvature, l2)
-    assert m == pytest.approx((1 - mix) * l2 + mix * np.diag(hessian),
-                              rel=1e-12)
-
-
-def test_preconditioner_stays_positive_without_curvature_or_l2():
-    _, x = count_matrix(["a b", "b c c", "a"])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        m = model._preconditioner(x.multiply(x).T, np.zeros(3), 0.0)
-        assert np.all(np.isfinite(1.0 / m))
-    assert m.shape == (x.shape[1] + 1,)
-    assert np.all(np.isfinite(m)) and np.all(m > 0)
-
-
 def test_trainer_version_retrains_unpreconditioned_models():
     # version 2 models came from the unpreconditioned solver, version 3
     # entries held the vocabulary and config too, and version 4 came from
@@ -256,9 +175,10 @@ def test_baseline_iterations_cap_the_solver():
     capped = fit_texts(ScorerConfig(hyperparams={"iterations": 1}), texts,
                        labels)
     converged = fit_texts(ScorerConfig(), texts, labels)
-    assert capped.n_iter == 1
-    assert converged.n_iter > 1
-    assert capped.grad_norm > GRADIENT_TOLERANCE > converged.grad_norm
+    assert capped.stats.trials == 1
+    assert converged.stats.trials > 1
+    assert (capped.stats.grad_norm > GRADIENT_TOLERANCE
+            > converged.stats.grad_norm)
     assert not np.allclose(capped.weights, converged.weights)
 
 
@@ -272,191 +192,8 @@ def test_unregularized_fit_on_separable_data_stays_finite():
         scores = scorer.score_many(texts + ["X X X X X X X X", "w1 w2 w3"])
     assert np.all(np.isfinite(scorer.weights)) and np.isfinite(scorer.bias)
     assert all(0.0 <= s <= 1.0 for s in scores)
-    assert scorer.grad_norm < GRADIENT_TOLERANCE
+    assert scorer.stats.grad_norm < GRADIENT_TOLERANCE
 
-
-def _planted_fit(config=ScorerConfig()):
-    records = planted_records()
-    return fit_texts(config, [r.text for r in records],
-                     [r.label for r in records])
-
-
-def _scaled_steps(monkeypatch, factor: float) -> None:
-    """Make every Newton step the solver tries, and so its margins,
-    `factor` times as long."""
-    newton_cg = model._newton_cg
-
-    def scaled(*args):
-        step, margins, steps = newton_cg(*args)
-        return factor * step, factor * margins, steps
-
-    monkeypatch.setattr(model, "_newton_cg", scaled)
-
-
-def test_a_too_long_newton_step_is_backtracked_and_still_converges(
-        monkeypatch):
-    records = planted_records()
-    _, x, y = _dense_problem(records)
-    l2 = BASELINE_DEFAULTS["l2"]
-    plain = _planted_fit()
-    _scaled_steps(monkeypatch, 8.0)
-    backtracked = _planted_fit()
-    assert backtracked.grad_norm < GRADIENT_TOLERANCE
-    assert backtracked.n_iter > plain.n_iter
-    # the iterate after each trial point, as a fit capped there returns it
-    losses = []
-    for cap in range(1, backtracked.n_iter + 1):
-        capped = _planted_fit(ScorerConfig(hyperparams={"iterations": cap}))
-        losses.append(_dense_loss_and_gradient(x, y, l2, capped.weights,
-                                               capped.bias)[0])
-    assert all(after <= before for before, after in zip(losses, losses[1:]))
-    assert any(after == before for before, after in zip(losses, losses[1:]))
-
-
-def _intercept_start(records) -> float:
-    """The bias a regularized fit starts from: the log-odds of CW in
-    `records`, with every weight zero."""
-    positives = sum(r.label == CW for r in records)
-    return math.log(positives / (len(records) - positives))
-
-
-def test_a_rejected_trial_at_the_iteration_cap_keeps_the_start_point(
-        monkeypatch):
-    _scaled_steps(monkeypatch, 100.0)
-    scorer = _planted_fit(ScorerConfig(hyperparams={"iterations": 1}))
-    assert scorer.n_iter == 1
-    assert not scorer.weights.any()
-    assert scorer.bias == _intercept_start(planted_records())
-    # the start point is the intercept-only optimum: its bias gradient
-    # vanishes, so only the weights' part remains
-    _, x, y = _dense_problem(planted_records())
-    _, grad = _dense_loss_and_gradient(x, y, BASELINE_DEFAULTS["l2"],
-                                       scorer.weights, scorer.bias)
-    assert abs(grad[-1]) < 1e-12
-    assert scorer.grad_norm == pytest.approx(np.linalg.norm(grad), rel=1e-9)
-
-
-@pytest.mark.parametrize("l2", [BASELINE_DEFAULTS["l2"], 0])
-def test_a_step_that_does_not_descend_stops_the_fit_at_the_start_point(
-        monkeypatch, l2):
-    """An unregularized fit starts at zero, any other at the intercept."""
-    _scaled_steps(monkeypatch, -1.0)
-    scorer = _planted_fit(ScorerConfig(hyperparams={"l2": l2}))
-    assert scorer.n_iter == 0 and scorer.cg_steps >= 1
-    assert not scorer.weights.any()
-    assert scorer.bias == (_intercept_start(planted_records()) if l2 else 0.0)
-    assert scorer.grad_norm > GRADIENT_TOLERANCE
-
-
-def test_newton_cg_without_curvature_steps_along_the_preconditioned_gradient():
-    g, m = np.array([0.3, -1.2, 0.5]), np.array([2.0, 0.5, 4.0])
-    margins = np.array([7.0, -8.0])
-
-    def hessp(d):
-        return np.zeros_like(d), margins
-
-    step, step_margins, steps = model._newton_cg(hessp, g, m,
-                                                 float(np.linalg.norm(g)))
-    assert steps == 1
-    assert np.array_equal(step, -g / m)
-    assert step_margins is margins
-
-
-def test_newton_cg_keeps_its_step_when_curvature_vanishes_later():
-    g, h = np.array([1.0, -1.0, 1.0]), np.array([1.0, 10.0, 100.0])
-    calls = []
-
-    def hessp(d):  # the diagonal h on the first direction, then none
-        calls.append(d)
-        margins = np.array([d.sum(), d[0]])  # linear in d, as margins are
-        return (h * d if len(calls) == 1 else np.zeros_like(d)), margins
-
-    step, margins, steps = model._newton_cg(hessp, g, np.ones(3),
-                                            float(np.linalg.norm(g)))
-    assert steps == 2
-    assert step == pytest.approx(-g * (g @ g) / (g @ (h * g)), rel=1e-12)
-    assert margins == pytest.approx([step.sum(), step[0]], rel=1e-12)
-
-
-
-def _planted_problem():
-    records = planted_records()
-    _, x = count_matrix([r.text for r in records])
-    return x, np.array([1.0 if r.label == CW else 0.0 for r in records])
-
-
-def _recorded_newton_steps(monkeypatch) -> list:
-    """What each `_newton_cg` call of the fits that follow returns."""
-    seen, newton_cg = [], model._newton_cg
-
-    def recording(*args):
-        seen.append(newton_cg(*args))
-        return seen[-1]
-
-    monkeypatch.setattr(model, "_newton_cg", recording)
-    return seen
-
-
-def test_a_fit_multiplies_by_x_only_in_cg_gradients_and_preconditioners(
-        monkeypatch):
-    """Each CG step takes x·d and x.T·t, each iterate one x.T product for
-    its gradient and each Newton step one for its preconditioner; the
-    start point's margins and every trial point's come without one."""
-    x, y = _planted_problem()
-    products = []
-    for cls in (sparse.csr_matrix, sparse.csc_matrix):
-        def counted(a, b, matmul=cls.__matmul__):
-            products.append(type(a))
-            return matmul(a, b)
-        monkeypatch.setattr(cls, "__matmul__", counted)
-    newton_steps = _recorded_newton_steps(monkeypatch)
-    _, trials, gnorm, cg_steps = model._fit_logistic(
-        x, y, BASELINE_DEFAULTS["l2"], BASELINE_DEFAULTS["iterations"])
-    # a converged fit accepted a trial point after each of its Newton steps
-    assert gnorm < GRADIENT_TOLERANCE and trials >= len(newton_steps) > 1
-    iterates = len(newton_steps) + 1  # the start point, then one per step
-    assert len(products) == 2 * cg_steps + iterates + len(newton_steps)
-    assert cg_steps == sum(steps for _, _, steps in newton_steps)
-
-
-def test_newton_cg_margins_are_those_of_its_step(monkeypatch):
-    x, y = _planted_problem()
-    newton_steps = _recorded_newton_steps(monkeypatch)
-    model._fit_logistic(x, y, BASELINE_DEFAULTS["l2"],
-                        BASELINE_DEFAULTS["iterations"])
-    assert len(newton_steps) > 1
-    for step, margins, _ in newton_steps:
-        direct = x @ step[:-1] + step[-1]
-        assert np.abs(margins - direct).max() <= 1e-12 * np.abs(direct).max()
-
-
-def test_the_tolerance_floor_ends_cg_once_the_residual_is_below_it():
-    """A gradient near GRADIENT_TOLERANCE asks CG for a residual far below
-    it; the floor stops at the first CG step whose residual is under
-    CG_TOLERANCE_FLOOR. Plain CG on a diagonal H = diag(h) gives the
-    residuals."""
-    h = np.linspace(1.0, 30.0, 16)
-    g = np.random.default_rng(3).normal(size=h.size)
-    g *= 2 * GRADIENT_TOLERANCE / np.linalg.norm(g)
-    gnorm = float(np.linalg.norm(g))
-    unfloored = min(0.5, math.sqrt(gnorm)) * gnorm
-    residuals, r = [], g
-    d = -r
-    while not residuals or residuals[-1] >= unfloored:
-        r_next = r + (r @ r) / (d @ (h * d)) * h * d
-        residuals.append(float(np.linalg.norm(r_next)))
-        d = (r_next @ r_next) / (r @ r) * d - r_next
-        r = r_next
-    floor = model.CG_TOLERANCE_FLOOR
-    assert floor == 0.1 * GRADIENT_TOLERANCE
-    below = [k + 1 for k, res in enumerate(residuals) if res < floor]
-    assert not any(0.9 < res / floor < 1.1 for res in residuals)
-    assert below[0] < len(residuals)  # the unfloored rule would go on
-
-    step, _, steps = model._newton_cg(lambda d: (h * d, d[:2]), g,
-                                      np.ones_like(g), gnorm)
-    assert steps == below[0]
-    assert np.linalg.norm(g + h * step) < floor
 
 def test_importing_and_training_loads_no_scipy_solver_module():
     """scipy.optimize or scipy.sparse.linalg would add memory and start-up
@@ -464,10 +201,10 @@ def test_importing_and_training_loads_no_scipy_solver_module():
     probe = (
         "import json, sys\n"
         "import claimcheck.runner, claimcheck.providers\n"
-        "from claimcheck.model import ScorerConfig, BaselineScorer, "
-        "count_matrix\n"
-        "BaselineScorer(ScorerConfig()).fit_matrix("
-        "*count_matrix(['a b', 'c d', 'a c']), ['CW', 'NCW', 'CW'])\n"
+        "from types import SimpleNamespace as R\n"
+        "from claimcheck.model import ScorerConfig, train_scorer\n"
+        "train_scorer([R(text='a b', label='CW'), R(text='c d', label='NCW'),"
+        " R(text='a c', label='CW')], ScorerConfig())\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith("
         "('scipy.optimize', 'scipy.sparse.linalg')))))\n"
     )
@@ -478,36 +215,6 @@ def test_importing_and_training_loads_no_scipy_solver_module():
                          capture_output=True, text=True, timeout=120,
                          check=True).stdout
     assert json.loads(out) == []
-
-
-def test_a_fit_has_the_same_bytes_on_one_and_two_blas_threads():
-    """OpenBLAS splits a dot product of more than 10,000 terms over its
-    threads, which changes its rounding; the solver's dots are numpy's own,
-    so 30,000 columns fit to the same theta either way. Each fit runs in a
-    fresh process, as OpenBLAS reads its thread count when numpy loads."""
-    probe = (
-        "import hashlib\n"
-        "import numpy as np\n"
-        "from scipy import sparse\n"
-        "from claimcheck.model import _fit_logistic\n"
-        "rng = np.random.default_rng(8)\n"
-        "n, d, k = 400, 30_000, 50\n"
-        "cols = rng.integers(0, d, size=(n, k))\n"
-        "x = sparse.csr_matrix((np.ones(n * k), cols.ravel(),\n"
-        "                       np.arange(0, n * k + 1, k)), shape=(n, d))\n"
-        "x.sum_duplicates()\n"
-        "theta = _fit_logistic(x, (cols[:, 0] < d // 2) * 1.0, 1e-4, 300)[0]\n"
-        "print(hashlib.sha256(theta.tobytes()).hexdigest())\n"
-    )
-    src = os.path.join(os.path.dirname(model.__file__), os.pardir)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [os.path.abspath(src), os.environ.get("PYTHONPATH")]))}
-    digests = [subprocess.run([sys.executable, "-c", probe],
-                              env={**env, "OPENBLAS_NUM_THREADS": threads},
-                              capture_output=True, text=True, timeout=120,
-                              check=True).stdout
-               for threads in ("1", "2")]
-    assert digests[0] == digests[1]
 
 
 def test_baseline_rejects_single_class():
@@ -554,6 +261,7 @@ def test_baseline_save_load_round_trip(tmp_path):
     probes = ["X w0 w1", "w2 w3", "unknown words"]
     assert loaded.score_many(probes) == scorer.score_many(probes)
     assert loaded.config.hyperparams == {"iterations": 50}
+    assert loaded.stats is None and scorer.stats is not None
     assert loaded.config.seed == 4
 
 
@@ -630,14 +338,15 @@ def test_second_train_scorer_call_is_a_cache_hit(tmp_path, monkeypatch):
     cfg = ScorerConfig(backend="baseline", hyperparams={"iterations": 20})
     first = train_scorer(records, cfg, cache_dir=tmp_path)
 
-    def no_fit(self, *args):
+    def no_fit(*args):
         raise AssertionError("a cached model was retrained")
 
-    monkeypatch.setattr(BaselineScorer, "fit_matrix", no_fit)
+    monkeypatch.setattr(model, "fit", no_fit)
     second = train_scorer(CorpusFeatures(records).select(), cfg,
                           cache_dir=tmp_path)
     assert np.array_equal(second.vocab, first.vocab)
     assert np.array_equal(second.weights, first.weights)
+    assert first.stats.trials >= 1 and second.stats is None
 
 
 def _topic_corpus():
@@ -703,16 +412,17 @@ def test_cache_hit_yields_exactly_the_fitted_model(case, tmp_path,
     fitted = train_scorer(train, cfg, cache_dir=tmp_path)
     fitted_scores = fitted.score_many(test)
 
-    def no_fit(self, *args):
+    def no_fit(*args):
         raise AssertionError("a cached model was retrained")
 
     def no_count(texts):
         raise AssertionError("a cache hit counted texts")
 
-    monkeypatch.setattr(BaselineScorer, "fit_matrix", no_fit)
+    monkeypatch.setattr(model, "fit", no_fit)
     monkeypatch.setattr(model, "count_matrix", no_count)
     hit = train_scorer(train, cfg, cache_dir=tmp_path)
     assert hit.config is cfg
+    assert hit.stats is None and fitted.stats is not None
     assert hit.weights.tobytes() == fitted.weights.tobytes()
     assert hit.bias == fitted.bias
     assert hit.score_many(test) == fitted_scores
@@ -1141,24 +851,18 @@ def test_corpus_matrix_fit_equals_text_fit(case):
     cfg = ScorerConfig(backend="baseline", hyperparams={"iterations": 50})
     from_text = fit_texts(cfg, texts, labels)
     features = CorpusFeatures(corpus)
-    extra_tokens, extra_x = model.count_matrix([r.text for r in extra])
-    layout = features.columns(rows, extra_tokens)
-    vocab = layout.vocab()
-    x = layout.matrix(rows, extra_x)
+    layout, x, _ = model.fit_problem(features.select(rows, extra))
     _, text_x = model.count_matrix(texts)
     assert x.indices.dtype == np.int32
     for part in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(x, part), getattr(text_x, part))
-    from_matrix = BaselineScorer(cfg).fit_matrix(vocab, x, labels)
+    from_matrix = train_scorer(features.select(rows, extra), cfg)
     assert list(from_matrix.vocab) == list(from_text.vocab)
     assert list(from_matrix.vocab) == sorted(from_text.vocab)
     assert np.array_equal(from_matrix.weights, from_text.weights)
     assert from_matrix.bias == from_text.bias
     probes = [r.text for r in corpus] + ["zz-new cue", "never seen", ""]
     assert from_matrix.score_many(probes) == from_text.score_many(probes)
-    trained = train_scorer(features.select(rows, extra), cfg)
-    assert list(trained.vocab) == list(from_text.vocab)
-    assert np.array_equal(trained.weights, from_text.weights)
     assert (layout.on_corpus(from_text.weights).tobytes()
             == from_text._weights_on(features.tokens).tobytes())
 
@@ -1181,19 +885,11 @@ def _stacked_blocks(layout, rows, extra_x):
 
 @pytest.mark.parametrize("case", ["corpus", "corpus+synthetic", "edited-text",
                                   "interleaved"])
-def test_a_fit_gets_the_arrays_the_stacked_blocks_gave(case, monkeypatch):
+def test_a_fit_gets_the_arrays_the_stacked_blocks_gave(case):
     corpus, cases = _matrix_path_cases()
     rows, extra = cases[case]
     features = CorpusFeatures(corpus)
-    fits = []
-
-    def no_solve(x, y, l2, max_iter):
-        fits.append((x, y))
-        return np.zeros(x.shape[1] + 1), 0, 0.0, 0
-
-    monkeypatch.setattr(model, "_fit_logistic", no_solve)
-    train_scorer(features.select(rows, extra), ScorerConfig())
-    [(x, y)] = fits
+    _, x, y = model.fit_problem(features.select(rows, extra))
     extra_tokens, extra_x = count_matrix([r.text for r in extra])
     rows = np.asarray(rows)
     stacked = _stacked_blocks(features.columns(rows, extra_tokens), rows,

@@ -164,7 +164,7 @@ def test_config_from_mapping_rejects_a_seed_that_is_not_an_integer(seed):
     assert config_from_mapping({"seed": -7}).seed == -7
 
 
-@pytest.mark.parametrize("out_dir", [5, None, ["runs"], b"runs"])
+@pytest.mark.parametrize("out_dir", [5, None, ["runs"], b"runs", ""])
 def test_run_suite_refuses_an_out_dir_that_is_not_a_path(out_dir, tmp_path,
                                                          monkeypatch):
     monkeypatch.chdir(tmp_path)
