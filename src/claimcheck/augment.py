@@ -2,7 +2,8 @@
 substitution, and text generation.
 
 Each strategy turns every few-shot pool sample into at most one synthetic
-sample carrying the seed's label. Provider failures never abort a run: a
+sample carrying the seed's label; a cell trains on those samples as they
+are, by their text and label. Provider failures never abort a run: a
 call that raises, or a reply that is empty or holds a lone surrogate, skips
 the sample and records the skip, so |synthetic| + |skips| always equals the
 pool size. All randomness is derived from the run seed plus the origin tweet
@@ -20,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .cache import cached, stable_hash
-from .corpus import TweetRecord, has_lone_surrogate
+from .corpus import has_lone_surrogate
 from .errors import AugmentError
 from .preprocess import PLACEHOLDERS
 from .providers import MASK_TOKEN, HttpProvider
@@ -31,16 +32,14 @@ TXTGEN = "TxtGen"
 NONE = "none"
 STRATEGIES = (BT, CWE, TXTGEN)
 _ROLES = {BT: "translator", CWE: "filler", TXTGEN: "generator"}
-SYNTHETIC_SOURCE = "synthetic"
 PIVOT = "en"  # back translation's pivot language
 RATIO = 0.3  # the share of word positions CWE substitutes
 
 __all__ = [
-    "BT", "CWE", "TXTGEN", "NONE", "STRATEGIES", "SYNTHETIC_SOURCE",
-    "PIVOT", "RATIO",
+    "BT", "CWE", "TXTGEN", "NONE", "STRATEGIES", "PIVOT", "RATIO",
     "AugmentedSample", "GenerationParams", "AugmentationResult",
     "back_translate", "contextual_substitute", "generate_samples",
-    "augment_training", "synthetic_record",
+    "augment_training",
 ]
 
 
@@ -54,8 +53,9 @@ class AugmentedSample:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise AugmentError(f"unknown strategy {self.strategy!r}")
-        if not self.text:
-            raise AugmentError(f"empty synthetic text for {self.origin_tweet_id}")
+        if not self.text.strip():
+            raise AugmentError(f"{self.strategy} sample of "
+                               f"{self.origin_tweet_id!r} has empty text")
 
 
 @dataclass(frozen=True)
@@ -200,22 +200,6 @@ def generate_samples(samples, generator) -> AugmentationResult:
                     lambda r: generator(r.text, params), truncate)
 
 
-def synthetic_record(sample: AugmentedSample, origin: TweetRecord) -> TweetRecord:
-    """Materialize a synthetic sample as a trainable record with an id that
-    cannot collide with real tweet ids."""
-    if sample.label != origin.label:
-        raise AugmentError(
-            f"synthetic label {sample.label} differs from origin {origin.label}"
-        )
-    return TweetRecord(
-        tweet_id=f"{sample.origin_tweet_id}::{sample.strategy.lower()}",
-        topic_id=origin.topic_id,
-        text=sample.text,
-        label=sample.label,
-        source=SYNTHETIC_SOURCE,
-    )
-
-
 def _provider_identity(provider) -> str:
     """An HTTP provider's base URL, else the callable's module.qualname."""
     if isinstance(provider, HttpProvider):
@@ -243,12 +227,13 @@ def augment_training(train, pool, strategy: str, providers, seed: int = 0,
     """Extend training rows with synthetic variants of their few-shot pool.
 
     `train` and `pool` are `claimcheck.model.Rows` of one `CorpusFeatures`.
-    Returns (train extended by the synthetic records, AugmentationResult),
+    Returns (train extended by the result's samples, AugmentationResult),
     or (train, None) for strategy ``none``. Only pool samples ever seed
-    augmentation, and every pool row must already be a training row. When
-    a cache directory is given, results are reused across runs keyed by
-    strategy, the identity of the provider it calls, the strategies'
-    constants, pool content, and seed.
+    augmentation, and every pool row must already be a training row; a
+    sample, fresh or cached, must come from a pool record and carry its
+    label. When a cache directory is given, results are reused across runs
+    keyed by strategy, the identity of the provider it calls, the
+    strategies' constants, pool content, and seed.
     """
     if strategy == NONE:
         return train, None
@@ -283,6 +268,13 @@ def augment_training(train, pool, strategy: str, providers, seed: int = 0,
         })
         path = Path(cache_dir) / f"{key}.json"
     result = cached(path, run, _save_result, _load_result)
-    by_id = {r.tweet_id: r for r in pool_records}
-    return train.extend(synthetic_record(s, by_id[s.origin_tweet_id])
-                        for s in result.samples), result
+    labels = {r.tweet_id: r.label for r in pool_records}
+    for s in result.samples:
+        if s.origin_tweet_id not in labels:
+            raise AugmentError(f"{s.strategy} sample of {s.origin_tweet_id!r}"
+                               " names no pool record")
+        if s.label != labels[s.origin_tweet_id]:
+            raise AugmentError(
+                f"{s.strategy} sample of {s.origin_tweet_id!r} is labelled "
+                f"{s.label}, its origin {labels[s.origin_tweet_id]}")
+    return train.extend(result.samples), result

@@ -5,17 +5,17 @@ Both backends map any text to P(CW) in [0, 1] through `score_many`, and
 logistic regression, fit by `solver.fit` on the problem `fit_problem`
 builds from token counts sliced out of `CorpusFeatures`, never from texts.
 A cell's records travel as `Rows`: positions in one `CorpusFeatures` plus
-any synthetic records. Its counts, labels and model-cache key are gathered
-by position.
+any augmentation samples. Its counts, labels and model-cache key are
+gathered by position.
 
 A fit's vocabulary is the sorted union of the corpus tokens its rows use
-and its synthetic records' tokens. `ColumnLayout` places each used corpus
-column in it by integers alone: its rank among the used columns, plus the
-synthetic-only tokens that sort before it. Which columns the rows use
+and its samples' tokens. `ColumnLayout` places each used corpus column in
+it by integers alone: its rank among the used columns, plus the
+sample-only tokens that sort before it. Which columns the rows use
 comes from per-column row counts kept once per corpus, less those of the
 few rows outside the training set. A model-cache hit therefore counts no
-text and copies no training row: it reads the synthetic records' unique
-tokens and the cached coefficients. Trained or read, a scorer keeps the
+text and copies no training row: it reads the samples' unique tokens and
+the cached coefficients. Trained or read, a scorer keeps the
 layout as its vocabulary and places its weights once on the corpus's
 columns, so test rows are scored straight from the corpus matrix by one
 product, with no token compared; the vocabulary's strings are built from
@@ -242,7 +242,7 @@ class CorpusFeatures:
 
     def select(self, rows=None, extra=()) -> "Rows":
         """`Rows` of these records at `rows` (default: all, in order),
-        followed by the `extra` records."""
+        followed by the `extra` samples."""
         if rows is None:
             rows = np.arange(len(self.records))
         return Rows(self, np.asarray(rows, dtype=np.int64), tuple(extra))
@@ -260,7 +260,7 @@ class CorpusFeatures:
 
     def columns(self, rows, extra_tokens) -> "ColumnLayout":
         """The column layout of a fit on the records at `rows` followed by
-        records whose sorted unique tokens are `extra_tokens` (as
+        samples whose sorted unique tokens are `extra_tokens` (as
         `_unique_tokens` or `count_matrix` return them)."""
         used = self.used_columns(rows)
         at, found = _locate(self.tokens, extra_tokens)
@@ -281,7 +281,7 @@ class CorpusFeatures:
 @dataclass(frozen=True, eq=False)
 class ColumnLayout:
     """Where each column of a fit sits in its vocabulary, the sorted union
-    of the corpus tokens its rows use and its extra records' tokens,
+    of the corpus tokens its rows use and its extra samples' tokens,
     exactly as `count_matrix` orders them for those texts. The corpus
     columns `cols` go to `col_pos`, and `extra_tokens[j]` to
     `extra_pos[j]`; `new` marks the extra tokens the corpus lacks. Both
@@ -310,7 +310,7 @@ class ColumnLayout:
     def matrix(self, rows, extra_x) -> sparse.csr_matrix:
         """The counts of a fit on the vocabulary's columns, as one CSR
         matrix: the corpus counts of `rows`, stacked over the extra
-        records' counts `extra_x`, whose columns are `extra_tokens`. The
+        samples' counts `extra_x`, whose columns are `extra_tokens`. The
         corpus rows are gathered once; their counts, cast to float64, and
         their columns, remapped, are written straight into the result's
         arrays, as are those of `extra_x`."""
@@ -340,8 +340,9 @@ class ColumnLayout:
 @dataclass(frozen=True, eq=False)
 class Rows:
     """The records of a `CorpusFeatures` at `rows`, followed by `extra`
-    records it does not hold (synthetic ones). A cell's training and test
-    data travel as `Rows`, so the corpus's records are neither copied nor
+    samples it does not hold: anything with a `text` and a `label`, such as
+    a cell's `augment.AugmentedSample`s. A cell's training and test data
+    travel as `Rows`, so the corpus's records are neither copied nor
     counted again."""
 
     features: CorpusFeatures
@@ -355,8 +356,8 @@ class Rows:
         records = self.features.records
         return chain(map(records.__getitem__, self.rows.tolist()), self.extra)
 
-    def extend(self, records) -> "Rows":
-        return replace(self, extra=self.extra + tuple(records))
+    def extend(self, samples) -> "Rows":
+        return replace(self, extra=self.extra + tuple(samples))
 
     def labels(self) -> np.ndarray:
         """Every record's label, in order, as an object array."""
@@ -460,21 +461,24 @@ class BaselineScorer:
 
     def score_many(self, texts) -> list:
         """P(CW) of each text: of strings, counted here, or of `Rows`,
-        whose counts are sliced out of their corpus matrix. The weights are
-        placed on the counts' columns. For `Rows` that is done once per
-        corpus: `train_scorer` places them from the fit's column layout,
-        and any other corpus's tokens are located in the vocabulary."""
+        whose corpus rows' counts are sliced out of their corpus matrix and
+        whose samples are scored as strings. The weights are placed on the
+        counts' columns. For corpus rows that is done once per corpus:
+        `train_scorer` places them from the fit's column layout, and any
+        other corpus's tokens are located in the vocabulary."""
         if self.weights is None:
             raise ModelError("scorer is not trained")
+        z = []
         if isinstance(texts, Rows):
             features = texts.features
             if self._placed is None or self._placed[0] is not features:
                 self._placed = (features, self._weights_on(features.tokens))
-            x, w = features.matrix[texts.rows], self._placed[1]
-        else:
+            z.append(features.matrix[texts.rows] @ self._placed[1])
+            texts = [s.text for s in texts.extra]
+        if not z or texts:  # strings, or the samples of `Rows`
             tokens, x = count_matrix(texts)
-            w = self._weights_on(tokens)
-        z = x @ w + self.bias
+            z.append(x @ self._weights_on(tokens))
+        z = np.concatenate(z) + self.bias
         return (1.0 / (1.0 + np.exp(-z))).tolist()
 
     def save(self, path) -> None:
@@ -627,8 +631,8 @@ def train_scorer(train, config: ScorerConfig, providers=None, cache_dir=None):
     A baseline model takes its column layout, and when it has to be
     trained its counts, from the `CorpusFeatures` the rows belong to;
     plain records are counted into one of their own first. The layout
-    needs only which corpus columns the rows use and the extra records'
-    unique tokens, so a cache hit counts nothing. An entry holds only
+    needs only which corpus columns the rows use and the samples' unique
+    tokens, so a cache hit counts nothing. An entry holds only
     theta = (weights, bias): its key fixes the config and the training
     records, so a hit takes `config` as given. Either way the scorer keeps
     the layout as its vocabulary and places the weights on the corpus's
@@ -652,7 +656,7 @@ def train_scorer(train, config: ScorerConfig, providers=None, cache_dir=None):
             x, y, float(params["l2"]), params["iterations"]))
 
     def read(entry):
-        # the extra texts' unique tokens give the layout their counts would
+        # the samples' unique tokens give the layout their counts would
         return _read_entry(entry, config, train.features.columns(
             train.rows, _unique_tokens([r.text for r in train.extra])))
 

@@ -10,7 +10,7 @@ A cell is named by `(config, corpus, target)`: its holdout pools follow
 the config's `holdout_k` and `seed`. A corpus counts its tokens once, on
 first use, into `Corpus.features`. Every cell is a set of its row
 positions: the split names train, test and shot positions, augmentation
-seeds from the shots and appends synthetic records, the model-cache key and
+seeds from the shots and appends its samples, the model-cache key and
 the training matrix are gathered by position, and test rows are scored
 straight from the corpus matrix. `run_suite` builds each cell's run.json
 row in one place and derives the rest of the record from those rows.
@@ -156,7 +156,10 @@ def checked_path(value, name: str) -> str:
 
 def writable(path: str, name: str, directory: bool = True) -> str:
     """`path`, if the nearest existing one of it (its directory, if not a
-    `directory`) and their ancestors is a directory; else a ConfigError."""
+    `directory`) and their ancestors is a directory, and a file's `path` is
+    not one; else a ConfigError."""
+    if not directory and Path(path).is_dir():
+        raise ConfigError(f"{name} {path!r} is a directory")
     start = Path(path) if directory else Path(path).parent
     nearest = next(p for p in (start, *start.parents) if p.exists())
     if not nearest.is_dir():
@@ -223,7 +226,7 @@ def _stage(name: str, seconds: dict):
 @dataclass(frozen=True)
 class PreparedCell:
     """One cell's data before any model sees it: the training rows (the
-    split's train positions, then any synthetic records) and the test rows
+    split's train positions, then any augmentation samples) and the test rows
     (its test positions), both in tweet-id order."""
 
     split: TopicSplit
@@ -271,7 +274,7 @@ def run_topic(config: ExperimentConfig, corpus: Corpus, target: str,
     complement of the target topic.
 
     When a `details` dict is supplied it is filled with the trained-on
-    record count (synthetic records included), augmentation skip
+    record count (augmentation samples included), augmentation skip
     information, and `stage_s`, the seconds each stage took (also when a
     stage fails).
     """

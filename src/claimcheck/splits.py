@@ -26,7 +26,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .corpus import CW, Corpus
-from .errors import CorpusError, SplitError
+from .errors import CorpusError, SplitError, is_int
 
 __all__ = ["HoldoutTable", "TopicSplit", "make_holdouts", "zero_shot_split",
            "few_shot_split", "split_to_json"]
@@ -121,8 +121,8 @@ def make_holdouts(corpus: Corpus, k: int = 200, seed: int = 0) -> HoldoutTable:
     holding a lone surrogate, which only a corpus built in Python can hold,
     cannot seed a draw: it is a CorpusError naming the topic.
     """
-    if k < 1:
-        raise SplitError(f"holdout size must be >= 1, got {k}")
+    if not (is_int(k) and k >= 1):
+        raise SplitError(f"holdout size must be an integer >= 1, got {k!r}")
     key = (repr(k), repr(seed))  # True == 1, but they draw differently
     if key not in corpus.holdouts:
         per_topic, whole = {}, []
@@ -153,8 +153,8 @@ def _split(corpus: Corpus, holdouts: HoldoutTable, target: str,
     topics = corpus.topic_ids()
     if target not in topics:
         raise SplitError(f"unknown target topic: {target!r}")
-    if shots < 0:
-        raise SplitError(f"shots must be >= 0, got {shots}")
+    if not (is_int(shots) and shots >= 0):
+        raise SplitError(f"shots must be an integer >= 0, got {shots!r}")
     pool = holdouts.pool(target)
     if shots > len(pool):
         raise SplitError(

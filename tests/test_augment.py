@@ -12,7 +12,6 @@ from claimcheck.augment import (
     BT,
     CWE,
     NONE,
-    SYNTHETIC_SOURCE,
     TXTGEN,
     AugmentationResult,
     AugmentedSample,
@@ -24,7 +23,6 @@ from claimcheck.augment import (
     contextual_substitute,
     generate_samples,
     substitution_count,
-    synthetic_record,
 )
 from claimcheck.corpus import CW, NCW, TweetRecord
 from claimcheck.errors import AugmentError
@@ -305,27 +303,6 @@ def test_txtgen_requires_generator():
 
 
 # ---------------------------------------------------------------------------
-# synthetic records
-
-
-def test_synthetic_record_shape():
-    origin = _rec(7, "original text", NCW, topic="T-B")
-    sample = AugmentedSample(origin.tweet_id, "new text", NCW, CWE)
-    rec = synthetic_record(sample, origin)
-    assert rec.tweet_id == "p007::cwe"
-    assert rec.topic_id == "T-B"
-    assert rec.label == NCW
-    assert rec.source == SYNTHETIC_SOURCE
-
-
-def test_synthetic_record_rejects_label_drift():
-    origin = _rec(7, "original", NCW)
-    sample = AugmentedSample(origin.tweet_id, "new", CW, CWE)
-    with pytest.raises(AugmentError):
-        synthetic_record(sample, origin)
-
-
-# ---------------------------------------------------------------------------
 # augment_training
 
 
@@ -374,12 +351,33 @@ def test_augment_preserves_labels_and_cardinality(strategy):
     out, result = augment_training(train, pool, strategy, _bundle())
     assert len(result.samples) + len(result.skips) == len(pool)
     assert len(out) == len(train) + len(result.samples)
-    by_id = {r.tweet_id: r for r in train}
     assert list(out)[:len(train)] == list(train)
-    for rec in list(out)[len(train):]:
-        origin_id = rec.tweet_id.split("::")[0]
-        assert rec.label == by_id[origin_id].label
-        assert rec.source == SYNTHETIC_SOURCE
+    assert out.extra == result.samples
+    labels = {r.tweet_id: r.label for r in pool}
+    assert all(s.label == labels[s.origin_tweet_id] for s in result.samples)
+
+
+# a sample of a hand-written cache entry that no cell may train on, and the
+# error naming it
+@pytest.mark.parametrize("field, value, message", [
+    ("origin_tweet_id", "p099", "BT sample of 'p099' names no pool record"),
+    ("label", CW, "BT sample of 'p001' is labelled CW, its origin NCW"),
+    ("text", " \t\n", "BT sample of 'p001' has empty text"),
+], ids=["origin-outside-the-pool", "label-drift", "whitespace-text"])
+def test_a_cached_sample_a_cell_cannot_train_on_is_refused(
+        tmp_path, field, value, message):
+    """Every result, fresh or read from the cache, passes the same checks:
+    a sample must come from a pool record, carry its label and hold text."""
+    train, pool = _select(_pool(6), 4)
+    augment_training(train, pool, BT, _bundle(), cache_dir=tmp_path)
+    (entry,) = tmp_path.iterdir()
+    blob = json.loads(entry.read_text(encoding="utf-8"))
+    assert blob["samples"][1]["origin_tweet_id"] == "p001"
+    blob["samples"][1][field] = value
+    entry.write_text(json.dumps(blob), encoding="utf-8")
+    with pytest.raises(AugmentError) as caught:
+        augment_training(train, pool, BT, _bundle(), cache_dir=tmp_path)
+    assert str(caught.value) == message
 
 
 def test_augment_cache_round_trip(tmp_path):

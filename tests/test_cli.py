@@ -563,12 +563,14 @@ def _no_work(*args, **kwargs):
 
 
 # a case name, a command line and its `--out`, which cannot be written:
-# "afile" is a file, and "" no path
+# "afile" is a file, "adir" a directory and "" no path
 _UNWRITABLE = [
     *[(f"{command}-under-a-file", argv, "afile/out")
       for command, argv in _RUNNABLE.items()],
     ("similarity-a-file", _RUNNABLE["similarity"], "afile"),
     ("suite-a-file", _RUNNABLE["suite"], "afile"),
+    *[(f"{command}-a-directory", _RUNNABLE[command], "adir")
+      for command in ("split", "train", "rank", "eval", "augment")],
     *[(f"{command}-empty", _RUNNABLE[command], "")
       for command in ("split", "train", "augment", "similarity")],
 ]
@@ -579,20 +581,25 @@ _UNWRITABLE = [
 def test_an_out_that_cannot_be_written_exits_two_before_any_work(
         corpus_jsonl, tmp_path, monkeypatch, capsys, command, out):
     """Every experiment command finds that `--out` cannot be written
-    before it fits, embeds or calls any provider, and keeps the file in
-    the way."""
+    before it reads the corpus, fits, embeds or calls any provider, and
+    keeps what is in the way."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "afile").write_bytes(b"keep me")
+    (tmp_path / "adir").mkdir()
+    monkeypatch.setattr(Corpus, "from_jsonl", _no_work)
     monkeypatch.setattr("claimcheck.model.fit", _no_work)
     monkeypatch.setattr(cli, "make_providers", lambda spec: ProviderBundle(
         *[_no_work] * len(fields(ProviderBundle))))
     rc = main([*command, "--corpus", str(corpus_jsonl), "--out", out])
     assert rc == 2
-    assert capsys.readouterr().err == (
-        "error: --out must be a path, got ''\n" if not out else
-        f"error: --out {out!r} cannot be made: afile is not a directory\n")
+    message = {"": "--out must be a path, got ''",
+               "adir": "--out 'adir' is a directory"}.get(
+        out, f"--out {out!r} cannot be made: afile is not a directory")
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert (tmp_path / "afile").read_bytes() == b"keep me"
-    assert list(tmp_path.iterdir()) == [tmp_path / "afile"]
+    assert sorted(tmp_path.iterdir()) == [tmp_path / "adir",
+                                          tmp_path / "afile"]
+    assert list((tmp_path / "adir").iterdir()) == []
 
 
 class NullScoreEncoder(MockEncoderProvider):

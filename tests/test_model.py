@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from claimcheck import model, solver
+from claimcheck.augment import BT, AugmentedSample
 from claimcheck.cache import stable_hash
 from claimcheck.corpus import CW, NCW, Corpus, TweetRecord
 from claimcheck.errors import EvalError, ModelError, ProviderError
@@ -671,12 +672,11 @@ def _corpus_records():
 
 
 def _synthetic(i, text, label):
-    return TweetRecord(tweet_id=f"t{i:03d}::bt", topic_id="T-A", text=text,
-                       label=label, source="CT20")
+    return AugmentedSample(f"t{i:03d}", text, label, BT)
 
 
 def _matrix_path_cases():
-    """Training data as (corpus rows, extra records) over `_corpus_records`."""
+    """Training data as (corpus rows, extra samples) over `_corpus_records`."""
     corpus = _corpus_records()
     train = list(range(5, 70))
     synthetic = [_synthetic(3, "aaa cue w1 w1 zz-new", CW),
@@ -948,6 +948,8 @@ def test_matrix_scores_equal_text_count_scores_bit_for_bit(nul_in):
     scores = scorer.score_many(features.select(test_rows))
     assert scores == _reference_scores(scorer, texts)
     assert scorer.score_many(texts) == scores
+    assert scorer.score_many(train) == scorer.score_many(
+        [s.text for s in train])
 
 
 @pytest.mark.parametrize("nul", [False, True])

@@ -49,7 +49,7 @@ from claimcheck.splits import make_holdouts
 
 from mocks import MarkerFiller
 from reference_cells import reference_cell
-from synth import tiny_corpus
+from synth import planted_corpus, tiny_corpus
 
 
 def few_shot_config(**kwargs):
@@ -309,8 +309,22 @@ def test_prepare_cell_augments_the_pool_prefix():
     origins = {s.origin_tweet_id for s in aug.samples}
     assert origins <= set(holdouts.pool("S-A")[:50])
     assert len(cell.train) == len(cell.split.train) + len(aug.samples)
-    assert [r.tweet_id for r in cell.train.extra] == [
-        f"{s.origin_tweet_id}::cwe" for s in aug.samples]
+    assert cell.train.extra == aug.samples
+
+
+@pytest.mark.parametrize("backend", ["baseline", "encoder"])
+def test_a_scorer_scores_a_cells_samples_with_its_corpus_rows(backend):
+    """`score_many` of a cell's training rows gives one score per row, its
+    samples' included, each the score of the same text as a string."""
+    corpus = planted_corpus()
+    config = few_shot_config(strategy=CWE, backend_id=backend)
+    providers = replace(mock_bundle(), encoder=MockEncoderProvider())
+    cell = prepare_cell(config, corpus, "P-A", providers=providers)
+    assert len(cell.train.extra) == 50
+    scorer = train_scorer(cell.train, config.scorer_config(), providers)
+    scores = scorer.score_many(cell.train)
+    assert len(scores) == len(cell.train) == 900
+    assert scores == scorer.score_many([r.text for r in cell.train])
 
 
 def test_prepare_cell_caches_augmentation_under_the_cache_dir(tmp_path):
@@ -503,7 +517,7 @@ def test_run_json_records_the_simd_extensions_numpy_was_limited_to(
     probe = (
         "import json, sys\n"
         "from claimcheck.runner import ExperimentConfig, run_suite\n"
-        "from synth import tiny_corpus\n"
+        "from synth import planted_corpus, tiny_corpus\n"
         "record = run_suite('table2', tiny_corpus(3, per_topic=120), "
         "ExperimentConfig(holdout_k=50), out_dir=sys.argv[1])\n"
         "print(json.dumps(record.environment['simd_extensions']))\n"
@@ -1190,7 +1204,7 @@ def test_stage_seconds_add_up_to_each_cell_time(suite_corpus, tmp_path,
        holdout_k=st.integers(50, 60))
 def test_prepare_cell_matches_the_id_based_reference(seed, sizes, cell,
                                                      holdout_k):
-    """Positions give the ids, their order and the synthetic tail that
+    """Positions give the ids, their order and the samples' tail that
     looking every record up by id gives, whatever the file order."""
     rng = random.Random(seed)
     vocab = [f"w{j}" for j in range(25)]
@@ -1212,15 +1226,15 @@ def test_prepare_cell_matches_the_id_based_reference(seed, sizes, cell,
         warnings.simplefilter("ignore")  # a pool may cover a whole topic
         prepared = prepare_cell(config, corpus, target, providers=providers)
         holdouts = make_holdouts(corpus, config.holdout_k, config.seed)
-    train_ids, test_ids, synthetic = reference_cell(
+    train_ids, test_ids, samples = reference_cell(
         corpus, holdouts, target, config.shots,
         None if strategy == NONE else strategy, providers, config.seed)
     assert prepared.split.train_ids() == train_ids
     assert prepared.split.test_ids() == test_ids
     held = list(prepared.train)[:len(train_ids)]
     assert held == [corpus.record(i) for i in train_ids]
-    assert list(prepared.train.extra) == synthetic
-    assert list(prepared.train) == held + synthetic
+    assert prepared.train.extra == samples
+    assert list(prepared.train) == held + list(samples)
     assert list(prepared.test) == [corpus.record(i) for i in test_ids]
     assert prepared.test.labels().tolist() == [corpus.record(i).label for i in test_ids]
 

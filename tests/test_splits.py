@@ -4,6 +4,7 @@ freedom, frozen test sets, and nested shot prefixes."""
 import hashlib
 import json
 import random
+import re
 import warnings
 
 import numpy as np
@@ -207,6 +208,18 @@ def test_few_shot_rejects_oversized_shots(corpus, holdouts):
         few_shot_split(corpus, holdouts, target, 41)
     with pytest.raises(SplitError):
         few_shot_split(corpus, holdouts, target, -1)
+
+
+@pytest.mark.parametrize("value", [2.5, "3", True, None])
+def test_a_holdout_size_or_shot_count_that_is_no_integer_is_named(
+        corpus, holdouts, value):
+    """A split error naming the value, not what comparing or slicing with
+    it would raise; a bool is not a count."""
+    named = re.escape(f"got {value!r}")
+    with pytest.raises(SplitError, match=f"holdout size .*{named}"):
+        make_holdouts(corpus, k=value, seed=1)
+    with pytest.raises(SplitError, match=f"shots .*{named}"):
+        few_shot_split(corpus, holdouts, corpus.topic_ids()[0], value)
 
 
 def test_no_leakage_anywhere(corpus, holdouts):
