@@ -229,8 +229,9 @@ def augment_training(train, pool, strategy: str, providers, seed: int = 0,
     `train` and `pool` are `claimcheck.model.Rows` of one `CorpusFeatures`.
     Returns (train extended by the result's samples, AugmentationResult),
     or (train, None) for strategy ``none``. Only pool samples ever seed
-    augmentation, and every pool row must already be a training row; a
-    sample, fresh or cached, must come from a pool record and carry its
+    augmentation, and every pool row must already be a training row. A
+    result, fresh or cached, must be the strategy's for a pool of this
+    size, and each sample must come from a pool record and carry its
     label. When a cache directory is given, results are reused across runs
     keyed by strategy, the identity of the provider it calls, the
     strategies' constants, pool content, and seed.
@@ -268,6 +269,11 @@ def augment_training(train, pool, strategy: str, providers, seed: int = 0,
         })
         path = Path(cache_dir) / f"{key}.json"
     result = cached(path, run, _save_result, _load_result)
+    if (result.strategy, result.pool_size) != (strategy, len(pool_records)):
+        raise AugmentError(
+            f"augmentation cache entry {path} holds {result.strategy} for "
+            f"{result.pool_size} records, not {strategy} for "
+            f"{len(pool_records)}")
     labels = {r.tweet_id: r.label for r in pool_records}
     for s in result.samples:
         if s.origin_tweet_id not in labels:

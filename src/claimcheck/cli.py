@@ -30,7 +30,6 @@ from .runner import (
     SHOT_CHOICES,
     SUITES,
     ExperimentConfig,
-    checked_path,
     config_from_mapping,
     prepare_cell,
     run_suite,
@@ -65,7 +64,7 @@ _ARGUMENTS = {
     "--model": dict(required=True, help="saved baseline model (.npz)"),
     "--config": dict(type=_config_file, metavar="FILE",
                      help="JSON file of experiment settings; flags override it"),
-    "--out": dict(metavar="PATH", type=lambda out: checked_path(out, "--out"),
+    "--out": dict(metavar="PATH",
                   help="output file, or directory for similarity and suite"),
     "--providers": dict(help='provider set: "mock", "none", or an '
                              '"http(s)://<host>..." base URL'),

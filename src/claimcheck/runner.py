@@ -15,6 +15,10 @@ the training matrix are gathered by position, and test rows are scored
 straight from the corpus matrix. `run_suite` builds each cell's run.json
 row in one place and derives the rest of the record from those rows.
 
+One table, `_SUITES`, defines each suite's columns, report title and
+notes; `suite_cells` turns a suite's columns into configs, and a suite
+keeps each column's reports alongside its config.
+
 The raw per-cell CSV is byte-identical across reruns with the same corpus,
 config, seed, and providers. Timing lives only in run.json: the cell's
 wall time, and in `stage_s` the seconds of each stage (split, augment,
@@ -58,11 +62,25 @@ ZERO_SHOT = "zero_shot"
 FEW_SHOT = "few_shot"
 SETTINGS = (ZERO_SHOT, FEW_SHOT)
 SHOT_CHOICES = (50, 100, 150, 200)
-SUITES = ("table2", "table3", "table4", "fig4")
+
+# Each suite's columns as (setting, strategy, shots), where shots None is
+# the config's shots (200 if it names none), its report title and notes.
+_SUITES = {
+    "table2": ([(ZERO_SHOT, NONE, 0)], "Zero-shot, per topic", ()),
+    "table3": ([(ZERO_SHOT, NONE, 0)]
+               + [(FEW_SHOT, strategy, None) for strategy in STRATEGIES],
+               "Few-shot + augmentation vs zero-shot", ()),
+    "table4": ([(FEW_SHOT, NONE, None), (FEW_SHOT, "CWE", None)],
+               "Augmentation ablation at fixed shots", ()),
+    "fig4": ([(FEW_SHOT, NONE, shots) for shots in SHOT_CHOICES],
+             "MAP by number of shots",
+             ("shots sweep runs without augmentation",)),
+}
+SUITES = tuple(_SUITES)
 
 __all__ = [
     "ZERO_SHOT", "FEW_SHOT", "SETTINGS", "SHOT_CHOICES", "SUITES", "RunRecord",
-    "ExperimentConfig", "config_from_mapping", "checked_path", "writable",
+    "ExperimentConfig", "config_from_mapping", "writable",
     "PreparedCell", "prepare_cell", "run_topic", "suite_cells", "run_suite",
 ]
 
@@ -143,21 +161,16 @@ def config_from_mapping(data: dict) -> ExperimentConfig:
     return ExperimentConfig(**data)
 
 
-def checked_path(value, name: str) -> str:
-    """`value` as the path string run.json names; a ConfigError naming
-    `name` if it is empty, no path or holds a lone surrogate, not UTF-8."""
+def writable(value, name: str, directory: bool = True) -> str:
+    """`value` as a path string; a ConfigError naming `name` if it is
+    empty, no path or holds a lone surrogate (not UTF-8), if the nearest
+    existing one of it (of its directory, if not a `directory`) is no
+    directory, or if a file's path is a directory."""
     path = os.fspath(value) if isinstance(value, (str, os.PathLike)) else None
     if not isinstance(path, str) or not path:
         raise ConfigError(f"{name} must be a path, got {value!r}")
     if path.encode("utf-8", "replace").decode("utf-8") != path:
         raise ConfigError(f"{name} holds a lone surrogate")
-    return path
-
-
-def writable(path: str, name: str, directory: bool = True) -> str:
-    """`path`, if the nearest existing one of it (its directory, if not a
-    `directory`) and their ancestors is a directory, and a file's `path` is
-    not one; else a ConfigError."""
     if not directory and Path(path).is_dir():
         raise ConfigError(f"{name} {path!r} is a directory")
     start = Path(path) if directory else Path(path).parent
@@ -301,9 +314,10 @@ def run_topic(config: ExperimentConfig, corpus: Corpus, target: str,
 
 
 def suite_cells(suite: str, base: ExperimentConfig) -> list:
-    """The (setting, strategy, shots) combinations a suite runs. A suite
+    """The configs of a suite's columns, in `_SUITES` order. A suite
     refuses a base config it would not run: one naming a strategy, a
-    few-shot one for table2, and one for fig4 at shots other than 200."""
+    few-shot one for table2, and one for fig4 at shots other than 200;
+    a column config that is invalid is a ConfigError too."""
     if suite not in SUITES:
         raise ConfigError(f"unknown suite {suite!r}; expected one of {SUITES}")
     if base.strategy != NONE:
@@ -315,18 +329,13 @@ def suite_cells(suite: str, base: ExperimentConfig) -> list:
     if suite == "fig4" and base.shots not in (0, 200):
         raise ConfigError(f"suite fig4 runs shots {SHOT_CHOICES} itself; "
                           f"got {base.shots} shots")
-    shots = base.shots or 200
-    if suite == "table2":
-        return [(ZERO_SHOT, NONE, 0)]
-    if suite == "table3":
-        return [(ZERO_SHOT, NONE, 0)] + [(FEW_SHOT, s, shots) for s in STRATEGIES]
-    if suite == "table4":
-        return [(FEW_SHOT, NONE, shots), (FEW_SHOT, "CWE", shots)]
-    return [(FEW_SHOT, NONE, s) for s in SHOT_CHOICES]
+    return [replace(base, setting=setting, strategy=strategy,
+                    shots=(base.shots or 200) if shots is None else shots)
+            for setting, strategy, shots in _SUITES[suite][0]]
 
 
-def _cell_key(setting: str, strategy: str, shots: int) -> str:
-    return f"{setting}/{strategy}/{shots}"
+def _column_name(config: ExperimentConfig) -> str:
+    return f"{config.setting}/{config.strategy}/{config.shots}"
 
 
 CSV_COLUMNS = [
@@ -369,12 +378,10 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
     seconds from this call's start to the end of the last cell.
     """
     suite_started = time.perf_counter()
-    combos = suite_cells(suite, base_config)
     # a bad column config is reported before anything is made or counted
-    configs = [replace(base_config, setting=setting, strategy=strategy,
-                       shots=shots) for setting, strategy, shots in combos]
+    columns = suite_cells(suite, base_config)
     # a file in the way would fail each cell on its first cache write
-    out_path = writable(checked_path(out_dir, "out_dir"), "out_dir")
+    out_path = writable(out_dir, "out_dir")
     out_dir = Path(out_path)
     cache_dir = out_dir / "cache"
 
@@ -386,12 +393,13 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
     corpus.features  # counted on first use, so before any worker starts
     setup_s = time.perf_counter() - suite_started
 
-    jobs = [(config, topic) for config in configs
+    jobs = [(column, topic) for column in range(len(columns))
             for topic in corpus.topic_ids()]
 
     def run_cell(job):
         """A cell's run.json row, its report (None if it failed), seconds."""
-        config, topic = job
+        column, topic = job
+        config = columns[column]
         row = {"suite": suite, "setting": config.setting,
                "strategy": config.strategy, "shots": config.shots,
                "topic_id": topic, "seed": config.seed}
@@ -427,29 +435,22 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
     suite_elapsed = time.perf_counter() - suite_started
 
     failures, wall_clock = [], {}
-    reports = {}  # (setting, strategy, shots) -> topic -> EvalReport
-    for row, report, seconds in outcomes:
-        combo = (row["setting"], row["strategy"], row["shots"])
-        name = f"{_cell_key(*combo)}/{row['topic_id']}"
+    reports = [{} for _ in columns]  # column -> topic -> EvalReport
+    for (column, topic), (row, report, seconds) in zip(jobs, outcomes):
+        name = f"{_column_name(columns[column])}/{topic}"
         wall_clock[name] = round(seconds, 6)
         if report is None:
             failures.append({"cell": name, "error": row["error"]})
-            continue
-        reports.setdefault(combo, {})[row["topic_id"]] = report
+        else:
+            reports[column][topic] = report
     wall_clock["total"] = round(suite_elapsed, 6)
     cells = sorted((row for row, _, _ in outcomes),
                    key=lambda r: (r["setting"], r["strategy"], r["shots"],
                                   r["topic_id"]))
+    aggregates = {_column_name(config): {"topics": len(column),
+                                         **column_means(column)}
+                  for config, column in zip(columns, reports) if column}
 
-    aggregates = {}
-    for (setting, strategy, shots), column in reports.items():
-        key = _cell_key(setting, strategy, shots)
-        aggregates[key] = {"topics": len(column), **column_means(column)}
-
-    notes = []
-    if suite == "fig4":
-        notes.append("shots sweep runs without augmentation")
-    notes.extend(holdouts.notes)
     record = RunRecord(
         suite=suite,
         config=asdict(base_config),
@@ -460,14 +461,16 @@ def run_suite(suite: str, corpus: Corpus, base_config: ExperimentConfig,
         failures=failures,
         setup_s=round(setup_s, 6),
         wall_clock=wall_clock,
-        notes=notes,
+        notes=[*_SUITES[suite][2], *holdouts.notes],
     )
 
-    _write_artifacts(record, reports, combos, out_dir)
+    _write_artifacts(record, columns, reports, out_dir)
     return record
 
 
-def _render_report(record: RunRecord, reports, combos, suite: str) -> str:
+def _render_report(record: RunRecord, columns, reports) -> str:
+    """report.md; `reports[i]` maps topic -> EvalReport of `columns[i]`."""
+    suite, title = record.suite, _SUITES[record.suite][1]
     lines = [f"# Suite {suite}", ""]
     lines.append(f"- tool version: {record.tool_version}")
     lines.append(f"- corpus hash: {record.corpus_hash}")
@@ -477,47 +480,34 @@ def _render_report(record: RunRecord, reports, combos, suite: str) -> str:
         lines.append(f"- note: {note}")
     lines.append("")
 
-    def column(combo, topics):
-        return {t: reports[combo][t] for t in topics}
-
     body = ""
-    # the topics every combo completed
+    # the topics every column completed
     topics_ok = sorted({c["topic_id"] for c in record.cells}.intersection(
-        *(reports.get(combo, {}) for combo in combos)))
+        *reports))
+    complete = [{t: column[t] for t in topics_ok} for column in reports]
     if suite == "table2":
-        combo = combos[0]
-        col = reports.get(combo, {})
-        if col:
-            body = render_report_table(col, title="Zero-shot, per topic")
-    elif suite in ("table3", "table4"):
-        base_combo = combos[0]
-        variant_combos = combos[1:]
-        if topics_ok:
-            base = column(base_combo, topics_ok)
-            variants = {c[1]: column(c, topics_ok) for c in variant_combos}
-            table = improvement_table(base, variants)
-            base_name = ("zero-shot" if base_combo[0] == ZERO_SHOT
-                         else f"few-shot({base_combo[2]}) no aug")
-            title = ("Few-shot + augmentation vs zero-shot"
-                     if suite == "table3"
-                     else "Augmentation ablation at fixed shots")
-            body = render_improvement_table(table, base_name=base_name,
-                                            title=title)
-    else:  # fig4
-        if topics_ok:
-            header = "| Topic |" + "".join(
-                f" {shots} shots |" for _, _, shots in combos)
-            rule = "|---|" + "---|" * len(combos)
-            rows = [header, rule]
-            for t in topics_ok:
-                rows.append(
-                    f"| {t} |" + "".join(
-                        f" {reports[c][t].map:.4f} |" for c in combos)
-                )
-            rows.append("| Average |" + "".join(
-                " {:.4f} |".format(column_means(column(c, topics_ok))["map"])
-                for c in combos))
-            body = "### MAP by number of shots\n\n" + "\n".join(rows) + "\n"
+        if reports[0]:
+            body = render_report_table(reports[0], title=title)
+    elif topics_ok and suite == "fig4":
+        rows = ["| Topic |" + "".join(f" {config.shots} shots |"
+                                      for config in columns),
+                "|---|" + "---|" * len(columns)]
+        for t in topics_ok:
+            rows.append(f"| {t} |" + "".join(
+                f" {column[t].map:.4f} |" for column in complete))
+        rows.append("| Average |" + "".join(
+            " {:.4f} |".format(column_means(column)["map"])
+            for column in complete))
+        body = f"### {title}\n\n" + "\n".join(rows) + "\n"
+    elif topics_ok:  # table3 and table4: each variant against column 0
+        base, *variants = complete
+        table = improvement_table(base, {
+            config.strategy: column
+            for config, column in zip(columns[1:], variants)})
+        base_name = ("zero-shot" if columns[0].setting == ZERO_SHOT
+                     else f"few-shot({columns[0].shots}) no aug")
+        body = render_improvement_table(table, base_name=base_name,
+                                        title=title)
 
     lines.append(body if body else "_No complete columns; see failures._\n")
     if record.failures:
@@ -530,7 +520,8 @@ def _render_report(record: RunRecord, reports, combos, suite: str) -> str:
     return "\n".join(lines)
 
 
-def _write_artifacts(record: RunRecord, reports, combos, out_dir: Path) -> None:
+def _write_artifacts(record: RunRecord, columns, reports,
+                     out_dir: Path) -> None:
     # all three are rendered and encoded first, so a failure writes none
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -538,7 +529,7 @@ def _write_artifacts(record: RunRecord, reports, combos, out_dir: Path) -> None:
     for row in record.cells:
         writer.writerow(_csv_row(row))
     texts = {"cells.csv": buf.getvalue(), "run.json": record.to_json() + "\n",
-             "report.md": _render_report(record, reports, combos, record.suite)}
+             "report.md": _render_report(record, columns, reports)}
     blobs = {name: text.encode("utf-8") for name, text in texts.items()}
     for name, blob in blobs.items():
         atomic_write(out_dir / name, lambda fh: fh.write(blob))

@@ -357,27 +357,46 @@ def test_augment_preserves_labels_and_cardinality(strategy):
     assert all(s.label == labels[s.origin_tweet_id] for s in result.samples)
 
 
-# a sample of a hand-written cache entry that no cell may train on, and the
-# error naming it
-@pytest.mark.parametrize("field, value, message", [
-    ("origin_tweet_id", "p099", "BT sample of 'p099' names no pool record"),
-    ("label", CW, "BT sample of 'p001' is labelled CW, its origin NCW"),
-    ("text", " \t\n", "BT sample of 'p001' has empty text"),
-], ids=["origin-outside-the-pool", "label-drift", "whitespace-text"])
+def _set_sample(field, value):
+    def edit(blob):
+        blob["samples"][1][field] = value
+    return edit
+
+
+def _answer_another_request(blob):
+    """Make a BT entry for a pool of four hold a CWE result for two."""
+    blob.update(strategy=CWE, pool_size=2, skips=[],
+                samples=[dict(s, strategy=CWE) for s in blob["samples"][:2]])
+
+
+# an edit making a hand-written cache entry one no cell may train on, and
+# the error naming it
+@pytest.mark.parametrize("edit, message", [
+    (_set_sample("origin_tweet_id", "p099"),
+     "BT sample of 'p099' names no pool record"),
+    (_set_sample("label", CW),
+     "BT sample of 'p001' is labelled CW, its origin NCW"),
+    (_set_sample("text", " \t\n"), "BT sample of 'p001' has empty text"),
+    (_answer_another_request, "augmentation cache entry {entry} holds CWE "
+                              "for 2 records, not BT for 4"),
+], ids=["origin-outside-the-pool", "label-drift", "whitespace-text",
+        "another-request"])
 def test_a_cached_sample_a_cell_cannot_train_on_is_refused(
-        tmp_path, field, value, message):
+        tmp_path, edit, message):
     """Every result, fresh or read from the cache, passes the same checks:
-    a sample must come from a pool record, carry its label and hold text."""
+    it must be the requested strategy's for a pool of the requested size,
+    and a sample must come from a pool record, carry its label and hold
+    text."""
     train, pool = _select(_pool(6), 4)
     augment_training(train, pool, BT, _bundle(), cache_dir=tmp_path)
     (entry,) = tmp_path.iterdir()
     blob = json.loads(entry.read_text(encoding="utf-8"))
     assert blob["samples"][1]["origin_tweet_id"] == "p001"
-    blob["samples"][1][field] = value
+    edit(blob)
     entry.write_text(json.dumps(blob), encoding="utf-8")
     with pytest.raises(AugmentError) as caught:
         augment_training(train, pool, BT, _bundle(), cache_dir=tmp_path)
-    assert str(caught.value) == message
+    assert str(caught.value) == message.format(entry=entry)
 
 
 def test_augment_cache_round_trip(tmp_path):

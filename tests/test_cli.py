@@ -562,8 +562,9 @@ def _no_work(*args, **kwargs):
     raise AssertionError("the command worked before it checked --out")
 
 
-# a case name, a command line and its `--out`, which cannot be written:
-# "afile" is a file, "adir" a directory and "" no path
+# a case name, a command line (the test adds an experiment command's
+# `--corpus`) and its `--out`, which cannot be written: "afile" is a file,
+# "adir" a directory and "" no path
 _UNWRITABLE = [
     *[(f"{command}-under-a-file", argv, "afile/out")
       for command, argv in _RUNNABLE.items()],
@@ -573,6 +574,9 @@ _UNWRITABLE = [
       for command in ("split", "train", "rank", "eval", "augment")],
     *[(f"{command}-empty", _RUNNABLE[command], "")
       for command in ("split", "train", "augment", "similarity")],
+    *[(f"load-{case}", ["load", "--input", "simple=tweets.tsv",
+                        "--allow-noncanonical"], out)
+      for case, out in (("under-a-file", "afile/out"), ("empty", ""))],
 ]
 
 
@@ -580,17 +584,20 @@ _UNWRITABLE = [
                          ids=[case[0] for case in _UNWRITABLE])
 def test_an_out_that_cannot_be_written_exits_two_before_any_work(
         corpus_jsonl, tmp_path, monkeypatch, capsys, command, out):
-    """Every experiment command finds that `--out` cannot be written
-    before it reads the corpus, fits, embeds or calls any provider, and
-    keeps what is in the way."""
+    """Every command writing to `--out` finds that it cannot be written
+    before it reads or builds the corpus, fits, embeds or calls any
+    provider, and keeps what is in the way."""
     monkeypatch.chdir(tmp_path)
     (tmp_path / "afile").write_bytes(b"keep me")
     (tmp_path / "adir").mkdir()
+    if command[0] != "load":
+        command = [*command, "--corpus", str(corpus_jsonl)]
+    monkeypatch.setattr(cli, "build_corpus", _no_work)
     monkeypatch.setattr(Corpus, "from_jsonl", _no_work)
     monkeypatch.setattr("claimcheck.model.fit", _no_work)
     monkeypatch.setattr(cli, "make_providers", lambda spec: ProviderBundle(
         *[_no_work] * len(fields(ProviderBundle))))
-    rc = main([*command, "--corpus", str(corpus_jsonl), "--out", out])
+    rc = main([*command, "--out", out])
     assert rc == 2
     message = {"": "--out must be a path, got ''",
                "adir": "--out 'adir' is a directory"}.get(

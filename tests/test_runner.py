@@ -1,6 +1,7 @@
 """Experiment runner and suite orchestration tests."""
 
 import csv
+import importlib.util
 import json
 import os
 import platform
@@ -12,7 +13,7 @@ import tempfile
 import threading
 import time
 import warnings
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -28,6 +29,7 @@ from claimcheck.augment import BT, CWE, NONE, STRATEGIES
 from claimcheck.cache import stable_hash
 from claimcheck.errors import (AugmentError, ConfigError, CorpusError,
                                ModelError, ProviderError)
+from claimcheck.evaluation import EvalReport
 from claimcheck.providers import (
     MockEncoderProvider,
     ProviderBundle,
@@ -36,6 +38,7 @@ from claimcheck.providers import (
 from claimcheck.runner import (
     FEW_SHOT,
     SHOT_CHOICES,
+    SUITES,
     ZERO_SHOT,
     ExperimentConfig,
     config_from_mapping,
@@ -47,6 +50,7 @@ from claimcheck.corpus import CW, NCW, Corpus, TweetRecord
 from claimcheck.model import CorpusFeatures, ScorerConfig, train_scorer
 from claimcheck.splits import make_holdouts
 
+import reference_suites
 from mocks import MarkerFiller
 from reference_cells import reference_cell
 from synth import planted_corpus, tiny_corpus
@@ -447,6 +451,60 @@ def test_fig4_sweeps_every_shot_count(tmp_path):
     seen = {(c["setting"], c["strategy"], c["shots"]) for c in record.cells}
     assert seen == {(FEW_SHOT, NONE, s) for s in SHOT_CHOICES}
     assert "shots sweep runs without augmentation" in record.notes
+
+
+# a base config each suite takes at holdout_k 200: table3's names no shots,
+# so its columns run at 200, and table4's runs at 100
+_REFERENCE_BASES = {
+    "table2": ExperimentConfig(holdout_k=200),
+    "table3": ExperimentConfig(holdout_k=200),
+    "table4": few_shot_config(shots=100, holdout_k=200),
+    "fig4": few_shot_config(shots=200, holdout_k=200),
+}
+
+
+def _planted_report(setting, strategy, shots, topic):
+    rng = random.Random(f"{setting}/{strategy}/{shots}/{topic}")
+    ap_cw, ap_ncw = rng.random(), rng.random()
+    return EvalReport(topic, ap_cw, ap_ncw, (ap_cw + ap_ncw) / 2,
+                      rng.random(), rng.random(), rng.random(), 40)
+
+
+@pytest.mark.parametrize("failed", ["none", "one-topic", "every-topic"])
+@pytest.mark.parametrize("suite", SUITES)
+def test_report_md_equals_the_tuple_based_reference(suite, failed, tmp_path,
+                                                    monkeypatch):
+    """report.md is the tuple-based layout's, text for text, when every
+    cell finishes and when the last column fails on one topic or on all."""
+    corpus = tiny_corpus(3, per_topic=120)  # every topic is held out whole
+    base = _REFERENCE_BASES[suite]
+    last = reference_suites.suite_cells(suite, base)[-1]
+    failed_topics = {"none": [], "one-topic": ["S-B"],
+                     "every-topic": corpus.topic_ids()}[failed]
+
+    def outcome(setting, strategy, shots, topic):
+        if (setting, strategy, shots) == last and topic in failed_topics:
+            return "ModelError: planted fault"
+        return _planted_report(setting, strategy, shots, topic)
+
+    def planted_run_topic(config, corpus, topic, providers, cache_dir,
+                          details):
+        result = outcome(config.setting, config.strategy, config.shots, topic)
+        if isinstance(result, str):
+            raise ModelError("planted fault")
+        details.update(train_size=0, aug_samples=0, aug_skips=[])
+        return result
+
+    monkeypatch.setattr(runner, "run_topic", planted_run_topic)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the whole-topic holdout warnings
+        record = run_suite(suite, corpus, base, out_dir=tmp_path)
+    assert len(record.failures) == len(failed_topics)
+    expected = reference_suites.report_md(
+        suite, base, corpus.topic_ids(), outcome,
+        make_holdouts(corpus, 200, base.seed).notes, record.tool_version,
+        record.corpus_hash)
+    assert (tmp_path / "report.md").read_text(encoding="utf-8") == expected
 
 
 def test_suite_writes_artifacts(suite_corpus, tmp_path):
@@ -1283,3 +1341,22 @@ def test_fingerprint_tracks_content():
     a = tiny_corpus(4, per_topic=10)
     b = tiny_corpus(6, per_topic=10)
     assert a.fingerprint != b.fingerprint
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's tracer
+
+
+def test_the_bench_tracer_finds_everything_it_patches():
+    """bench/tracing.py (stdlib only) swaps runner functions, scorer
+    methods and provider roles by name: each name must still be there."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert [name for name in tracing.RUNNER_LAYERS
+            if not callable(getattr(runner, name, None))] == []
+    assert [name for name in tracing.SCORER_CLASSES
+            if not hasattr(getattr(model, name, None), "score_many")] == []
+    assert set(tracing.PROVIDER_ROLES) <= {
+        f.name for f in fields(ProviderBundle)}
